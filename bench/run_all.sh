@@ -115,16 +115,16 @@ echo "== reconfig_bench =="
 "$build_dir/bench/reconfig_bench" "${quick_flags[@]}" "${seed_flags[@]}" \
   --json "$out_dir/BENCH_reconfig.json"
 
-# Repartitioning chaos smoke: a live range move with a source-leader
-# crash right after PREPARE plus a torn-copy-chunk cell; the no-lost/
-# no-duplicated-object and exactly-once-across-split oracles gate it.
 # Million-client open-loop scale sweep: Poisson/MMPP arrivals x key skew
-# over a pooled-session harness, plus the legacy-vs-wheel kernel race.
-# The speedup floor, uniform-cell SLO gate and arrival accounting gate it.
+# over a pooled-session harness. The uniform-cell SLO gate and arrival
+# accounting gate it.
 echo "== scale_sweep =="
 "$build_dir/bench/scale_sweep" "${quick_flags[@]}" "${seed_flags[@]}" \
   --json "$out_dir/BENCH_scale.json"
 
+# Repartitioning chaos smoke: a live range move with a source-leader
+# crash right after PREPARE plus a torn-copy-chunk cell; the no-lost/
+# no-duplicated-object and exactly-once-across-split oracles gate it.
 echo "== reconfig_bench (--chaos) =="
 "$build_dir/bench/reconfig_bench" --chaos "${quick_flags[@]}" \
   "${seed_flags[@]}" --json "$out_dir/BENCH_reconfig_chaos.json"

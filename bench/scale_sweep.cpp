@@ -1,15 +1,6 @@
-// Million-client open-loop scale sweep + kernel fast-path microbench.
+// Million-client open-loop scale sweep.
 //
-// Part 1 (kernel): an apples-to-apples events/sec race between the old
-// event-loop engine (std::priority_queue of {when, seq, std::function} —
-// re-created here verbatim in ~40 lines, const_cast pop and all) and the
-// current sim kernel (bucketed timer wheel + SBO EventFn). Both engines
-// execute the exact same self-rescheduling event chains with the same
-// capture sizes and delay mix (mostly near-horizon delays plus a far tail
-// that exercises the wheel's far buckets). The speedup ratio is gated:
-// >= 3x in a full run, >= 2x in --quick (CI boxes are noisy).
-//
-// Part 2 (scale): an open-loop sweep over a 4x3 bank deployment. Unlike
+// An open-loop sweep over a 4x3 bank deployment. Unlike
 // the closed-loop figure benches (N clients in think/submit loops, offered
 // load capped by N), arrivals here come from an external arrival process —
 // every arrival is a distinct logical client that wants exactly one
@@ -31,7 +22,8 @@
 //
 // Latencies use the LatencyRecorder histogram mode (~30 KB fixed) and the
 // kernel is watched via telemetry::KernelStats, so the report also says
-// how deep the event queue ran and how many events each cell cost.
+// how deep the event queue ran, how many events each cell cost and how
+// many of them the simulator ran per wall-second (Mev/s).
 //
 //   scale_sweep [--quick] [--seed <s>] [--clients <n>] [--json <path>]
 //               (default BENCH_scale.json)
@@ -42,9 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <span>
 #include <string>
 #include <vector>
@@ -66,138 +56,6 @@ struct Options {
   std::uint64_t clients = 0;  // 0 = default for the mode
   std::string json_path = "BENCH_scale.json";
 };
-
-// ------------------------------------------------------------------
-// Part 1: legacy-vs-new kernel microbench.
-// ------------------------------------------------------------------
-
-/// The seed kernel's event loop, reproduced for the before/after race:
-/// binary heap keyed by (when, seq), one std::function per event, pop via
-/// const_cast move-from-top. Kept deliberately identical in shape to the
-/// engine this PR replaced.
-class LegacyEngine {
- public:
-  void schedule(sim::Nanos delay, std::function<void()> fn) {
-    queue_.push(Ev{now_ + delay, seq_++, std::move(fn)});
-  }
-
-  std::uint64_t run() {
-    std::uint64_t n = 0;
-    while (!queue_.empty()) {
-      Ev ev = std::move(const_cast<Ev&>(queue_.top()));
-      queue_.pop();
-      now_ = ev.when;
-      ev.fn();
-      ++n;
-    }
-    return n;
-  }
-
- private:
-  struct Ev {
-    sim::Nanos when;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Ev& a, const Ev& b) const {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Ev, std::vector<Ev>, Later> queue_;
-  sim::Nanos now_ = 0;
-  std::uint64_t seq_ = 0;
-};
-
-/// The current kernel behind the same two-method surface.
-class WheelEngine {
- public:
-  template <typename Fn>
-  void schedule(sim::Nanos delay, Fn&& fn) {
-    sim_.schedule(delay, sim::EventFn(std::forward<Fn>(fn)));
-  }
-
-  std::uint64_t run() {
-    const std::uint64_t before = sim_.events_executed();
-    sim_.run();
-    return sim_.events_executed() - before;
-  }
-
- private:
-  sim::Simulator sim_;
-};
-
-/// One self-rescheduling chain step. The capture below ({engine pointer,
-/// hash, count} = 20 bytes) matches the simulator's dominant real payloads:
-/// small but past libstdc++'s 16-byte std::function inline window, so the
-/// legacy engine heap-allocates per event while EventFn stores it inline.
-/// Delay mix: mostly near-horizon (inside the wheel window), every 16th
-/// step far (up to ~1 ms) to keep the far-bucket path honest.
-template <typename Engine>
-void chain_step(Engine& eng, std::uint64_t h, std::uint32_t left) {
-  if (left == 0) return;
-  std::uint64_t state = h;
-  const std::uint64_t next = sim::splitmix64(state);
-  const sim::Nanos delay = (left % 16 == 0)
-                               ? 1000 + static_cast<sim::Nanos>(next & 0xFFFFF)
-                               : 64 + static_cast<sim::Nanos>(next & 0x3FF);
-  Engine* e = &eng;
-  eng.schedule(delay,
-               [e, next, left] { chain_step(*e, next, left - 1); });
-}
-
-struct KernelRace {
-  std::uint64_t chains = 0;
-  std::uint64_t events_per_engine = 0;
-  double legacy_eps = 0.0;
-  double wheel_eps = 0.0;
-  double speedup = 0.0;
-};
-
-template <typename Engine>
-double race_engine(std::uint64_t seed, std::uint32_t chains,
-                   std::uint32_t steps, std::uint64_t* executed) {
-  {
-    // Warm-up: touches the allocator and instruction cache outside the
-    // timed window.
-    Engine warm;
-    std::uint64_t s = seed ^ 0x9e3779b97f4a7c15ULL;
-    for (std::uint32_t c = 0; c < std::min<std::uint32_t>(chains, 64); ++c) {
-      chain_step(warm, sim::splitmix64(s), 32);
-    }
-    warm.run();
-  }
-  Engine eng;
-  std::uint64_t s = seed;
-  for (std::uint32_t c = 0; c < chains; ++c) {
-    chain_step(eng, sim::splitmix64(s), steps);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t n = eng.run();
-  const auto t1 = std::chrono::steady_clock::now();
-  if (executed != nullptr) *executed = n;
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
-  return secs > 0.0 ? static_cast<double>(n) / secs : 0.0;
-}
-
-KernelRace race_kernels(const Options& opt) {
-  // Chain count doubles as steady-state queue depth: 8192 pending events
-  // is what a million-client open-loop cell actually holds. The heap pays
-  // log2(depth) comparison rounds per op; the wheel does not.
-  const std::uint32_t chains = opt.quick ? 4096 : 8192;
-  const std::uint32_t steps = opt.quick ? 100 : 250;
-  KernelRace r;
-  r.chains = chains;
-  r.legacy_eps =
-      race_engine<LegacyEngine>(opt.seed, chains, steps, &r.events_per_engine);
-  r.wheel_eps = race_engine<WheelEngine>(opt.seed, chains, steps, nullptr);
-  r.speedup = r.legacy_eps > 0.0 ? r.wheel_eps / r.legacy_eps : 0.0;
-  return r;
-}
-
-// ------------------------------------------------------------------
-// Part 2: open-loop scale sweep.
-// ------------------------------------------------------------------
 
 constexpr int kPartitions = 4;
 constexpr int kReplicas = 3;
@@ -529,8 +387,6 @@ int main(int argc, char** argv) {
       std::max<std::uint64_t>(headline / 8, opt.quick ? 10'000 : 100'000);
   const std::uint32_t pool = opt.quick ? 256 : 1024;
 
-  const double speedup_floor = opt.quick ? 2.0 : 3.0;
-
   telemetry::JsonWriter w;
   w.begin_object();
   w.kv("bench", "scale_sweep");
@@ -543,26 +399,6 @@ int main(int argc, char** argv) {
   w.kv("slo_p50_ns", kSloP50);
   w.kv("slo_p99_ns", kSloP99);
   w.kv("patience_ns", kPatience);
-
-  std::printf("Kernel race: legacy heap+std::function vs timer wheel+EventFn\n");
-  const KernelRace race = race_kernels(opt);
-  const bool kernel_ok = race.speedup >= speedup_floor;
-  std::printf(
-      "  %llu chains x %llu events: legacy %.2fM ev/s, wheel %.2fM ev/s, "
-      "speedup %.2fx (floor %.1fx) -> %s\n\n",
-      static_cast<unsigned long long>(race.chains),
-      static_cast<unsigned long long>(race.events_per_engine),
-      race.legacy_eps / 1e6, race.wheel_eps / 1e6, race.speedup,
-      speedup_floor, kernel_ok ? "PASS" : "FAIL");
-  w.key("kernel").begin_object();
-  w.kv("chains", race.chains);
-  w.kv("events_per_engine", race.events_per_engine);
-  w.kv("legacy_events_per_sec", race.legacy_eps);
-  w.kv("wheel_events_per_sec", race.wheel_eps);
-  w.kv("speedup", race.speedup);
-  w.kv("speedup_floor", speedup_floor);
-  w.kv("pass", kernel_ok);
-  w.end_object();
 
   std::printf(
       "Open-loop sweep: %llu logical clients (headline), pool %u sessions\n",
@@ -652,14 +488,8 @@ int main(int argc, char** argv) {
   }
   w.end_array();
 
-  const bool gate_ok = kernel_ok && slo_ok && total_violations == 0;
+  const bool gate_ok = slo_ok && total_violations == 0;
   w.key("gates").begin_array();
-  w.begin_object();
-  w.kv("gate", "kernel_speedup");
-  w.kv("floor", speedup_floor);
-  w.kv("speedup", race.speedup);
-  w.kv("pass", kernel_ok);
-  w.end_object();
   w.begin_object();
   w.kv("gate", "uniform_cells_in_slo");
   w.kv("pass", slo_ok);
@@ -689,11 +519,6 @@ int main(int argc, char** argv) {
     std::printf("report -> %s\n", opt.json_path.c_str());
   }
 
-  if (!kernel_ok) {
-    std::fprintf(stderr, "FAIL: kernel speedup %.2fx below %.1fx floor\n",
-                 race.speedup, speedup_floor);
-    return 1;
-  }
   if (!slo_ok) {
     std::fprintf(stderr, "FAIL: a uniform cell missed the p99 SLO gate\n");
     return 1;

@@ -1,6 +1,7 @@
 #include "amcast/endpoint.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <string>
 
@@ -33,8 +34,13 @@ Endpoint::Endpoint(System& system, GroupId group, int rank, rdma::Node& node)
   control_mr_ = node.register_region(sizeof(ControlMsg));
 
   inbox_next_.assign(cfg.max_clients, 0);
+  inbox_dirty_.assign((static_cast<std::size_t>(cfg.max_clients) + 63) / 64, 0);
+  node.region(inbox_mr_).set_write_watcher(
+      [this](std::uint64_t offset, std::uint64_t len) {
+        ring_inbox_doorbell(offset, len);
+      });
   props_next_.assign(system.total_replicas(), 0);
-  delivered_.assign(cfg.max_clients, DeliveredSet{});
+  delivered_.assign(cfg.max_clients, sim::SeqWindow{});
   ready_notifier_ = std::make_unique<sim::Notifier>(
       system.fabric().simulator());
   batch_notifier_ = std::make_unique<sim::Notifier>(
@@ -63,6 +69,10 @@ Endpoint::Endpoint(System& system, GroupId group, int rank, rdma::Node& node)
   update_status_page();
 }
 
+Endpoint::~Endpoint() {
+  node_->region(inbox_mr_).set_write_watcher(nullptr);
+}
+
 void Endpoint::start() {
   auto& sim = system_->fabric().simulator();
   sim.spawn(inbox_loop());
@@ -85,6 +95,43 @@ bool Endpoint::already_delivered(MsgUid uid) const {
 
 void Endpoint::mark_delivered(MsgUid uid) {
   delivered_[uid_client(uid)].insert(uid_seq(uid));
+}
+
+void Endpoint::set_local_proposal(MsgUid uid, Pending& p,
+                                  std::uint64_t clock) {
+  if (p.proposed_locally && !p.committed) {
+    open_index_.erase({p.local_clock, uid});
+  }
+  p.proposed_locally = true;
+  p.local_clock = clock;
+  if (!p.committed) open_index_.emplace(clock, uid);
+}
+
+void Endpoint::set_committed(MsgUid uid, Pending& p, std::uint64_t final_ts) {
+  if (p.committed) {
+    committed_index_.erase({p.final_ts, uid});
+  } else if (p.proposed_locally) {
+    open_index_.erase({p.local_clock, uid});
+  }
+  p.committed = true;
+  p.final_ts = final_ts;
+  committed_index_.emplace(final_ts, uid);
+}
+
+void Endpoint::erase_pending(std::map<MsgUid, Pending>::iterator it) {
+  const Pending& p = it->second;
+  if (p.committed) {
+    committed_index_.erase({p.final_ts, it->first});
+  } else if (p.proposed_locally) {
+    open_index_.erase({p.local_clock, it->first});
+  }
+  pending_.erase(it);
+}
+
+void Endpoint::clear_pending() {
+  pending_.clear();
+  committed_index_.clear();
+  open_index_.clear();
 }
 
 std::uint64_t Endpoint::inbox_slot_offset(std::uint32_t client,
@@ -119,6 +166,29 @@ void Endpoint::update_status_page() {
 // only the leader drives proposals.
 // ---------------------------------------------------------------------
 
+void Endpoint::ring_inbox_doorbell(std::uint64_t offset, std::uint64_t len) {
+  if (len == 0) return;
+  const std::uint64_t stride =
+      system_->config().inbox_slots_per_client * kInboxSlotSize;
+  const std::uint64_t last = (offset + len - 1) / stride;
+  for (std::uint64_t c = offset / stride; c <= last; ++c) {
+    inbox_dirty_[c / 64] |= std::uint64_t{1} << (c % 64);
+  }
+}
+
+std::uint32_t Endpoint::next_doorbell(std::uint32_t from,
+                                      std::uint32_t end) const {
+  if (from >= end) return end;
+  std::uint32_t w = from / 64;
+  std::uint64_t word = inbox_dirty_[w] & (~std::uint64_t{0} << (from % 64));
+  while (word == 0) {
+    if (++w * 64 >= end) return end;
+    word = inbox_dirty_[w];
+  }
+  return std::min(end, w * 64 + static_cast<std::uint32_t>(
+                                    std::countr_zero(word)));
+}
+
 sim::Task<void> Endpoint::inbox_loop() {
   const std::uint64_t inc = incarnation_;
   auto& region = node_->region(inbox_mr_);
@@ -137,21 +207,35 @@ sim::Task<void> Endpoint::inbox_loop() {
         rdma::load_pod<std::uint64_t>(region.bytes(), off + sizeof(MsgUid));
     return uid_client(uid) == c && ring_seq >= seq && uid != 0;
   };
-  auto have_new = [this, slot_ready] {
-    const std::uint32_t clients =
-        std::min(system_->client_count(), system_->config().max_clients);
-    for (std::uint32_t c = 0; c < clients; ++c) {
-      if (slot_ready(c)) return true;
+  auto clear_doorbell = [this](std::uint32_t c) {
+    inbox_dirty_[c / 64] &= ~(std::uint64_t{1} << (c % 64));
+  };
+  // Lowest client id in [from, end) with a ready slot, else end. Only
+  // clients with a doorbell can be ready; the rest are skipped, in the
+  // same ascending order a scan of every ring would use.
+  auto next_ready = [this, slot_ready, clear_doorbell](std::uint32_t from,
+                                                       std::uint32_t end) {
+    for (std::uint32_t c = next_doorbell(from, end); c < end;
+         c = next_doorbell(c + 1, end)) {
+      if (slot_ready(c)) return c;
+      clear_doorbell(c);
     }
-    return false;
+    return end;
+  };
+  auto clients = [this, &cfg] {
+    return std::min(system_->client_count(), cfg.max_clients);
+  };
+  auto have_new = [next_ready, clients] {
+    const std::uint32_t end = clients();
+    return next_ready(0, end) < end;
   };
 
   while (true) {
     co_await sim::wait_until(region.on_write(), have_new);
     if (stale(inc)) co_return;
-    const std::uint32_t clients =
-        std::min(system_->client_count(), cfg.max_clients);
-    for (std::uint32_t c = 0; c < clients; ++c) {
+    const std::uint32_t end = clients();
+    for (std::uint32_t c = next_ready(0, end); c < end;
+         c = next_ready(c + 1, end)) {
       while (slot_ready(c)) {
         const std::uint64_t off = inbox_slot_offset(c, inbox_next_[c] + 1);
         const auto msg = rdma::load_pod<WireMessage>(region.bytes(), off);
@@ -161,6 +245,7 @@ sim::Task<void> Endpoint::inbox_loop() {
         if (stale(inc)) co_return;
         note_seen(msg);
       }
+      clear_doorbell(c);
     }
   }
 }
@@ -259,8 +344,7 @@ sim::Task<void> Endpoint::batch_loop() {
       Pending& p = it->second;
       p.msg = seen_.at(uid);
       p.has_msg = true;
-      p.proposed_locally = true;
-      p.local_clock = ++clock_;
+      set_local_proposal(uid, p, ++clock_);
       p.proposals[group_] = p.local_clock;
       seen_.erase(uid);
       ctr_proposes_->inc();
@@ -525,8 +609,7 @@ void Endpoint::apply_record(const LogRecord& rec) {
       Pending& p = it->second;
       p.msg = rec.msg;
       p.has_msg = true;
-      p.proposed_locally = true;
-      p.local_clock = rec.value;
+      set_local_proposal(rec.uid, p, rec.value);
       p.propose_seq = rec.seq;
       p.proposals[group_] = rec.value;
       if (rec.flags & 1) p.shed_groups |= dst_of(group_);
@@ -539,8 +622,7 @@ void Endpoint::apply_record(const LogRecord& rec) {
       auto it = pending_.find(rec.uid);
       if (it == pending_.end()) break;  // stale duplicate
       Pending& p = it->second;
-      p.committed = true;
-      p.final_ts = rec.value;
+      set_committed(rec.uid, p, rec.value);
       p.shed = (rec.flags & 1) != 0;
       clock_ = std::max(clock_, ts_clock(rec.value));
       try_deliver();
@@ -647,42 +729,36 @@ sim::Task<void> Endpoint::props_loop() {
 }
 
 void Endpoint::try_deliver() {
-  while (true) {
-    // Committed, undelivered message with the smallest final timestamp.
-    const Pending* best = nullptr;
-    MsgUid best_uid = 0;
-    for (const auto& [uid, p] : pending_) {
-      if (!p.committed) continue;
-      if (!best || p.final_ts < best->final_ts) {
-        best = &p;
-        best_uid = uid;
-      }
-    }
-    if (!best) return;
+  while (!committed_index_.empty()) {
+    // Committed, undelivered message with the smallest final timestamp
+    // (ties: smallest uid).
+    const auto [final_ts, uid] = *committed_index_.begin();
 
     // Skeen delivery condition: safe only if no uncommitted message could
     // still receive a smaller final timestamp. A locally proposed,
     // uncommitted message m' has final >= pack(m'.local_clock, 0); any
     // message not yet proposed here will get a proposal > clock_ >=
-    // ts_clock(best->final_ts), hence a larger final.
-    for (const auto& [uid, p] : pending_) {
-      if (p.committed || !p.proposed_locally) continue;
-      if (pack_ts(p.local_clock, 0) <= best->final_ts) return;  // blocked
+    // ts_clock(final_ts), hence a larger final.
+    if (!open_index_.empty() &&
+        pack_ts(open_index_.begin()->first, 0) <= final_ts) {
+      return;  // blocked
     }
 
+    const auto it = pending_.find(uid);
+    const Pending& best = it->second;
     Delivery d;
-    d.uid = best_uid;
-    d.tmp = best->final_ts;
-    d.dst = best->msg.dst;
-    d.payload = best->msg.payload;
-    d.payload_len = best->msg.payload_len;
-    d.shed = best->shed;
-    d.lease = (best->msg.flags & kWireFlagLease) != 0;
-    d.epoch = (best->msg.flags & kWireFlagEpoch) != 0;
-    d.fast_write = (best->msg.flags & kWireFlagFastWrite) != 0;
-    mark_delivered(best_uid);
-    pending_.erase(best_uid);
-    seen_.erase(best_uid);
+    d.uid = uid;
+    d.tmp = final_ts;
+    d.dst = best.msg.dst;
+    d.payload = best.msg.payload;
+    d.payload_len = best.msg.payload_len;
+    d.shed = best.shed;
+    d.lease = (best.msg.flags & kWireFlagLease) != 0;
+    d.epoch = (best.msg.flags & kWireFlagEpoch) != 0;
+    d.fast_write = (best.msg.flags & kWireFlagFastWrite) != 0;
+    mark_delivered(uid);
+    erase_pending(it);
+    seen_.erase(uid);
     ++delivered_count_;
     ctr_deliveries_->inc();
     hub_->tracer.instant("amcast", "deliver", node_->id(),
@@ -1039,7 +1115,7 @@ void Endpoint::restart() {
   node_->restart();
   ++incarnation_;
   taking_over_ = false;
-  pending_.clear();
+  clear_pending();
   seen_.clear();
   ready_.clear();
   propose_queue_.clear();
@@ -1075,6 +1151,8 @@ void Endpoint::restart() {
       }
       inbox_next_[c] = max_seq;
     }
+    // Any ring may hold a message past the rebuilt cursor.
+    std::fill(inbox_dirty_.begin(), inbox_dirty_.end(), ~std::uint64_t{0});
   }
   {
     const auto bytes = node_->region(props_mr_).bytes();

@@ -22,6 +22,7 @@
 #include "amcast/types.hpp"
 #include "rdma/fabric.hpp"
 #include "sim/notifier.hpp"
+#include "sim/seq_window.hpp"
 #include "sim/task.hpp"
 #include "telemetry/hub.hpp"
 
@@ -57,6 +58,8 @@ static_assert(std::is_trivially_copyable_v<TaggedLogRecord>);
 class Endpoint {
  public:
   Endpoint(System& system, GroupId group, int rank, rdma::Node& node);
+  /// Detaches the inbox write watcher, which points at this endpoint.
+  ~Endpoint();
 
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
@@ -222,32 +225,21 @@ class Endpoint {
   std::uint64_t admission_last_stalls_ = 0;
 
   // Message state. Delivered messages are deduplicated exactly: a per-
-  // client watermark plus the set of delivered sequences above it. With
-  // client retries a later uid (a retry, or the next command after a
-  // give-up) can commit before an abandoned earlier uid, so sequences no
-  // longer complete in order and a max()-watermark would drop messages
+  // client watermark plus the delivered sequences above it. With client
+  // retries a later uid (a retry, or the next command after a give-up)
+  // can commit before an abandoned earlier uid, so sequences no longer
+  // complete in order and a max()-watermark would drop messages
   // inconsistently across groups. The watermark is exclusive ("all seqs
   // below it delivered") so sequence 0 — representable since the uid
   // encoding was made total — starts out undelivered like any other.
-  struct DeliveredSet {
-    std::uint64_t watermark = 0;        // all seqs < watermark delivered
-    std::set<std::uint64_t> above;      // delivered seqs >= watermark
-
-    [[nodiscard]] bool contains(std::uint64_t seq) const {
-      return seq < watermark || above.contains(seq);
-    }
-    void insert(std::uint64_t seq) {
-      if (seq < watermark) return;
-      above.insert(seq);
-      while (above.contains(watermark)) {
-        above.erase(watermark);
-        ++watermark;
-      }
-    }
-  };
-
   std::map<MsgUid, Pending> pending_;
-  std::vector<DeliveredSet> delivered_;  // per client id
+  // Delivery indexes over pending_ (see try_deliver): committed entries by
+  // (final_ts, uid), and locally proposed uncommitted ones by
+  // (local_clock, uid). Kept in step by set_local_proposal / set_committed
+  // / erase_pending.
+  std::set<std::pair<std::uint64_t, MsgUid>> committed_index_;
+  std::set<std::pair<std::uint64_t, MsgUid>> open_index_;
+  std::vector<sim::SeqWindow> delivered_;  // per client id
   std::map<MsgUid, WireMessage> seen_;  // inbox'd but not yet proposed
   std::uint64_t delivered_count_ = 0;
 
@@ -265,9 +257,23 @@ class Endpoint {
 
   [[nodiscard]] bool already_delivered(MsgUid uid) const;
   void mark_delivered(MsgUid uid);
+  void set_local_proposal(MsgUid uid, Pending& p, std::uint64_t clock);
+  void set_committed(MsgUid uid, Pending& p, std::uint64_t final_ts);
+  void erase_pending(std::map<MsgUid, Pending>::iterator it);
+  void clear_pending();
 
   // Per-producer cursors.
   std::vector<std::uint64_t> inbox_next_;           // per client id
+  // Inbox doorbells, one bit per client: set by every write landing in
+  // the client's ring (the region's write watcher) and by restart(),
+  // cleared only once the client's next slot is found not ready. A ready
+  // ring therefore always has its bit set, and inbox_loop visits only the
+  // set bits instead of every client's ring.
+  std::vector<std::uint64_t> inbox_dirty_;
+  void ring_inbox_doorbell(std::uint64_t offset, std::uint64_t len);
+  /// First client id in [from, end) whose doorbell is set, else end.
+  [[nodiscard]] std::uint32_t next_doorbell(std::uint32_t from,
+                                            std::uint32_t end) const;
   std::vector<std::uint64_t> props_next_;           // per sender stripe
   std::map<std::int32_t, std::uint64_t> props_sent_;  // my counter per receiver node
 

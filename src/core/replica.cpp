@@ -78,27 +78,26 @@ struct SessionWire {
 };
 static_assert(std::is_trivially_copyable_v<SessionWire>);
 
-/// Session <-> wire blob, shared by state transfer (chunk records) and
-/// the checkpoint writer (kRecordSession records). `last_active` is a
-/// local clock and stays off the wire; installers re-stamp it.
+}  // namespace
+
 std::vector<std::byte> encode_session(const Replica::Session& s) {
   std::vector<std::byte> out(sizeof(SessionWire));
   const SessionWire wire{
-      s.watermark,
+      s.watermark(),
       s.cached_seq,
       s.last_tmp,
       s.cached_reply.status,
       static_cast<std::uint32_t>(s.cached_reply.payload.size()),
-      static_cast<std::uint32_t>(s.above.size()),
+      static_cast<std::uint32_t>(s.seqs.above_count()),
       s.reply_paged_out ? 1u : 0u};
   std::memcpy(out.data(), &wire, sizeof(wire));
   out.insert(out.end(), s.cached_reply.payload.begin(),
              s.cached_reply.payload.end());
-  for (const std::uint64_t e : s.above) {
+  s.seqs.for_each_above([&out](std::uint64_t e) {
     const std::size_t off = out.size();
     out.resize(off + sizeof(e));
     std::memcpy(out.data() + off, &e, sizeof(e));
-  }
+  });
   return out;
 }
 
@@ -113,7 +112,6 @@ Replica::Session decode_session(std::span<const std::byte> bytes) {
       sizeof(SessionWire) + static_cast<std::size_t>(wire.cached_len) +
       static_cast<std::size_t>(wire.extra_count) * sizeof(std::uint64_t);
   if (bytes.size() < need) return s;
-  s.watermark = wire.watermark;
   s.cached_seq = wire.cached_seq;
   s.last_tmp = wire.last_tmp;
   s.cached_reply.status = wire.cached_status;
@@ -121,16 +119,21 @@ Replica::Session decode_session(std::span<const std::byte> bytes) {
   auto rest = bytes.subspan(sizeof(SessionWire));
   s.cached_reply.payload.assign(rest.begin(), rest.begin() + wire.cached_len);
   rest = rest.subspan(wire.cached_len);
+  // The encoder writes the seqs above the watermark in ascending order;
+  // anything else is a corrupt blob.
+  sim::SeqWindow seqs(wire.watermark + 1);
+  std::uint64_t prev = wire.watermark;
   for (std::uint32_t e = 0; e < wire.extra_count; ++e) {
     std::uint64_t v = 0;
     std::memcpy(&v, rest.data() + static_cast<std::size_t>(e) * sizeof(v),
                 sizeof(v));
-    s.above.insert(v);
+    if (v <= prev) return Replica::Session{};
+    seqs.insert(v);
+    prev = v;
   }
+  s.seqs = std::move(seqs);
   return s;
 }
-
-}  // namespace
 
 Replica::Replica(System& system, GroupId group, int rank)
     : system_(&system),
@@ -1932,29 +1935,23 @@ void Replica::merge_session(std::uint32_t client, Session&& incoming) {
     sessions_[client] = std::move(incoming);
     return;
   }
-  // Union-merge: both sides may have executed disjoint command sets (the
-  // source pre-flip, this group post-flip). The cached reply follows the
-  // higher cached_seq; a paged-out incoming payload stays paged out and
-  // degrades to kStatusStaleSession on retry (this group's device never
-  // persisted it).
-  Session& s = it->second;
-  if (incoming.cached_seq > s.cached_seq) {
-    s.cached_seq = incoming.cached_seq;
-    s.cached_reply = std::move(incoming.cached_reply);
-    s.reply_paged_out = incoming.reply_paged_out;
+  it->second.merge(std::move(incoming));
+}
+
+// Union-merge: both sides may have executed disjoint command sets (the
+// source pre-flip, this group post-flip). The cached reply follows the
+// higher cached_seq; a paged-out incoming payload stays paged out and
+// degrades to kStatusStaleSession on retry (this group's device never
+// persisted it).
+void Replica::Session::merge(Session&& incoming) {
+  if (incoming.cached_seq > cached_seq) {
+    cached_seq = incoming.cached_seq;
+    cached_reply = std::move(incoming.cached_reply);
+    reply_paged_out = incoming.reply_paged_out;
   }
-  s.last_tmp = std::max(s.last_tmp, incoming.last_tmp);
-  s.last_active = incoming.last_active;
-  const std::uint64_t w = std::max(s.watermark, incoming.watermark);
-  s.above.insert(incoming.above.begin(), incoming.above.end());
-  s.watermark = w;
-  while (!s.above.empty() && *s.above.begin() <= w) {
-    s.above.erase(s.above.begin());
-  }
-  while (s.above.contains(s.watermark + 1)) {
-    s.above.erase(s.watermark + 1);
-    ++s.watermark;
-  }
+  last_tmp = std::max(last_tmp, incoming.last_tmp);
+  last_active = incoming.last_active;
+  seqs.merge(incoming.seqs);
 }
 
 void Replica::adopt_layout_record(std::span<const std::byte> payload) {
@@ -2650,8 +2647,8 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
     for (auto it = sessions_.begin(); it != sessions_.end();) {
       const Session& s = it->second;
       if (s.last_tmp <= w && now - s.last_active > dcfg.session_ttl) {
-        std::uint64_t floor = std::max(s.watermark, s.cached_seq);
-        if (!s.above.empty()) floor = std::max(floor, *s.above.rbegin());
+        // Highest executed seq (or cached one), whichever is larger.
+        const std::uint64_t floor = std::max(s.seqs.end() - 1, s.cached_seq);
         auto& tomb = evicted_sessions_[it->first];
         tomb = std::max(tomb, floor);
         ++sessions_evicted_;

@@ -19,6 +19,7 @@
 #include "core/types.hpp"
 #include "durable/checkpoint.hpp"
 #include "reconfig/chunk.hpp"
+#include "sim/seq_window.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/hub.hpp"
 
@@ -70,8 +71,9 @@ class Replica {
   /// reply, answered from cache on retries. Exposed for tests and for the
   /// Algorithm 3 transfer of session state.
   struct Session {
-    std::uint64_t watermark = 0;         // all seqs <= watermark executed
-    std::set<std::uint64_t> above;       // executed seqs > watermark
+    /// Executed seqs. The floor starts at 1, so seq 0 (sessionless) never
+    /// counts and watermark() is inclusive.
+    sim::SeqWindow seqs{1};
     std::uint64_t cached_seq = 0;        // seq the cached reply answers
     Reply cached_reply;                  // payload truncated to slot size
     Tmp last_tmp = 0;                    // tmp of the last executed command
@@ -80,17 +82,17 @@ class Replica {
     /// a retry pages it back in from the device (answer_paged_reply).
     bool reply_paged_out = false;
 
+    /// All seqs <= watermark() executed.
+    [[nodiscard]] std::uint64_t watermark() const { return seqs.floor() - 1; }
     [[nodiscard]] bool executed(std::uint64_t seq) const {
-      return seq != 0 && (seq <= watermark || above.contains(seq));
+      return seq != 0 && seqs.contains(seq);
     }
     void mark(std::uint64_t seq) {
-      if (seq == 0 || executed(seq)) return;
-      above.insert(seq);
-      while (above.contains(watermark + 1)) {
-        above.erase(watermark + 1);
-        ++watermark;
-      }
+      if (seq != 0) seqs.insert(seq);
     }
+    /// Union-merge of another replica's copy of this session (see
+    /// Replica::merge_session).
+    void merge(Session&& incoming);
   };
   [[nodiscard]] const std::map<std::uint32_t, Session>& sessions() const {
     return sessions_;
@@ -633,5 +635,12 @@ class Replica {
 
   sim::Rng rng_;
 };
+
+/// Session <-> wire blob, shared by state transfer (chunk records) and
+/// the checkpoint writer (kRecordSession records). `last_active` is a
+/// local clock and stays off the wire; installers re-stamp it. A
+/// truncated or corrupt blob decodes to an empty session.
+std::vector<std::byte> encode_session(const Replica::Session& s);
+Replica::Session decode_session(std::span<const std::byte> bytes);
 
 }  // namespace heron::core

@@ -289,11 +289,12 @@ std::uint64_t session_digest(core::Replica& replica) {
   };
   for (const auto& [client, s] : replica.sessions()) {
     mix(&client, sizeof(client));
-    mix(&s.watermark, sizeof(s.watermark));
+    const std::uint64_t watermark = s.watermark();
+    mix(&watermark, sizeof(watermark));
     mix(&s.cached_seq, sizeof(s.cached_seq));
     mix(&s.last_tmp, sizeof(s.last_tmp));
     mix(&s.cached_reply.status, sizeof(s.cached_reply.status));
-    for (const std::uint64_t e : s.above) mix(&e, sizeof(e));
+    s.seqs.for_each_above([&mix](std::uint64_t e) { mix(&e, sizeof(e)); });
   }
   return h;
 }

@@ -107,7 +107,7 @@ bool Fabric::crosses_partition(std::int32_t a, std::int32_t b) const {
 
 sim::Nanos Fabric::depart(std::int32_t initiator) {
   const sim::Nanos now = sim_->now();
-  sim::Nanos& free_at = nic_free_at_[initiator];
+  sim::Nanos& free_at = nic_free_at(initiator);
   const sim::Nanos at = std::max(now + model_.post_overhead, free_at);
   // Send-side serialization wait: how long the verb sat behind earlier
   // posts before the NIC picked it up.
@@ -199,11 +199,20 @@ std::uint64_t Fabric::credit_stalls(std::int32_t node_id) const {
 }
 
 std::size_t Fabric::credit_queue_depth(std::int32_t node_id) const {
+  const auto n = static_cast<std::size_t>(node_id);
+  if (n >= qps_.size()) return 0;
   std::size_t depth = 0;
-  for (const auto& [key, qp] : qps_) {
-    if (std::get<0>(key) == node_id) depth += qp.waiters.size();
+  for (const auto& qp : qps_[n]) {
+    if (qp) depth += qp->waiters.size();
   }
   return depth;
+}
+
+Fabric::Qp& Fabric::open_qp(std::vector<std::unique_ptr<Qp>>& row,
+                            std::size_t i) {
+  if (row.size() <= i) row.resize(std::max(i + 1, nodes_.size() * 2));
+  row[i] = std::make_unique<Qp>();
+  return *row[i];
 }
 
 void Fabric::note_credit_stall(std::int32_t initiator) {
@@ -270,7 +279,7 @@ sim::Task<Completion> Fabric::read(std::int32_t initiator, RAddr addr,
                       gated};
 
   const sim::Nanos departed = depart(initiator);
-  nic_free_at_[initiator] = departed;  // read request itself is tiny
+  nic_free_at(initiator) = departed;  // read request itself is tiny
   if (departed > sim_->now()) co_await sim_->sleep(departed - sim_->now());
 
   // Request propagates to the remote NIC; value is sampled there.
@@ -329,7 +338,7 @@ sim::Task<Completion> Fabric::cas(std::int32_t initiator, RAddr addr,
                       gated};
 
   const sim::Nanos departed = depart(initiator);
-  nic_free_at_[initiator] = departed;  // atomic request is tiny
+  nic_free_at(initiator) = departed;  // atomic request is tiny
   if (departed > sim_->now()) co_await sim_->sleep(departed - sim_->now());
 
   const sim::Nanos arrive = arrival_on_channel(
@@ -356,7 +365,7 @@ sim::Task<Completion> Fabric::cas(std::int32_t initiator, RAddr addr,
   if (observed != nullptr) *observed = old;
   if (old == expected) {
     std::memcpy(word.data(), &desired, sizeof(desired));
-    target.region(addr.mr).on_write().notify_all();
+    target.region(addr.mr).landed(addr.offset, sizeof(desired));
   } else {
     span.arg("cas_miss", 1);
   }
@@ -386,7 +395,7 @@ void Fabric::deliver_write(std::int32_t target_id, RAddr addr,
   auto& region = target.region(addr.mr);
   auto dst = region.bytes().subspan(addr.offset, data.size());
   std::memcpy(dst.data(), data.data(), data.size());
-  region.on_write().notify_all();
+  region.landed(addr.offset, data.size());
 }
 
 sim::Task<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
@@ -414,7 +423,7 @@ sim::Task<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
 
   const sim::Nanos departed = depart(initiator);
   // Large payloads occupy the send NIC for their transfer duration.
-  nic_free_at_[initiator] = departed + xfer_time(data.size());
+  nic_free_at(initiator) = departed + xfer_time(data.size());
   if (departed > sim_->now()) co_await sim_->sleep(departed - sim_->now());
 
   const sim::Nanos arrive = arrival_on_channel(
@@ -437,7 +446,7 @@ sim::Task<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
 
   auto dst = target.region(addr.mr).bytes().subspan(addr.offset, data.size());
   std::memcpy(dst.data(), data.data(), data.size());
-  target.region(addr.mr).on_write().notify_all();
+  target.region(addr.mr).landed(addr.offset, data.size());
   co_return Completion{Status::kOk};
 }
 
@@ -469,7 +478,7 @@ void Fabric::write_async(std::int32_t initiator, RAddr addr,
       [this, initiator, addr, lane, gated,
        payload = std::move(payload)]() mutable {
         const sim::Nanos departed = depart(initiator);
-        nic_free_at_[initiator] = departed + xfer_time(payload.size());
+        nic_free_at(initiator) = departed + xfer_time(payload.size());
         const sim::Nanos arrive = arrival_on_channel(
             initiator, addr.node, lane,
             link_transit(initiator, addr.node, payload.size(),
@@ -512,7 +521,7 @@ void Fabric::inject_flow(std::int32_t initiator, std::int32_t target,
 void Fabric::post_flow(std::int32_t initiator, std::int32_t target,
                        std::uint64_t bytes, Lane lane, bool gated) {
   const sim::Nanos departed = depart(initiator);
-  nic_free_at_[initiator] = departed + xfer_time(bytes);
+  nic_free_at(initiator) = departed + xfer_time(bytes);
   const sim::Nanos arrive = arrival_on_channel(
       initiator, target, lane,
       link_transit(initiator, target, bytes,

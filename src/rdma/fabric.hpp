@@ -35,10 +35,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "rdma/memory.hpp"
@@ -173,6 +171,8 @@ class Fabric {
   Node& add_node() {
     const auto id = static_cast<std::int32_t>(nodes_.size());
     nodes_.push_back(std::make_unique<Node>(*sim_, id));
+    qps_.emplace_back();
+    nic_free_at_.push_back(0);
     hub_->tracer.set_tid_name(id, "node" + std::to_string(id));
     return *nodes_.back();
   }
@@ -321,8 +321,16 @@ class Fabric {
            !(model_.priority_lanes && lane == Lane::kControl);
   }
   Qp& qp_for(std::int32_t initiator, std::int32_t target, Lane lane) {
-    return qps_[{initiator, target,
-                 static_cast<std::uint8_t>(effective_lane(lane))}];
+    auto& row = qps_[static_cast<std::size_t>(initiator)];
+    const std::size_t i = static_cast<std::size_t>(target) * 2 +
+                          static_cast<std::size_t>(effective_lane(lane));
+    if (i < row.size() && row[i]) return *row[i];
+    return open_qp(row, i);
+  }
+  /// Slow path of qp_for: creates the QP on first use.
+  Qp& open_qp(std::vector<std::unique_ptr<Qp>>& row, std::size_t i);
+  sim::Nanos& nic_free_at(std::int32_t node) {
+    return nic_free_at_[static_cast<std::size_t>(node)];
   }
   void note_credit_stall(std::int32_t initiator);
   /// Runs `post` when a credit is available on the QP (immediately when
@@ -359,9 +367,12 @@ class Fabric {
   FabricStats stats_;
   std::unique_ptr<telemetry::Hub> hub_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::map<std::tuple<std::int32_t, std::int32_t, std::uint8_t>, Qp> qps_;
-  std::map<std::int32_t, sim::Nanos> nic_free_at_;  // send-side serialization
-  std::vector<RackLink> racks_;                     // lazily sized
+  // QP table: one row per initiator node, indexed by target * 2 + lane.
+  // QPs are created on first use and heap-allocated so their addresses
+  // stay stable while a CreditGate holds one across a suspension.
+  std::vector<std::vector<std::unique_ptr<Qp>>> qps_;
+  std::vector<sim::Nanos> nic_free_at_;  // per node: send-side serialization
+  std::vector<RackLink> racks_;          // lazily sized
   std::vector<std::uint64_t> credit_stalls_by_node_;
 
   // Perturbation state (see the faultlab hook above).

@@ -3,11 +3,15 @@
 // A simulated host (Node) registers byte regions; remote peers address
 // them as (node, region, offset). Each region carries a Notifier that
 // fires whenever a remote write lands, standing in for the busy-poll loop
-// a real Heron replica runs over its registered memory.
+// a real Heron replica runs over its registered memory. An optional write
+// watcher is told the byte range of each landed write first, so a poller
+// can index what changed instead of rescanning the region (the simulated
+// analogue of RDMA WRITE-with-immediate; it costs no virtual time).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -46,9 +50,23 @@ class MemoryRegion {
   /// Fired after every remote write into this region.
   [[nodiscard]] sim::Notifier& on_write() { return notifier_; }
 
+  /// Called with (offset, length) of every fabric write that lands here.
+  using WriteWatcher = std::function<void(std::uint64_t, std::uint64_t)>;
+  void set_write_watcher(WriteWatcher watcher) {
+    watcher_ = std::move(watcher);
+  }
+
+  /// A fabric write of [offset, offset + len) has landed: tells the
+  /// watcher, then wakes the pollers.
+  void landed(std::uint64_t offset, std::uint64_t len) {
+    if (watcher_) watcher_(offset, len);
+    notifier_.notify_all();
+  }
+
  private:
   std::vector<std::byte> bytes_;
   sim::Notifier notifier_;
+  WriteWatcher watcher_;
 };
 
 }  // namespace heron::rdma

@@ -14,8 +14,10 @@ void Simulator::spawn(Task<void> task) {
     root_failed_ = false;
     task.rethrow_if_failed();
   }
-  // Lazy cleanup so long runs with many short-lived roots don't grow.
-  if (roots_.size() > 64) reap_roots();
+  // Lazy cleanup so long runs with many short-lived roots don't grow,
+  // amortised: a reap walks every root, so the next one waits until the
+  // live set has doubled.
+  if (roots_.size() > reap_at_) reap_roots();
 }
 
 void Simulator::reap_roots() {
@@ -28,6 +30,7 @@ void Simulator::reap_roots() {
     }
   }
   std::erase_if(roots_, [](const Task<void>& t) { return t.done(); });
+  reap_at_ = std::max<std::size_t>(kMinReapAt, 2 * roots_.size());
   if (failure) std::rethrow_exception(failure);
 }
 
@@ -51,7 +54,6 @@ void Simulator::run_until(Nanos deadline) {
     if (root_failed_) reap_roots();
   }
   now_ = std::max(now_, deadline);
-  reap_roots();
 }
 
 Simulator::TimerToken Simulator::schedule_timer_at(Nanos when, EventFn fn) {

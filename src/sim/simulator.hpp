@@ -25,6 +25,9 @@ namespace heron::sim {
 class Simulator {
  public:
   Simulator() = default;
+  /// Destroys the root frames first: a frame parked in a timed wait
+  /// cancels its pool timer on the way out, so the pool must still exist.
+  ~Simulator() { roots_.clear(); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -121,6 +124,10 @@ class Simulator {
   std::uint64_t events_executed_ = 0;
   EventQueue queue_;
   std::vector<Task<void>> roots_;
+  // spawn() reaps finished roots once roots_ grows past this; each reap
+  // sets it to twice the surviving count (at least kMinReapAt).
+  static constexpr std::size_t kMinReapAt = 64;
+  std::size_t reap_at_ = kMinReapAt;
   std::vector<TimerSlot> timer_slots_;
   std::vector<std::uint32_t> timer_free_;
   // Set by a root task's promise the instant an exception escapes it;

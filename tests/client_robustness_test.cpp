@@ -269,8 +269,8 @@ TEST(ClientRobustness, SessionsSurviveCrashViaStateTransfer) {
   for (const auto& [client, s] : donor) {
     const auto it = rejoined.find(client);
     ASSERT_NE(it, rejoined.end()) << "client " << client;
-    EXPECT_EQ(it->second.watermark, s.watermark) << "client " << client;
-    EXPECT_EQ(it->second.above, s.above) << "client " << client;
+    EXPECT_EQ(it->second.watermark(), s.watermark()) << "client " << client;
+    EXPECT_TRUE(it->second.seqs == s.seqs) << "client " << client;
     EXPECT_EQ(it->second.cached_seq, s.cached_seq) << "client " << client;
   }
 }

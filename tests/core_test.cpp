@@ -406,5 +406,102 @@ TEST(HeronCoreLagger, WaitForAllStatsAreCollected) {
   EXPECT_LE(stats.delayed_fraction(), 1.0);
 }
 
+
+// --- sessions ------------------------------------------------------------
+
+TEST(HeronSession, InclusiveWatermarkIgnoresSeqZero) {
+  Replica::Session s;
+  EXPECT_EQ(s.watermark(), 0u);
+  EXPECT_FALSE(s.executed(0));
+  s.mark(0);  // sessionless: never recorded
+  EXPECT_FALSE(s.executed(0));
+  EXPECT_EQ(s.watermark(), 0u);
+  s.mark(1);
+  EXPECT_EQ(s.watermark(), 1u);
+  s.mark(3);
+  EXPECT_EQ(s.watermark(), 1u);
+  EXPECT_TRUE(s.executed(3));
+  EXPECT_FALSE(s.executed(2));
+  s.mark(2);
+  EXPECT_EQ(s.watermark(), 3u);
+  EXPECT_EQ(s.seqs.above_count(), 0u);
+}
+
+TEST(HeronSession, MergeIsAUnionAndKeepsTheNewerReply) {
+  Replica::Session mine;
+  for (const std::uint64_t seq : {1u, 2u, 5u, 9u}) mine.mark(seq);
+  mine.cached_seq = 9;
+  mine.cached_reply = Reply{7, {std::byte{9}}};
+  mine.last_tmp = 40;
+
+  Replica::Session theirs;
+  for (const std::uint64_t seq : {1u, 2u, 3u, 4u, 6u, 12u}) theirs.mark(seq);
+  theirs.cached_seq = 12;
+  theirs.cached_reply = Reply{8, {std::byte{12}}};
+  theirs.reply_paged_out = true;
+  theirs.last_tmp = 30;
+  theirs.last_active = 777;
+
+  mine.merge(std::move(theirs));
+  EXPECT_EQ(mine.watermark(), 6u);  // 1..6 from the two halves
+  std::vector<std::uint64_t> above;
+  mine.seqs.for_each_above(
+      [&above](std::uint64_t seq) { above.push_back(seq); });
+  EXPECT_EQ(above, (std::vector<std::uint64_t>{9, 12}));
+  EXPECT_EQ(mine.cached_seq, 12u);
+  EXPECT_EQ(mine.cached_reply.status, 8u);
+  EXPECT_TRUE(mine.reply_paged_out);
+  EXPECT_EQ(mine.last_tmp, 40u);
+  EXPECT_EQ(mine.last_active, 777);
+}
+
+TEST(HeronSession, EncodeSessionBytesAreUnchanged) {
+  // Golden bytes of the session wire form shared by state transfer and
+  // checkpoints: {u64 watermark, u64 cached_seq, u64 last_tmp, u32 status,
+  // u32 cached_len, u32 extra_count, u32 paged_out}, the cached payload,
+  // then the executed seqs above the watermark ascending, little-endian.
+  Replica::Session s;
+  for (const std::uint64_t seq : {1u, 2u, 70u, 5u, 200u}) s.mark(seq);
+  s.cached_seq = 200;
+  s.cached_reply =
+      Reply{7, {std::byte{0xaa}, std::byte{0xbb}, std::byte{0xcc}}};
+  s.last_tmp = 99;
+  s.last_active = 123456;  // local clock: stays off the wire
+
+  const std::vector<std::uint8_t> golden = {
+      2,    0,    0,    0,    0, 0, 0, 0,  // watermark
+      200,  0,    0,    0,    0, 0, 0, 0,  // cached_seq
+      99,   0,    0,    0,    0, 0, 0, 0,  // last_tmp
+      7,    0,    0,    0,                 // cached status
+      3,    0,    0,    0,                 // cached_len
+      3,    0,    0,    0,                 // extra_count
+      0,    0,    0,    0,                 // paged_out
+      0xaa, 0xbb, 0xcc,                    // cached payload
+      5,    0,    0,    0,    0, 0, 0, 0,  // executed seqs above
+      70,   0,    0,    0,    0, 0, 0, 0,
+      200,  0,    0,    0,    0, 0, 0, 0};
+  const std::vector<std::byte> bytes = encode_session(s);
+  ASSERT_EQ(bytes.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(std::to_integer<std::uint8_t>(bytes[i]), golden[i])
+        << "byte " << i;
+  }
+
+  const Replica::Session back = decode_session(bytes);
+  EXPECT_EQ(back.watermark(), 2u);
+  EXPECT_TRUE(back.seqs == s.seqs);
+  EXPECT_EQ(back.cached_seq, 200u);
+  EXPECT_EQ(back.cached_reply.payload, s.cached_reply.payload);
+  EXPECT_EQ(encode_session(back), bytes);
+
+  // Seqs out of ascending order mark a corrupt blob: empty session.
+  std::vector<std::byte> corrupt = bytes;
+  std::swap(corrupt[golden.size() - 16], corrupt[golden.size() - 8]);
+  const Replica::Session bad = decode_session(corrupt);
+  EXPECT_EQ(bad.watermark(), 0u);
+  EXPECT_EQ(bad.seqs.above_count(), 0u);
+  EXPECT_EQ(bad.cached_seq, 0u);
+}
+
 }  // namespace
 }  // namespace heron::core

@@ -12,6 +12,7 @@
 
 #include "sim/notifier.hpp"
 #include "sim/random.hpp"
+#include "sim/seq_window.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
@@ -553,6 +554,23 @@ TEST(Simulator, RootFailureSurfacesPromptly) {
   EXPECT_TRUE(later_ran);
 }
 
+TEST(Notifier, SimulatorTeardownWithTimedWaiterParked) {
+  // A root parked in wait_until_timeout holds an armed pool timer, and its
+  // frame cancels that timer when destroyed. Pre-fix the simulator freed
+  // its timer pool before its roots, so teardown read freed memory
+  // (reported under ASan).
+  bool woke = false;
+  {
+    Simulator sim;
+    Notifier n(sim);
+    sim.spawn([](Notifier& note, bool& w) -> Task<void> {
+      w = co_await wait_until_timeout(note, [] { return false; }, ms(5));
+    }(n, woke));
+    sim.run_until(us(10));
+  }
+  EXPECT_FALSE(woke);
+}
+
 TEST(Simulator, TimerPoolCancelReuseAndStaleTokens) {
   Simulator sim;
   int fired = 0;
@@ -816,6 +834,105 @@ TEST(Rng, ZipfIsDeterministicPerSeed) {
   for (int i = 0; i < 1000; ++i) {
     ASSERT_EQ(zipf.next(a), zipf.next(b));
   }
+}
+
+
+// --- SeqWindow ---------------------------------------------------------
+
+std::vector<std::uint64_t> above_of(const SeqWindow& w) {
+  std::vector<std::uint64_t> out;
+  w.for_each_above([&out](std::uint64_t seq) { out.push_back(seq); });
+  return out;
+}
+
+TEST(SeqWindow, SeqZeroStartsBelowTheExclusiveFloor) {
+  // The amcast delivered set: floor 0 means "nothing delivered", so seq 0
+  // is an ordinary undelivered seq until inserted.
+  SeqWindow w;
+  EXPECT_EQ(w.floor(), 0u);
+  EXPECT_FALSE(w.contains(0));
+  w.insert(0);
+  EXPECT_TRUE(w.contains(0));
+  EXPECT_EQ(w.floor(), 1u);
+  EXPECT_EQ(w.above_count(), 0u);
+  EXPECT_EQ(w.end(), 1u);
+}
+
+TEST(SeqWindow, FloorOneGivesAnInclusiveWatermark) {
+  // The session view: floor 1 marks seq 0 as "taken", so floor() - 1 is
+  // the highest seq with everything at or below it executed.
+  SeqWindow w(1);
+  EXPECT_EQ(w.floor() - 1, 0u);
+  EXPECT_FALSE(w.contains(1));
+  w.insert(1);
+  w.insert(2);
+  EXPECT_EQ(w.floor() - 1, 2u);
+  w.insert(4);
+  EXPECT_EQ(w.floor() - 1, 2u);
+  EXPECT_TRUE(w.contains(4));
+  EXPECT_FALSE(w.contains(3));
+}
+
+TEST(SeqWindow, OutOfOrderInsertsCloseTheFloor) {
+  SeqWindow w;
+  for (const std::uint64_t seq : {5u, 3u, 70u, 1u, 64u, 0u, 2u, 4u}) {
+    w.insert(seq);
+    w.insert(seq);  // duplicates are no-ops
+  }
+  EXPECT_EQ(w.floor(), 6u);
+  EXPECT_EQ(above_of(w), (std::vector<std::uint64_t>{64, 70}));
+  EXPECT_EQ(w.above_count(), 2u);
+  EXPECT_EQ(w.end(), 71u);
+  for (std::uint64_t seq = 6; seq < 64; ++seq) w.insert(seq);
+  EXPECT_EQ(w.floor(), 65u);
+  EXPECT_EQ(above_of(w), (std::vector<std::uint64_t>{70}));
+}
+
+TEST(SeqWindow, PermanentHoleKeepsTenThousandSeqsAbove) {
+  // Uids are numbered per client across groups, so a group's floor stalls
+  // at the first seq sent elsewhere and everything above piles up.
+  SeqWindow w;
+  for (std::uint64_t seq = 1; seq <= 10'000; ++seq) w.insert(seq);
+  EXPECT_EQ(w.floor(), 0u);
+  EXPECT_EQ(w.above_count(), 10'000u);
+  EXPECT_EQ(w.end(), 10'001u);
+  EXPECT_FALSE(w.contains(0));
+  EXPECT_TRUE(w.contains(1));
+  EXPECT_TRUE(w.contains(10'000));
+  EXPECT_FALSE(w.contains(10'001));
+  const auto above = above_of(w);
+  ASSERT_EQ(above.size(), 10'000u);
+  EXPECT_TRUE(std::is_sorted(above.begin(), above.end()));
+  EXPECT_EQ(above.front(), 1u);
+  EXPECT_EQ(above.back(), 10'000u);
+  w.insert(0);  // the hole closes: everything collapses into the floor
+  EXPECT_EQ(w.floor(), 10'001u);
+  EXPECT_EQ(w.above_count(), 0u);
+}
+
+TEST(SeqWindow, RaiseFloorAndMergeAreUnions) {
+  SeqWindow a(10);
+  a.insert(12);
+  a.insert(200);
+  SeqWindow b;
+  b.insert(0);
+  b.insert(10);
+  b.insert(11);
+  b.insert(130);
+  a.merge(b);
+  EXPECT_EQ(a.floor(), 13u);  // 10 and 11 from b close the gap to 12
+  EXPECT_EQ(above_of(a), (std::vector<std::uint64_t>{130, 200}));
+  a.raise_floor(150);
+  EXPECT_EQ(a.floor(), 150u);
+  EXPECT_EQ(above_of(a), (std::vector<std::uint64_t>{200}));
+  a.raise_floor(100);  // never lowers
+  EXPECT_EQ(a.floor(), 150u);
+
+  SeqWindow c(150);
+  c.insert(200);
+  EXPECT_TRUE(a == c);
+  c.insert(201);
+  EXPECT_FALSE(a == c);
 }
 
 }  // namespace

@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Per-function table for a sigprof.<pid>.out file written by sigprof.c.
+
+    python3 tools/prof/symbolize.py sigprof.<pid>.out [top_n]
+
+Maps each sampled PC to its object (the executable or a shared library)
+through the recorded mappings, to an ELF address through the object's
+LOAD segments, and to a function through its symbol table, sizes
+included, so a PC that falls between symbols is reported as such instead
+of being charged to the symbol before it. Symbols come from `nm -C`,
+which names GCC's coroutine bodies "f() [clone .actor]".
+"""
+import bisect
+import collections
+import os
+import subprocess
+import sys
+
+
+def run(*cmd):
+    return subprocess.run(cmd, capture_output=True, text=True).stdout
+
+
+def load_profile(path):
+    maps, pcs = [], collections.Counter()
+    for line in open(path):
+        kind, rest = line.split(" ", 1)
+        if kind == "pc":
+            pcs[int(rest, 16)] += 1
+            continue
+        f = rest.split()
+        if len(f) >= 6 and "x" in f[1]:
+            lo, hi = (int(x, 16) for x in f[0].split("-"))
+            maps.append((lo, hi, int(f[2], 16), f[5]))
+    return maps, pcs
+
+
+class Object:
+    def __init__(self, path):
+        self.segs = []  # (file offset, size, vaddr - offset)
+        for line in run("readelf", "-lW", path).splitlines():
+            f = line.split()
+            if f and f[0] == "LOAD":
+                off, vaddr, size = int(f[1], 16), int(f[2], 16), int(f[4], 16)
+                self.segs.append((off, size, vaddr - off))
+        syms = {}
+        for extra in ([], ["-D"]):  # -D: stripped libraries keep these
+            for line in run("nm", "-C", "-n", "-S", "--defined-only", *extra, path).splitlines():
+                f = line.split(" ", 3)
+                if len(f) == 4 and f[2] in "tTwWiI":
+                    syms.setdefault(int(f[0], 16), (int(f[1], 16), f[3]))
+        self.addrs = sorted(syms)
+        self.syms = [syms[a] for a in self.addrs]
+
+    def name(self, file_off):
+        vaddr = next((file_off + d for o, s, d in self.segs if o <= file_off < o + s), file_off)
+        i = bisect.bisect_right(self.addrs, vaddr) - 1
+        if i >= 0 and vaddr < self.addrs[i] + max(self.syms[i][0], 1):
+            return self.syms[i][1]
+        return "[no symbol]"
+
+
+def main():
+    maps, pcs = load_profile(sys.argv[1])
+    top = int(sys.argv[2]) if len(sys.argv) > 2 else 40
+    objects, funcs = {}, collections.Counter()
+    for pc, n in pcs.items():
+        m = next((m for m in maps if m[0] <= pc < m[1]), None)
+        if m is None:
+            funcs["[unmapped]", "?"] += n
+            continue
+        obj = objects.get(m[3]) or objects.setdefault(m[3], Object(m[3]))
+        funcs[obj.name(pc - m[0] + m[2]), os.path.basename(m[3])] += n
+    total = sum(pcs.values())
+    print(f"{total} samples")
+    for (fn, obj), n in funcs.most_common(top):
+        print(f"{100.0 * n / total:6.2f}%  {n:7d}  {obj:18.18s}  {fn}")
+
+
+if __name__ == "__main__":
+    main()
