@@ -10,12 +10,15 @@
 //     non-serialized); the paper recovers it in ~109.4 ms (36.9 ms
 //     serialized + 72.5 ms non-serialized).
 //
-// Data moves in 32 KB RDMA writes (§V-E2).
+// Data moves in 32 KB RDMA writes (§V-E2). After each case the lagger's
+// store is compared object by object with the donor's; any mismatch is
+// reported and the bench exits non-zero.
 //
 // Flags:
 //   --json <path>   machine-readable report (one row per case)
 //   --seed <n>      fabric seed (default 7), echoed into the report so
 //                   any run can be reproduced exactly
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -75,7 +78,21 @@ struct Measured {
   double avg_us;
   double stddev_us;
   sim::LatencyRecorder lat;
+  std::uint64_t mismatched = 0;  // objects differing lagger vs donor
 };
+
+/// Objects whose version or bytes differ between replicas (0,0) and (0,2).
+std::uint64_t mismatched_objects(core::System& sys, std::uint64_t count) {
+  std::uint64_t bad = 0;
+  for (core::Oid oid = 1; oid <= count; ++oid) {
+    const auto [dt, dv] = sys.replica(0, 0).store().get(oid);
+    const auto [lt, lv] = sys.replica(0, 2).store().get(oid);
+    if (dt != lt || !std::equal(dv.begin(), dv.end(), lv.begin(), lv.end())) {
+      ++bad;
+    }
+  }
+  return bad;
+}
 
 /// Measures `runs` state transfers of `total_bytes` (0 = protocol only).
 Measured run_case(const Options& opt, std::uint64_t total_bytes,
@@ -122,7 +139,8 @@ Measured run_case(const Options& opt, std::uint64_t total_bytes,
   // Heartbeat loops run forever; advance time until the script finishes.
   while (!done) sim.run_for(sim::ms(20));
 
-  return {lat.mean() / 1000.0, lat.stddev() / 1000.0, lat};
+  return {lat.mean() / 1000.0, lat.stddev() / 1000.0, lat,
+          mismatched_objects(sys, count)};
 }
 
 Options parse_args(int argc, char** argv) {
@@ -146,8 +164,14 @@ Options parse_args(int argc, char** argv) {
 int main(int argc, char** argv) {
   const Options opt = parse_args(argc, argv);
   harness::ReportWriter report("fig8_state_transfer");
+  std::uint64_t mismatched = 0;
   auto add_row = [&](const char* name, std::uint64_t bytes, bool serialized,
                      const Measured& m) {
+    if (m.mismatched > 0) {
+      std::fprintf(stderr, "%s: lagger differs from donor in %llu objects\n",
+                   name, static_cast<unsigned long long>(m.mismatched));
+      mismatched += m.mismatched;
+    }
     if (opt.json_path.empty()) return;
     harness::RunResult result;
     result.completed = m.lat.count();
@@ -157,6 +181,7 @@ int main(int argc, char** argv) {
       w.kv("serialized", serialized);
       w.kv("avg_us", m.avg_us);
       w.kv("stddev_us", m.stddev_us);
+      w.kv("mismatched_objects", m.mismatched);
       w.kv("seed", opt.seed);
     });
   };
@@ -212,5 +237,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return 0;
+  return mismatched == 0 ? 0 : 1;
 }

@@ -208,23 +208,10 @@ class ObjectStore {
   [[nodiscard]] std::uint64_t bytes_used() const { return bump_; }
 
   /// Visits every object id (iteration order unspecified); used by
-  /// full-state transfers.
+  /// full-state transfers and checkpoints.
   template <typename Fn>
   void for_each_oid(Fn&& fn) const {
     for (const auto& [oid, entry] : index_) fn(oid);
-  }
-
-  /// Visits every object's current version as
-  /// fn(oid, tmp, value_span, serialized); used by the checkpoint writer
-  /// to snapshot the store without per-object index lookups. Iteration
-  /// order unspecified (checkpoint records are order-independent).
-  template <typename Fn>
-  void for_each_object(Fn&& fn) const {
-    for (const auto& [oid, entry] : index_) {
-      const SlotView v = SlotView::parse(slot_span(entry));
-      const auto [tmp, val] = v.current();
-      fn(oid, tmp, val, entry.serialized);
-    }
   }
 
  private:

@@ -21,49 +21,6 @@ constexpr std::uint64_t kAddrQSlot = sizeof(AddrQuery);
 constexpr std::uint64_t kAddrASlot = sizeof(AddrAnswer);
 constexpr std::uint32_t kAddrSlots = 256;  // per stripe
 
-/// Header of a state-transfer chunk written into the staging ring.
-struct ChunkHeader {
-  std::uint64_t seq = 0;
-  std::uint32_t record_count = 0;
-  std::uint32_t payload_bytes = 0;
-  std::uint32_t flags = 0;  // kChunkFlag* bits
-  std::uint32_t pad = 0;
-};
-static_assert(std::is_trivially_copyable_v<ChunkHeader>);
-
-/// ChunkHeader::flags bit 0: this chunk belongs to a full (whole-store)
-/// transfer rather than a delta catch-up. The receiver splits its
-/// applied-bytes accounting on it (full vs delta restart cost).
-constexpr std::uint32_t kChunkFlagFull = 1u << 0;
-
-/// Per-record kinds inside a chunk: application objects, per-client
-/// session entries (the dedup state must travel with the store, or a
-/// rejoined replica would re-execute retried commands) and session-TTL
-/// tombstones (evicted floors; without them a rejoined replica could
-/// re-execute a retry the donor had already answered as stale).
-constexpr std::uint32_t kRecObject = 0;
-constexpr std::uint32_t kRecSession = 1;
-constexpr std::uint32_t kRecTombstone = 2;
-/// Donor layout + seal knowledge (heron::reconfig): payload is a u64
-/// seal_epoch_seen_ followed by an encoded layout marker. Shipped with
-/// every transfer when reconfiguration is enabled, so a rejoining replica
-/// that missed epoch markers while down adopts the donor's layout.
-constexpr std::uint32_t kRecLayout = 3;
-
-/// Per-record header inside a chunk, followed by the record's bytes. For
-/// kRecObject: the current version (receiver installs it as the object's
-/// whole state), oid = object id. For kRecSession: a SessionWire blob,
-/// oid = client id.
-struct ChunkRecord {
-  Oid oid = 0;
-  Tmp tmp = 0;
-  std::uint32_t size = 0;
-  std::uint32_t serialized = 0;
-  std::uint32_t kind = kRecObject;
-  std::uint32_t pad = 0;
-};
-static_assert(std::is_trivially_copyable_v<ChunkRecord>);
-
 /// Wire form of a Replica::Session: fixed header, then `cached_len` reply
 /// payload bytes, then `extra_count` u64 executed-seqs above the
 /// watermark.
@@ -154,19 +111,22 @@ Replica::Replica(System& system, GroupId group, int rank)
   statesync_mr_ = n.register_region(reps * kSyncSlot);
   addrq_mr_ = n.register_region(stripes * kAddrSlots * kAddrQSlot);
   addra_mr_ = n.register_region(stripes * kAddrSlots * kAddrASlot);
-  staging_mr_ = n.register_region(
-      reps * cfg.statesync_ring_slots *
-      (sizeof(ChunkHeader) + cfg.statesync_chunk_bytes));
+  const StateStream::Geometry xfer_geo{cfg.statesync_ring_slots,
+                                       cfg.statesync_chunk_bytes,
+                                       static_cast<int>(reps)};
+  const StateStream::Geometry copy_geo{cfg.reconfig.copy_ring_slots,
+                                       cfg.reconfig.copy_chunk_bytes,
+                                       static_cast<int>(reps)};
+  staging_mr_ = n.register_region(xfer_geo.bytes());
   fastread_mr_ = n.register_region(fastread_region_bytes(static_cast<int>(reps)));
   if (cfg.reconfig_keys != 0) {
-    reconfig_mr_ = n.register_region(
-        reconfig::copy_region_bytes(cfg.reconfig, static_cast<int>(reps)));
+    // Copy rings + cursor words, then one pull word per requester rank.
+    reconfig_mr_ = n.register_region(copy_geo.bytes() +
+                                     reps * sizeof(reconfig::PullWord));
     layout_ = system.initial_layout();
   }
   app_->bind_layout(&layout_);
-  copy_seq_.assign(reps, 0);
   pull_seen_.assign(reps, 0);
-  copy_next_.assign(reps, 0);
 
   exec_done_ = std::make_unique<sim::Notifier>(system.simulator());
   for (int t = 0; t < std::max(1, cfg.exec_threads); ++t) {
@@ -177,12 +137,19 @@ Replica::Replica(System& system, GroupId group, int rank)
   addrq_sent_.assign(stripes, 0);
   addrq_next_.assign(stripes, 0);
   addra_next_.assign(stripes, 0);
-  staging_next_.assign(reps, 0);
-  staging_sent_.assign(reps, 0);
 
   hub_ = &system.fabric().telemetry();
-  const std::string label =
-      "g" + std::to_string(group) + ".r" + std::to_string(rank);
+  label_ = "g" + std::to_string(group) + ".r" + std::to_string(rank);
+  const std::string& label = label_;
+  StateStream::Costs costs{cfg.memcpy_ns_per_byte,
+                           cfg.serialize_ns_per_byte};
+  xfer_ = std::make_unique<StateStream>(
+      system.fabric(), n, staging_mr_, xfer_geo, rank, costs, rng_,
+      cfg.reconfig.chunk_corrupt_rate, "xfer", label);
+  costs.send_memcpy = true;
+  copy_ = std::make_unique<StateStream>(
+      system.fabric(), n, reconfig_mr_, copy_geo, rank, costs, rng_,
+      cfg.reconfig.chunk_corrupt_rate, "copy", label);
   auto& m = hub_->metrics;
   ctr_executed_ = &m.counter("core", "executed", label);
   ctr_skipped_ = &m.counter("core", "skipped", label);
@@ -193,12 +160,6 @@ Replica::Replica(System& system, GroupId group, int rank)
   ctr_lagging_ = &m.counter("core", "lagging_detected", label);
   ctr_state_transfers_ = &m.counter("core", "state_transfers", label);
   ctr_transfers_served_ = &m.counter("core", "transfers_served", label);
-  ctr_xfer_bytes_sent_ = &m.counter("core", "transfer_bytes_sent", label);
-  ctr_xfer_bytes_applied_ = &m.counter("core", "transfer_bytes_applied", label);
-  ctr_xfer_bytes_applied_full_ =
-      &m.counter("core", "transfer_bytes_applied_full", label);
-  ctr_xfer_bytes_applied_delta_ =
-      &m.counter("core", "transfer_bytes_applied_delta", label);
   ctr_checkpoints_ = &m.counter("durable", "replica_checkpoints", label);
   ctr_ckpt_deferred_ = &m.counter("durable", "checkpoints_deferred", label);
   ctr_sessions_evicted_ = &m.counter("durable", "sessions_evicted", label);
@@ -212,10 +173,7 @@ Replica::Replica(System& system, GroupId group, int rank)
   ctr_fast_fence_ = &m.counter("core", "fastwrite_fence_waits", label);
   ctr_fast_discards_ = &m.counter("core", "fastwrite_discards", label);
   ctr_fast_repairs_ = &m.counter("core", "fastwrite_repairs", label);
-  ctr_copy_chunks_ = &m.counter("reconfig", "copy_chunks", label);
-  ctr_copy_corrupt_ = &m.counter("reconfig", "copy_chunks_corrupt", label);
   ctr_copy_deferred_ = &m.counter("reconfig", "copy_deferred", label);
-  ctr_copy_pulls_ = &m.counter("reconfig", "copy_pulls", label);
   ctr_wrong_epoch_ = &m.counter("reconfig", "wrong_epoch_replies", label);
   ctr_quiesce_ = &m.counter("reconfig", "quiesce_deferred", label);
   hist_exec_ = &m.histogram("core", "exec_ns", label);
@@ -238,12 +196,29 @@ void Replica::start() {
   sim.spawn(main_loop());
   sim.spawn(addr_query_loop());
   sim.spawn(statesync_watch_loop());
-  sim.spawn(staging_apply_loop());
+  spawn_stream_receivers();
   if (ckpt_ != nullptr) sim.spawn(checkpoint_loop());
   if (reconfig_enabled()) {
     publish_epoch_word();
-    sim.spawn(copy_recv_loop());
     sim.spawn(pull_watch_loop());
+  }
+}
+
+void Replica::spawn_stream_receivers() {
+  auto& sim = system_->simulator();
+  sim.spawn(xfer_->receive_loop(
+      [this](std::uint64_t stream) { return stream == xfer_expect_; },
+      [this](const durable::RecordView& rec) {
+        return apply_state_record(rec, ApplyRule::kReplace);
+      }));
+  if (reconfig_enabled()) {
+    // Every copy chunk is applied: newest-wins makes stale and repeated
+    // (pull-resent) records harmless.
+    sim.spawn(copy_->receive_loop(
+        [](std::uint64_t) { return true; },
+        [this](const durable::RecordView& rec) {
+          return apply_state_record(rec, ApplyRule::kNewestWins);
+        }));
   }
 }
 
@@ -252,10 +227,12 @@ void Replica::reset_stats() {
   ordering_lat_.clear();
   coord_lat_.clear();
   exec_lat_.clear();
-  // Satellite audit (PR 10): every counter added since PR 5 must reset
-  // here too, or post-warmup bench reports carry warmup-inflated values.
-  // Only counters are cleared — watermarks, sessions, lease/layout state
-  // and cursors are runtime state, not statistics.
+  // Every raw counter must reset here too, or post-warmup bench reports
+  // carry warmup-inflated values. Only counters are cleared — watermarks,
+  // sessions, lease/layout state and cursors are runtime state, not
+  // statistics.
+  xfer_->reset_stats();
+  copy_->reset_stats();
   dedup_hits_ = 0;
   shed_replies_ = 0;
   executed_ = 0;
@@ -268,12 +245,7 @@ void Replica::reset_stats() {
   ckpt_deferred_ = 0;
   sessions_evicted_ = 0;
   stale_session_replies_ = 0;
-  copy_chunks_sent_ = 0;
-  copy_chunks_received_ = 0;
-  copy_chunks_corrupt_ = 0;
   copy_deferred_ = 0;
-  copy_pulls_ = 0;
-  copy_pulls_served_ = 0;
   wrong_epoch_replies_ = 0;
   quiesce_deferred_ = 0;
   migrated_out_ = 0;
@@ -309,16 +281,6 @@ std::uint64_t Replica::addra_offset(std::uint32_t stripe,
   return (static_cast<std::uint64_t>(stripe) * kAddrSlots +
           seq % kAddrSlots) *
          kAddrASlot;
-}
-
-std::uint64_t Replica::staging_offset(int sender_rank,
-                                      std::uint64_t seq) const {
-  const HeronConfig& cfg = system_->config();
-  const std::uint64_t slot_size =
-      sizeof(ChunkHeader) + cfg.statesync_chunk_bytes;
-  return (static_cast<std::uint64_t>(sender_rank) * cfg.statesync_ring_slots +
-          seq % cfg.statesync_ring_slots) *
-         slot_size;
 }
 
 // ---------------------------------------------------------------------
@@ -1479,7 +1441,9 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
     if (mig.to == group_) {
       inbound_epoch_ = layout_.epoch;
       inbound_ = mig;
-      inbound_stream_dirty_ = false;
+      // Taint is not cleared here: chunks of this epoch may have landed
+      // (and torn) before this PREPARE did. A stale taint only costs one
+      // pull resend.
       inbound_progress_at_ = system_->simulator().now();
       system_->simulator().spawn(inbound_watch_loop(layout_.epoch));
     }
@@ -1512,39 +1476,12 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
     if (mig.contains(oid)) range_oids.push_back(oid);
   });
   std::sort(range_oids.begin(), range_oids.end());
-  final_image_.clear();
-  for (const Oid oid : range_oids) {
-    // A slot still fast-pending here snapshots as its pre-image
-    // (SlotView::current skips the pending version). That is the right
-    // value: the PREPARE disarm stopped new fast commits long before this
-    // FLIP, so a pending that lingered this long was abandoned by its
-    // writer — no VALIDATE is coming — and step (4) discards it below.
-    const auto [tmp, val] = store_->get(oid);
-    reconfig::CopyRecord rec;
-    rec.oid = oid;
-    rec.tmp = tmp;
-    rec.size = static_cast<std::uint32_t>(val.size());
-    rec.serialized = store_->is_serialized(oid) ? 1u : 0u;
-    rec.kind = reconfig::kCopyObject;
-    final_image_.emplace_back(rec,
-                              std::vector<std::byte>(val.begin(), val.end()));
-  }
-  for (const auto& [client, s] : sessions_) {
-    std::vector<std::byte> blob = encode_session(s);
-    reconfig::CopyRecord rec;
-    rec.oid = client;
-    rec.tmp = s.last_tmp;
-    rec.size = static_cast<std::uint32_t>(blob.size());
-    rec.kind = reconfig::kCopySession;
-    final_image_.emplace_back(rec, std::move(blob));
-  }
-  for (const auto& [client, floor] : evicted_sessions_) {
-    reconfig::CopyRecord rec;
-    rec.oid = client;
-    rec.tmp = floor;
-    rec.kind = reconfig::kCopyTombstone;
-    final_image_.emplace_back(rec, std::vector<std::byte>{});
-  }
+  // A slot still fast-pending here snapshots as its pre-image
+  // (SlotView::current skips the pending version). That is the right
+  // value: the PREPARE disarm stopped new fast commits long before this
+  // FLIP, so a pending that lingered this long was abandoned by its
+  // writer — no VALIDATE is coming — and step (4) discards it below.
+  final_image_ = collect_records(range_oids, /*sessions=*/true);
 
   // (3) Final delta: objects written (or collected but not yet on the
   // wire — pass_pending_) since the last drained pass, plus all session
@@ -1554,16 +1491,15 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
   delta.insert(pass_pending_.begin(), pass_pending_.end());
   migration_dirty_.clear();
   pass_pending_.clear();
-  std::vector<CopyItem> items;
-  for (const CopyItem& it : final_image_) {
-    if (it.first.kind == reconfig::kCopyObject &&
-        !delta.contains(it.first.oid)) {
+  std::vector<durable::Record> records;
+  for (const durable::Record& rec : final_image_) {
+    if (rec.kind == durable::kRecordObject && !delta.contains(rec.id)) {
       continue;
     }
-    items.push_back(it);
+    records.push_back(rec);
   }
-  co_await copy_send(std::move(items), outbound_epoch_, mig.to, rank_,
-                     /*seal=*/true, /*throttle=*/false, inc);
+  co_await copy_send(std::move(records), outbound_epoch_, mig.to, rank_,
+                     /*seal=*/true, /*throttle=*/false);
   if (stale(inc)) co_return;
 
   // (4) Retirement: normalize any odd seqlock (satellite fix — this sweep
@@ -1611,36 +1547,27 @@ sim::Task<void> Replica::copy_machine(std::uint64_t mig_epoch) {
       oids.assign(migration_dirty_.begin(), migration_dirty_.end());
       migration_dirty_.clear();
     }
+    // A pending invalidation may still receive its VALIDATE (posted
+    // before the PREPARE disarm propagated to the writer); shipping the
+    // pre-image now would miss that commit, and one-sided traffic never
+    // touches migration_dirty_. Defer such oids to a later pass — by then
+    // the slot has validated or been discarded.
+    std::erase_if(oids, [this](Oid oid) {
+      if (!store_->exists(oid) || !store_->fast_pending(oid)) return false;
+      migration_dirty_.insert(oid);
+      ++copy_deferred_;
+      ctr_copy_deferred_->inc();
+      return true;
+    });
     pass_pending_.insert(oids.begin(), oids.end());
-    std::vector<CopyItem> items;
-    items.reserve(oids.size());
-    for (const Oid oid : oids) {
-      if (!store_->exists(oid)) continue;
-      if (store_->fast_pending(oid)) {
-        // A pending invalidation may still receive its VALIDATE (posted
-        // before the PREPARE disarm propagated to the writer); shipping
-        // the pre-image now would miss that commit, and one-sided traffic
-        // never touches migration_dirty_. Defer the oid to a later pass —
-        // by then the slot has validated or been discarded.
-        migration_dirty_.insert(oid);
-        pass_pending_.erase(oid);
-        ++copy_deferred_;
-        ctr_copy_deferred_->inc();
-        continue;
-      }
-      const auto [tmp, val] = store_->get(oid);
-      reconfig::CopyRecord rec;
-      rec.oid = oid;
-      rec.tmp = tmp;
-      rec.size = static_cast<std::uint32_t>(val.size());
-      rec.serialized = store_->is_serialized(oid) ? 1u : 0u;
-      rec.kind = reconfig::kCopyObject;
-      items.emplace_back(rec, std::vector<std::byte>(val.begin(), val.end()));
-    }
-    const bool ok = co_await copy_send(std::move(items), mig_epoch, mig.to,
-                                       rank_, /*seal=*/false,
-                                       /*throttle=*/true, inc);
-    if (!ok || stale(inc) || !outbound_active_ || outbound_flipped_) co_return;
+    co_await copy_send(collect_records(oids, false), mig_epoch, mig.to, rank_,
+                       /*seal=*/false, /*throttle=*/true);
+    if (stale(inc) || !outbound_active_ || outbound_flipped_) co_return;
+    // The whole pass is on the wire — or the destination is down and will
+    // pull the final image once it rejoins (its restart taints the
+    // stream). Either way a FLIP from here on needs only what was dirtied
+    // since.
+    for (const Oid oid : oids) pass_pending_.erase(oid);
     ++pass;
     copy_caught_up_ = migration_dirty_.size() + pass_pending_.size() <=
                       rcfg.seal_dirty_threshold;
@@ -1648,224 +1575,38 @@ sim::Task<void> Replica::copy_machine(std::uint64_t mig_epoch) {
   }
 }
 
-sim::Task<bool> Replica::copy_send(std::vector<CopyItem> items,
+sim::Task<void> Replica::copy_send(std::vector<durable::Record> records,
                                    std::uint64_t mig_epoch, GroupId dest_group,
-                                   int dest_rank, bool seal, bool throttle,
-                                   std::uint64_t inc) {
-  const HeronConfig& cfg = system_->config();
-  const reconfig::ReconfigConfig& rcfg = cfg.reconfig;
-  auto& sim = system_->simulator();
-  auto& ep = system_->amcast().endpoint(group_, rank_);
+                                   int dest_rank, bool seal, bool throttle) {
+  const reconfig::ReconfigConfig& rcfg = system_->config().reconfig;
   Replica& dest = system_->replica(dest_group, dest_rank);
-  std::vector<std::byte> chunk(reconfig::copy_slot_bytes(rcfg));
-  std::uint32_t fill = 0;
-  std::uint32_t count = 0;
-  std::vector<Oid> chunk_oids;
-
-  auto flush = [&](bool seal_flag) -> sim::Task<bool> {
-    if (count == 0 && !seal_flag) co_return true;
-    if (throttle) {
-      // Same backpressure discipline as the checkpoint writer — defer
-      // while the ordering propose queue is deep or the replica CPU has
-      // a backlog of queued foreground work — plus the fabric signal:
-      // copy chunks yield the congested rack uplink (and its credits) to
-      // foreground traffic.
+  StateStream::SendOptions opts;
+  opts.seal = seal;
+  if (throttle) {
+    // Same backpressure discipline as the checkpoint writer — defer while
+    // the ordering propose queue is deep or the replica CPU has a backlog
+    // of queued foreground work — plus the fabric signal: copy chunks
+    // yield the congested rack uplink (and its credits) to foreground
+    // traffic.
+    opts.defer = [this, &rcfg]() -> sim::Nanos {
       auto& fabric = system_->fabric();
-      while (ep.propose_backlog() > rcfg.throttle_queue_depth ||
-             node().cpu().free_at() > sim.now() + rcfg.throttle_cpu_backlog ||
-             (rcfg.throttle_uplink_backlog > 0 &&
-              fabric.uplink_backlog(node().id()) >
-                  rcfg.throttle_uplink_backlog)) {
-        ++copy_deferred_;
-        ctr_copy_deferred_->inc();
-        co_await sim.sleep(rcfg.throttle_backoff);
-        if (stale(inc)) co_return false;
-      }
-    }
-    if (fill > 0) {
-      co_await node().cpu().use(static_cast<sim::Nanos>(
-          static_cast<double>(fill) * cfg.memcpy_ns_per_byte));
-      if (stale(inc)) co_return false;
-    }
-    reconfig::CopyChunkHeader hdr;
-    hdr.seq = ++copy_seq_[static_cast<std::size_t>(dest_rank)];
-    hdr.epoch = mig_epoch;
-    hdr.record_count = count;
-    hdr.payload_bytes = fill;
-    hdr.flags = seal_flag ? reconfig::kCopyFlagSeal : 0u;
-    hdr.crc = reconfig::copy_crc(std::span<const std::byte>(chunk).subspan(
-        sizeof(reconfig::CopyChunkHeader), fill));
-    // Fault injection: corrupt one payload byte AFTER the CRC was
-    // computed — the receiver must detect the mismatch and recover
-    // through the pull path.
-    if (rcfg.chunk_corrupt_rate > 0 && fill > 0 &&
-        rng_.chance(rcfg.chunk_corrupt_rate)) {
-      chunk[sizeof(hdr) + rng_.bounded(fill)] ^= std::byte{0x40};
-    }
-    rdma::store_pod(std::span(chunk), 0, hdr);
-    // A failed write (dest down) is tolerated: the dest recovers through
-    // a pull resend once it rejoins.
-    co_await system_->fabric().write(
-        node().id(),
-        rdma::RAddr{dest.node().id(), dest.reconfig_mr(),
-                    reconfig::copy_slot_offset(rcfg, rank_, hdr.seq)},
-        std::span<const std::byte>(chunk).first(sizeof(hdr) + fill));
-    if (stale(inc)) co_return false;
-    ++copy_chunks_sent_;
-    ctr_copy_chunks_->inc();
-    for (const Oid oid : chunk_oids) pass_pending_.erase(oid);
-    chunk_oids.clear();
-    fill = 0;
-    count = 0;
-    co_return true;
-  };
-
-  for (CopyItem& item : items) {
-    const auto len = static_cast<std::uint32_t>(sizeof(reconfig::CopyRecord) +
-                                                item.second.size());
-    if (len > rcfg.copy_chunk_bytes) {
-      throw std::runtime_error("reconfig: record larger than copy chunk");
-    }
-    if (fill + len > rcfg.copy_chunk_bytes) {
-      if (!co_await flush(false)) co_return false;
-    }
-    const std::uint64_t off = sizeof(reconfig::CopyChunkHeader) + fill;
-    rdma::store_pod(std::span(chunk), off, item.first);
-    std::memcpy(chunk.data() + off + sizeof(reconfig::CopyRecord),
-                item.second.data(), item.second.size());
-    fill += len;
-    ++count;
-    if (item.first.kind == reconfig::kCopyObject) {
-      chunk_oids.push_back(item.first.oid);
-    }
+      const bool busy =
+          system_->amcast().endpoint(group_, rank_).propose_backlog() >
+              rcfg.throttle_queue_depth ||
+          node().cpu().free_at() >
+              system_->simulator().now() + rcfg.throttle_cpu_backlog ||
+          (rcfg.throttle_uplink_backlog > 0 &&
+           fabric.uplink_backlog(node().id()) > rcfg.throttle_uplink_backlog);
+      if (!busy) return 0;
+      ++copy_deferred_;
+      ctr_copy_deferred_->inc();
+      return rcfg.throttle_backoff;
+    };
   }
-  co_return co_await flush(seal);
-}
-
-sim::Task<void> Replica::copy_recv_loop() {
-  const std::uint64_t inc = incarnation_;
-  auto& region = node().region(reconfig_mr_);
-  const HeronConfig& cfg = system_->config();
-  const reconfig::ReconfigConfig& rcfg = cfg.reconfig;
-  const int reps = system_->replicas_per_partition();
-
-  auto have_new = [this, &region, &rcfg, reps] {
-    for (int s = 0; s < reps; ++s) {
-      const auto next = copy_next_[static_cast<std::size_t>(s)] + 1;
-      const auto hdr = rdma::load_pod<reconfig::CopyChunkHeader>(
-          region.bytes(), reconfig::copy_slot_offset(rcfg, s, next));
-      if (hdr.seq >= next) return true;
-    }
-    return false;
-  };
-
-  while (true) {
-    co_await sim::wait_until(region.on_write(), have_new);
-    if (stale(inc)) co_return;
-    for (int s = 0; s < reps; ++s) {
-      while (true) {
-        const std::uint64_t next = copy_next_[static_cast<std::size_t>(s)] + 1;
-        const std::uint64_t base = reconfig::copy_slot_offset(rcfg, s, next);
-        const auto hdr =
-            rdma::load_pod<reconfig::CopyChunkHeader>(region.bytes(), base);
-        if (hdr.seq < next) break;
-        if (hdr.seq > next) {
-          // Ring overrun while this rank lagged (or was down): the slots
-          // between next and hdr.seq were overwritten and their records
-          // lost — taint the stream so no SEAL lands until a pull resend.
-          inbound_stream_dirty_ = true;
-          copy_next_[static_cast<std::size_t>(s)] = hdr.seq - 1;
-          continue;
-        }
-        copy_next_[static_cast<std::size_t>(s)] = hdr.seq;
-        inbound_progress_at_ = system_->simulator().now();
-        // A torn/garbage header must never size the payload view past the
-        // ring slot: treat an oversized payload_bytes as a corrupt chunk
-        // (cursor already advanced; the pull path re-ships it) instead of
-        // an out-of-range subspan.
-        if (hdr.payload_bytes > rcfg.copy_chunk_bytes) {
-          ++copy_chunks_corrupt_;
-          ctr_copy_corrupt_->inc();
-          inbound_stream_dirty_ = true;
-          continue;
-        }
-        const auto payload = region.bytes().subspan(
-            base + sizeof(reconfig::CopyChunkHeader), hdr.payload_bytes);
-        if (reconfig::copy_crc(payload) != hdr.crc) {
-          ++copy_chunks_corrupt_;
-          ctr_copy_corrupt_->inc();
-          inbound_stream_dirty_ = true;
-          continue;
-        }
-        ++copy_chunks_received_;
-        sim::Nanos apply_cpu = 0;
-        std::uint64_t off = 0;
-        bool malformed = false;
-        for (std::uint32_t i = 0; i < hdr.record_count; ++i) {
-          if (off + sizeof(reconfig::CopyRecord) > payload.size()) {
-            malformed = true;
-            break;
-          }
-          const auto rec = rdma::load_pod<reconfig::CopyRecord>(payload, off);
-          off += sizeof(reconfig::CopyRecord);
-          if (rec.size > payload.size() - off) {
-            malformed = true;
-            break;
-          }
-          const auto value = payload.subspan(off, rec.size);
-          off += rec.size;
-          if (rec.kind == reconfig::kCopySession) {
-            merge_session(static_cast<std::uint32_t>(rec.oid),
-                          decode_session(value));
-            apply_cpu += static_cast<sim::Nanos>(
-                static_cast<double>(rec.size) * cfg.memcpy_ns_per_byte);
-            continue;
-          }
-          if (rec.kind == reconfig::kCopyTombstone) {
-            auto& floor =
-                evicted_sessions_[static_cast<std::uint32_t>(rec.oid)];
-            floor = std::max(floor, rec.tmp);
-            continue;
-          }
-          // Object record, newest-wins: later passes and idempotent pull
-          // resends may re-ship versions this rank already applied.
-          if (store_->exists(rec.oid)) {
-            if (store_->get(rec.oid).first >= rec.tmp) continue;
-          } else {
-            ++migrated_in_;
-          }
-          store_->install_version(rec.oid, value, rec.tmp,
-                                  rec.serialized != 0);
-          apply_cpu += static_cast<sim::Nanos>(
-              static_cast<double>(rec.size) *
-              (rec.serialized != 0 ? cfg.memcpy_ns_per_byte
-                                   : cfg.serialize_ns_per_byte));
-        }
-        if (malformed) {
-          // A record overran the CRC'd payload: sender bug or a torn-write
-          // mode the CRC missed. Same recovery as a corrupt chunk — taint
-          // the stream so the seal is withheld until a pull resend.
-          ++copy_chunks_corrupt_;
-          ctr_copy_corrupt_->inc();
-          inbound_stream_dirty_ = true;
-          continue;
-        }
-        if ((hdr.flags & reconfig::kCopyFlagSeal) != 0) {
-          if (!inbound_stream_dirty_) {
-            seal_epoch_seen_ = std::max(seal_epoch_seen_, hdr.epoch);
-          }
-          // A dirty stream drops the seal: the starvation watcher sees no
-          // further progress and pulls a full resend, which carries its
-          // own SEAL over a fresh clean stream.
-          inbound_stream_dirty_ = false;
-        }
-        if (apply_cpu > 0) {
-          co_await node().cpu().use(apply_cpu);
-          if (stale(inc)) co_return;
-        }
-      }
-    }
-  }
+  // A send abandoned because the dest is down is tolerated: the dest
+  // recovers through a pull resend once it rejoins.
+  co_await copy_->send({dest.node().id(), dest.reconfig_mr()}, mig_epoch,
+                       std::move(records), std::move(opts));
 }
 
 sim::Task<void> Replica::inbound_watch_loop(std::uint64_t mig_epoch) {
@@ -1877,8 +1618,11 @@ sim::Task<void> Replica::inbound_watch_loop(std::uint64_t mig_epoch) {
     co_await sim.sleep(rcfg.pull_timeout / 2);
     if (stale(inc)) co_return;
     if (inbound_epoch_ != mig_epoch) co_return;    // superseded migration
-    if (seal_epoch_seen_ >= mig_epoch) co_return;  // sealed: done
-    if (sim.now() - inbound_progress_at_ <= rcfg.pull_timeout) continue;
+    if (copy_->sealed() >= mig_epoch) co_return;   // sealed: done
+    if (sim.now() - std::max(inbound_progress_at_, copy_->progress_at()) <=
+        rcfg.pull_timeout) {
+      continue;
+    }
     // Starved: ask the next source rank (pair rank first, then
     // round-robin) for an idempotent full resend.
     const int src = static_cast<int>(
@@ -1889,10 +1633,9 @@ sim::Task<void> Replica::inbound_watch_loop(std::uint64_t mig_epoch) {
     system_->fabric().write_async(
         node().id(),
         rdma::RAddr{donor.node().id(), donor.reconfig_mr(),
-                    reconfig::copy_pull_offset(rcfg, reps, rank_)},
+                    pull_offset(rank_)},
         rdma::pod_bytes(pw));
-    ++copy_pulls_;
-    ctr_copy_pulls_->inc();
+    copy_->count(StateStream::kResends);
     inbound_progress_at_ = sim.now();
   }
 }
@@ -1900,14 +1643,13 @@ sim::Task<void> Replica::inbound_watch_loop(std::uint64_t mig_epoch) {
 sim::Task<void> Replica::pull_watch_loop() {
   const std::uint64_t inc = incarnation_;
   auto& region = node().region(reconfig_mr_);
-  const reconfig::ReconfigConfig& rcfg = system_->config().reconfig;
   const int reps = system_->replicas_per_partition();
   while (true) {
     co_await region.on_write().wait();
     if (stale(inc)) co_return;
     for (int q = 0; q < reps; ++q) {
-      const auto pw = rdma::load_pod<reconfig::PullWord>(
-          region.bytes(), reconfig::copy_pull_offset(rcfg, reps, q));
+      const auto pw =
+          rdma::load_pod<reconfig::PullWord>(region.bytes(), pull_offset(q));
       if (pw.serial <= pull_seen_[static_cast<std::size_t>(q)] ||
           pw.requester != q) {
         continue;
@@ -1919,23 +1661,12 @@ sim::Task<void> Replica::pull_watch_loop() {
       // source rank. (Every source crashing after the FLIP but before
       // any dest rank sealed is out of scope — see DESIGN.md.)
       if (!outbound_flipped_ || final_image_.empty()) continue;
-      ++copy_pulls_served_;
-      std::vector<CopyItem> items = final_image_;
-      co_await copy_send(std::move(items), outbound_epoch_, outbound_.to, q,
-                         /*seal=*/true, /*throttle=*/false, inc);
+      copy_->count(StateStream::kResendsServed);
+      co_await copy_send(final_image_, outbound_epoch_, outbound_.to, q,
+                         /*seal=*/true, /*throttle=*/false);
       if (stale(inc)) co_return;
     }
   }
-}
-
-void Replica::merge_session(std::uint32_t client, Session&& incoming) {
-  incoming.last_active = system_->simulator().now();
-  auto it = sessions_.find(client);
-  if (it == sessions_.end()) {
-    sessions_[client] = std::move(incoming);
-    return;
-  }
-  it->second.merge(std::move(incoming));
 }
 
 // Union-merge: both sides may have executed disjoint command sets (the
@@ -1970,42 +1701,17 @@ void Replica::adopt_layout_record(std::span<const std::byte> payload) {
   // Donor seal knowledge is transplantable: the same transfer ships the
   // donor's store, which already includes everything its sealed copy
   // stream carried.
-  seal_epoch_seen_ = std::max(seal_epoch_seen_, donor_seal);
+  copy_->note_sealed(donor_seal);
 }
 
-sim::Task<void> Replica::resume_migration_roles(std::uint64_t inc) {
-  if (!layout_.enabled() || !layout_.migration.active()) co_return;
+void Replica::resume_migration_roles() {
+  if (!layout_.enabled() || !layout_.migration.active()) return;
   const reconfig::Migration mig = layout_.migration;
-  const reconfig::ReconfigConfig& rcfg = system_->config().reconfig;
-  const int reps = system_->replicas_per_partition();
   auto& sim = system_->simulator();
 
   if (mig.from == group_) {
-    // Source crashed mid-copy: recover per-dest send counters from the
-    // surviving dest rings (a fresh stream restarting at seq 1 would be
-    // silently ignored by the dest's cursor), then restart the copier
-    // from a full pass.
-    for (int q = 0; q < reps; ++q) {
-      Replica& dest = system_->replica(mig.to, q);
-      std::uint64_t max_seq = copy_seq_[static_cast<std::size_t>(q)];
-      for (std::uint32_t i = 0; i < rcfg.copy_ring_slots; ++i) {
-        std::vector<std::byte> buf(sizeof(reconfig::CopyChunkHeader));
-        const auto cc = co_await system_->fabric().read(
-            node().id(),
-            rdma::RAddr{dest.node().id(), dest.reconfig_mr(),
-                        (static_cast<std::uint64_t>(rank_) *
-                             rcfg.copy_ring_slots +
-                         i) *
-                            reconfig::copy_slot_bytes(rcfg)},
-            buf);
-        if (stale(inc)) co_return;
-        if (!cc.ok()) break;  // dest down; counter stays, stream resumes
-        max_seq = std::max(
-            max_seq,
-            rdma::load_pod<reconfig::CopyChunkHeader>(std::span(buf), 0).seq);
-      }
-      copy_seq_[static_cast<std::size_t>(q)] = max_seq;
-    }
+    // Source crashed mid-copy: restart the copier from a full pass. Its
+    // first chunk to each dest recovers the send cursor (copy_ restarted).
     outbound_active_ = true;
     outbound_flipped_ = false;
     outbound_ = mig;
@@ -2015,12 +1721,12 @@ sim::Task<void> Replica::resume_migration_roles(std::uint64_t inc) {
     copy_caught_up_ = false;
     sim.spawn(copy_machine(layout_.epoch));
   }
-  if (mig.to == group_ && seal_epoch_seen_ < layout_.epoch) {
+  if (mig.to == group_ && copy_->sealed() < layout_.epoch) {
     inbound_epoch_ = layout_.epoch;
     inbound_ = mig;
     // Chunks streamed while this rank was down are gone; force the first
     // SEAL attempt to fail so a pull resend re-ships the whole range.
-    inbound_stream_dirty_ = true;
+    copy_->taint();
     inbound_progress_at_ = sim.now();
     sim.spawn(inbound_watch_loop(layout_.epoch));
   }
@@ -2086,54 +1792,57 @@ sim::Task<void> Replica::request_state_transfer(Tmp failed_tmp,
   ctr_state_transfers_->inc();
   auto span = hub_->tracer.span("core", "state_transfer", node().id());
   span.arg("from_tmp", failed_tmp);
-  const StateSyncEntry entry{failed_tmp, have_sessions ? 2ull : 1ull, 0,
-                             ++statesync_serial_};
-
-  // Lines 2-4: write the request into every group member's statesync
-  // memory (and our own, so candidates and our waiter see one source).
-  rdma::store_pod(node().region(statesync_mr_).bytes(),
-                  statesync_offset(rank_), entry);
-  node().region(statesync_mr_).on_write().notify_all();
-  for (int q = 0; q < system_->replicas_per_partition(); ++q) {
-    if (q == rank_) continue;
-    Replica& peer = system_->replica(group_, q);
-    system_->fabric().write_async(
-        node().id(),
-        rdma::RAddr{peer.node().id(), peer.statesync_mr(),
-                    peer.statesync_offset(rank_)},
-        rdma::pod_bytes(entry));
-  }
-
-  // Line 5: wait until the handler flips our status back to 0, then wait
-  // for the staging applier to drain the shipped chunks.
   auto& region = node().region(statesync_mr_);
-  co_await sim::wait_until(region.on_write(), [this, &region] {
-    const auto e = rdma::load_pod<StateSyncEntry>(region.bytes(),
-                                                  statesync_offset(rank_));
-    return e.status == 0 && e.rid != 0;
-  });
-  if (stale(inc)) co_return;
-  co_await sim::wait_until(node().region(staging_mr_).on_write(),
-                           [this] { return staging_pending() == 0; });
-  if (stale(inc)) co_return;
+
+  std::uint64_t serial = 0;
+  while (true) {
+    serial = ++statesync_serial_;
+    const StateSyncEntry entry{failed_tmp, have_sessions ? 2ull : 1ull, 0,
+                               serial};
+    // Only this request's stream is applied from here on; chunks of an
+    // abandoned earlier one are dropped as stale.
+    xfer_expect_ = serial;
+    const std::uint64_t taints = xfer_->taints();
+
+    // Lines 2-4: write the request into every group member's statesync
+    // memory (and our own, so candidates and our waiter see one source).
+    rdma::store_pod(region.bytes(), statesync_offset(rank_), entry);
+    region.on_write().notify_all();
+    for (int q = 0; q < system_->replicas_per_partition(); ++q) {
+      if (q == rank_) continue;
+      Replica& peer = system_->replica(group_, q);
+      system_->fabric().write_async(
+          node().id(),
+          rdma::RAddr{peer.node().id(), peer.statesync_mr(),
+                      peer.statesync_offset(rank_)},
+          rdma::pod_bytes(entry));
+    }
+
+    // Line 5: wait until a handler flips our status back to 0 for this
+    // serial, then for the stream to drain (the notice follows the last
+    // chunk on the same channel, so every chunk has landed by now).
+    co_await sim::wait_until(region.on_write(), [this, &region, serial] {
+      const auto e = rdma::load_pod<StateSyncEntry>(region.bytes(),
+                                                    statesync_offset(rank_));
+      return e.status == 0 && e.serial == serial && e.rid != 0;
+    });
+    if (stale(inc)) co_return;
+    co_await sim::wait_until(xfer_->progress(),
+                             [this] { return xfer_->idle(); });
+    if (stale(inc)) co_return;
+    if (xfer_->taints() == taints) break;
+    // A chunk of the stream was torn, malformed or lost: the applied
+    // state may be partial. Ask again; the new serial starts a fresh
+    // stream.
+    xfer_->count(StateStream::kResends);
+  }
+  if (xfer_expect_ == serial) xfer_expect_ = 0;  // unless a newer request
 
   // Line 6.
   const auto done = rdma::load_pod<StateSyncEntry>(region.bytes(),
                                                    statesync_offset(rank_));
   last_req_ = std::max(last_req_, done.rid);
   last_executed_ = std::max(last_executed_, done.rid);
-}
-
-std::uint64_t Replica::staging_pending() const {
-  const auto region =
-      const_cast<Replica*>(this)->node().region(staging_mr_).bytes();
-  std::uint64_t pending = 0;
-  for (int s = 0; s < system_->replicas_per_partition(); ++s) {
-    const auto hdr = rdma::load_pod<ChunkHeader>(
-        region, staging_offset(s, staging_next_[static_cast<std::size_t>(s)] + 1));
-    if (hdr.seq >= staging_next_[static_cast<std::size_t>(s)] + 1) ++pending;
-  }
-  return pending;
 }
 
 sim::Task<void> Replica::statesync_watch_loop() {
@@ -2155,42 +1864,30 @@ sim::Task<void> Replica::statesync_watch_loop() {
       }
       handled[static_cast<std::size_t>(q)] = e.serial;
       system_->simulator().spawn(
-          [](Replica& self, int lagger, Tmp from, bool sessions_delta,
-             std::uint64_t serial, std::uint64_t inc2) -> sim::Task<void> {
-            // Line 9-11: deterministic handler selection — candidates in
-            // cyclic rank order after the lagger; candidate k starts after
-            // k suspicion timeouts unless someone finished first.
-            const int n = self.system_->replicas_per_partition();
-            int k = 0;
-            for (int step = 1; step < n; ++step) {
-              const int cand = (lagger + step) % n;
-              if (cand == self.rank_) break;
-              ++k;
-            }
-            if (k > 0) {
-              co_await self.system_->simulator().sleep(
-                  k * self.system_->config().statesync_timeout);
-              if (self.stale(inc2)) co_return;
-              const auto now_e = rdma::load_pod<StateSyncEntry>(
-                  self.node().region(self.statesync_mr_).bytes(),
-                  self.statesync_offset(lagger));
-              // Lines 19-22: someone else completed it (status back to 0)
-              // or a newer request superseded this one.
-              if ((now_e.status != 1 && now_e.status != 2) ||
-                  now_e.serial != serial) {
-                co_return;
-              }
-            }
-            co_await self.perform_transfer(lagger, from, sessions_delta);
-          }(*this, q, e.req_tmp, e.status == 2, e.serial, inc));
+          perform_transfer(q, e.req_tmp, e.status == 2, e.serial));
     }
   }
 }
 
 sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
-                                          bool sessions_delta) {
+                                          bool sessions_delta,
+                                          std::uint64_t serial) {
   const std::uint64_t inc = incarnation_;
-  const HeronConfig& cfg = system_->config();
+
+  // Lines 9-11: deterministic handler selection — candidates in cyclic
+  // rank order after the lagger; candidate k starts after k suspicion
+  // timeouts unless someone finished first.
+  const int n = system_->replicas_per_partition();
+  const int k = (rank_ - lagger_rank + n) % n - 1;
+  if (k > 0) {
+    co_await system_->simulator().sleep(k * system_->config().statesync_timeout);
+    if (stale(inc)) co_return;
+    const auto e = rdma::load_pod<StateSyncEntry>(
+        node().region(statesync_mr_).bytes(), statesync_offset(lagger_rank));
+    // Lines 19-22: someone else completed it (status back to 0) or a
+    // newer request superseded this one.
+    if ((e.status != 1 && e.status != 2) || e.serial != serial) co_return;
+  }
 
   // Only transfer a state that already covers the failed request — and
   // that has actually been *executed*: last_req_ advances at delivery,
@@ -2221,68 +1918,6 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
     store_->for_each_oid([&oids](Oid oid) { oids.push_back(oid); });
   }
 
-  Replica& lagger = system_->replica(group_, lagger_rank);
-  const std::uint32_t chunk_capacity = cfg.statesync_chunk_bytes;
-  std::vector<std::byte> chunk(sizeof(ChunkHeader) + chunk_capacity);
-  std::uint32_t fill = 0;
-  std::uint32_t count = 0;
-  sim::Nanos serialize_cpu = 0;
-
-  auto flush = [&]() -> sim::Task<void> {
-    if (count == 0) co_return;
-    if (serialize_cpu > 0) {
-      co_await node().cpu().use(serialize_cpu);
-      serialize_cpu = 0;
-    }
-    const std::uint64_t seq =
-        ++staging_sent_[static_cast<std::size_t>(lagger_rank)];
-    ctr_xfer_bytes_sent_->inc(sizeof(ChunkHeader) + fill);
-    ChunkHeader hdr{seq, count, fill, full ? kChunkFlagFull : 0u, 0};
-    rdma::store_pod(std::span(chunk), 0, hdr);
-    // Flow control: never run more than ring_slots-2 chunks ahead of the
-    // applier (its cursor is mirrored into our statesync ack word below).
-    co_await system_->fabric().write(
-        node().id(),
-        rdma::RAddr{lagger.node().id(), lagger.staging_mr(),
-                    lagger.staging_offset(rank_, seq)},
-        std::span(chunk).first(sizeof(ChunkHeader) + fill));
-    fill = 0;
-    count = 0;
-  };
-
-  for (Oid oid : oids) {
-    if (!store_->exists(oid)) continue;  // retired (migrated away)
-    const auto [tmp, value] = store_->get(oid);
-    const auto record_len =
-        static_cast<std::uint32_t>(sizeof(ChunkRecord) + value.size());
-    if (record_len > chunk_capacity) {
-      throw std::runtime_error("state transfer: object larger than chunk");
-    }
-    if (fill + record_len > chunk_capacity) {
-      co_await flush();
-      // Crashed (or restarted) mid-transfer: abandon. restart() resets
-      // in_state_transfer_; the lagger's timeout picks the next handler.
-      if (stale(inc)) co_return;
-    }
-
-    ChunkRecord rec;
-    rec.oid = oid;
-    rec.tmp = tmp;
-    rec.size = static_cast<std::uint32_t>(value.size());
-    rec.serialized = store_->is_serialized(oid) ? 1 : 0;
-    rec.kind = kRecObject;
-    rdma::store_pod(std::span(chunk), sizeof(ChunkHeader) + fill, rec);
-    std::memcpy(chunk.data() + sizeof(ChunkHeader) + fill + sizeof(ChunkRecord),
-                value.data(), value.size());
-    fill += record_len;
-    ++count;
-    // Serialized tables ship as stored (memcpy); others pay serialization.
-    serialize_cpu += static_cast<sim::Nanos>(
-        static_cast<double>(value.size()) *
-        (store_->is_serialized(oid) ? cfg.memcpy_ns_per_byte
-                                    : cfg.serialize_ns_per_byte));
-  }
-
   // Session table: the dedup state must travel with the store — the
   // receiver replaces whole entries, which is safe because this snapshot
   // waited for last_executed_ >= from_tmp, so per covered client its
@@ -2290,53 +1925,10 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
   // request (status 2) certifies the requester already holds session
   // state through from_tmp inclusive — a restored checkpoint chain is
   // complete up to its watermark — so sessions idle at or before
-  // from_tmp are skipped.
-  for (const auto& [client, s] : sessions_) {
-    if (sessions_delta && s.last_tmp <= from_tmp) continue;
-    const std::vector<std::byte> blob = encode_session(s);
-    const auto payload_len = static_cast<std::uint32_t>(blob.size());
-    const auto record_len =
-        static_cast<std::uint32_t>(sizeof(ChunkRecord) + payload_len);
-    if (record_len > chunk_capacity) {
-      throw std::runtime_error("state transfer: session larger than chunk");
-    }
-    if (fill + record_len > chunk_capacity) {
-      co_await flush();
-      if (stale(inc)) co_return;
-    }
-
-    ChunkRecord rec;
-    rec.oid = client;
-    rec.tmp = s.last_tmp;
-    rec.size = payload_len;
-    rec.kind = kRecSession;
-    const std::uint64_t off = sizeof(ChunkHeader) + fill;
-    rdma::store_pod(std::span(chunk), off, rec);
-    std::memcpy(chunk.data() + off + sizeof(ChunkRecord), blob.data(),
-                blob.size());
-    fill += record_len;
-    ++count;
-    serialize_cpu += static_cast<sim::Nanos>(
-        static_cast<double>(payload_len) * cfg.memcpy_ns_per_byte);
-  }
-
-  // Session-TTL tombstones: always shipped whole (a handful of u64 pairs);
-  // the receiver merges by max floor.
-  for (const auto& [client, floor] : evicted_sessions_) {
-    const auto record_len = static_cast<std::uint32_t>(sizeof(ChunkRecord));
-    if (fill + record_len > chunk_capacity) {
-      co_await flush();
-      if (stale(inc)) co_return;
-    }
-    ChunkRecord rec;
-    rec.oid = client;
-    rec.tmp = floor;
-    rec.size = 0;
-    rec.kind = kRecTombstone;
-    rdma::store_pod(std::span(chunk), sizeof(ChunkHeader) + fill, rec);
-    fill += record_len;
-    ++count;
-  }
+  // from_tmp are skipped. Session-TTL tombstones always ship whole (a
+  // handful of u64 pairs); the receiver merges by max floor.
+  std::vector<durable::Record> records =
+      collect_records(oids, /*sessions=*/true, sessions_delta ? from_tmp : 0);
 
   // Donor layout + seal knowledge (heron::reconfig): a rejoining replica
   // that missed epoch markers while down adopts the donor's installed
@@ -2344,35 +1936,34 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
   // this very transfer) already contains everything its sealed copy
   // stream carried.
   if (layout_.enabled()) {
-    std::vector<std::byte> blob(sizeof(std::uint64_t));
-    rdma::store_pod(std::span(blob), 0, seal_epoch_seen_);
-    if (reconfig::encode_marker(layout_, 0, blob)) {
-      const auto payload_len = static_cast<std::uint32_t>(blob.size());
-      const auto record_len =
-          static_cast<std::uint32_t>(sizeof(ChunkRecord) + payload_len);
-      if (fill + record_len > chunk_capacity) {
-        co_await flush();
-        if (stale(inc)) co_return;
-      }
-      ChunkRecord rec;
-      rec.oid = 0;
-      rec.tmp = layout_.epoch;
-      rec.size = payload_len;
-      rec.kind = kRecLayout;
-      const std::uint64_t off = sizeof(ChunkHeader) + fill;
-      rdma::store_pod(std::span(chunk), off, rec);
-      std::memcpy(chunk.data() + off + sizeof(ChunkRecord), blob.data(),
-                  blob.size());
-      fill += record_len;
-      ++count;
+    durable::Record rec;
+    rec.kind = durable::kRecordLayout;
+    rec.tmp = layout_.epoch;
+    rec.bytes.resize(sizeof(std::uint64_t));
+    rdma::store_pod(std::span(rec.bytes), 0, copy_->sealed());
+    if (reconfig::encode_marker(layout_, 0, rec.bytes)) {
+      records.push_back(std::move(rec));
     }
   }
-  co_await flush();
+
+  // Crashed (or restarted) mid-transfer: abandon. restart() resets
+  // in_state_transfer_; the lagger's timeout picks the next handler. A
+  // superseded stream (the lagger re-issued its request) is abandoned too.
+  Replica& lagger = system_->replica(group_, lagger_rank);
+  StateStream::SendOptions opts;
+  opts.flags = full ? kChunkFull : 0;
+  const bool sent =
+      co_await xfer_->send({lagger.node().id(), lagger.staging_mr()}, serial,
+                           std::move(records), std::move(opts));
   if (stale(inc)) co_return;
+  if (!sent) {
+    in_state_transfer_ = false;
+    co_return;
+  }
 
   // Lines 16-17: completion notice to every member (including ourselves
   // and the lagger).
-  StateSyncEntry done{from_tmp, 0, rid, statesync_serial_ + 1};
+  const StateSyncEntry done{from_tmp, 0, rid, serial};
   for (int q = 0; q < system_->replicas_per_partition(); ++q) {
     Replica& peer = system_->replica(group_, q);
     if (q == rank_) {
@@ -2390,92 +1981,75 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
   in_state_transfer_ = false;
 }
 
-sim::Task<void> Replica::staging_apply_loop() {
-  const std::uint64_t inc = incarnation_;
-  auto& region = node().region(staging_mr_);
-  const HeronConfig& cfg = system_->config();
-  const int reps = system_->replicas_per_partition();
+// ---------------------------------------------------------------------
+// State records: the one collector and the one installer behind Algorithm
+// 3 transfers, migration copy and checkpoints.
+// ---------------------------------------------------------------------
 
-  // `>=` tolerated: a chunk written while this replica was down leaves a
-  // gap; the abandoned transfer is superseded by the fresh one the rejoin
-  // path requests, so skipping straight to the producer's counter is safe.
-  auto have_new = [this, &region, reps] {
-    for (int s = 0; s < reps; ++s) {
-      const auto hdr = rdma::load_pod<ChunkHeader>(
-          region.bytes(),
-          staging_offset(s, staging_next_[static_cast<std::size_t>(s)] + 1));
-      if (hdr.seq >= staging_next_[static_cast<std::size_t>(s)] + 1) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  while (true) {
-    co_await sim::wait_until(region.on_write(), have_new);
-    if (stale(inc)) co_return;
-    for (int s = 0; s < reps; ++s) {
-      while (true) {
-        const std::uint64_t next =
-            staging_next_[static_cast<std::size_t>(s)] + 1;
-        const std::uint64_t base = staging_offset(s, next);
-        const auto hdr = rdma::load_pod<ChunkHeader>(region.bytes(), base);
-        if (hdr.seq < next) break;
-
-        sim::Nanos apply_cpu = 0;
-        std::uint64_t off = base + sizeof(ChunkHeader);
-        for (std::uint32_t i = 0; i < hdr.record_count; ++i) {
-          const auto rec = rdma::load_pod<ChunkRecord>(region.bytes(), off);
-          off += sizeof(ChunkRecord);
-          const auto value = region.bytes().subspan(off, rec.size);
-          if (rec.kind == kRecSession) {
-            Session s = decode_session(value);
-            s.last_active = system_->simulator().now();
-            sessions_[static_cast<std::uint32_t>(rec.oid)] = std::move(s);
-            off += rec.size;
-            apply_cpu += static_cast<sim::Nanos>(
-                static_cast<double>(rec.size) * cfg.memcpy_ns_per_byte);
-            continue;
-          }
-          if (rec.kind == kRecTombstone) {
-            auto& floor =
-                evicted_sessions_[static_cast<std::uint32_t>(rec.oid)];
-            floor = std::max(floor, rec.tmp);
-            off += rec.size;
-            continue;
-          }
-          if (rec.kind == kRecLayout) {
-            adopt_layout_record(value);
-            off += rec.size;
-            continue;
-          }
-          store_->install_version(rec.oid, value, rec.tmp,
-                                  rec.serialized != 0);
-          off += rec.size;
-          // Receiver-side cost: serialized data lands in place (memcpy);
-          // non-serialized data must be deserialized into the app state.
-          apply_cpu += static_cast<sim::Nanos>(
-              static_cast<double>(rec.size) *
-              (rec.serialized != 0 ? cfg.memcpy_ns_per_byte
-                                   : cfg.serialize_ns_per_byte));
-        }
-        staging_next_[static_cast<std::size_t>(s)] = hdr.seq;
-        ctr_xfer_bytes_applied_->inc(hdr.payload_bytes);
-        if ((hdr.flags & kChunkFlagFull) != 0) {
-          xfer_applied_full_bytes_ += hdr.payload_bytes;
-          ctr_xfer_bytes_applied_full_->inc(hdr.payload_bytes);
-        } else {
-          xfer_applied_delta_bytes_ += hdr.payload_bytes;
-          ctr_xfer_bytes_applied_delta_->inc(hdr.payload_bytes);
-        }
-        if (apply_cpu > 0) {
-          co_await node().cpu().use(apply_cpu);
-          if (stale(inc)) co_return;
-        }
-        region.on_write().notify_all();  // progress signal for the waiter
-      }
-    }
+std::vector<durable::Record> Replica::collect_records(
+    const std::vector<Oid>& oids, bool sessions, Tmp sessions_after) {
+  std::vector<durable::Record> out;
+  out.reserve(oids.size());
+  for (const Oid oid : oids) {
+    if (!store_->exists(oid)) continue;  // retired (migrated away)
+    const auto [tmp, value] = store_->get(oid);
+    out.push_back(durable::Record{
+        durable::kRecordObject,
+        store_->is_serialized(oid) ? durable::kRecordFlagSerialized : 0u, oid,
+        tmp, std::vector<std::byte>(value.begin(), value.end())});
   }
+  if (!sessions) return out;
+  for (const auto& [client, s] : sessions_) {
+    if (sessions_after != 0 && s.last_tmp <= sessions_after) continue;
+    out.push_back(durable::Record{durable::kRecordSession, 0, client,
+                                  s.last_tmp, encode_session(s)});
+  }
+  for (const auto& [client, floor] : evicted_sessions_) {
+    out.push_back(
+        durable::Record{durable::kRecordTombstone, 0, client, floor, {}});
+  }
+  return out;
+}
+
+bool Replica::apply_state_record(const durable::RecordView& rec,
+                                 ApplyRule rule) {
+  const auto client = static_cast<std::uint32_t>(rec.id);
+  switch (rec.kind) {
+    case durable::kRecordObject:
+      if (rule == ApplyRule::kNewestWins) {
+        // Later passes and idempotent pull resends may re-ship versions
+        // this replica already applied.
+        if (!store_->exists(rec.id)) {
+          ++migrated_in_;
+        } else if (store_->get(rec.id).first >= rec.tmp) {
+          return false;
+        }
+      }
+      store_->install_version(rec.id, rec.value, rec.tmp, rec.serialized());
+      break;
+    case durable::kRecordSession: {
+      Session s = decode_session(rec.value);
+      s.last_active = system_->simulator().now();
+      const auto [it, fresh] = sessions_.try_emplace(client);
+      if (fresh || rule == ApplyRule::kReplace) {
+        it->second = std::move(s);
+      } else {
+        it->second.merge(std::move(s));
+      }
+      break;
+    }
+    case durable::kRecordTombstone: {
+      auto& floor = evicted_sessions_[client];
+      floor = std::max(floor, rec.tmp);
+      break;
+    }
+    case durable::kRecordLayout:
+      adopt_layout_record(rec.value);
+      break;
+    default:
+      break;  // unknown kinds from future formats: ignore
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------
@@ -2553,59 +2127,37 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
   span.arg("watermark", w);
   span.arg("full", full ? 1u : 0u);
 
-  std::vector<durable::Record> records;
-  std::uint64_t snap_bytes = 0;
-  const auto add_object = [&](Oid oid, Tmp tmp, std::span<const std::byte> val,
-                              bool serialized) {
-    durable::Record rec;
-    rec.kind = durable::kRecordObject;
-    rec.flags = serialized ? durable::kRecordFlagSerialized : 0u;
-    rec.id = oid;
-    rec.tmp = tmp;
-    rec.bytes.assign(val.begin(), val.end());
-    snap_bytes += rec.bytes.size();
-    records.push_back(std::move(rec));
-  };
+  // Full: every object. Delta: objects written since the previous
+  // checkpoint — log entries are tmp-sorted, and capacity pops above
+  // ckpt_watermark_ force `full`, so the log is complete over
+  // (ckpt_watermark_, w].
+  std::vector<Oid> oids;
   if (full) {
-    store_->for_each_object(add_object);
+    oids.reserve(store_->object_count());
+    store_->for_each_oid([&oids](Oid oid) { oids.push_back(oid); });
   } else {
-    // Dirty set: objects written since the previous checkpoint. Entries
-    // are tmp-sorted; capacity pops above ckpt_watermark_ force `full`,
-    // so the log is complete over (ckpt_watermark_, w].
     std::set<Oid> dirty;
     auto it = std::lower_bound(
         update_log_.begin(), update_log_.end(), ckpt_watermark_ + 1,
         [](const LogEntry& e, Tmp t) { return e.tmp < t; });
     for (; it != update_log_.end(); ++it) dirty.insert(it->oid);
-    for (const Oid oid : dirty) {
-      if (!store_->exists(oid)) continue;  // retired (migrated away)
-      const auto [tmp, val] = store_->get(oid);
-      add_object(oid, tmp, val, store_->is_serialized(oid));
-    }
+    oids.assign(dirty.begin(), dirty.end());
   }
-  for (const auto& [client, s] : sessions_) {
-    if (!full && s.last_tmp <= ckpt_watermark_) continue;
-    durable::Record rec;
-    rec.kind = durable::kRecordSession;
-    rec.id = client;
-    rec.tmp = s.last_tmp;
-    if (s.reply_paged_out && paged_replies.contains(client)) {
-      Session copy = s;
-      copy.cached_reply = paged_replies[client];
-      copy.reply_paged_out = false;
-      rec.bytes = encode_session(copy);
-    } else {
-      rec.bytes = encode_session(s);
+  std::vector<durable::Record> records = collect_records(
+      oids, /*sessions=*/true, full ? 0 : ckpt_watermark_);
+  std::uint64_t snap_bytes = 0;
+  for (durable::Record& rec : records) {
+    if (rec.kind == durable::kRecordSession) {
+      const Session& s = sessions_.at(static_cast<std::uint32_t>(rec.id));
+      const auto paged = paged_replies.find(static_cast<std::uint32_t>(rec.id));
+      if (s.reply_paged_out && paged != paged_replies.end()) {
+        Session copy = s;
+        copy.cached_reply = paged->second;
+        copy.reply_paged_out = false;
+        rec.bytes = encode_session(copy);
+      }
     }
     snap_bytes += rec.bytes.size();
-    records.push_back(std::move(rec));
-  }
-  for (const auto& [client, floor] : evicted_sessions_) {
-    durable::Record rec;
-    rec.kind = durable::kRecordTombstone;
-    rec.id = client;
-    rec.tmp = floor;
-    records.push_back(std::move(rec));
   }
 
   // Snapshotting is memcpy-class CPU work on the replica's core.
@@ -2676,32 +2228,13 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
 
 sim::Task<void> Replica::apply_checkpoint_image(const durable::Image& img) {
   const HeronConfig& cfg = system_->config();
-  const sim::Nanos now = system_->simulator().now();
   std::uint64_t bytes = 0;
   for (const durable::Record& rec : img.records) {
     bytes += rec.bytes.size() + sizeof(durable::Record);
-    switch (rec.kind) {
-      case durable::kRecordObject:
-        store_->install_version(
-            rec.id, rec.bytes, rec.tmp,
-            (rec.flags & durable::kRecordFlagSerialized) != 0);
-        break;
-      case durable::kRecordSession: {
-        Session s = decode_session(rec.bytes);
-        s.last_active = now;
-        sessions_[static_cast<std::uint32_t>(rec.id)] = std::move(s);
-        break;
-      }
-      case durable::kRecordTombstone: {
-        auto& floor = evicted_sessions_[static_cast<std::uint32_t>(rec.id)];
-        floor = std::max(floor, rec.tmp);
-        break;
-      }
-      default:
-        break;  // unknown kinds from future formats: ignore
-    }
+    apply_state_record(rec.view(), ApplyRule::kReplace);
   }
-  // Installing the image is memcpy-class work; the device read itself was
+  // Installing the image is memcpy-class work (whatever the objects'
+  // form: the image holds them as persisted); the device read itself was
   // charged by load_latest() on the device channel.
   const auto cpu = static_cast<sim::Nanos>(static_cast<double>(bytes) *
                                            cfg.memcpy_ns_per_byte);
@@ -2767,9 +2300,8 @@ void Replica::restart() {
 
   // Reconfiguration role state is volatile (its coroutines died with the
   // node); rejoin()'s resume_migration_roles re-arms whatever the adopted
-  // layout still shows active. Cursors and counters (copy_seq_,
-  // copy_next_, pull_seen_, pull_serial_, seal_epoch_seen_) survive with
-  // the registered region they describe. A flipped source loses its
+  // layout still shows active. Pull serials and seal knowledge survive
+  // with the registered region they describe. A flipped source loses its
   // retained final image and can no longer serve pulls — destinations
   // round-robin to a surviving source rank instead.
   outbound_active_ = false;
@@ -2781,7 +2313,12 @@ void Replica::restart() {
   copy_caught_up_ = false;
   final_image_.clear();
   inbound_epoch_ = 0;
-  inbound_stream_dirty_ = false;
+
+  // State streams: the receive cursors live in the registered regions and
+  // survive; send cursors are recovered lazily (one READ per receiver).
+  xfer_expect_ = 0;
+  xfer_->restart();
+  copy_->restart();
 
   // Fast-read lease state is volatile: a restarted replica must not serve
   // fast reads until a grant ordered after its rejoin transfer arrives.
@@ -2833,16 +2370,6 @@ void Replica::restart() {
       addra_next_[s] = std::max(addra_next_[s], a.seq);
     }
   }
-  const HeronConfig& cfg = system_->config();
-  const auto staging = node().region(staging_mr_).bytes();
-  for (int s = 0; s < system_->replicas_per_partition(); ++s) {
-    staging_next_[static_cast<std::size_t>(s)] = 0;
-    for (std::uint32_t i = 0; i < cfg.statesync_ring_slots; ++i) {
-      const auto hdr = rdma::load_pod<ChunkHeader>(staging, staging_offset(s, i));
-      staging_next_[static_cast<std::size_t>(s)] =
-          std::max(staging_next_[static_cast<std::size_t>(s)], hdr.seq);
-    }
-  }
 
   system_->simulator().spawn(rejoin());
 }
@@ -2856,20 +2383,19 @@ sim::Task<void> Replica::rejoin() {
            "core g" << group_ << ".r" << rank_ << " rejoin: catching up from tmp "
                     << last_executed_);
 
-  // Receive-side loops first: the staging applier must be draining before
-  // the state transfer below ships chunks, or its waiter never completes.
+  // Receive-side loops first: the stream receivers must be draining
+  // before the state transfer below ships chunks, or its waiter never
+  // completes.
   auto& sim = system_->simulator();
   sim.spawn(addr_query_loop());
   sim.spawn(statesync_watch_loop());
-  sim.spawn(staging_apply_loop());
-  if (reconfig_enabled()) {
-    sim.spawn(copy_recv_loop());
-    sim.spawn(pull_watch_loop());
-  }
+  spawn_stream_receivers();
+  if (reconfig_enabled()) sim.spawn(pull_watch_loop());
 
-  // Recover send-side counters by reading back the rings our past writes
-  // landed in, so fresh sends continue the surviving sequence instead of
-  // overwriting live slots with duplicate numbers.
+  // Recover the address-query send counters by reading back the rings our
+  // past writes landed in, so fresh sends continue the surviving sequence
+  // instead of overwriting live slots with duplicate numbers. (The state
+  // streams recover theirs lazily: one cursor-word READ per receiver.)
   const auto my_stripe = system_->amcast().stripe_of(group_, rank_);
   for (GroupId h = 0; h < system_->partitions(); ++h) {
     if (h == group_) continue;  // address queries only target remote homes
@@ -2889,25 +2415,6 @@ sim::Task<void> Replica::rejoin() {
         addrq_sent_[stripe] = std::max(addrq_sent_[stripe], qr.seq);
       }
     }
-  }
-  const HeronConfig& cfg = system_->config();
-  for (int q = 0; q < system_->replicas_per_partition(); ++q) {
-    if (q == rank_) continue;
-    Replica& peer = system_->replica(group_, q);
-    std::uint64_t max_seq = 0;
-    for (std::uint32_t i = 0; i < cfg.statesync_ring_slots; ++i) {
-      std::vector<std::byte> buf(sizeof(ChunkHeader));
-      const auto cc = co_await system_->fabric().read(
-          node().id(),
-          rdma::RAddr{peer.node().id(), peer.staging_mr(),
-                      peer.staging_offset(rank_, i)},
-          buf);
-      if (stale(inc)) co_return;
-      if (!cc.ok()) break;
-      max_seq = std::max(max_seq,
-                         rdma::load_pod<ChunkHeader>(std::span(buf), 0).seq);
-    }
-    staging_sent_[static_cast<std::size_t>(q)] = max_seq;
   }
 
   // O(delta) restart: load the newest valid checkpoint chain from the
@@ -2974,19 +2481,23 @@ sim::Task<void> Replica::rejoin() {
   // so only strictly newer updates ship; a plain request keeps the
   // failed-request semantics (donor re-ships from_tmp itself).
   const std::uint64_t applied_before =
-      xfer_applied_full_bytes_ + xfer_applied_delta_bytes_;
+      xfer_applied_full_bytes() + xfer_applied_delta_bytes();
   co_await request_state_transfer(last_executed_, have_sessions);
   if (stale(inc)) co_return;
+  // (A reset_stats during the rejoin zeroes the stream's statistics.)
+  const std::uint64_t applied =
+      xfer_applied_full_bytes() + xfer_applied_delta_bytes();
   restart_catchup_bytes_ =
-      xfer_applied_full_bytes_ + xfer_applied_delta_bytes_ - applied_before;
+      applied >= applied_before ? applied - applied_before : applied;
   gauge_restart_delta_->set(
       static_cast<std::int64_t>(restart_catchup_bytes_));
 
   if (layout_.enabled()) {
     // Owner sweep: the store index survives the crash, so objects this
-    // group handed off under a layout adopted above (transfer kRecLayout
-    // record or surviving epoch word) may still be present. Retire them —
-    // except inbound migration state still being copied *to* us.
+    // group handed off under a layout adopted above (transfer
+    // kRecordLayout record or surviving epoch word) may still be present.
+    // Retire them — except inbound migration state still being copied
+    // *to* us.
     std::vector<Oid> foreign;
     store_->for_each_oid([&](Oid oid) {
       if (layout_.owner_of(oid) == group_) return;
@@ -3001,8 +2512,7 @@ sim::Task<void> Replica::rejoin() {
       if (store_->seqlock(oid) & 1) store_->end_write(oid);
       store_->retire(oid);
     }
-    co_await resume_migration_roles(inc);
-    if (stale(inc)) co_return;
+    resume_migration_roles();
   }
 
   // Resolve fast writes left pending at crash time against the surviving

@@ -10,15 +10,17 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "amcast/endpoint.hpp"
 #include "core/app.hpp"
 #include "core/object_store.hpp"
+#include "core/state_stream.hpp"
 #include "core/types.hpp"
 #include "durable/checkpoint.hpp"
-#include "reconfig/chunk.hpp"
+#include "reconfig/layout.hpp"
 #include "sim/seq_window.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/hub.hpp"
@@ -90,8 +92,7 @@ class Replica {
     void mark(std::uint64_t seq) {
       if (seq != 0) seqs.insert(seq);
     }
-    /// Union-merge of another replica's copy of this session (see
-    /// Replica::merge_session).
+    /// Union-merge of another replica's copy of this session (migration).
     void merge(Session&& incoming);
   };
   [[nodiscard]] const std::map<std::uint32_t, Session>& sessions() const {
@@ -135,11 +136,14 @@ class Replica {
     return restart_catchup_bytes_;
   }
   [[nodiscard]] std::uint64_t xfer_applied_full_bytes() const {
-    return xfer_applied_full_bytes_;
+    return xfer_->stat(StateStream::kAppliedFullBytes);
   }
   [[nodiscard]] std::uint64_t xfer_applied_delta_bytes() const {
-    return xfer_applied_delta_bytes_;
+    return xfer_->stat(StateStream::kAppliedDeltaBytes);
   }
+  /// The Algorithm 3 and migration copy streams (statistics, tests).
+  [[nodiscard]] const StateStream& xfer_stream() const { return *xfer_; }
+  [[nodiscard]] const StateStream& copy_stream() const { return *copy_; }
   /// Null when the durable subsystem is disabled.
   [[nodiscard]] durable::CheckpointStore* durable_store() {
     return ckpt_.get();
@@ -229,21 +233,23 @@ class Replica {
   /// Destination role: no unsealed inbound copy stream (either none was
   /// ever inbound, or the SEAL for the current migration epoch landed).
   [[nodiscard]] bool inbound_sealed() const {
-    return inbound_epoch_ == 0 || seal_epoch_seen_ >= inbound_epoch_;
+    return inbound_epoch_ == 0 || copy_->sealed() >= inbound_epoch_;
   }
   [[nodiscard]] std::uint64_t copy_chunks_sent() const {
-    return copy_chunks_sent_;
+    return copy_->stat(StateStream::kChunksSent);
   }
   [[nodiscard]] std::uint64_t copy_chunks_received() const {
-    return copy_chunks_received_;
+    return copy_->stat(StateStream::kChunksReceived);
   }
   [[nodiscard]] std::uint64_t copy_chunks_corrupt() const {
-    return copy_chunks_corrupt_;
+    return copy_->stat(StateStream::kChunksCorrupt);
   }
   [[nodiscard]] std::uint64_t copy_deferred() const { return copy_deferred_; }
-  [[nodiscard]] std::uint64_t copy_pulls() const { return copy_pulls_; }
+  [[nodiscard]] std::uint64_t copy_pulls() const {
+    return copy_->stat(StateStream::kResends);
+  }
   [[nodiscard]] std::uint64_t copy_pulls_served() const {
-    return copy_pulls_served_;
+    return copy_->stat(StateStream::kResendsServed);
   }
   [[nodiscard]] std::uint64_t wrong_epoch_replies() const {
     return wrong_epoch_replies_;
@@ -264,8 +270,6 @@ class Replica {
                                            std::uint64_t seq) const;
   [[nodiscard]] std::uint64_t addra_offset(std::uint32_t stripe,
                                            std::uint64_t seq) const;
-  [[nodiscard]] std::uint64_t staging_offset(int sender_rank,
-                                             std::uint64_t seq) const;
 
  private:
   friend class System;
@@ -351,14 +355,33 @@ class Replica {
   // --- state transfer (Algorithm 3) ------------------------------------
   /// `have_sessions` marks the request as a delta (StateSyncEntry status
   /// 2): this replica already holds session state through failed_tmp, so
-  /// the donor skips sessions older than that.
+  /// the donor skips sessions older than that. Re-issues the request
+  /// (under a new serial) until a transfer lands on an untainted stream.
   sim::Task<void> request_state_transfer(Tmp failed_tmp,
                                          bool have_sessions = false);
   sim::Task<void> statesync_watch_loop();   // reacts to peers' requests
+  /// Serves request `serial` if this replica is (or, after suspicion
+  /// timeouts, becomes) its handler: streams the records (stream id =
+  /// serial), then writes the completion notice.
   sim::Task<void> perform_transfer(int lagger_rank, Tmp from_tmp,
-                                   bool sessions_delta);
-  sim::Task<void> staging_apply_loop();     // applies incoming chunks
+                                   bool sessions_delta, std::uint64_t serial);
   sim::Task<void> rejoin();                 // restart: recover + catch up
+  /// Spawns the receive loops of both state streams.
+  void spawn_stream_receivers();
+
+  // --- state records (shared by transfer, migration and checkpoints) ----
+  /// The one record collector: the objects in `oids` that still exist
+  /// (retired ones migrated away), then — with `sessions` — every session
+  /// except those idle at or below `sessions_after` (when non-zero), and
+  /// every tombstone.
+  [[nodiscard]] std::vector<durable::Record> collect_records(
+      const std::vector<Oid>& oids, bool sessions, Tmp sessions_after = 0);
+  /// How an incoming record meets local state: Algorithm 3 transfers and
+  /// checkpoint restores replace; migration is newest-wins per object and
+  /// union-merges sessions (both sides may have executed commands).
+  enum class ApplyRule { kReplace, kNewestWins };
+  /// The one record installer; false when newest-wins skipped the record.
+  bool apply_state_record(const durable::RecordView& rec, ApplyRule rule);
 
   // --- durability (checkpointing + log compaction) ----------------------
   sim::Task<void> checkpoint_loop();
@@ -372,10 +395,6 @@ class Replica {
   [[nodiscard]] bool session_reply_paged_out(const Request& r) const;
 
   // --- reconfiguration (heron::reconfig) --------------------------------
-  /// One copy-stream record plus its value bytes; the unit the copy
-  /// machine batches into CRC'd chunks and the retained final image.
-  using CopyItem = std::pair<reconfig::CopyRecord, std::vector<std::byte>>;
-
   [[nodiscard]] bool reconfig_enabled() const;
   /// Handles a layout-epoch marker (kWireFlagEpoch) from the ordered
   /// stream: installs the new layout; on PREPARE arms the source/dest
@@ -397,32 +416,29 @@ class Replica {
   /// Source-side background copier: pass 0 snapshots the whole range,
   /// later passes drain the dirty set, throttled against foreground load.
   sim::Task<void> copy_machine(std::uint64_t mig_epoch);
-  /// Streams `items` as CRC'd chunks into dest's per-source-rank ring.
-  /// `seal` flags the last chunk; `throttle` defers between chunks under
-  /// foreground load. Erases each landed object from pass_pending_.
-  /// Returns false when the sender went stale mid-stream.
-  sim::Task<bool> copy_send(std::vector<CopyItem> items,
+  /// Streams `records` into dest's copy ring (stream id = the migration
+  /// epoch). `seal` flags the last chunk; `throttle` defers between chunks
+  /// under foreground load.
+  sim::Task<void> copy_send(std::vector<durable::Record> records,
                             std::uint64_t mig_epoch, GroupId dest_group,
-                            int dest_rank, bool seal, bool throttle,
-                            std::uint64_t inc);
-  /// Destination-side consumer: drains chunk rings in seq order, verifies
-  /// CRCs, applies records newest-wins, tracks stream dirtiness and seals.
-  sim::Task<void> copy_recv_loop();
+                            int dest_rank, bool seal, bool throttle);
+  /// Offset of requester rank `rank`'s pull word in a reconfig region.
+  [[nodiscard]] std::uint64_t pull_offset(int rank) const {
+    return copy_->geometry().bytes() +
+           static_cast<std::uint64_t>(rank) * sizeof(reconfig::PullWord);
+  }
   /// Destination-side starvation watcher: no inbound progress for
   /// pull_timeout -> write a pull word to the next source rank.
   sim::Task<void> inbound_watch_loop(std::uint64_t mig_epoch);
   /// Source-side pull server: answers a dest rank's pull word with an
   /// idempotent full resend of the retained final image (+ SEAL).
   sim::Task<void> pull_watch_loop();
-  /// Union-merges a copy-streamed session into the local table.
-  void merge_session(std::uint32_t client, Session&& incoming);
-  /// State-transfer kRecLayout payload: adopts the donor's layout when
+  /// State-transfer kRecordLayout payload: adopts the donor's layout when
   /// newer and max-merges its seal knowledge.
   void adopt_layout_record(std::span<const std::byte> payload);
   /// Rejoin tail: re-arms the copy machine (source) or inbound tracking
-  /// (dest) for a migration still active in the adopted layout, after
-  /// recovering send counters from the peer rings.
-  sim::Task<void> resume_migration_roles(std::uint64_t inc);
+  /// (dest) for a migration still active in the adopted layout.
+  void resume_migration_roles();
 
   /// True when a coroutine spawned under incarnation `inc` must exit (the
   /// node crashed, or restarted and fresh loops took over).
@@ -437,7 +453,6 @@ class Replica {
                                                    bool held_through,
                                                    bool& full_transfer) const;
   void log_update(Tmp tmp, Oid oid);
-  [[nodiscard]] std::uint64_t staging_pending() const;
 
   System* system_;
   GroupId group_;
@@ -495,6 +510,9 @@ class Replica {
   std::uint64_t state_transfers_ = 0;
   std::uint64_t transfers_served_ = 0;
   std::uint64_t statesync_serial_ = 0;
+  /// Serial of the transfer this replica is waiting for (0: none); the
+  /// transfer stream applies chunks of this stream id only.
+  std::uint64_t xfer_expect_ = 0;
   bool in_state_transfer_ = false;
 
   // Bumped on every restart(); see stale().
@@ -535,12 +553,11 @@ class Replica {
   std::uint64_t stale_session_replies_ = 0;
   bool restored_from_checkpoint_ = false;
   std::uint64_t restart_catchup_bytes_ = 0;  // applied during last rejoin
-  std::uint64_t xfer_applied_full_bytes_ = 0;
-  std::uint64_t xfer_applied_delta_bytes_ = 0;
 
-  // Staging ring cursors (state-transfer receive side).
-  std::vector<std::uint64_t> staging_next_;  // per sender rank
-  std::vector<std::uint64_t> staging_sent_;  // per receiver rank (send side)
+  // State streams: Algorithm 3 transfers (staging_mr_) and migration copy
+  // (reconfig_mr_, followed by the pull words).
+  std::unique_ptr<StateStream> xfer_;
+  std::unique_ptr<StateStream> copy_;
 
   // --- reconfiguration state (heron::reconfig) ---------------------------
   reconfig::Layout layout_;      // installed layout; epoch 0 = disabled
@@ -557,25 +574,17 @@ class Replica {
   /// Snapshot of the handed-off range (+ all sessions/tombstones) taken
   /// at FLIP, kept in memory to serve idempotent pull resends after the
   /// live objects were retired.
-  std::vector<CopyItem> final_image_;
-  std::vector<std::uint64_t> copy_seq_;   // send counter per dest rank
+  std::vector<durable::Record> final_image_;
   std::vector<std::uint64_t> pull_seen_;  // handled pull serial per rank
-  // Destination role (inbound migration).
+  // Destination role (inbound migration). Seal knowledge and stream taint
+  // live in copy_.
   std::uint64_t inbound_epoch_ = 0;  // PREPARE epoch; 0 = none inbound
   reconfig::Migration inbound_;
-  std::uint64_t seal_epoch_seen_ = 0;  // highest cleanly sealed epoch
-  bool inbound_stream_dirty_ = false;  // gap/CRC failure since last seal try
   sim::Nanos inbound_progress_at_ = 0;
   std::uint64_t pull_serial_ = 0;  // our outgoing pull-word serial
   std::uint64_t pull_rr_ = 0;      // round-robin source pick for pulls
-  std::vector<std::uint64_t> copy_next_;  // consumer cursor per source rank
   // Telemetry-backed counters.
-  std::uint64_t copy_chunks_sent_ = 0;
-  std::uint64_t copy_chunks_received_ = 0;
-  std::uint64_t copy_chunks_corrupt_ = 0;
   std::uint64_t copy_deferred_ = 0;
-  std::uint64_t copy_pulls_ = 0;
-  std::uint64_t copy_pulls_served_ = 0;
   std::uint64_t wrong_epoch_replies_ = 0;
   std::uint64_t quiesce_deferred_ = 0;
   std::uint64_t migrated_out_ = 0;
@@ -597,6 +606,7 @@ class Replica {
 
   // Telemetry handles (see telemetry/hub.hpp), keyed by "g<g>.r<r>".
   telemetry::Hub* hub_;
+  std::string label_;  // "g<g>.r<r>": this replica's metrics label
   telemetry::Counter* ctr_executed_;
   telemetry::Counter* ctr_skipped_;
   telemetry::Counter* ctr_addr_hits_;
@@ -606,10 +616,6 @@ class Replica {
   telemetry::Counter* ctr_lagging_;
   telemetry::Counter* ctr_state_transfers_;
   telemetry::Counter* ctr_transfers_served_;
-  telemetry::Counter* ctr_xfer_bytes_sent_;
-  telemetry::Counter* ctr_xfer_bytes_applied_;
-  telemetry::Counter* ctr_xfer_bytes_applied_full_;
-  telemetry::Counter* ctr_xfer_bytes_applied_delta_;
   telemetry::Counter* ctr_checkpoints_;
   telemetry::Counter* ctr_ckpt_deferred_;
   telemetry::Counter* ctr_sessions_evicted_;
@@ -623,10 +629,7 @@ class Replica {
   telemetry::Counter* ctr_fast_fence_;
   telemetry::Counter* ctr_fast_discards_;
   telemetry::Counter* ctr_fast_repairs_;
-  telemetry::Counter* ctr_copy_chunks_;
-  telemetry::Counter* ctr_copy_corrupt_;
   telemetry::Counter* ctr_copy_deferred_;
-  telemetry::Counter* ctr_copy_pulls_;
   telemetry::Counter* ctr_wrong_epoch_;
   telemetry::Counter* ctr_quiesce_;
   telemetry::Histogram* hist_exec_;
@@ -636,8 +639,8 @@ class Replica {
   sim::Rng rng_;
 };
 
-/// Session <-> wire blob, shared by state transfer (chunk records) and
-/// the checkpoint writer (kRecordSession records). `last_active` is a
+/// Session <-> record value (kRecordSession), shared by state transfer,
+/// migration and the checkpoint writer. `last_active` is a
 /// local clock and stays off the wire; installers re-stamp it. A
 /// truncated or corrupt blob decodes to an empty session.
 std::vector<std::byte> encode_session(const Replica::Session& s);

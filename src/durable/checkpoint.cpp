@@ -60,7 +60,7 @@ struct PageEntry {
 static_assert(std::is_trivially_copyable_v<PageEntry>);
 
 /// Data pages are self-describing: this header, then `record_count`
-/// packed (RecHeader, bytes) pairs.
+/// packed records (durable/record.hpp).
 struct DPageHeader {
   std::uint64_t magic = 0;
   std::uint32_t record_count = 0;
@@ -68,22 +68,29 @@ struct DPageHeader {
 };
 static_assert(std::is_trivially_copyable_v<DPageHeader>);
 
-struct RecHeader {
-  std::uint32_t kind = 0;
-  std::uint32_t flags = 0;
-  std::uint64_t id = 0;
-  std::uint64_t tmp = 0;
-  std::uint32_t len = 0;
-  std::uint32_t pad = 0;
-};
-static_assert(std::is_trivially_copyable_v<RecHeader>);
-
 template <typename T>
 T load_pod(std::span<const std::byte> s, std::uint64_t off) {
   T out{};
   if (off + sizeof(T) > s.size()) return out;
   std::memcpy(&out, s.data() + off, sizeof(T));
   return out;
+}
+
+/// Visits a data page's records as fn(record, offset in the page). False
+/// when the page header or any record is malformed.
+template <typename Fn>
+bool for_each_page_record(std::span<const std::byte> page, Fn&& fn) {
+  const auto dh = load_pod<DPageHeader>(page, 0);
+  if (dh.magic != kDataMagic || dh.used > page.size() ||
+      dh.used < sizeof(DPageHeader)) {
+    return false;
+  }
+  return for_each_record(
+      page.subspan(sizeof(DPageHeader), dh.used - sizeof(DPageHeader)),
+      dh.record_count, [&](const RecordView& r) {
+        fn(r, static_cast<std::uint32_t>(r.value.data() - page.data() -
+                                         sizeof(RecordHeader)));
+      });
 }
 
 template <typename T>
@@ -152,35 +159,20 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
 
   // --- pack records into data-page payloads ----------------------------
   const std::uint32_t cap = page_payload_capacity();
-  struct PendingLoc {
-    std::pair<std::uint32_t, std::uint64_t> key;
-    std::uint32_t offset = 0;
-    std::uint32_t flags = 0;
-    std::uint64_t tmp = 0;
-  };
   std::vector<std::vector<std::byte>> payloads;
-  std::vector<std::vector<PendingLoc>> payload_locs;
   std::vector<std::uint32_t> payload_counts;
-  const auto open_page = [&] {
-    payloads.emplace_back(sizeof(DPageHeader));
-    payload_locs.emplace_back();
-    payload_counts.push_back(0);
-  };
   for (const Record& r : records) {
-    const std::size_t rec_len = sizeof(RecHeader) + r.bytes.size();
+    const std::size_t rec_len = r.encoded_size();
     if (sizeof(DPageHeader) + rec_len > cap) {
       throw std::runtime_error("durable: record larger than a page");
     }
     if (payloads.empty() || payloads.back().size() + rec_len > cap) {
-      open_page();
+      payloads.emplace_back(sizeof(DPageHeader));
+      payload_counts.push_back(0);
     }
     auto& page = payloads.back();
-    payload_locs.back().push_back(PendingLoc{
-        {r.kind, r.id}, static_cast<std::uint32_t>(page.size()), r.flags,
-        r.tmp});
-    append_pod(page, RecHeader{r.kind, r.flags, r.id, r.tmp,
-                               static_cast<std::uint32_t>(r.bytes.size()), 0});
-    page.insert(page.end(), r.bytes.begin(), r.bytes.end());
+    page.resize(page.size() + rec_len);
+    encode_record(r, std::span(page).last(rec_len));
     ++payload_counts.back();
   }
 
@@ -274,9 +266,11 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
   }
   chain_pages_.insert(chain_pages_.end(), fresh.begin(), fresh.end());
   for (std::size_t i = 0; i < payloads.size(); ++i) {
-    for (const PendingLoc& l : payload_locs[i]) {
-      index_[l.key] = RecordLoc{entries[i].page, l.offset, l.flags, l.tmp};
-    }
+    for_each_page_record(payloads[i], [&](const RecordView& r,
+                                          std::uint32_t offset) {
+      index_[{r.kind, r.id}] =
+          RecordLoc{entries[i].page, offset, r.flags, r.tmp};
+    });
   }
   ++checkpoints_;
   if (ctr_checkpoints_ != nullptr) ctr_checkpoints_->inc();
@@ -378,37 +372,16 @@ sim::Task<std::optional<Image>> CheckpointStore::load_latest() {
           ok = false;
           break;
         }
-        const auto dh = load_pod<DPageHeader>(buf, 0);
-        if (dh.magic != kDataMagic || dh.used > buf.size()) {
-          ok = false;
-          break;
-        }
-        std::uint64_t off = sizeof(DPageHeader);
-        for (std::uint32_t r = 0; r < dh.record_count; ++r) {
-          const auto rec = load_pod<RecHeader>(buf, off);
-          if (off + sizeof(RecHeader) + rec.len > dh.used) {
-            ok = false;
-            break;
-          }
+        ok = for_each_page_record(buf, [&](const RecordView& rec,
+                                           std::uint32_t offset) {
           const auto key = std::pair{rec.kind, rec.id};
           if (have.insert(key).second) {
-            Record out;
-            out.kind = rec.kind;
-            out.flags = rec.flags;
-            out.id = rec.id;
-            out.tmp = rec.tmp;
-            out.bytes.assign(buf.begin() + static_cast<std::ptrdiff_t>(
-                                               off + sizeof(RecHeader)),
-                             buf.begin() + static_cast<std::ptrdiff_t>(
-                                               off + sizeof(RecHeader) +
-                                               rec.len));
-            img.records.push_back(std::move(out));
-            new_index[key] = RecordLoc{entry.page,
-                                       static_cast<std::uint32_t>(off),
-                                       rec.flags, rec.tmp};
+            img.records.push_back(Record{
+                rec.kind, rec.flags, rec.id, rec.tmp,
+                std::vector<std::byte>(rec.value.begin(), rec.value.end())});
+            new_index[key] = RecordLoc{entry.page, offset, rec.flags, rec.tmp};
           }
-          off += sizeof(RecHeader) + rec.len;
-        }
+        });
         if (!ok) break;
       }
       if (!ok) break;
@@ -459,21 +432,13 @@ sim::Task<std::optional<Record>> CheckpointStore::fetch_record(
   if (!ok) co_return std::nullopt;
   const auto dh = load_pod<DPageHeader>(buf, 0);
   if (dh.magic != kDataMagic) co_return std::nullopt;
-  const auto rec = load_pod<RecHeader>(buf, loc.offset);
-  if (rec.kind != kind || rec.id != id ||
-      loc.offset + sizeof(RecHeader) + rec.len > buf.size()) {
+  std::size_t off = loc.offset;
+  RecordView rec;
+  if (!decode_record(buf, &off, &rec) || rec.kind != kind || rec.id != id) {
     co_return std::nullopt;
   }
-  Record out;
-  out.kind = rec.kind;
-  out.flags = rec.flags;
-  out.id = rec.id;
-  out.tmp = rec.tmp;
-  out.bytes.assign(
-      buf.begin() + static_cast<std::ptrdiff_t>(loc.offset + sizeof(RecHeader)),
-      buf.begin() +
-          static_cast<std::ptrdiff_t>(loc.offset + sizeof(RecHeader) + rec.len));
-  co_return out;
+  co_return Record{rec.kind, rec.flags, rec.id, rec.tmp,
+                   std::vector<std::byte>(rec.value.begin(), rec.value.end())};
 }
 
 }  // namespace heron::durable

@@ -5,7 +5,8 @@
 //   * pages 0 and 1 — two superblock slots, written alternately with an
 //     increasing sequence number. A reader takes the valid superblock
 //     with the highest seq; writing the superblock is the commit point.
-//   * data pages — packed state records (objects, sessions, tombstones).
+//   * data pages — packed state records (objects, sessions, tombstones)
+//     in the shared record format (durable/record.hpp).
 //   * manifest pages — one manifest per checkpoint, spanning a chain of
 //     pages. The manifest carries {watermark, lease epoch/expiry, the
 //     data-page list with per-page checksums, a link to the previous
@@ -30,26 +31,9 @@
 #include <vector>
 
 #include "durable/page_device.hpp"
+#include "durable/record.hpp"
 
 namespace heron::durable {
-
-/// Record kinds inside a checkpoint. Ids are oids (objects) or client
-/// ids (sessions, tombstones); `tmp` is the object version, the session's
-/// last executed command timestamp, or the tombstone's evicted floor.
-constexpr std::uint32_t kRecordObject = 0;
-constexpr std::uint32_t kRecordSession = 1;
-constexpr std::uint32_t kRecordTombstone = 2;
-
-/// Object flag bit: value stored in serialized form.
-constexpr std::uint32_t kRecordFlagSerialized = 1u << 0;
-
-struct Record {
-  std::uint32_t kind = kRecordObject;
-  std::uint32_t flags = 0;
-  std::uint64_t id = 0;
-  std::uint64_t tmp = 0;
-  std::vector<std::byte> bytes;
-};
 
 /// Decoded newest-wins state of a checkpoint chain.
 struct Image {

@@ -89,7 +89,20 @@ struct ReconfigConfig {
   sim::Nanos delta_pass_interval = sim::us(100);  // sleep between passes
   std::uint32_t seal_dirty_threshold = 64;     // caught-up when dirty <=
   sim::Nanos pull_timeout = sim::ms(2);        // dest starvation -> pull
-  double chunk_corrupt_rate = 0.0;             // torn copy-chunk injection
+  /// Torn-chunk fault hook of both state streams (migration copy and
+  /// Algorithm 3 transfer): a payload byte flipped after the CRC.
+  double chunk_corrupt_rate = 0.0;
+};
+
+/// Pull word a starved destination rank writes into a source replica's
+/// reconfig region (after the copy rings). `serial` increases per
+/// request; the source answers any serial above the last one it handled
+/// with a full-range resend (objects + sessions + SEAL), which is
+/// idempotent at the receiver.
+struct PullWord {
+  std::uint64_t serial = 0;
+  std::int32_t requester = -1;  // dest rank to send to
+  std::uint32_t pad = 0;
 };
 
 /// A scheduled range move, driven by the System's controller coroutine.

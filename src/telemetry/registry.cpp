@@ -16,6 +16,15 @@ Counter& MetricsRegistry::counter(std::string subsystem, std::string name,
   return *slot;
 }
 
+Counter& MetricsRegistry::stat(std::string subsystem, std::string name,
+                               std::string label) {
+  static const bool kAlways = true;
+  auto& slot = counters_[{std::move(subsystem), std::move(name),
+                          std::move(label)}];
+  if (!slot) slot.reset(new Counter(&kAlways));
+  return *slot;
+}
+
 Gauge& MetricsRegistry::gauge(std::string subsystem, std::string name,
                               std::string label) {
   auto& slot =

@@ -30,6 +30,7 @@ class Counter {
     if (*enabled_) value_ += n;
   }
   [[nodiscard]] std::uint64_t value() const { return value_; }
+  void reset() { value_ = 0; }
 
  private:
   friend class MetricsRegistry;
@@ -127,6 +128,11 @@ class MetricsRegistry {
   /// lifetime; repeated calls with the same key return the same object.
   Counter& counter(std::string subsystem, std::string name,
                    std::string label = "");
+  /// A counter that counts whether or not the registry is enabled: the
+  /// single home of a statistic that an accessor reads back (no shadow
+  /// raw field). Snapshotted and reset like any other counter.
+  Counter& stat(std::string subsystem, std::string name,
+                std::string label = "");
   Gauge& gauge(std::string subsystem, std::string name,
                std::string label = "");
   Histogram& histogram(std::string subsystem, std::string name,

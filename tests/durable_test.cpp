@@ -1,7 +1,7 @@
-// Unit tests for the simulated durable subsystem: CRC, the page device's
-// cost/fault model, and the checkpoint store's atomic-commit protocol
-// (manifest chains, newest-wins deltas, aborts, corruption fallback,
-// compaction, record paging).
+// Unit tests for the simulated durable subsystem: CRC, the state-record
+// codec, the page device's cost/fault model, and the checkpoint store's
+// atomic-commit protocol (manifest chains, newest-wins deltas, aborts,
+// corruption fallback, compaction, record paging).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -44,6 +44,14 @@ Record object_record(std::uint64_t id, std::uint64_t tmp,
   return r;
 }
 
+std::vector<std::byte> from_hex(const std::string& hex) {
+  std::vector<std::byte> out(hex.size() / 2);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::byte>(std::stoul(hex.substr(2 * i, 2), nullptr, 16));
+  }
+  return out;
+}
+
 /// Builds a record vector without a braced initializer list — GCC 12
 /// miscompiles initializer_list temporaries inside coroutine frames
 /// ("array used as initializer").
@@ -60,6 +68,46 @@ TEST(Crc32, KnownAnswer) {
   EXPECT_EQ(crc32(std::as_bytes(std::span(kat.data(), kat.size()))),
             0xCBF43926u);
   EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(RecordCodec, RoundtripAndTruncation) {
+  const Record session{kRecordSession, 0, 42, 100, bytes_of("sessiondata")};
+  const Record layout{kRecordLayout, kRecordFlagSerialized, 0, 9, {}};
+  std::vector<std::byte> payload(session.encoded_size() +
+                                 layout.encoded_size());
+  encode_record(session, payload);
+  encode_record(layout, std::span(payload).subspan(session.encoded_size()));
+  EXPECT_EQ(payload.size(), 2 * sizeof(RecordHeader) + 11);
+
+  std::vector<Record> back;
+  EXPECT_TRUE(for_each_record(payload, 2, [&](const RecordView& r) {
+    back.push_back(Record{r.kind, r.flags, r.id, r.tmp,
+                          std::vector<std::byte>(r.value.begin(),
+                                                 r.value.end())});
+  }));
+  EXPECT_EQ(back.size(), 2u);
+  if (back.size() != 2) return;
+  EXPECT_EQ(back[0].kind, kRecordSession);
+  EXPECT_EQ(back[0].id, 42u);
+  EXPECT_EQ(back[0].tmp, 100u);
+  EXPECT_EQ(back[0].bytes, bytes_of("sessiondata"));
+  EXPECT_EQ(back[1].kind, kRecordLayout);
+  EXPECT_TRUE(back[1].view().serialized());
+  EXPECT_EQ(back[1].tmp, 9u);
+  EXPECT_TRUE(back[1].bytes.empty());
+
+  // Every truncation is "malformed" — never a read past the payload (the
+  // sanitizer build checks the latter) — and no record is visited.
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    int visited = 0;
+    EXPECT_FALSE(for_each_record(std::span(payload).first(cut), 2,
+                                 [&](const RecordView&) { ++visited; }))
+        << "cut at " << cut;
+    EXPECT_EQ(visited, 0);
+  }
+  // A count that disagrees with the payload is malformed too.
+  EXPECT_FALSE(for_each_record(payload, 1, [](const RecordView&) {}));
+  EXPECT_FALSE(for_each_record(payload, 3, [](const RecordView&) {}));
 }
 
 TEST(PageDevice, RoundtripChargesDeviceTime) {
@@ -156,6 +204,19 @@ TEST(CheckpointStore, CommitAndLoadRoundtrip) {
     EXPECT_EQ(img->lease_expiry, 12345);
     EXPECT_EQ(img->chain_length, 1u);
     EXPECT_EQ(img->records.size(), 3u);
+
+    // The data page keeps its on-device format byte for byte: a 16-byte
+    // page header ("HERONDAT", record count, bytes used), then each
+    // record's 32-byte header {kind, flags, id, tmp, len, pad} and value.
+    std::vector<std::byte> page;
+    EXPECT_TRUE(co_await store.device().read_page(2, page));
+    EXPECT_EQ(page, from_hex(
+                        "5441444e4f524548030000008400000000000000000000000100"
+                        "00000000000064000000000000000500000000000000616c7068"
+                        "610000000000000000020000000000000064000000000000000400"
+                        "0000000000006265746101000000000000002a00000000000000"
+                        "64000000000000000b0000000000000073657373696f6e646174"
+                        "61"));
 
     const auto fetched = co_await store.fetch_record(kRecordSession, 42);
     EXPECT_TRUE(fetched.has_value());

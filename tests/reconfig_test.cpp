@@ -245,6 +245,19 @@ TEST(Reconfig, LeaderCrashMidMigrationKeepsOracles) {
   EXPECT_EQ(res.completed, 3u * 120u);
 }
 
+TEST(Reconfig, DestCrashDuringFirstPassStillFlipsAndSeals) {
+  // Destination rank 0 is down while its pair source runs pass 0, so
+  // every copy chunk to it fails. The source's copier must keep going
+  // (the dest pulls the final image after it rejoins); if it stopped,
+  // the controller would wait forever for it to catch up and never FLIP.
+  const auto res =
+      run_split_cell(59, /*clients=*/3, /*ops=*/120, kv_config(),
+                     "crash g1.r0 @ 1005us; restart g1.r0 @ 8ms");
+  expect_clean(res);
+  EXPECT_EQ(res.final_epoch, 3u);
+  EXPECT_EQ(res.completed, 3u * 120u);
+}
+
 TEST(Reconfig, TornCopyChunksAreDetectedAndRecovered) {
   auto cfg = kv_config();
   cfg.reconfig.chunk_corrupt_rate = 0.6;

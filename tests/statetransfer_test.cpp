@@ -1,14 +1,18 @@
 // Focused tests for Algorithm 3 (state transfer): the protocol floor,
 // correctness of transferred state, handler selection and its timeout
 // fallback when the first candidate has crashed, full transfers after
-// log truncation, and the serialized/non-serialized cost asymmetry.
+// log truncation, the serialized/non-serialized cost asymmetry, and the
+// state stream underneath (flow control against a slow lagger, torn and
+// malformed chunks, sender crash/restart).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 
+#include "core/state_stream.hpp"
 #include "core/system.hpp"
 #include "rdma/fabric.hpp"
+#include "rdma/pod.hpp"
 
 namespace heron::core {
 namespace {
@@ -95,6 +99,40 @@ struct Env {
       co_await c.submit(amcast::dst_of(0), kPut, payload);
     }(*client, oid));
     sim.run_for(sim::ms(2));
+  }
+
+  /// Occupies the lagger's CPU (stalling its chunk applier) for `d` at
+  /// each of `bursts` bursts, `gap` apart.
+  void hold_lagger_cpu(Nanos d, int bursts = 1, Nanos gap = 0) {
+    sim.spawn([](sim::Simulator& s, sim::Cpu& cpu, Nanos busy, int n,
+                 Nanos idle) -> Task<void> {
+      for (int i = 0; i < n; ++i) {
+        co_await cpu.use(busy);
+        if (idle > 0) co_await s.sleep(idle);
+      }
+    }(sim, sys->replica(0, 2).node().cpu(), d, bursts, gap));
+  }
+
+  /// Overwrites every object at the lagger with garbage at version 1, so
+  /// any object a transfer fails to ship stays visibly stale.
+  void wipe_lagger(std::uint64_t count, std::uint32_t size) {
+    std::vector<std::byte> garbage(size, std::byte{0xee});
+    for (Oid oid = 1; oid <= count; ++oid) {
+      sys->replica(0, 2).store().install_version(oid, garbage, 1, false);
+    }
+  }
+
+  /// Objects whose version or bytes differ between the lagger and `donor`.
+  int stale_objects(std::uint64_t count, int donor = 0) {
+    int stale = 0;
+    for (Oid oid = 1; oid <= count; ++oid) {
+      const auto [dt, dv] = sys->replica(0, donor).store().get(oid);
+      const auto [lt, lv] = sys->replica(0, 2).store().get(oid);
+      if (dt != lt || !std::equal(dv.begin(), dv.end(), lv.begin(), lv.end())) {
+        ++stale;
+      }
+    }
+    return stale;
   }
 
   /// Forces a transfer at replica (0,2) covering everything from `from`,
@@ -290,6 +328,229 @@ TEST(StateTransfer, LaggerSkipsCoveredRequests) {
   auto [t0, v0] = env.sys->replica(0, 0).store().get(1);
   auto [t2, v2] = lagger.store().get(1);
   EXPECT_EQ(t0, t2);
+}
+
+/// A small ring, a lagger whose CPU is busy while the donor streams: the
+/// donor must stay within the ring window. A donor that laps unapplied
+/// chunks leaves most objects stale behind a "successful" transfer.
+TEST(StateTransfer, RingLapUnderCpuHoldLosesNothing) {
+  HeronConfig cfg;
+  cfg.statesync_ring_slots = 4;
+  cfg.statesync_chunk_bytes = 4u << 10;
+  Env env(64, 1u << 10, false, cfg);
+  env.submit(kTouch);
+  env.wipe_lagger(64, 1u << 10);
+  ASSERT_EQ(env.stale_objects(64), 64);
+
+  env.hold_lagger_cpu(sim::ms(2));
+  const Nanos d = env.force(env.sys->replica(0, 0).last_req());
+  ASSERT_GE(d, 0) << "transfer never completed";
+  EXPECT_GE(d, sim::ms(2));  // it did wait out the lagger
+  EXPECT_EQ(env.stale_objects(64), 0);
+  const auto& xfer = env.sys->replica(0, 2).xfer_stream();
+  EXPECT_EQ(xfer.stat(StateStream::kChunksCorrupt), 0u);
+  EXPECT_EQ(xfer.stat(StateStream::kResends), 0u);
+}
+
+/// A transfer of many ring-fulls to a lagger whose CPU is held in
+/// repeated bursts completes and converges: the window keeps making
+/// progress, with no resend loop.
+TEST(StateTransfer, SlowLaggerMakesProgressWithoutResends) {
+  HeronConfig cfg;
+  cfg.statesync_ring_slots = 4;
+  cfg.statesync_chunk_bytes = 4u << 10;
+  Env env(128, 1u << 10, false, cfg);
+  env.submit(kTouch);
+  env.wipe_lagger(128, 1u << 10);
+
+  env.hold_lagger_cpu(sim::us(300), /*bursts=*/12, /*gap=*/sim::us(100));
+  const Nanos d = env.force(env.sys->replica(0, 0).last_req());
+  ASSERT_GE(d, 0) << "transfer never completed";
+  EXPECT_EQ(env.stale_objects(128), 0);
+  const auto& sent = env.sys->replica(0, 0).xfer_stream();
+  const auto& got = env.sys->replica(0, 2).xfer_stream();
+  // 128 records of ~1 KiB, three per 4 KiB chunk: 43 chunks, >= 10 rings.
+  EXPECT_GE(sent.stat(StateStream::kChunksSent), 4u * cfg.statesync_ring_slots);
+  EXPECT_EQ(got.stat(StateStream::kChunksReceived), sent.stat(StateStream::kChunksSent));
+  EXPECT_EQ(got.stat(StateStream::kResends), 0u);
+}
+
+/// Torn chunks (a payload byte flipped after the CRC) are detected by the
+/// lagger, which re-issues its request until a clean stream lands.
+TEST(StateTransfer, TornChunksAreReRequested) {
+  HeronConfig cfg;
+  cfg.reconfig.chunk_corrupt_rate = 0.6;
+  Env env(40, 1u << 10, false, cfg);  // two 32 KiB chunks per transfer
+  env.submit(kTouch);
+  env.wipe_lagger(40, 1u << 10);
+
+  const Nanos d = env.force(env.sys->replica(0, 0).last_req());
+  ASSERT_GE(d, 0) << "transfer never completed";
+  EXPECT_EQ(env.stale_objects(40), 0);
+  const auto& xfer = env.sys->replica(0, 2).xfer_stream();
+  EXPECT_GT(xfer.stat(StateStream::kChunksCorrupt), 0u);
+  EXPECT_GT(xfer.stat(StateStream::kResends), 0u);
+}
+
+/// The donor crashes mid-transfer (its chunks stuck behind a busy lagger),
+/// restarts, and serves the lagger's next request: it recovers its send
+/// cursor from the lagger's cursor word, and the new transfer applies
+/// cleanly — the donor's newer values, none of the abandoned stream's.
+TEST(StateTransfer, RestartedSenderResumesItsRing) {
+  HeronConfig cfg;
+  cfg.statesync_ring_slots = 8;
+  cfg.statesync_chunk_bytes = 4u << 10;
+  cfg.statesync_timeout = sim::us(300);
+  Env env(48, 1u << 10, false, cfg);
+  env.submit(kTouch);
+  env.wipe_lagger(48, 1u << 10);
+
+  // First request: rank 0 streams until it crashes; rank 1 takes over
+  // after the suspicion timeout.
+  env.hold_lagger_cpu(sim::ms(1));
+  Nanos first = -1;
+  env.sim.spawn([](sim::Simulator& s, Replica& lagger, Tmp f,
+                   Nanos& out) -> Task<void> {
+    const Nanos t0 = s.now();
+    co_await lagger.force_state_transfer(f);
+    out = s.now() - t0;
+  }(env.sim, env.sys->replica(0, 2), env.sys->replica(0, 0).last_req(),
+             first));
+  env.sim.run_for(sim::us(40));
+  ASSERT_GT(env.sys->replica(0, 0).xfer_stream().stat(StateStream::kChunksSent), 0u);
+  env.sys->replica(0, 0).node().crash();
+  env.sim.run_for(sim::ms(10));
+  ASSERT_GE(first, 0) << "fallback handler never completed the transfer";
+  EXPECT_EQ(env.stale_objects(48, /*donor=*/1), 0);
+
+  env.sys->restart_replica(0, 0);
+  env.sim.run_for(sim::ms(5));
+  ASSERT_FALSE(env.sys->replica(0, 0).rejoining());
+
+  // New values everywhere, then a wiped lagger asks again: rank 0 (first
+  // candidate) serves with a recovered cursor.
+  env.submit(kTouch);
+  env.wipe_lagger(48, 1u << 10);
+  const auto sent_before = env.sys->replica(0, 0).xfer_stream().stat(StateStream::kChunksSent);
+  const auto taints_before = env.sys->replica(0, 2).xfer_stream().taints();
+  const Nanos d = env.force(env.sys->replica(0, 0).last_req());
+  ASSERT_GE(d, 0) << "transfer never completed";
+  EXPECT_GT(env.sys->replica(0, 0).xfer_stream().stat(StateStream::kChunksSent), sent_before);
+  EXPECT_EQ(env.sys->replica(0, 2).xfer_stream().taints(), taints_before);
+  EXPECT_EQ(env.stale_objects(48), 0);
+}
+
+/// Stream-level check of the same property: chunks an abandoned stream
+/// left in a ring are never applied once a restarted sender has started
+/// a newer stream over them.
+TEST(StateStream, LeftoverChunksOfAnAbandonedStreamAreNotApplied) {
+  sim::Simulator sim;
+  rdma::Fabric fabric(sim, rdma::LatencyModel{}, 5);
+  rdma::Node& a = fabric.add_node();
+  rdma::Node& b = fabric.add_node();
+  const StateStream::Geometry geo{8, 1024, 1};
+  const rdma::MrId a_mr = a.register_region(geo.bytes());
+  const rdma::MrId b_mr = b.register_region(geo.bytes());
+  sim::Rng rng(1);
+  StateStream sender(fabric, a, a_mr, geo, 0, {0.05, 1.0}, rng, 0.0, "tx",
+                     "a");
+  StateStream receiver(fabric, b, b_mr, geo, 0, {0.05, 1.0}, rng, 0.0, "rx",
+                       "b");
+
+  // Six one-record chunks per stream; record ids say which stream.
+  auto stream_of = [](std::uint64_t base) {
+    std::vector<durable::Record> out;
+    for (std::uint64_t i = 0; i < 6; ++i) {
+      out.push_back(durable::Record{durable::kRecordObject, 0, base + i, 1,
+                                    std::vector<std::byte>(900)});
+    }
+    return out;
+  };
+  std::uint64_t expect = 1;
+  std::vector<std::uint64_t> applied;
+  auto run = [&](std::uint64_t stream, std::uint64_t base) {
+    bool ok = false;
+    sim.spawn([](StateStream& s, StateStream::Target t, std::uint64_t id,
+                 std::vector<durable::Record> recs, bool& out) -> Task<void> {
+      out = co_await s.send(t, id, std::move(recs), {});
+    }(sender, {b.id(), b_mr}, stream, stream_of(base), ok));
+    sim.run_for(sim::ms(1));
+    return ok;
+  };
+
+  // Stream 1 lands whole while the receiver is not draining; then the
+  // sender restarts and the receiver moves on to stream 2.
+  ASSERT_TRUE(run(1, 100));
+  sender.restart();
+  expect = 2;
+  auto five = stream_of(200);
+  five.pop_back();
+  sim.spawn([](StateStream& s, StateStream::Target t,
+               std::vector<durable::Record> recs) -> Task<void> {
+    co_await s.send(t, 2, std::move(recs), {});
+  }(sender, {b.id(), b_mr}, std::move(five)));
+  sim.run_for(sim::ms(1));
+  sim.spawn(receiver.receive_loop(
+      [&expect](std::uint64_t s) { return s == expect; },
+      [&applied](const durable::RecordView& r) {
+        applied.push_back(r.id);
+        return sim::Nanos{0};
+      }));
+  sim.run_for(sim::ms(1));
+
+  // The restarted sender recovered cursor 0 and overwrote slots 1-5; the
+  // sixth slot still holds stream 1's last chunk, which is dropped.
+  const std::vector<std::uint64_t> want{200, 201, 202, 203, 204};
+  EXPECT_EQ(applied, want);
+  EXPECT_TRUE(receiver.idle());
+  EXPECT_EQ(receiver.taints(), 0u);
+}
+
+/// A record whose length runs past the CRC'd payload is rejected as
+/// malformed; nothing of the chunk is applied and the stream is tainted.
+TEST(StateStream, RecordOverrunningThePayloadIsRejected) {
+  sim::Simulator sim;
+  rdma::Fabric fabric(sim, rdma::LatencyModel{}, 5);
+  rdma::Node& b = fabric.add_node();
+  const StateStream::Geometry geo{4, 256, 1};
+  const rdma::MrId mr = b.register_region(geo.bytes());
+  sim::Rng rng(1);
+  StateStream receiver(fabric, b, mr, geo, 0, {0.05, 1.0}, rng, 0.0, "rx",
+                       "b");
+  int applied = 0;
+  sim.spawn(receiver.receive_loop(
+      [](std::uint64_t) { return true; },
+      [&applied](const durable::RecordView&) {
+        ++applied;
+        return sim::Nanos{0};
+      }));
+
+  // One good record followed by one whose header claims 200 value bytes
+  // where only 8 follow; the chunk CRC covers exactly these 80 bytes.
+  std::vector<std::byte> payload(2 * sizeof(durable::RecordHeader) + 16);
+  const durable::Record good{durable::kRecordObject, 0, 7, 3,
+                             std::vector<std::byte>(8, std::byte{1})};
+  durable::encode_record(good, payload);
+  const durable::RecordHeader bad{durable::kRecordObject, 0, 8, 3, 200, 0};
+  std::memcpy(payload.data() + good.encoded_size(), &bad, sizeof(bad));
+  ChunkHeader hdr;
+  hdr.seq = 1;
+  hdr.stream = 1;
+  hdr.count = 2;
+  hdr.bytes = static_cast<std::uint32_t>(payload.size());
+  hdr.crc = durable::crc32(payload);
+  auto region = b.region(mr).bytes();
+  std::memcpy(region.data() + geo.slot_offset(0, 1) + sizeof(hdr),
+              payload.data(), payload.size());
+  rdma::store_pod(region, geo.slot_offset(0, 1), hdr);
+  b.region(mr).on_write().notify_all();
+  sim.run_for(sim::us(10));
+
+  EXPECT_EQ(applied, 0);
+  EXPECT_EQ(receiver.stat(StateStream::kChunksCorrupt), 1u);
+  EXPECT_EQ(receiver.stat(StateStream::kChunksReceived), 0u);
+  EXPECT_EQ(receiver.taints(), 1u);
+  EXPECT_TRUE(receiver.idle());
 }
 
 }  // namespace
