@@ -9,9 +9,10 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
-#include <map>
+#include <memory>
+#include <ranges>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/object_store.hpp"
@@ -22,20 +23,28 @@ namespace heron::core {
 
 /// Values materialised by the reading phase plus the write collector for
 /// the writing phase.
+///
+/// Storage is two byte arenas indexed by flat {oid, offset, length}
+/// slices: one for read values (kept sorted by oid), one for writes and
+/// creates (kept in call order). The runtime fills the read arena before
+/// Application::execute and never during it, so spans returned by value()
+/// stay valid for the whole execution. Arenas are recycled across
+/// contexts, so a warmed-up execution allocates nothing.
 class ExecContext {
  public:
-  ExecContext(GroupId my_partition, ObjectStore& store)
-      : partition_(my_partition), store_(&store) {}
+  ExecContext(GroupId my_partition, ObjectStore& store);
+  ~ExecContext();
+  ExecContext(const ExecContext&) = delete;
+  ExecContext& operator=(const ExecContext&) = delete;
 
   [[nodiscard]] GroupId my_partition() const { return partition_; }
 
   /// True if the reading phase obtained a value for `oid`.
-  [[nodiscard]] bool has(Oid oid) const { return values_.contains(oid); }
+  [[nodiscard]] bool has(Oid oid) const;
 
-  /// Value read for `oid` (local or remote). Precondition: has(oid).
-  [[nodiscard]] std::span<const std::byte> value(Oid oid) const {
-    return values_.at(oid);
-  }
+  /// Value read for `oid` (local or remote). Throws std::out_of_range
+  /// unless has(oid).
+  [[nodiscard]] std::span<const std::byte> value(Oid oid) const;
 
   template <typename T>
     requires std::is_trivially_copyable_v<T>
@@ -49,7 +58,7 @@ class ExecContext {
   /// Queues a local write (applied in the writing phase with the
   /// request's timestamp). Only objects of this partition may be written.
   void write(Oid oid, std::span<const std::byte> bytes) {
-    writes_.emplace_back(oid, std::vector<std::byte>(bytes.begin(), bytes.end()));
+    arena_->writes.push_back(stash(oid, bytes, false));
   }
 
   template <typename T>
@@ -62,8 +71,7 @@ class ExecContext {
   /// Queues creation of a new local object (e.g. a TPC-C order row).
   void create(Oid oid, std::span<const std::byte> bytes,
               bool serialized = false) {
-    creates_.push_back(Create{
-        oid, std::vector<std::byte>(bytes.begin(), bytes.end()), serialized});
+    arena_->creates.push_back(stash(oid, bytes, serialized));
   }
 
   /// Charges application CPU time (the execution-cost model).
@@ -74,26 +82,64 @@ class ExecContext {
   [[nodiscard]] const ObjectStore& local_store() const { return *store_; }
 
   // --- runtime-facing side ---------------------------------------------
-  struct Create {
+  /// Reading phase: records the value read for `oid`, replacing an
+  /// earlier one. Must not be called while Application::execute runs.
+  void set_value(Oid oid, std::span<const std::byte> bytes);
+
+  /// A queued write or create; `serialized` is only meaningful for
+  /// creates.
+  struct Item {
     Oid oid;
-    std::vector<std::byte> bytes;
+    std::span<const std::byte> bytes;
     bool serialized;
   };
 
-  std::map<Oid, std::vector<std::byte>>& mutable_values() { return values_; }
-  [[nodiscard]] const std::vector<std::pair<Oid, std::vector<std::byte>>>&
-  writes() const {
-    return writes_;
+ private:
+  struct Slice {
+    Oid oid;
+    std::uint32_t off;
+    std::uint32_t len;
+    bool serialized;
+  };
+
+  /// Random-access view of `slices` as Items over the write arena.
+  [[nodiscard]] auto items(const std::vector<Slice>& slices) const {
+    const std::byte* base = arena_->write_bytes.data();
+    return std::views::transform(slices, [base](const Slice& s) {
+      return Item{s.oid, {base + s.off, s.len}, s.serialized};
+    });
   }
-  [[nodiscard]] const std::vector<Create>& creates() const { return creates_; }
+
+ public:
+  /// Queued writes and creates, in call order.
+  [[nodiscard]] auto writes() const { return items(arena_->writes); }
+  [[nodiscard]] auto creates() const { return items(arena_->creates); }
   [[nodiscard]] sim::Nanos cpu_cost() const { return cpu_cost_; }
 
  private:
+  /// Recycled storage of one context (see the class comment).
+  struct Arena {
+    std::vector<std::byte> read_bytes;
+    std::vector<Slice> reads;  // sorted by oid
+    std::vector<std::byte> write_bytes;
+    std::vector<Slice> writes;   // call order
+    std::vector<Slice> creates;  // call order
+  };
+  /// This thread's idle arenas.
+  static std::vector<std::unique_ptr<Arena>>& idle_arenas();
+
+  Slice stash(Oid oid, std::span<const std::byte> bytes, bool serialized) {
+    std::vector<std::byte>& arena = arena_->write_bytes;
+    const Slice s{oid, static_cast<std::uint32_t>(arena.size()),
+                  static_cast<std::uint32_t>(bytes.size()), serialized};
+    arena.insert(arena.end(), bytes.begin(), bytes.end());
+    return s;
+  }
+  [[nodiscard]] const Slice* find_read(Oid oid) const;
+
   GroupId partition_;
   ObjectStore* store_;
-  std::map<Oid, std::vector<std::byte>> values_;
-  std::vector<std::pair<Oid, std::vector<std::byte>>> writes_;
-  std::vector<Create> creates_;
+  Arena* arena_;
   sim::Nanos cpu_cost_ = 0;
 };
 

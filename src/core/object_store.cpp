@@ -1,6 +1,7 @@
 #include "core/object_store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -55,9 +56,39 @@ std::span<const std::byte> ObjectStore::slot_span(const Entry& e) const {
                                                 2ull * e.size);
 }
 
+std::size_t ObjectStore::probe(Oid oid) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home_of(oid);
+  while (slots_[i] != 0 && entries_[slots_[i] - 1].oid != oid) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+const ObjectStore::Entry* ObjectStore::find(Oid oid) const {
+  if (slots_.empty()) return nullptr;
+  const std::uint32_t s = slots_[probe(oid)];
+  return s == 0 ? nullptr : &entries_[s - 1];
+}
+
+const ObjectStore::Entry& ObjectStore::at(Oid oid) const {
+  const Entry* e = find(oid);
+  if (e == nullptr) throw std::out_of_range("ObjectStore: unknown oid");
+  return *e;
+}
+
+void ObjectStore::rebuild(std::size_t slot_count) {
+  std::erase_if(entries_, [](const Entry& e) { return !e.live; });
+  slots_.assign(slot_count, 0);
+  shift_ = 64 - std::countr_zero(slot_count);
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    slots_[probe(entries_[i].oid)] = static_cast<std::uint32_t>(i + 1);
+  }
+}
+
 std::uint64_t ObjectStore::create(Oid oid, std::span<const std::byte> init,
                                   bool serialized) {
-  if (index_.contains(oid)) {
+  if (exists(oid)) {
     throw std::logic_error("ObjectStore::create: oid exists");
   }
   const auto size = static_cast<std::uint32_t>(init.size());
@@ -68,14 +99,19 @@ std::uint64_t ObjectStore::create(Oid oid, std::span<const std::byte> init,
   const std::uint64_t offset = bump_;
   bump_ += (slot_bytes + 7) & ~std::uint64_t{7};  // 8-byte align slots
 
-  Entry e{offset, size, serialized};
+  const Entry e{oid, offset, size, serialized, true};
   auto slot = slot_span(e);
   rdma::store_pod(slot, 0, std::uint64_t{0});  // seqlock: even, generation 0
   write_header(slot, 0, 0, size, header_word(oid, serialized));
   std::memcpy(slot.data() + SlotView::header_bytes(), init.data(), size);
   std::memcpy(slot.data() + SlotView::header_bytes() + size, init.data(),
               size);
-  index_.emplace(oid, e);
+  if (2 * (live_ + 1) > slots_.size()) {
+    rebuild(std::max<std::size_t>(16, 2 * slots_.size()));
+  }
+  entries_.push_back(e);
+  slots_[probe(oid)] = static_cast<std::uint32_t>(entries_.size());
+  ++live_;
   return offset;
 }
 
@@ -84,21 +120,36 @@ std::pair<Tmp, std::span<const std::byte>> ObjectStore::get(Oid oid) const {
 }
 
 void ObjectStore::retire(Oid oid) {
-  const auto it = index_.find(oid);
-  if (it == index_.end()) {
+  if (!exists(oid)) {
     throw std::logic_error("ObjectStore::retire: unknown oid");
   }
-  auto slot = slot_span(it->second);
-  rdma::store_pod(slot, 24, kRetiredSize);
-  index_.erase(it);
+  std::size_t hole = probe(oid);
+  Entry& e = entries_[slots_[hole] - 1];
+  rdma::store_pod(slot_span(e), 24, kRetiredSize);
+  e.live = false;
+  --live_;
+  // Backward-shift deletion: pull later members of the probe chain into
+  // the hole unless their home lies cyclically in (hole, i].
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = (hole + 1) & mask; slots_[i] != 0; i = (i + 1) & mask) {
+    const std::size_t home = home_of(entries_[slots_[i] - 1].oid);
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole] = 0;
+  // Retired entries keep their place in creation order until they
+  // outnumber the live ones.
+  if (entries_.size() - live_ > live_) rebuild(slots_.size());
 }
 
 SlotView ObjectStore::view(Oid oid) const {
-  return SlotView::parse(slot_span(index_.at(oid)));
+  return SlotView::parse(slot_span(at(oid)));
 }
 
 void ObjectStore::set(Oid oid, std::span<const std::byte> value, Tmp tmp) {
-  const Entry& e = index_.at(oid);
+  const Entry& e = at(oid);
   if (value.size() != e.size) {
     throw std::logic_error("ObjectStore::set: size mismatch");
   }
@@ -117,20 +168,20 @@ void ObjectStore::set(Oid oid, std::span<const std::byte> value, Tmp tmp) {
 }
 
 void ObjectStore::begin_write(Oid oid) {
-  auto slot = slot_span(index_.at(oid));
+  auto slot = slot_span(at(oid));
   const auto lock = rdma::load_pod<std::uint64_t>(slot, 0);
   // Already-odd means a nested bracket; keep it odd (outermost end wins).
   rdma::store_pod(slot, 0, lock | 1);
 }
 
 void ObjectStore::end_write(Oid oid) {
-  auto slot = slot_span(index_.at(oid));
+  auto slot = slot_span(at(oid));
   const auto lock = rdma::load_pod<std::uint64_t>(slot, 0);
   rdma::store_pod(slot, 0, (lock | 1) + 1);  // even, next generation
 }
 
 std::uint64_t ObjectStore::seqlock(Oid oid) const {
-  return rdma::load_pod<std::uint64_t>(slot_span(index_.at(oid)), 0);
+  return rdma::load_pod<std::uint64_t>(slot_span(at(oid)), 0);
 }
 
 bool ObjectStore::fast_pending(Oid oid) const {
@@ -139,7 +190,7 @@ bool ObjectStore::fast_pending(Oid oid) const {
 }
 
 bool ObjectStore::has_fast_trace(Oid oid) const {
-  const auto slot = slot_span(index_.at(oid));
+  const auto slot = slot_span(at(oid));
   const auto lock = rdma::load_pod<std::uint64_t>(slot, 0);
   const auto tmp_a = rdma::load_pod<Tmp>(slot, 8);
   const auto tmp_b = rdma::load_pod<Tmp>(slot, 16);
@@ -147,7 +198,7 @@ bool ObjectStore::has_fast_trace(Oid oid) const {
 }
 
 void ObjectStore::discard_pending(Oid oid) {
-  auto slot = slot_span(index_.at(oid));
+  auto slot = slot_span(at(oid));
   const auto lock = rdma::load_pod<std::uint64_t>(slot, 0);
   if ((lock & kFastTmpBit) == 0 || (lock & 1) == 0) return;  // not pending
   const Tmp pending = lock & ~std::uint64_t{1};
@@ -177,13 +228,13 @@ void ObjectStore::discard_pending(Oid oid) {
 }
 
 void ObjectStore::validate_fast(Oid oid, Tmp tmp) {
-  auto slot = slot_span(index_.at(oid));
+  auto slot = slot_span(at(oid));
   rdma::store_pod(slot, 0, static_cast<std::uint64_t>(tmp));
   node_->region(mr_).on_write().notify_all();
 }
 
 void ObjectStore::clear_fast_lock(Oid oid) {
-  auto slot = slot_span(index_.at(oid));
+  auto slot = slot_span(at(oid));
   const auto lock = rdma::load_pod<std::uint64_t>(slot, 0);
   if ((lock & kFastTmpBit) == 0) return;
   // Plain generation 1 (odd) or 2 (even): the absolute count is
@@ -195,15 +246,13 @@ void ObjectStore::clear_fast_lock(Oid oid) {
 
 void ObjectStore::install_slot(Oid oid, std::span<const std::byte> slot_bytes,
                                std::uint32_t size, bool serialized) {
-  auto it = index_.find(oid);
-  if (it == index_.end()) {
+  if (!exists(oid)) {
     // Lagger receiving an object it never created (e.g. a TPC-C order row
     // inserted while it lagged): allocate, then overwrite.
     std::vector<std::byte> zero(size);
     create(oid, zero, serialized);
-    it = index_.find(oid);
   }
-  const Entry& e = it->second;
+  const Entry& e = at(oid);
   if (slot_bytes.size() != SlotView::header_bytes() + 2ull * e.size) {
     throw std::logic_error("ObjectStore::install_slot: size mismatch");
   }
@@ -213,12 +262,8 @@ void ObjectStore::install_slot(Oid oid, std::span<const std::byte> slot_bytes,
 
 void ObjectStore::install_version(Oid oid, std::span<const std::byte> value,
                                   Tmp tmp, bool serialized) {
-  auto it = index_.find(oid);
-  if (it == index_.end()) {
-    create(oid, value, serialized);
-    it = index_.find(oid);
-  }
-  const Entry& e = it->second;
+  if (!exists(oid)) create(oid, value, serialized);
+  const Entry& e = at(oid);
   if (value.size() != e.size) {
     throw std::logic_error("ObjectStore::install_version: size mismatch");
   }
@@ -231,23 +276,23 @@ void ObjectStore::install_version(Oid oid, std::span<const std::byte> value,
 }
 
 std::uint64_t ObjectStore::offset_of(Oid oid) const {
-  return index_.at(oid).offset;
+  return at(oid).offset;
 }
 
 std::uint32_t ObjectStore::size_of(Oid oid) const {
-  return index_.at(oid).size;
+  return at(oid).size;
 }
 
 bool ObjectStore::is_serialized(Oid oid) const {
-  return index_.at(oid).serialized;
+  return at(oid).serialized;
 }
 
 std::uint64_t ObjectStore::slot_bytes_of(Oid oid) const {
-  return SlotView::header_bytes() + 2ull * index_.at(oid).size;
+  return SlotView::header_bytes() + 2ull * at(oid).size;
 }
 
 std::span<const std::byte> ObjectStore::raw_slot(Oid oid) const {
-  return slot_span(index_.at(oid));
+  return slot_span(at(oid));
 }
 
 }  // namespace heron::core

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.hpp"
@@ -137,7 +136,7 @@ class ObjectStore {
   std::uint64_t create(Oid oid, std::span<const std::byte> init,
                        bool serialized = false);
 
-  [[nodiscard]] bool exists(Oid oid) const { return index_.contains(oid); }
+  [[nodiscard]] bool exists(Oid oid) const { return find(oid) != nullptr; }
 
   /// Local read of the current version.
   [[nodiscard]] std::pair<Tmp, std::span<const std::byte>> get(Oid oid) const;
@@ -204,30 +203,55 @@ class ObjectStore {
   [[nodiscard]] std::span<const std::byte> raw_slot(Oid oid) const;
 
   [[nodiscard]] rdma::MrId mr() const { return mr_; }
-  [[nodiscard]] std::size_t object_count() const { return index_.size(); }
+  [[nodiscard]] std::size_t object_count() const { return live_; }
   [[nodiscard]] std::uint64_t bytes_used() const { return bump_; }
 
-  /// Visits every object id (iteration order unspecified); used by
-  /// full-state transfers and checkpoints.
+  /// Visits every object id in creation order, which is also slot-offset
+  /// order (the region is a bump allocator); used by full-state transfers
+  /// and checkpoints. `fn` must not create or retire objects.
   template <typename Fn>
   void for_each_oid(Fn&& fn) const {
-    for (const auto& [oid, entry] : index_) fn(oid);
+    for (const Entry& e : entries_) {
+      if (e.live) fn(e.oid);
+    }
   }
 
  private:
   struct Entry {
+    Oid oid;
     std::uint64_t offset;
     std::uint32_t size;
     bool serialized;
+    bool live;  // false once retired; dropped at the next compaction
   };
 
   [[nodiscard]] std::span<std::byte> slot_span(const Entry& e);
   [[nodiscard]] std::span<const std::byte> slot_span(const Entry& e) const;
 
+  // --- index: open addressing over entries_ ----------------------------
+  // slots_ has a power-of-two size and holds entry index + 1 (0 = empty).
+  // Fibonacci hashing picks the home slot, collisions probe linearly, and
+  // retire() deletes by backward shift, so no tombstones ever sit in the
+  // probe chains. The load factor stays at or below 1/2.
+  [[nodiscard]] std::size_t home_of(Oid oid) const {
+    return static_cast<std::size_t>((oid * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  /// Slot holding `oid`, or the empty slot that ends its probe chain.
+  [[nodiscard]] std::size_t probe(Oid oid) const;
+  [[nodiscard]] const Entry* find(Oid oid) const;
+  /// find() that throws std::out_of_range for an unknown oid.
+  [[nodiscard]] const Entry& at(Oid oid) const;
+  /// Rebuilds slots_ at `slot_count` slots over the live entries, dropping
+  /// retired ones from entries_.
+  void rebuild(std::size_t slot_count);
+
   rdma::Node* node_;
   rdma::MrId mr_;
   std::uint64_t bump_ = 0;
-  std::unordered_map<Oid, Entry> index_;
+  std::vector<Entry> entries_;  // creation order
+  std::vector<std::uint32_t> slots_;
+  int shift_ = 64;
+  std::size_t live_ = 0;
 };
 
 }  // namespace heron::core

@@ -850,14 +850,22 @@ sim::Task<Replica::ExecOutcome> Replica::execute(const Request& r) {
 
 sim::Task<Replica::ExecOutcome> Replica::execute_on(const Request& r,
                                                     sim::Cpu& cpu) {
+  // A restart while this execution is suspended makes it stale: the CPU
+  // charges sleep through the crash and read_remote comes back empty, so
+  // every suspension is followed by a check that abandons the execution
+  // before the application, the seqlock brackets or the store see it.
+  // Callers re-check stale() and drop the empty outcome.
+  const std::uint64_t inc = incarnation_;
   const HeronConfig& cfg = system_->config();
   auto span = hub_->tracer.span("core", "execute", node().id());
   span.arg("uid", r.uid);
   span.arg("kind", r.header.kind);
   if (cfg.hiccup_prob > 0 && rng_.chance(cfg.hiccup_prob)) {
     co_await cpu.use(cfg.hiccup_duration);
+    if (stale(inc)) co_return ExecOutcome{};
   }
   co_await cpu.use(cfg.exec_dispatch_proc);
+  if (stale(inc)) co_return ExecOutcome{};
 
   ExecContext ctx(group_, *store_);
   sim::Nanos read_cpu = 0;
@@ -871,10 +879,11 @@ sim::Task<Replica::ExecOutcome> Replica::execute_on(const Request& r,
         // the get() below, so a validated-elsewhere fast write cannot slip
         // past this replica's ordered read (read inversion).
         co_await fence_slot(oid);
+        if (stale(inc)) co_return ExecOutcome{};
       }
       // Lines 4-7: local read of the current version.
       const auto [tmp, value] = store_->get(oid);
-      ctx.mutable_values()[oid].assign(value.begin(), value.end());
+      ctx.set_value(oid, value);
       read_cpu += static_cast<sim::Nanos>(
           static_cast<double>(value.size()) *
           (store_->is_serialized(oid) ? cfg.serialize_ns_per_byte
@@ -883,10 +892,9 @@ sim::Task<Replica::ExecOutcome> Replica::execute_on(const Request& r,
     }
     // Lines 8-28: remote read.
     RemoteRead rr = co_await read_remote(r, oid, h);
+    if (stale(inc)) co_return ExecOutcome{};
     if (rr.lagging) co_return ExecOutcome{.lagging = true};
-    ctx.mutable_values()[oid] = std::move(rr.value);
-    const auto& loc = object_map_.at(oid)[0];
-    (void)loc;
+    ctx.set_value(oid, rr.value);
   }
   // Service-time jitter. The dominant component is per (partition,
   // request) — replicas of one partition execute the same sequence on
@@ -903,6 +911,7 @@ sim::Task<Replica::ExecOutcome> Replica::execute_on(const Request& r,
   if (read_cpu > 0) {
     co_await cpu.use(
         static_cast<sim::Nanos>(static_cast<double>(read_cpu) * jitter));
+    if (stale(inc)) co_return ExecOutcome{};
   }
 
   Reply reply = app_->execute(r, ctx);
@@ -928,18 +937,18 @@ sim::Task<Replica::ExecOutcome> Replica::execute_on(const Request& r,
       out.locked.push_back(oid);
     };
     for (const auto& c : ctx.creates()) lock_for_write(c.oid);
-    for (const auto& [oid, bytes] : ctx.writes()) lock_for_write(oid);
+    for (const auto& w : ctx.writes()) lock_for_write(w.oid);
   }
 
   // Writing phase: charge the application cost plus write serialization,
   // then apply all writes at one instant (the store is never observed
   // mid-write-phase).
   sim::Nanos write_cpu = ctx.cpu_cost();
-  for (const auto& [oid, bytes] : ctx.writes()) {
+  for (const auto& w : ctx.writes()) {
     write_cpu += static_cast<sim::Nanos>(
-        static_cast<double>(bytes.size()) *
-        (store_->is_serialized(oid) ? cfg.serialize_ns_per_byte
-                                    : cfg.memcpy_ns_per_byte));
+        static_cast<double>(w.bytes.size()) *
+        (store_->is_serialized(w.oid) ? cfg.serialize_ns_per_byte
+                                      : cfg.memcpy_ns_per_byte));
   }
   for (const auto& c : ctx.creates()) {
     write_cpu += static_cast<sim::Nanos>(static_cast<double>(c.bytes.size()) *
@@ -948,6 +957,8 @@ sim::Task<Replica::ExecOutcome> Replica::execute_on(const Request& r,
   if (write_cpu > 0) {
     co_await cpu.use(
         static_cast<sim::Nanos>(static_cast<double>(write_cpu) * jitter));
+    // restart() already closed the brackets taken above.
+    if (stale(inc)) co_return ExecOutcome{};
   }
   apply_writes(r, ctx);
   out.lagging = false;
@@ -959,18 +970,31 @@ void Replica::apply_writes(const Request& r, ExecContext& ctx) {
   // Coalesce duplicate writes to the same object (e.g. a NewOrder with
   // the same item twice): a request must produce at most one version per
   // object, or both dual-version slots would carry r.tmp and remote
-  // readers of r would false-detect lagging.
-  std::map<Oid, std::span<const std::byte>> final_value;
+  // readers of r would false-detect lagging. Creates are queued before
+  // writes, each in call order, so after sorting by (oid, queue position)
+  // the last entry of each oid's run holds its final value; runs are
+  // applied (and logged) in ascending oid order.
+  auto& queued = apply_scratch_;
+  queued.clear();
   for (const auto& c : ctx.creates()) {
     if (!store_->exists(c.oid)) {
       store_->create(c.oid, c.bytes, c.serialized);
     }
-    final_value[c.oid] = c.bytes;
+    queued.push_back({c.oid, queued.size(), c.bytes});
   }
-  for (const auto& [oid, bytes] : ctx.writes()) {
-    final_value[oid] = bytes;
+  for (const auto& w : ctx.writes()) {
+    queued.push_back({w.oid, queued.size(), w.bytes});
   }
-  for (const auto& [oid, bytes] : final_value) {
+  std::sort(queued.begin(), queued.end(),
+            [](const QueuedWrite& a, const QueuedWrite& b) {
+              return a.oid != b.oid ? a.oid < b.oid : a.pos < b.pos;
+            });
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    if (i + 1 < queued.size() && queued[i + 1].oid == queued[i].oid) {
+      continue;  // superseded by a later write to the same object
+    }
+    const Oid oid = queued[i].oid;
+    const std::span<const std::byte> bytes = queued[i].bytes;
     if (system_->config().fast_writes && store_->has_fast_trace(oid)) {
       // Ordered wipe: the slot carries fast-write residue (a committed
       // fast version, or the headers of an aborted one). set() would keep

@@ -311,6 +311,11 @@ class Replica {
   /// charge) and are returned in `locked` for the caller to release after
   /// the write gate.
   void apply_writes(const Request& r, ExecContext& ctx);
+  struct QueuedWrite {
+    Oid oid;
+    std::size_t pos;  // queue position: creates first, then writes
+    std::span<const std::byte> bytes;
+  };
 
   // --- fast-read leases -------------------------------------------------
   [[nodiscard]] bool leases_enabled() const;
@@ -529,6 +534,8 @@ class Replica {
   std::vector<std::uint64_t> addrq_sent_;   // per target stripe
   std::vector<std::uint64_t> addrq_next_;   // consumer cursor per stripe
   std::vector<std::uint64_t> addra_next_;   // consumer cursor per stripe
+
+  std::vector<QueuedWrite> apply_scratch_;  // reused by apply_writes
 
   // Update log (ring semantics with truncation flag).
   std::deque<LogEntry> update_log_;

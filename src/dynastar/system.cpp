@@ -481,7 +481,7 @@ void Replica::execute_locally(std::uint64_t seq,
     for (core::Oid oid : read_set) {
       if (store_->exists(oid) && !tombstones_.contains(oid)) {
         auto [tmp, bytes] = store_->get(oid);
-        ctx.mutable_values()[oid].assign(bytes.begin(), bytes.end());
+        ctx.set_value(oid, bytes);
       } else {
         missing = true;  // row lost in a migration race; see handle_move
       }
@@ -495,11 +495,11 @@ void Replica::execute_locally(std::uint64_t seq,
       if (!store_->exists(c.oid)) store_->create(c.oid, c.bytes, c.serialized);
       store_->set(c.oid, c.bytes, r.tmp);
     }
-    for (const auto& [oid, bytes] : ctx.writes()) {
-      if (!store_->exists(oid)) {
-        store_->create(oid, bytes, false);
+    for (const auto& w : ctx.writes()) {
+      if (!store_->exists(w.oid)) {
+        store_->create(w.oid, w.bytes, false);
       }
-      store_->set(oid, bytes, r.tmp);
+      store_->set(w.oid, w.bytes, r.tmp);
     }
   }
   last_exec_cpu_ = exec_cpu;

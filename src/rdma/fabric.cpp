@@ -226,7 +226,7 @@ void Fabric::note_credit_stall(std::int32_t initiator) {
 }
 
 void Fabric::with_credit(Qp& qp, bool gated, std::int32_t initiator,
-                         std::function<void()> post) {
+                         sim::EventFn post) {
   if (!gated) {
     post();
     return;
@@ -380,14 +380,26 @@ sim::Task<Completion> Fabric::cas(std::int32_t initiator, RAddr addr,
   co_return Completion{Status::kOk};
 }
 
-void Fabric::deliver_write(std::int32_t target_id, RAddr addr,
-                           std::vector<std::byte> data) {
-  Node& target = node(target_id);
+std::uint32_t Fabric::stash_payload(std::span<const std::byte> data) {
+  std::uint32_t handle;
+  if (!payload_free_.empty()) {
+    handle = payload_free_.back();
+    payload_free_.pop_back();
+  } else {
+    handle = static_cast<std::uint32_t>(payloads_.size());
+    payloads_.emplace_back();
+  }
+  payloads_[handle].assign(data.begin(), data.end());
+  return handle;
+}
+
+void Fabric::deliver_write(RAddr addr, std::span<const std::byte> data) {
+  Node& target = node(addr.node);
   if (!target.alive()) {
     ++stats_.failures;
     ctr_errors_->inc();
     hub_->tracer.instant(
-        "rdma", "write_dropped", target_id,
+        "rdma", "write_dropped", addr.node,
         {telemetry::Arg{"mr", static_cast<std::uint64_t>(addr.mr.value)},
          telemetry::Arg{"bytes", data.size()}});
     return;  // payload dropped; initiator (if waiting) sees the WC error
@@ -469,40 +481,39 @@ void Fabric::write_async(std::int32_t initiator, RAddr addr,
   }
 
   const bool gated = credit_gated(lane);
-  std::vector<std::byte> payload(data.begin(), data.end());
+  const std::uint32_t payload = stash_payload(data);
   // The post body runs when a credit is available — immediately when the
   // QP is uncontended, otherwise later from the FIFO software queue (which
   // preserves post order, and so RC in-order delivery).
-  with_credit(
-      qp_for(initiator, addr.node, lane), gated, initiator,
-      [this, initiator, addr, lane, gated,
-       payload = std::move(payload)]() mutable {
-        const sim::Nanos departed = depart(initiator);
-        nic_free_at(initiator) = departed + xfer_time(payload.size());
-        const sim::Nanos arrive = arrival_on_channel(
-            initiator, addr.node, lane,
-            link_transit(initiator, addr.node, payload.size(),
-                         departed + jitter(model_.write_base) +
-                             xfer_time(payload.size()),
-                         lane));
+  auto post = [this, addr, initiator, payload, lane, gated] {
+    const std::uint64_t bytes = payloads_[payload].size();
+    const sim::Nanos departed = depart(initiator);
+    nic_free_at(initiator) = departed + xfer_time(bytes);
+    const sim::Nanos arrive = arrival_on_channel(
+        initiator, addr.node, lane,
+        link_transit(initiator, addr.node, bytes,
+                     departed + jitter(model_.write_base) + xfer_time(bytes),
+                     lane));
 
-        // The arrival instant is known synchronously, so the span covers
-        // the wire flight of the fire-and-forget write.
-        {
-          auto span = hub_->tracer.span("rdma", "write_async", initiator);
-          span.arg("target", static_cast<std::uint64_t>(addr.node));
-          span.arg("bytes", payload.size());
-          span.finish_at(arrive);
-        }
+    // The arrival instant is known synchronously, so the span covers
+    // the wire flight of the fire-and-forget write.
+    {
+      auto span = hub_->tracer.span("rdma", "write_async", initiator);
+      span.arg("target", static_cast<std::uint64_t>(addr.node));
+      span.arg("bytes", bytes);
+      span.finish_at(arrive);
+    }
 
-        const std::int32_t target_id = addr.node;
-        sim_->schedule_at(arrive, [this, initiator, target_id, addr, lane,
-                                   gated,
-                                   payload = std::move(payload)]() mutable {
-          release_credit(qp_for(initiator, target_id, lane), gated);
-          deliver_write(target_id, addr, std::move(payload));
-        });
-      });
+    auto land = [this, addr, initiator, payload, lane, gated] {
+      release_credit(qp_for(initiator, addr.node, lane), gated);
+      deliver_write(addr, payloads_[payload]);
+      free_payload(payload);
+    };
+    static_assert(sizeof(land) <= sim::EventFn::kInlineBytes);
+    sim_->schedule_at(arrive, land);
+  };
+  static_assert(sizeof(post) <= sim::EventFn::kInlineBytes);
+  with_credit(qp_for(initiator, addr.node, lane), gated, initiator, post);
 }
 
 void Fabric::inject_flow(std::int32_t initiator, std::int32_t target,

@@ -34,7 +34,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -248,6 +247,9 @@ class Fabric {
   [[nodiscard]] std::uint64_t credit_stalls(std::int32_t node_id) const;
   /// Verbs currently waiting in software credit queues out of `node_id`.
   [[nodiscard]] std::size_t credit_queue_depth(std::int32_t node_id) const;
+  /// write_async payload buffers allocated so far: the peak number of
+  /// posts in flight at once, since delivered posts recycle theirs.
+  [[nodiscard]] std::size_t payload_buffers() const { return payloads_.size(); }
 
   // --- perturbation hook (heron::faultlab) --------------------------------
   // Transient network chaos, separate from the calibrated LatencyModel so a
@@ -281,7 +283,7 @@ class Fabric {
   struct Qp {
     sim::Nanos last_arrival = 0;  // enforces RC in-order delivery
     std::uint32_t outstanding = 0;
-    std::deque<std::pair<sim::Nanos, std::function<void()>>> waiters;
+    std::deque<std::pair<sim::Nanos, sim::EventFn>> waiters;
   };
 
   /// Shared rack uplink: a FIFO pipe at the oversubscribed rate.
@@ -308,7 +310,7 @@ class Fabric {
     }
     void await_suspend(std::coroutine_handle<> h) {
       f->note_credit_stall(initiator);
-      qp->waiters.emplace_back(f->sim_->now(), [h] { h.resume(); });
+      qp->waiters.emplace_back(f->sim_->now(), sim::EventFn(h));
     }
     void await_resume() const noexcept {}
   };
@@ -336,7 +338,7 @@ class Fabric {
   /// Runs `post` when a credit is available on the QP (immediately when
   /// uncontended). Callback form used by the fire-and-forget verbs.
   void with_credit(Qp& qp, bool gated, std::int32_t initiator,
-                   std::function<void()> post);
+                   sim::EventFn post);
   /// Returns a credit; hands it to the head waiter if one is queued.
   void release_credit(Qp& qp, bool gated);
 
@@ -357,8 +359,12 @@ class Fabric {
   RackLink& rack_link(int rack);
   void post_flow(std::int32_t initiator, std::int32_t target,
                  std::uint64_t bytes, Lane lane, bool gated);
-  void deliver_write(std::int32_t target, RAddr addr,
-                     std::vector<std::byte> data);
+  void deliver_write(RAddr addr, std::span<const std::byte> data);
+  /// write_async payload slab: a posted payload is copied once into a
+  /// recycled buffer and travels through the credit queue and the
+  /// delivery event as a u32 handle; delivery frees the handle.
+  std::uint32_t stash_payload(std::span<const std::byte> data);
+  void free_payload(std::uint32_t handle) { payload_free_.push_back(handle); }
 
   sim::Simulator* sim_;
   LatencyModel model_;
@@ -374,6 +380,8 @@ class Fabric {
   std::vector<sim::Nanos> nic_free_at_;  // per node: send-side serialization
   std::vector<RackLink> racks_;          // lazily sized
   std::vector<std::uint64_t> credit_stalls_by_node_;
+  std::vector<std::vector<std::byte>> payloads_;  // write_async slab
+  std::vector<std::uint32_t> payload_free_;       // recycled slab handles
 
   // Perturbation state (see the faultlab hook above).
   double latency_factor_ = 1.0;

@@ -13,8 +13,11 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
+
+#include "sim/frame_pool.hpp"
 
 namespace heron::sim {
 
@@ -43,6 +46,14 @@ struct PromiseBase {
   // coroutine so the simulator can surface the failure at the next event
   // boundary instead of waiting for a lazy reap.
   bool* failure_flag = nullptr;
+
+  // Every Task frame comes from the size-class pool (sim/frame_pool.hpp).
+  static void* operator new(std::size_t bytes) {
+    return FramePool::allocate(bytes);
+  }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    FramePool::deallocate(frame, bytes);
+  }
 
   std::suspend_always initial_suspend() const noexcept { return {}; }
   void unhandled_exception() noexcept {

@@ -11,6 +11,8 @@
 
 #include "core/system.hpp"
 #include "rdma/fabric.hpp"
+#include "rdma/pod.hpp"
+#include "sim/notifier.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "test_app.hpp"
@@ -347,6 +349,65 @@ TEST(HeronCoreFailure, ReplicaCrashDoesNotBlockClients) {
   EXPECT_EQ(client.completed(), 21u);
   EXPECT_EQ(testapp::stored_balance(c.sys.replica(1, 0), 1),
             1000 + 11 * 10 + 10 * 5);
+}
+
+TEST(HeronCoreFailure, RestartDuringRemoteReadAbandonsStaleExecution) {
+  // Replica (0, 2) executes a 0 -> 1 transfer and waits on its remote
+  // read of account 1: every partition-1 replica crashes right after
+  // Phase 2, so the RDMA READ only fails after the failure-detection
+  // delay. Meanwhile (0, 2) crashes and restarts, and the suspended
+  // execution must be dropped. Executing it would run the application
+  // without account 1's value and write account 0 (and its update-log
+  // entry) into the restarted replica. The rejoin state transfer later
+  // overwrites the object, so the store is sampled until then.
+  Cluster c(2, 3);
+  auto& client = c.sys.add_client();
+  Replica& victim = c.sys.replica(0, 2);
+  Tmp first = 0;
+  bool stale_version_seen = false;
+  c.sim.spawn([](Cluster& cl, Client& cli, Replica& v, Tmp& first,
+                 bool& stale_seen) -> Task<void> {
+    co_await run_transfer(cl, cli, 0, 1, 100);  // warms the address cache
+    const auto coord = v.node().region(v.coord_mr()).bytes();
+    auto p1_entry = [&](int q) {
+      return rdma::load_pod<CoordEntry>(coord, v.coord_offset(1, q));
+    };
+    for (int q = 0; q < cl.replicas; ++q) {
+      first = std::max(first, p1_entry(q).tmp);
+    }
+    cl.sim.spawn(run_transfer(cl, cli, 0, 1, 100));
+    // Phase 2 of the second transfer is complete at (0, 2) once a
+    // majority of partition 1 has written its entry there.
+    co_await sim::wait_until(v.node().region(v.coord_mr()).on_write(), [&] {
+      int coordinated = 0;
+      for (int q = 0; q < cl.replicas; ++q) {
+        const auto e = p1_entry(q);
+        if (e.tmp > first && e.state >= 1) ++coordinated;
+      }
+      return coordinated > cl.replicas / 2;
+    });
+    for (int q = 0; q < cl.replicas; ++q) cl.sys.replica(1, q).node().crash();
+    co_await cl.sim.sleep(us(50));  // (0, 2)'s READ is in flight
+    v.node().crash();
+    co_await cl.sim.sleep(us(50));
+    cl.sys.restart_replica(0, 2);
+    for (int i = 0; i < 400; ++i) {
+      const SlotView slot = v.store().view(0);
+      if (std::max(slot.tmp_a, slot.tmp_b) > first) stale_seen = true;
+      co_await cl.sim.sleep(us(5));
+    }
+  }(c, client, victim, first, stale_version_seen));
+  c.sim.run_for(sim::ms(5));
+
+  ASSERT_GT(first, 0u);
+  EXPECT_TRUE(victim.node().alive());
+  EXPECT_EQ(client.completed(), 1u);  // partition 1 never answers again
+  EXPECT_FALSE(stale_version_seen);
+  for (const auto& e : victim.update_log()) EXPECT_LE(e.tmp, first);
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(testapp::stored_balance(c.sys.replica(0, r), 0), 900)
+        << "replica " << r;
+  }
 }
 
 // --- laggers and state transfer -------------------------------------------

@@ -85,8 +85,8 @@ TEST(ExecContext, ValueAndWriteHelpers) {
 
   core::ExecContext ctx(0, store);
   const std::uint64_t v = 0xdeadbeef;
-  ctx.mutable_values()[7].resize(sizeof(v));
-  std::memcpy(ctx.mutable_values()[7].data(), &v, sizeof(v));
+  ctx.set_value(7, std::span(reinterpret_cast<const std::byte*>(&v),
+                             sizeof(v)));
 
   EXPECT_TRUE(ctx.has(7));
   EXPECT_FALSE(ctx.has(8));
@@ -94,9 +94,9 @@ TEST(ExecContext, ValueAndWriteHelpers) {
 
   ctx.write_as<std::uint64_t>(9, 42);
   ASSERT_EQ(ctx.writes().size(), 1u);
-  EXPECT_EQ(ctx.writes()[0].first, 9u);
+  EXPECT_EQ(ctx.writes()[0].oid, 9u);
   std::uint64_t w;
-  std::memcpy(&w, ctx.writes()[0].second.data(), sizeof(w));
+  std::memcpy(&w, ctx.writes()[0].bytes.data(), sizeof(w));
   EXPECT_EQ(w, 42u);
 
   ctx.charge(us(3));

@@ -2,11 +2,15 @@
 // Algorithm 2 lines 22 and 29-31).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "core/object_store.hpp"
 #include "rdma/fabric.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace heron::core {
@@ -195,6 +199,87 @@ TEST(ObjectStore, ForEachOidVisitsAll) {
   EXPECT_EQ(seen.size(), 10u);
   std::sort(seen.begin(), seen.end());
   for (Oid oid = 1; oid <= 10; ++oid) EXPECT_EQ(seen[oid - 1], oid);
+}
+
+TEST(ObjectStore, FlatIndexMatchesOrderedMapUnderRandomOps) {
+  // Differential check of the open-addressing index against std::map:
+  // random creates, retires and re-creates of retired oids, growing the
+  // table through several rehashes. Oids mix small dense keys with keys
+  // whose low bits are all equal (packed TPC-C style ids), which share
+  // hash prefixes.
+  sim::Simulator sim;
+  rdma::Fabric fabric{sim};
+  ObjectStore store{fabric.add_node(), 4 << 20};
+  struct Model {
+    std::uint64_t offset;
+    std::uint64_t value;
+    std::uint64_t created;  // creation sequence number
+  };
+  std::map<Oid, Model> model;
+  std::uint64_t creations = 0;
+  std::size_t peak = 0;
+  sim::Rng rng(2024);
+  auto draw_oid = [&] {
+    const std::uint64_t k = rng.bounded(3000);
+    return rng.chance(0.5) ? k + 1 : (k << 40) | 0xABCDEFull;
+  };
+  auto check_all = [&] {
+    ASSERT_EQ(store.object_count(), model.size());
+    std::vector<std::pair<std::uint64_t, Oid>> by_creation;
+    for (const auto& [oid, m] : model) {
+      ASSERT_TRUE(store.exists(oid)) << oid;
+      ASSERT_EQ(store.offset_of(oid), m.offset) << oid;
+      ASSERT_EQ(value_of(store.get(oid).second), m.value) << oid;
+      by_creation.emplace_back(m.created, oid);
+    }
+    std::sort(by_creation.begin(), by_creation.end());
+    std::vector<Oid> expected;
+    for (const auto& [seq, oid] : by_creation) expected.push_back(oid);
+    std::vector<Oid> seen;
+    store.for_each_oid([&](Oid oid) { seen.push_back(oid); });
+    ASSERT_EQ(seen, expected);
+    // Creation order is slot-offset order.
+    for (std::size_t i = 1; i < seen.size(); ++i) {
+      ASSERT_LT(store.offset_of(seen[i - 1]), store.offset_of(seen[i]));
+    }
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    const Oid oid = draw_oid();
+    const auto it = model.find(oid);
+    if (it == model.end()) {
+      ASSERT_FALSE(store.exists(oid)) << oid;
+      EXPECT_THROW((void)store.offset_of(oid), std::out_of_range);
+      // Grow faster than we shrink until the table is large.
+      if (model.size() < 2500 || rng.chance(0.5)) {
+        const std::uint64_t v = oid * 7 + static_cast<std::uint64_t>(step);
+        const std::uint64_t off = store.create(oid, bytes_of(v));
+        model[oid] = Model{off, v, creations++};
+      }
+    } else if (rng.chance(0.3)) {
+      store.retire(oid);
+      model.erase(it);
+      ASSERT_FALSE(store.exists(oid)) << oid;
+    } else {
+      const std::uint64_t v = it->second.value + 1;
+      store.set(oid, bytes_of(v), static_cast<Tmp>(step + 1));
+      it->second.value = v;
+    }
+    peak = std::max(peak, model.size());
+    if (step % 997 == 0) check_all();
+  }
+  check_all();
+  EXPECT_GT(peak, 2000u);  // 16 initial slots: at least 8 doublings
+  // Retire everything, then bring a few back: retired slots are never
+  // reused and re-created objects go last in creation order.
+  for (auto it = model.begin(); it != model.end(); it = model.erase(it)) {
+    store.retire(it->first);
+  }
+  check_all();
+  for (Oid oid : {Oid{5}, Oid{3}, Oid{1} << 40 | 0xABCDEF}) {
+    model[oid] = Model{store.create(oid, bytes_of(oid)), oid, creations++};
+  }
+  check_all();
 }
 
 TEST(ObjectStore, SlotParseMatchesRawLayout) {

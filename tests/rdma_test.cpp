@@ -3,7 +3,9 @@
 // wake-on-write notifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #include "rdma/fabric.hpp"
@@ -414,6 +416,49 @@ TEST(Fabric, CreditWindowQueuesExcessVerbs) {
                   b.region(mr).bytes()[static_cast<std::size_t>(i) * 256 * 1024]),
               0xCC);
   }
+}
+
+TEST(Fabric, QueuedAsyncWritesLandWithTheirOwnBytesInPostOrder) {
+  LatencyModel m;
+  m.credit_window = 1;
+  Simulator sim;
+  Fabric fabric(sim, m);
+  Node& a = fabric.add_node();
+  Node& b = fabric.add_node();
+  MrId mr = b.register_region(4096);
+  // Every post targets the same 64 bytes; the watcher samples what each
+  // landing left there.
+  std::vector<std::uint8_t> landed;
+  b.region(mr).set_write_watcher([&](std::uint64_t off, std::uint64_t len) {
+    EXPECT_EQ(off, 0u);
+    EXPECT_EQ(len, 64u);
+    const auto bytes = b.region(mr).bytes();
+    for (std::size_t i = 1; i < len; ++i) EXPECT_EQ(bytes[i], bytes[0]);
+    landed.push_back(static_cast<std::uint8_t>(bytes[0]));
+  });
+
+  std::vector<std::uint8_t> src(64);
+  auto post_batch = [&](std::uint8_t first) {
+    for (std::uint8_t k = 0; k < 8; ++k) {
+      // The caller's buffer is reused at once: a post owns a copy.
+      std::fill(src.begin(), src.end(), static_cast<std::uint8_t>(first + k));
+      fabric.write_async(a.id(), RAddr{b.id(), mr, 0}, as_bytes(src));
+    }
+    std::fill(src.begin(), src.end(), std::uint8_t{0xEE});
+  };
+
+  post_batch(1);
+  EXPECT_EQ(fabric.credit_queue_depth(a.id()), 7u);  // behind one credit
+  sim.run();
+  post_batch(9);
+  sim.run();
+
+  std::vector<std::uint8_t> expected(16);
+  std::iota(expected.begin(), expected.end(), std::uint8_t{1});
+  EXPECT_EQ(landed, expected);
+  EXPECT_EQ(fabric.stats().credit_stalls, 14u);
+  // The second batch reused the first batch's freed buffers.
+  EXPECT_EQ(fabric.payload_buffers(), 8u);
 }
 
 TEST(Fabric, TorTopologyChargesCrossRackTraffic) {

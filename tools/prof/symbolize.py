@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Per-function table for a sigprof.<pid>.out file written by sigprof.c.
+"""Per-function table for a file written by sigprof.c or newsites.c.
 
     python3 tools/prof/symbolize.py sigprof.<pid>.out [top_n]
+    python3 tools/prof/symbolize.py newsites.<pid>.out [top_n]
 
 Maps each sampled PC to its object (the executable or a shared library)
 through the recorded mappings, to an ELF address through the object's
@@ -9,6 +10,11 @@ LOAD segments, and to a function through its symbol table, sizes
 included, so a PC that falls between symbols is reported as such instead
 of being charged to the symbol before it. Symbols come from `nm -C`,
 which names GCC's coroutine bodies "f() [clone .actor]".
+
+A newsites file counts operator-new calls by call site; a site is one
+return address or a short chain of them (NEWSITES_DEPTH), printed
+innermost first as "f <- caller <- ...". Return addresses are looked up
+one byte back, inside the call instruction.
 """
 import bisect
 import collections
@@ -22,17 +28,24 @@ def run(*cmd):
 
 
 def load_profile(path):
-    maps, pcs = [], collections.Counter()
+    """Returns (maps, Counter of PC chains, unit); a sigprof chain is one
+    PC."""
+    maps, sites, unit = [], collections.Counter(), "samples"
     for line in open(path):
         kind, rest = line.split(" ", 1)
         if kind == "pc":
-            pcs[int(rest, 16)] += 1
+            sites[(int(rest, 16),)] += 1
+            continue
+        if kind == "site":
+            n, chain = rest.split()
+            sites[tuple(int(x, 16) - 1 for x in chain.split(","))] += int(n)
+            unit = "allocations"
             continue
         f = rest.split()
         if len(f) >= 6 and "x" in f[1]:
             lo, hi = (int(x, 16) for x in f[0].split("-"))
             maps.append((lo, hi, int(f[2], 16), f[5]))
-    return maps, pcs
+    return maps, sites, unit
 
 
 class Object:
@@ -61,20 +74,24 @@ class Object:
 
 
 def main():
-    maps, pcs = load_profile(sys.argv[1])
+    maps, sites, unit = load_profile(sys.argv[1])
     top = int(sys.argv[2]) if len(sys.argv) > 2 else 40
     objects, funcs = {}, collections.Counter()
-    for pc, n in pcs.items():
+
+    def where(pc):
         m = next((m for m in maps if m[0] <= pc < m[1]), None)
         if m is None:
-            funcs["[unmapped]", "?"] += n
-            continue
+            return "[unmapped]", "?"
         obj = objects.get(m[3]) or objects.setdefault(m[3], Object(m[3]))
-        funcs[obj.name(pc - m[0] + m[2]), os.path.basename(m[3])] += n
-    total = sum(pcs.values())
-    print(f"{total} samples")
+        return obj.name(pc - m[0] + m[2]), os.path.basename(m[3])
+
+    for chain, n in sites.items():
+        names = [where(pc) for pc in chain]
+        funcs[" <- ".join(fn for fn, _ in names), names[0][1]] += n
+    total = sum(sites.values())
+    print(f"{total} {unit}")
     for (fn, obj), n in funcs.most_common(top):
-        print(f"{100.0 * n / total:6.2f}%  {n:7d}  {obj:18.18s}  {fn}")
+        print(f"{100.0 * n / total:6.2f}%  {n:9d}  {obj:18.18s}  {fn}")
 
 
 if __name__ == "__main__":
