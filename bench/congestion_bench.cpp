@@ -146,7 +146,6 @@ CellResult run_cell(double oversub, std::uint32_t credits, bool adaptive,
   const sim::Nanos measure_end = sim::ms(5) + storm_len + drain + sim::ms(12);
 
   rdma::Fabric fabric(sim, model, opt.seed);
-  fabric.telemetry().metrics.enable();  // admission/backpressure counters
 
   core::HeronConfig cfg;
   cfg.object_region_bytes = 1u << 20;

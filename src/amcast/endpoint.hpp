@@ -241,6 +241,9 @@ class Endpoint {
   std::set<std::pair<std::uint64_t, MsgUid>> open_index_;
   std::vector<sim::SeqWindow> delivered_;  // per client id
   std::map<MsgUid, WireMessage> seen_;  // inbox'd but not yet proposed
+  /// Deliveries since construction: a progress count, not a statistic.
+  /// No reset touches it, so callers can take deltas across a measurement
+  /// reset; the resettable statistic is the amcast/deliveries counter.
   std::uint64_t delivered_count_ = 0;
 
   // Leader-side batching. note_seen/takeover enqueue uids; batch_loop

@@ -35,6 +35,45 @@ struct SessionWire {
 };
 static_assert(std::is_trivially_copyable_v<SessionWire>);
 
+/// Registry keys of Replica::Stat, in enum order.
+constexpr std::array<telemetry::StatKey, Replica::kStatCount> kReplicaStats{{
+    {Replica::kExecuted, "core", "executed"},
+    {Replica::kSkipped, "core", "skipped"},
+    {Replica::kAddrCacheHits, "core", "addr_cache_hits"},
+    {Replica::kAddrCacheMisses, "core", "addr_cache_misses"},
+    {Replica::kRemoteReads, "core", "remote_reads"},
+    {Replica::kRemoteReadRetries, "core", "remote_read_retries"},
+    {Replica::kLaggingDetected, "core", "lagging_detected"},
+    {Replica::kStateTransfers, "core", "state_transfers"},
+    {Replica::kTransfersServed, "core", "transfers_served"},
+    {Replica::kDedupHits, "core", "session_dedup_hits"},
+    {Replica::kShedReplies, "core", "shed_replies"},
+    {Replica::kLeaseGrants, "core", "lease_grants"},
+    {Replica::kGateWaits, "core", "gate_waits"},
+    {Replica::kOrderedReads, "core", "ordered_reads"},
+    {Replica::kFastFenceWaits, "core", "fastwrite_fence_waits"},
+    {Replica::kFastDiscards, "core", "fastwrite_discards"},
+    {Replica::kFastRepairs, "core", "fastwrite_repairs"},
+    {Replica::kFastAdopted, "core", "fastwrite_reconciled_adopted"},
+    {Replica::kFastRediscarded, "core", "fastwrite_reconciled_discarded"},
+    {Replica::kCoordMultiPartition, "core", "coord_multi_partition"},
+    {Replica::kCoordDelayed, "core", "coord_delayed"},
+    {Replica::kCoordDelayNs, "core", "coord_delay_ns"},
+    {Replica::kCoordGaveUp, "core", "coord_gave_up"},
+    {Replica::kCheckpoints, "durable", "replica_checkpoints"},
+    {Replica::kCheckpointsDeferred, "durable", "checkpoints_deferred"},
+    {Replica::kSessionsEvicted, "durable", "sessions_evicted"},
+    {Replica::kStaleSessionReplies, "durable", "stale_session_replies"},
+    {Replica::kCopyDeferred, "reconfig", "copy_deferred"},
+    {Replica::kWrongEpochReplies, "reconfig", "wrong_epoch_replies"},
+    {Replica::kQuiesceDeferred, "reconfig", "quiesce_deferred"},
+    {Replica::kMigratedOut, "reconfig", "migrated_out"},
+    {Replica::kMigratedIn, "reconfig", "migrated_in"},
+    {Replica::kCheckpointsRejectedLayout, "reconfig",
+     "checkpoints_rejected_layout"},
+}};
+static_assert(telemetry::in_enum_order(kReplicaStats));
+
 }  // namespace
 
 std::vector<std::byte> encode_session(const Replica::Session& s) {
@@ -151,38 +190,15 @@ Replica::Replica(System& system, GroupId group, int rank)
       system.fabric(), n, reconfig_mr_, copy_geo, rank, costs, rng_,
       cfg.reconfig.chunk_corrupt_rate, "copy", label);
   auto& m = hub_->metrics;
-  ctr_executed_ = &m.counter("core", "executed", label);
-  ctr_skipped_ = &m.counter("core", "skipped", label);
-  ctr_addr_hits_ = &m.counter("core", "addr_cache_hits", label);
-  ctr_addr_misses_ = &m.counter("core", "addr_cache_misses", label);
-  ctr_remote_reads_ = &m.counter("core", "remote_reads", label);
-  ctr_remote_retries_ = &m.counter("core", "remote_read_retries", label);
-  ctr_lagging_ = &m.counter("core", "lagging_detected", label);
-  ctr_state_transfers_ = &m.counter("core", "state_transfers", label);
-  ctr_transfers_served_ = &m.counter("core", "transfers_served", label);
-  ctr_checkpoints_ = &m.counter("durable", "replica_checkpoints", label);
-  ctr_ckpt_deferred_ = &m.counter("durable", "checkpoints_deferred", label);
-  ctr_sessions_evicted_ = &m.counter("durable", "sessions_evicted", label);
-  ctr_stale_session_ = &m.counter("durable", "stale_session_replies", label);
+  stats_ = m.counters(kReplicaStats, label);
   gauge_restart_delta_ = &m.gauge("durable", "restart_delta_bytes", label);
-  ctr_dedup_hits_ = &m.counter("core", "session_dedup_hits", label);
-  ctr_shed_replies_ = &m.counter("core", "shed_replies", label);
-  ctr_lease_grants_ = &m.counter("core", "lease_grants", label);
-  ctr_gate_waits_ = &m.counter("core", "gate_waits", label);
-  ctr_ordered_reads_ = &m.counter("core", "ordered_reads", label);
-  ctr_fast_fence_ = &m.counter("core", "fastwrite_fence_waits", label);
-  ctr_fast_discards_ = &m.counter("core", "fastwrite_discards", label);
-  ctr_fast_repairs_ = &m.counter("core", "fastwrite_repairs", label);
-  ctr_copy_deferred_ = &m.counter("reconfig", "copy_deferred", label);
-  ctr_wrong_epoch_ = &m.counter("reconfig", "wrong_epoch_replies", label);
-  ctr_quiesce_ = &m.counter("reconfig", "quiesce_deferred", label);
   hist_exec_ = &m.histogram("core", "exec_ns", label);
   hist_coord_ = &m.histogram("core", "coord_ns", label);
   hist_gate_wait_ = &m.histogram("core", "gate_wait_ns", label);
 
   if (cfg.durable.enabled()) {
     ckpt_ = std::make_unique<durable::CheckpointStore>(
-        system.simulator(), hub_, cfg.durable, label);
+        system.simulator(), hub_->metrics, cfg.durable, label);
   }
 }
 
@@ -222,40 +238,13 @@ void Replica::spawn_stream_receivers() {
   }
 }
 
-void Replica::reset_stats() {
-  coord_stats_ = {};
-  ordering_lat_.clear();
-  coord_lat_.clear();
-  exec_lat_.clear();
-  // Every raw counter must reset here too, or post-warmup bench reports
-  // carry warmup-inflated values. Only counters are cleared — watermarks,
-  // sessions, lease/layout state and cursors are runtime state, not
-  // statistics.
-  xfer_->reset_stats();
-  copy_->reset_stats();
-  dedup_hits_ = 0;
-  shed_replies_ = 0;
-  executed_ = 0;
-  skipped_ = 0;
-  state_transfers_ = 0;
-  transfers_served_ = 0;
-  lease_grants_ = 0;
-  gate_waits_ = 0;
-  checkpoints_ = 0;
-  ckpt_deferred_ = 0;
-  sessions_evicted_ = 0;
-  stale_session_replies_ = 0;
-  copy_deferred_ = 0;
-  wrong_epoch_replies_ = 0;
-  quiesce_deferred_ = 0;
-  migrated_out_ = 0;
-  migrated_in_ = 0;
-  ckpt_rejected_layout_ = 0;
-  fast_fence_waits_ = 0;
-  fast_discards_ = 0;
-  fast_repairs_ = 0;
-  fast_adopted_ = 0;
-  fast_rediscarded_ = 0;
+CoordStats Replica::coord_stats() const {
+  return CoordStats{
+      .multi_partition = stat(kCoordMultiPartition),
+      .delayed = stat(kCoordDelayed),
+      .delay_sum = static_cast<sim::Nanos>(stat(kCoordDelayNs)),
+      .gave_up = stat(kCoordGaveUp),
+  };
 }
 
 std::uint64_t Replica::coord_offset(GroupId h, int q) const {
@@ -313,8 +302,7 @@ sim::Task<void> Replica::main_loop() {
 
       // Lines 3-4: skip requests already covered by a state transfer.
       if (r.tmp <= last_req_) {
-        ++skipped_;
-        ctr_skipped_->inc();
+        count(kSkipped);
         continue;
       }
       last_req_ = r.tmp;
@@ -369,8 +357,7 @@ sim::Task<void> Replica::main_loop() {
       // of every destination takes this exact branch for this uid), but
       // answered BUSY and never executed.
       if (r.shed) {
-        ++shed_replies_;
-        ctr_shed_replies_->inc();
+        count(kShedReplies);
         last_executed_ = std::max(last_executed_, r.tmp);
         co_await send_reply(r, Reply{kStatusBusy, {}});
         if (stale(inc)) co_return;
@@ -386,8 +373,7 @@ sim::Task<void> Replica::main_loop() {
         const auto tomb = evicted_sessions_.find(amcast::uid_client(r.uid));
         if (tomb != evicted_sessions_.end() &&
             r.header.session_seq <= tomb->second) {
-          ++stale_session_replies_;
-          ctr_stale_session_->inc();
+          count(kStaleSessionReplies);
           last_executed_ = std::max(last_executed_, r.tmp);
           co_await send_reply(r, Reply{kStatusStaleSession, {}});
           if (stale(inc)) co_return;
@@ -400,8 +386,7 @@ sim::Task<void> Replica::main_loop() {
       // cache when it holds exactly this command; stay silent for in-flight
       // or stale duplicates — the live attempt owns the reply slot.
       if (session_executed(r)) {
-        ++dedup_hits_;
-        ctr_dedup_hits_->inc();
+        count(kDedupHits);
         last_executed_ = std::max(last_executed_, r.tmp);
         if (const Reply* cached = session_cached(r)) {
           co_await send_reply(r, *cached);
@@ -424,8 +409,7 @@ sim::Task<void> Replica::main_loop() {
         // a pre-flip misroute defers here instead of ping-ponging
         // kStatusWrongEpoch between source and destination.
         if (touches_unsealed_inbound(roids)) {
-          ++quiesce_deferred_;
-          ctr_quiesce_->inc();
+          count(kQuiesceDeferred);
           while (touches_unsealed_inbound(roids)) {
             co_await system_->simulator().sleep(sim::us(20));
             if (stale(inc)) co_return;
@@ -447,8 +431,7 @@ sim::Task<void> Replica::main_loop() {
             }
           }
           if (have_foreign) {
-            ++wrong_epoch_replies_;
-            ctr_wrong_epoch_->inc();
+            count(kWrongEpochReplies);
             last_executed_ = std::max(last_executed_, r.tmp);
             if (leases_enabled()) push_applied();
             co_await send_reply(r, make_wrong_epoch_reply(foreign));
@@ -609,8 +592,7 @@ sim::Task<void> Replica::exec_concurrent(Request r, int slot,
   const sim::Nanos exec_ns = system_->simulator().now() - t0;
   exec_lat_.record(exec_ns);
   hist_exec_->observe(exec_ns);
-  ++executed_;
-  ctr_executed_->inc();
+  count(kExecuted);
   last_executed_ = std::max(last_executed_, r.tmp);
   note_executed(r, out.reply);
   co_await send_reply(r, out.reply);
@@ -628,8 +610,7 @@ sim::Task<void> Replica::handle_request(Request r) {
   ordering_lat_.record(system_->simulator().now() - r.header.sent_at);
 
   if (cfg.mode == Mode::kOrderOnly) {
-    ++executed_;
-    ctr_executed_->inc();
+    count(kExecuted);
     last_executed_ = std::max(last_executed_, r.tmp);
     note_executed(r, Reply{});
     co_await send_reply(r, Reply{});
@@ -653,8 +634,7 @@ sim::Task<void> Replica::handle_request(Request r) {
       if (stale(inc)) co_return;
     }
     Reply reply = make_read_reply(r);
-    ++executed_;
-    ctr_executed_->inc();
+    count(kExecuted);
     last_executed_ = std::max(last_executed_, r.tmp);
     if (leases_enabled()) push_applied();
     note_executed(r, reply);
@@ -678,8 +658,7 @@ sim::Task<void> Replica::handle_request(Request r) {
       reply = std::move(out.reply);
       locked = std::move(out.locked);
     }
-    ++executed_;
-    ctr_executed_->inc();
+    count(kExecuted);
     last_executed_ = std::max(last_executed_, r.tmp);
     if (leases_enabled()) {
       push_applied();
@@ -724,10 +703,9 @@ sim::Task<void> Replica::handle_request(Request r) {
   const sim::Nanos coord_ns = phase2 + (system_->simulator().now() - c1);
   coord_lat_.record(coord_ns);
   hist_coord_->observe(coord_ns);
-  ++coord_stats_.multi_partition;
+  count(kCoordMultiPartition);
 
-  ++executed_;
-  ctr_executed_->inc();
+  count(kExecuted);
   last_executed_ = std::max(last_executed_, r.tmp);
   if (leases_enabled()) {
     push_applied();
@@ -802,9 +780,9 @@ sim::Task<void> Replica::coordinate(const Request& r, std::uint32_t phase,
   // Wait-for-all heuristic (§III-A last paragraph; Table I): after the
   // majority is in, tentatively wait for all replicas up to the cutoff.
   if (coord_satisfied(r, phase, /*require_all=*/true)) co_return;
-  ++coord_stats_.delayed;
+  count(kCoordDelayed);
   if (cfg.coord_extra_delay <= 0) {
-    ++coord_stats_.gave_up;
+    count(kCoordGaveUp);
     co_return;
   }
   const sim::Nanos t0 = system_->simulator().now();
@@ -812,8 +790,9 @@ sim::Task<void> Replica::coordinate(const Request& r, std::uint32_t phase,
       notifier,
       [this, &r, phase] { return coord_satisfied(r, phase, true); },
       cfg.coord_extra_delay);
-  coord_stats_.delay_sum += system_->simulator().now() - t0;
-  if (!all) ++coord_stats_.gave_up;
+  count(kCoordDelayNs,
+        static_cast<std::uint64_t>(system_->simulator().now() - t0));
+  if (!all) count(kCoordGaveUp);
 }
 
 sim::Task<void> Replica::send_reply(const Request& r, const Reply& reply) {
@@ -1007,8 +986,7 @@ void Replica::apply_writes(const Request& r, ExecContext& ctx) {
       // the fast writer's own ordered fallback.
       store_->install_version(oid, bytes, r.tmp, store_->is_serialized(oid));
       store_->clear_fast_lock(oid);
-      ++fast_repairs_;
-      ctr_fast_repairs_->inc();
+      count(kFastRepairs);
     } else {
       store_->set(oid, bytes, r.tmp);
     }
@@ -1044,8 +1022,7 @@ void Replica::apply_lease_grant(const Request& r) {
   if (r.payload.size() < sizeof(LeaseGrantWire)) return;  // malformed
   LeaseGrantWire wire{};
   std::memcpy(&wire, r.payload.data(), sizeof(wire));
-  ++lease_grants_;
-  ctr_lease_grants_->inc();
+  count(kLeaseGrants);
   lease_epoch_ = r.tmp;
   // Monotone: expiry = submit time + duration and the manager submits
   // sequentially, so grants carry non-decreasing expiries; max() guards
@@ -1095,8 +1072,7 @@ sim::Task<void> Replica::write_gate(const Request& r,
       return true;
     };
     if (!all_applied()) {
-      ++gate_waits_;
-      ctr_gate_waits_->inc();
+      count(kGateWaits);
       // Capped by the expiry of the lease active NOW: any grant still
       // valid after that instant is ordered after r in the stream, so its
       // holder has already applied r — a fast read it authorizes cannot
@@ -1143,8 +1119,7 @@ sim::Task<void> Replica::fast_write_fence(const Request& r) {
 
 sim::Task<void> Replica::fence_slot(Oid oid) {
   const std::uint64_t inc = incarnation_;
-  ++fast_fence_waits_;
-  ctr_fast_fence_->inc();
+  count(kFastFenceWaits);
   while (store_->fast_pending(oid)) {
     const sim::Nanos now = system_->simulator().now();
     if (lease_expiry_ <= now) {
@@ -1156,8 +1131,7 @@ sim::Task<void> Replica::fence_slot(Oid oid) {
       // this same verdict at its own expiry; discard restores the
       // surviving version.
       store_->discard_pending(oid);
-      ++fast_discards_;
-      ctr_fast_discards_->inc();
+      count(kFastDiscards);
       co_return;
     }
     // Wake on any write into the object region (the VALIDATE/discard
@@ -1172,7 +1146,7 @@ sim::Task<void> Replica::fence_slot(Oid oid) {
 }
 
 Reply Replica::make_read_reply(const Request& r) const {
-  ctr_ordered_reads_->inc();
+  count(kOrderedReads);
   if (r.payload.size() < sizeof(Oid)) return Reply{kStatusReadNotFound, {}};
   Oid oid = 0;
   std::memcpy(&oid, r.payload.data(), sizeof(oid));
@@ -1198,7 +1172,7 @@ Reply Replica::make_read_reply(const Request& r) const {
 sim::Task<Replica::RemoteRead> Replica::read_remote(const Request& r, Oid oid,
                                                     GroupId h) {
   const std::uint64_t inc = incarnation_;
-  ctr_remote_reads_->inc();
+  count(kRemoteReads);
   auto span = hub_->tracer.span("core", "remote_read", node().id());
   span.arg("oid", oid);
   span.arg("home", static_cast<std::uint64_t>(h));
@@ -1242,7 +1216,7 @@ sim::Task<Replica::RemoteRead> Replica::read_remote(const Request& r, Oid oid,
     if (stale(inc)) co_return RemoteRead{};
     if (!cc.ok()) {
       // Line 20-21: RDMA exception — the peer failed; pick another.
-      ctr_remote_retries_->inc();
+      count(kRemoteReadRetries);
       locs[static_cast<std::size_t>(q)].known = false;
       continue;
     }
@@ -1251,7 +1225,7 @@ sim::Task<Replica::RemoteRead> Replica::read_remote(const Request& r, Oid oid,
     const auto version = view.version_before(r.tmp);
     if (!version) {
       // Line 23-25: both versions postdate r — we lag behind our group.
-      ctr_lagging_->inc();
+      count(kLaggingDetected);
       co_return RemoteRead{.lagging = true};
     }
     RemoteRead out;
@@ -1307,10 +1281,10 @@ sim::Task<bool> Replica::resolve_addr(Oid oid, GroupId h) {
 
   drain();
   if (known_count() >= majority) {
-    ctr_addr_hits_->inc();
+    count(kAddrCacheHits);
     co_return true;
   }
-  ctr_addr_misses_->inc();
+  count(kAddrCacheMisses);
 
   // Lines 8-13: query every replica of h, wait for a majority.
   for (int q = 0; q < reps; ++q) {
@@ -1539,7 +1513,7 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
     if (store_->fast_pending(oid)) store_->discard_pending(oid);
     if (store_->seqlock(oid) & 1) store_->end_write(oid);
     store_->retire(oid);
-    ++migrated_out_;
+    count(kMigratedOut);
   }
   std::erase_if(update_log_,
                 [&mig](const LogEntry& e) { return mig.contains(e.oid); });
@@ -1579,8 +1553,7 @@ sim::Task<void> Replica::copy_machine(std::uint64_t mig_epoch) {
     std::erase_if(oids, [this](Oid oid) {
       if (!store_->exists(oid) || !store_->fast_pending(oid)) return false;
       migration_dirty_.insert(oid);
-      ++copy_deferred_;
-      ctr_copy_deferred_->inc();
+      count(kCopyDeferred);
       return true;
     });
     pass_pending_.insert(oids.begin(), oids.end());
@@ -1622,8 +1595,7 @@ sim::Task<void> Replica::copy_send(std::vector<durable::Record> records,
           (rcfg.throttle_uplink_backlog > 0 &&
            fabric.uplink_backlog(node().id()) > rcfg.throttle_uplink_backlog);
       if (!busy) return 0;
-      ++copy_deferred_;
-      ctr_copy_deferred_->inc();
+      count(kCopyDeferred);
       return rcfg.throttle_backoff;
     };
   }
@@ -1812,8 +1784,7 @@ std::vector<Oid> Replica::log_objects_since(Tmp from_tmp, bool held_through,
 sim::Task<void> Replica::request_state_transfer(Tmp failed_tmp,
                                                 bool have_sessions) {
   const std::uint64_t inc = incarnation_;
-  ++state_transfers_;
-  ctr_state_transfers_->inc();
+  count(kStateTransfers);
   auto span = hub_->tracer.span("core", "state_transfer", node().id());
   span.arg("from_tmp", failed_tmp);
   auto& region = node().region(statesync_mr_);
@@ -1924,8 +1895,7 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
   // Pause execution at a request boundary: the replica is single-threaded,
   // so serving the transfer and executing requests are mutually exclusive.
   in_state_transfer_ = true;
-  ++transfers_served_;
-  ctr_transfers_served_->inc();
+  count(kTransfersServed);
   auto span = hub_->tracer.span("core", "serve_transfer", node().id());
   span.arg("lagger", static_cast<std::uint64_t>(lagger_rank));
   span.arg("from_tmp", from_tmp);
@@ -2044,7 +2014,7 @@ bool Replica::apply_state_record(const durable::RecordView& rec,
         // Later passes and idempotent pull resends may re-ship versions
         // this replica already applied.
         if (!store_->exists(rec.id)) {
-          ++migrated_in_;
+          count(kMigratedIn);
         } else if (store_->get(rec.id).first >= rec.tmp) {
           return false;
         }
@@ -2095,8 +2065,7 @@ sim::Task<void> Replica::checkpoint_loop() {
     // queue is deep, or the replica CPU has a backlog of queued work.
     while (ep.propose_backlog() > dcfg.throttle_queue_depth ||
            node().cpu().free_at() > sim.now() + dcfg.throttle_cpu_backlog) {
-      ++ckpt_deferred_;
-      ctr_ckpt_deferred_->inc();
+      count(kCheckpointsDeferred);
       co_await sim.sleep(dcfg.throttle_backoff);
       if (stale(inc)) co_return;
     }
@@ -2198,8 +2167,7 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
   if (stale(inc)) co_return;
   if (!ok) co_return;  // aborted or out of pages; previous commit intact
 
-  ++checkpoints_;
-  ctr_checkpoints_->inc();
+  count(kCheckpoints);
   const Tmp prev_w = ckpt_watermark_;
   ckpt_watermark_ = w;
 
@@ -2227,8 +2195,7 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
         const std::uint64_t floor = std::max(s.seqs.end() - 1, s.cached_seq);
         auto& tomb = evicted_sessions_[it->first];
         tomb = std::max(tomb, floor);
-        ++sessions_evicted_;
-        ctr_sessions_evicted_->inc();
+        count(kSessionsEvicted);
         it = sessions_.erase(it);
       } else {
         ++it;
@@ -2472,7 +2439,7 @@ sim::Task<void> Replica::rejoin() {
             peer_epoch, rdma::load_pod<std::uint64_t>(std::span(buf), 0));
       }
       if (peer_epoch > img->layout_epoch) {
-        ++ckpt_rejected_layout_;
+        count(kCheckpointsRejectedLayout);
         HSIM_LOG(system_->simulator(), kInfo,
                  "core g" << group_ << ".r" << rank_
                           << " checkpoint rejected: layout_epoch="
@@ -2597,7 +2564,7 @@ sim::Task<void> Replica::reconcile_fast_slots(std::uint64_t inc) {
           // phase-A traffic — so validating locally adopts the same
           // version, not a torn one.
           store_->validate_fast(oid, pending);
-          ++fast_adopted_;
+          count(kFastAdopted);
           resolved = true;
         } else if (peer_lock == (pending | 1)) {
           peer_pending = true;  // undecided there too — ask again later
@@ -2606,7 +2573,7 @@ sim::Task<void> Replica::reconcile_fast_slots(std::uint64_t inc) {
           // wiped it with an ordered write, or committed a later fast
           // write): our pending version is dead either way.
           store_->discard_pending(oid);
-          ++fast_rediscarded_;
+          count(kFastRediscarded);
           resolved = true;
         }
       }
@@ -2618,7 +2585,7 @@ sim::Task<void> Replica::reconcile_fast_slots(std::uint64_t inc) {
         // validated — a VALIDATE requires a verify round against ALL
         // replicas, and its trace would survive as a validated lock.
         store_->discard_pending(oid);
-        ++fast_rediscarded_;
+        count(kFastRediscarded);
         break;
       }
       co_await system_->simulator().sleep(sim::us(50));

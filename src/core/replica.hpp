@@ -58,16 +58,36 @@ class Replica {
   [[nodiscard]] ObjectStore& store() { return *store_; }
   [[nodiscard]] Application& app() { return *app_; }
   [[nodiscard]] Tmp last_req() const { return last_req_; }
-  [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
-  [[nodiscard]] std::uint64_t skipped_count() const { return skipped_; }
+
+  /// Statistics. Each lives in one registry counter, keyed by
+  /// (subsystem, name, "g<g>.r<r>") as listed in replica.cpp's
+  /// kReplicaStats; System::reset_stats zeroes them all.
+  enum Stat : int {
+    kExecuted, kSkipped, kAddrCacheHits, kAddrCacheMisses, kRemoteReads,
+    kRemoteReadRetries, kLaggingDetected, kStateTransfers, kTransfersServed,
+    kDedupHits, kShedReplies, kLeaseGrants, kGateWaits, kOrderedReads,
+    kFastFenceWaits,   // ordered requests that waited on an INVALIDATE
+    kFastDiscards,     // pending INVALIDATEs aborted (expiry / restart)
+    kFastRepairs,      // ordered writes that wiped fast-write residue
+    kFastAdopted, kFastRediscarded,  // rejoin reconciliation of pending slots
+    kCoordMultiPartition, kCoordDelayed, kCoordDelayNs,
+    kCoordGaveUp, kCheckpoints, kCheckpointsDeferred, kSessionsEvicted,
+    kStaleSessionReplies, kCopyDeferred, kWrongEpochReplies, kQuiesceDeferred,
+    kMigratedOut, kMigratedIn, kCheckpointsRejectedLayout, kStatCount
+  };
+  [[nodiscard]] std::uint64_t stat(Stat s) const { return stats_[s]->value(); }
+  [[nodiscard]] std::uint64_t executed_count() const { return stat(kExecuted); }
+  [[nodiscard]] std::uint64_t skipped_count() const { return stat(kSkipped); }
   [[nodiscard]] std::uint64_t state_transfers() const {
-    return state_transfers_;
+    return stat(kStateTransfers);
   }
   [[nodiscard]] std::uint64_t transfers_served() const {
-    return transfers_served_;
+    return stat(kTransfersServed);
   }
-  [[nodiscard]] std::uint64_t dedup_hits() const { return dedup_hits_; }
-  [[nodiscard]] std::uint64_t shed_replies() const { return shed_replies_; }
+  [[nodiscard]] std::uint64_t dedup_hits() const { return stat(kDedupHits); }
+  [[nodiscard]] std::uint64_t shed_replies() const {
+    return stat(kShedReplies);
+  }
 
   /// Per-client session: at-most-once execution bookkeeping plus the last
   /// reply, answered from cache on retries. Exposed for tests and for the
@@ -118,16 +138,16 @@ class Replica {
   [[nodiscard]] bool rejoining() const { return rejoining_; }
   [[nodiscard]] Tmp checkpoint_watermark() const { return ckpt_watermark_; }
   [[nodiscard]] std::uint64_t checkpoints_completed() const {
-    return checkpoints_;
+    return stat(kCheckpoints);
   }
   [[nodiscard]] std::uint64_t checkpoints_deferred() const {
-    return ckpt_deferred_;
+    return stat(kCheckpointsDeferred);
   }
   [[nodiscard]] std::uint64_t sessions_evicted() const {
-    return sessions_evicted_;
+    return stat(kSessionsEvicted);
   }
   [[nodiscard]] std::uint64_t stale_session_replies() const {
-    return stale_session_replies_;
+    return stat(kStaleSessionReplies);
   }
   [[nodiscard]] bool restored_from_checkpoint() const {
     return restored_from_checkpoint_;
@@ -170,11 +190,10 @@ class Replica {
   }
 
   // Measurement hooks (read directly by the harness).
-  [[nodiscard]] const CoordStats& coord_stats() const { return coord_stats_; }
+  [[nodiscard]] CoordStats coord_stats() const;
   [[nodiscard]] sim::LatencyRecorder& ordering_lat() { return ordering_lat_; }
   [[nodiscard]] sim::LatencyRecorder& coord_lat() { return coord_lat_; }
   [[nodiscard]] sim::LatencyRecorder& exec_lat() { return exec_lat_; }
-  void reset_stats();
 
   // Region handles.
   [[nodiscard]] rdma::MrId coord_mr() const { return coord_mr_; }
@@ -187,27 +206,18 @@ class Replica {
   // Fast-read lease state (tests / diagnostics).
   [[nodiscard]] std::uint64_t lease_epoch() const { return lease_epoch_; }
   [[nodiscard]] sim::Nanos lease_expiry() const { return lease_expiry_; }
-  [[nodiscard]] std::uint64_t lease_grants() const { return lease_grants_; }
-  [[nodiscard]] std::uint64_t gate_waits() const { return gate_waits_; }
+  [[nodiscard]] std::uint64_t lease_grants() const {
+    return stat(kLeaseGrants);
+  }
+  [[nodiscard]] std::uint64_t gate_waits() const { return stat(kGateWaits); }
 
   // Fast-write state (tests / diagnostics).
   /// A fast-write-armed lease grant (kWireFlagFastWrite) has been applied
   /// since the last restart.
   [[nodiscard]] bool fast_write_armed() const { return fast_write_armed_; }
-  /// Ordered requests that suspended on a pending INVALIDATE.
-  [[nodiscard]] std::uint64_t fast_fence_waits() const {
-    return fast_fence_waits_;
-  }
-  /// Pending INVALIDATEs resolved as aborted (lease expiry / restart).
-  [[nodiscard]] std::uint64_t fast_discards() const { return fast_discards_; }
   /// Ordered writes that wiped fast-write residue off a slot.
-  [[nodiscard]] std::uint64_t fast_repairs() const { return fast_repairs_; }
-  /// Rejoin reconciliation outcomes for slots left pending by a crash.
-  [[nodiscard]] std::uint64_t fast_reconciled_adopted() const {
-    return fast_adopted_;
-  }
-  [[nodiscard]] std::uint64_t fast_reconciled_discarded() const {
-    return fast_rediscarded_;
+  [[nodiscard]] std::uint64_t fast_repairs() const {
+    return stat(kFastRepairs);
   }
 
   /// Test hook (write-gate takeover regression): bumps the incarnation
@@ -244,7 +254,9 @@ class Replica {
   [[nodiscard]] std::uint64_t copy_chunks_corrupt() const {
     return copy_->stat(StateStream::kChunksCorrupt);
   }
-  [[nodiscard]] std::uint64_t copy_deferred() const { return copy_deferred_; }
+  [[nodiscard]] std::uint64_t copy_deferred() const {
+    return stat(kCopyDeferred);
+  }
   [[nodiscard]] std::uint64_t copy_pulls() const {
     return copy_->stat(StateStream::kResends);
   }
@@ -252,15 +264,17 @@ class Replica {
     return copy_->stat(StateStream::kResendsServed);
   }
   [[nodiscard]] std::uint64_t wrong_epoch_replies() const {
-    return wrong_epoch_replies_;
+    return stat(kWrongEpochReplies);
   }
   [[nodiscard]] std::uint64_t quiesce_deferred() const {
-    return quiesce_deferred_;
+    return stat(kQuiesceDeferred);
   }
-  [[nodiscard]] std::uint64_t migrated_out() const { return migrated_out_; }
-  [[nodiscard]] std::uint64_t migrated_in() const { return migrated_in_; }
+  [[nodiscard]] std::uint64_t migrated_out() const {
+    return stat(kMigratedOut);
+  }
+  [[nodiscard]] std::uint64_t migrated_in() const { return stat(kMigratedIn); }
   [[nodiscard]] std::uint64_t checkpoints_rejected_layout() const {
-    return ckpt_rejected_layout_;
+    return stat(kCheckpointsRejectedLayout);
   }
 
   // Offset helpers shared with peer writers.
@@ -470,8 +484,6 @@ class Replica {
 
   // --- sessions (at-most-once execution) -------------------------------
   std::map<std::uint32_t, Session> sessions_;  // client id -> session
-  std::uint64_t dedup_hits_ = 0;
-  std::uint64_t shed_replies_ = 0;
   /// Records that `r` is being executed (called at dispatch, before the
   /// execution completes, so a duplicate arriving mid-execution is caught).
   void session_mark(const Request& r);
@@ -488,8 +500,6 @@ class Replica {
   rdma::MrId fastread_mr_{};
   std::uint64_t lease_epoch_ = 0;     // tmp of the latest applied grant
   sim::Nanos lease_expiry_ = 0;       // absolute; monotone across grants
-  std::uint64_t lease_grants_ = 0;
-  std::uint64_t gate_waits_ = 0;      // gates that actually suspended
 
   // --- fast-write state --------------------------------------------------
   bool fast_write_armed_ = false;  // armed lease grant applied (sticky)
@@ -502,18 +512,9 @@ class Replica {
   /// Slots found fast-pending by restart(); rejoin() reconciles them with
   /// peers before the main loop resumes.
   std::vector<Oid> fast_pending_at_restart_;
-  std::uint64_t fast_fence_waits_ = 0;
-  std::uint64_t fast_discards_ = 0;
-  std::uint64_t fast_repairs_ = 0;
-  std::uint64_t fast_adopted_ = 0;
-  std::uint64_t fast_rediscarded_ = 0;
 
   Tmp last_req_ = 0;       // Algorithm 1: tmp of the last request (delivered)
   Tmp last_executed_ = 0;  // highest tmp whose writes are applied locally
-  std::uint64_t executed_ = 0;
-  std::uint64_t skipped_ = 0;
-  std::uint64_t state_transfers_ = 0;
-  std::uint64_t transfers_served_ = 0;
   std::uint64_t statesync_serial_ = 0;
   /// Serial of the transfer this replica is waiting for (0: none); the
   /// transfer stream applies chunks of this stream id only.
@@ -554,10 +555,6 @@ class Replica {
   /// Session-TTL tombstones: client id -> evicted floor (all seqs <= floor
   /// were executed before eviction). Persisted and transferred.
   std::map<std::uint32_t, std::uint64_t> evicted_sessions_;
-  std::uint64_t checkpoints_ = 0;
-  std::uint64_t ckpt_deferred_ = 0;
-  std::uint64_t sessions_evicted_ = 0;
-  std::uint64_t stale_session_replies_ = 0;
   bool restored_from_checkpoint_ = false;
   std::uint64_t restart_catchup_bytes_ = 0;  // applied during last rejoin
 
@@ -590,13 +587,6 @@ class Replica {
   sim::Nanos inbound_progress_at_ = 0;
   std::uint64_t pull_serial_ = 0;  // our outgoing pull-word serial
   std::uint64_t pull_rr_ = 0;      // round-robin source pick for pulls
-  // Telemetry-backed counters.
-  std::uint64_t copy_deferred_ = 0;
-  std::uint64_t wrong_epoch_replies_ = 0;
-  std::uint64_t quiesce_deferred_ = 0;
-  std::uint64_t migrated_out_ = 0;
-  std::uint64_t migrated_in_ = 0;
-  std::uint64_t ckpt_rejected_layout_ = 0;
 
   // Multi-threaded execution state (exec_threads > 1).
   std::vector<std::unique_ptr<sim::Cpu>> exec_cpus_;
@@ -605,8 +595,7 @@ class Replica {
   int inflight_ = 0;
   std::unique_ptr<sim::Notifier> exec_done_;
 
-  // Stats.
-  CoordStats coord_stats_;
+  // Stage latencies (exact percentiles for fig6 and perfbench).
   sim::LatencyRecorder ordering_lat_;
   sim::LatencyRecorder coord_lat_;
   sim::LatencyRecorder exec_lat_;
@@ -614,31 +603,9 @@ class Replica {
   // Telemetry handles (see telemetry/hub.hpp), keyed by "g<g>.r<r>".
   telemetry::Hub* hub_;
   std::string label_;  // "g<g>.r<r>": this replica's metrics label
-  telemetry::Counter* ctr_executed_;
-  telemetry::Counter* ctr_skipped_;
-  telemetry::Counter* ctr_addr_hits_;
-  telemetry::Counter* ctr_addr_misses_;
-  telemetry::Counter* ctr_remote_reads_;
-  telemetry::Counter* ctr_remote_retries_;
-  telemetry::Counter* ctr_lagging_;
-  telemetry::Counter* ctr_state_transfers_;
-  telemetry::Counter* ctr_transfers_served_;
-  telemetry::Counter* ctr_checkpoints_;
-  telemetry::Counter* ctr_ckpt_deferred_;
-  telemetry::Counter* ctr_sessions_evicted_;
-  telemetry::Counter* ctr_stale_session_;
+  std::array<telemetry::Counter*, kStatCount> stats_{};
+  void count(Stat s, std::uint64_t n = 1) const { stats_[s]->inc(n); }
   telemetry::Gauge* gauge_restart_delta_;
-  telemetry::Counter* ctr_dedup_hits_;
-  telemetry::Counter* ctr_shed_replies_;
-  telemetry::Counter* ctr_lease_grants_;
-  telemetry::Counter* ctr_gate_waits_;
-  telemetry::Counter* ctr_ordered_reads_;
-  telemetry::Counter* ctr_fast_fence_;
-  telemetry::Counter* ctr_fast_discards_;
-  telemetry::Counter* ctr_fast_repairs_;
-  telemetry::Counter* ctr_copy_deferred_;
-  telemetry::Counter* ctr_wrong_epoch_;
-  telemetry::Counter* ctr_quiesce_;
   telemetry::Histogram* hist_exec_;
   telemetry::Histogram* hist_coord_;
   telemetry::Histogram* hist_gate_wait_;

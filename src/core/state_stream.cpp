@@ -44,7 +44,7 @@ StateStream::StateStream(rdma::Fabric& fabric, rdma::Node& node,
       "chunks_corrupt",     "applied_full_bytes",  "applied_delta_bytes",
       "resends",            "resends_served"};
   for (std::size_t s = 0; s < kStatCount; ++s) {
-    stats_[s] = &fabric.telemetry().metrics.stat(name, kNames[s], label);
+    stats_[s] = &fabric.telemetry().metrics.counter(name, kNames[s], label);
   }
 }
 

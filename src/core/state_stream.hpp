@@ -151,9 +151,6 @@ class StateStream {
 
   [[nodiscard]] std::uint64_t stat(Stat s) const { return stats_[s]->value(); }
   void count(Stat s, std::uint64_t n = 1) { stats_[s]->inc(n); }
-  void reset_stats() {
-    for (telemetry::Counter* c : stats_) c->reset();
-  }
 
  private:
   struct SendState {

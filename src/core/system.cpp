@@ -29,6 +29,8 @@ System::System(rdma::Fabric& fabric, int partitions, int replicas,
     for (int r = 0; r < replicas; ++r) {
       replicas_.push_back(std::make_unique<Replica>(*this, g, r));
     }
+    ctr_renewals_skipped_.push_back(&fabric.telemetry().metrics.counter(
+        "core", "lease_renewals_skipped", "g" + std::to_string(g)));
   }
 }
 
@@ -56,8 +58,6 @@ sim::Task<void> System::lease_manager_loop(amcast::ClientEndpoint& ep,
   // against pathological durations: see kMinLeaseRenewPeriod.
   const sim::Nanos period =
       std::max(kMinLeaseRenewPeriod, config_.lease_duration / 2);
-  auto* ctr_skipped = &fabric().telemetry().metrics.counter(
-      "core", "lease_renewals_skipped", "g" + std::to_string(g));
   for (;;) {
     // Backpressure gate: while the partition's fabric neighborhood is
     // congested, stop feeding it lease markers. The current lease rides
@@ -72,8 +72,7 @@ sim::Task<void> System::lease_manager_loop(amcast::ClientEndpoint& ep,
         worst = std::max(worst, fabric().uplink_backlog(node.id()));
       }
       if (worst > config_.lease_backpressure_threshold) {
-        ++lease_renewals_skipped_;
-        ctr_skipped->inc();
+        ctr_renewals_skipped_[static_cast<std::size_t>(g)]->inc();
         co_await sim.sleep(period);
         continue;
       }
@@ -228,14 +227,44 @@ std::uint64_t System::total_completed() const {
   return total;
 }
 
-void System::reset_stats() {
-  for (auto& r : replicas_) r->reset_stats();
-  for (auto& c : clients_) c->reset_stats();
-  // System-level accumulators are part of the same warm-up window as the
-  // per-replica/per-client stats (missing this one skewed every
-  // backpressure report that reset after a warm-up phase).
-  lease_renewals_skipped_ = 0;
+std::uint64_t System::lease_renewals_skipped() const {
+  std::uint64_t total = 0;
+  for (const telemetry::Counter* c : ctr_renewals_skipped_) total += c->value();
+  return total;
 }
+
+void System::reset_stats() {
+  fabric().reset_stats();
+  for (auto& r : replicas_) {
+    r->ordering_lat().clear();
+    r->coord_lat().clear();
+    r->exec_lat().clear();
+  }
+  for (auto& c : clients_) c->latencies().clear();
+}
+
+namespace {
+
+/// Registry keys of Client::Stat, in enum order.
+constexpr std::array<telemetry::StatKey, Client::kStatCount> kClientStats{{
+    {Client::kCompleted, "client", "completed"},
+    {Client::kRetries, "client", "retries"},
+    {Client::kTimeouts, "client", "timeouts"},
+    {Client::kOverloaded, "client", "overloaded"},
+    {Client::kBusyReplies, "client", "busy_replies"},
+    {Client::kFastReadHits, "core", "fastread_hits"},
+    {Client::kFastReadTornRetries, "core", "fastread_torn_retries"},
+    {Client::kFastReadFallbacks, "core", "fastread_fallbacks"},
+    {Client::kFastReadLeaseRejects, "core", "fastread_lease_rejects"},
+    {Client::kFastWriteCommits, "core", "fastwrite_commits"},
+    {Client::kFastWriteConflicts, "core", "fastwrite_conflicts"},
+    {Client::kFastWriteFallbacks, "core", "fastwrite_fallbacks"},
+    {Client::kFastWriteLeaseRejects, "core", "fastwrite_lease_rejects"},
+    {Client::kWrongEpochRetries, "reconfig", "client_wrong_epoch"},
+}};
+static_assert(telemetry::in_enum_order(kClientStats));
+
+}  // namespace
 
 Client::Client(System& system, amcast::ClientEndpoint& ep)
     : system_(&system),
@@ -245,26 +274,8 @@ Client::Client(System& system, amcast::ClientEndpoint& ep)
       layout_(system.initial_layout()) {
   reply_mr_ = ep.node().register_region(
       static_cast<std::size_t>(system.partitions()) * sizeof(ReplySlot));
-  auto& hub = system.fabric().telemetry();
-  const std::string label = "c" + std::to_string(ep.client_id());
-  ctr_retries_ = &hub.metrics.counter("client", "retries", label);
-  ctr_timeouts_ = &hub.metrics.counter("client", "timeouts", label);
-  ctr_busy_ = &hub.metrics.counter("client", "busy_replies", label);
-  ctr_fast_hits_ = &hub.metrics.counter("core", "fastread_hits", label);
-  ctr_fast_torn_ = &hub.metrics.counter("core", "fastread_torn_retries", label);
-  ctr_fast_fallbacks_ =
-      &hub.metrics.counter("core", "fastread_fallbacks", label);
-  ctr_fast_lease_rejects_ =
-      &hub.metrics.counter("core", "fastread_lease_rejects", label);
-  ctr_fastw_commits_ = &hub.metrics.counter("core", "fastwrite_commits", label);
-  ctr_fastw_conflicts_ =
-      &hub.metrics.counter("core", "fastwrite_conflicts", label);
-  ctr_fastw_fallbacks_ =
-      &hub.metrics.counter("core", "fastwrite_fallbacks", label);
-  ctr_fastw_lease_rejects_ =
-      &hub.metrics.counter("core", "fastwrite_lease_rejects", label);
-  ctr_wrong_epoch_ =
-      &hub.metrics.counter("reconfig", "client_wrong_epoch", label);
+  stats_ = system.fabric().telemetry().metrics.counters(
+      kClientStats, "c" + std::to_string(ep.client_id()));
 }
 
 bool Client::apply_wrong_epoch(const Reply& reply) {
@@ -298,20 +309,20 @@ sim::Task<Client::Result> Client::submit_routed(
   Result result;
   for (int hop = 0;; ++hop) {
     const GroupId home = layout_.enabled() ? layout_.owner_of(oid) : fallback;
-    result = co_await submit(amcast::dst_of(home), kind, payload, flags);
+    result =
+        co_await submit_uncounted(amcast::dst_of(home), kind, payload, flags);
     if (result.status != SubmitStatus::kOk ||
         result.reply.status != kStatusWrongEpoch || hop >= kMaxHops) {
+      if (result.status == SubmitStatus::kOk) count(kCompleted);
       co_return result;
     }
     // The rejecting replica neither executed nor session-marked the
     // command, so replaying it under the SAME session_seq against the
     // new owner preserves exactly-once (and dedups if the range's old
     // owner executed it before the flip — the session migrated too).
-    // The bounced hop is not a completed command; undo submit's count.
-    --completed_;
+    // The bounced hop is not a completed command, so it is not counted.
     apply_wrong_epoch(result.reply);
-    ++wrong_epoch_retries_;
-    ctr_wrong_epoch_->inc();
+    count(kWrongEpochRetries);
     session_seq_ = result.session_seq - 1;
   }
 }
@@ -319,6 +330,14 @@ sim::Task<Client::Result> Client::submit_routed(
 sim::Task<Client::Result> Client::submit(DstMask dst, std::uint32_t kind,
                                          std::span<const std::byte> payload,
                                          std::uint32_t flags) {
+  Result result = co_await submit_uncounted(dst, kind, payload, flags);
+  if (result.status == SubmitStatus::kOk) count(kCompleted);
+  co_return result;
+}
+
+sim::Task<Client::Result> Client::submit_uncounted(
+    DstMask dst, std::uint32_t kind, std::span<const std::byte> payload,
+    std::uint32_t flags) {
   if (in_flight_) {
     throw std::logic_error(
         "core::Client::submit: overlapping submit on client " +
@@ -335,7 +354,7 @@ sim::Task<Client::Result> Client::submit(DstMask dst, std::uint32_t kind,
 
   RequestHeader header{start, seq, kind, flags};
   std::vector<std::byte> wire(sizeof(RequestHeader) + payload.size());
-  std::memcpy(wire.data() + sizeof(header), payload.data(), payload.size());
+  std::copy(payload.begin(), payload.end(), wire.begin() + sizeof(header));
 
   // attempt_timeout == 0 selects the legacy closed-loop behaviour: one
   // attempt, wait forever. The deadline only binds in retry mode.
@@ -362,8 +381,7 @@ sim::Task<Client::Result> Client::submit(DstMask dst, std::uint32_t kind,
     const amcast::MsgUid uid = co_await ep_->multicast(dst, wire);
     attempt_uids.push_back(uid);
     if (attempt > 0) {
-      ++retries_;
-      ctr_retries_->inc();
+      count(kRetries);
     }
     if (system_->attempt_observer()) {
       system_->attempt_observer()(id(), seq, uid, dst, attempt);
@@ -415,8 +433,7 @@ sim::Task<Client::Result> Client::submit(DstMask dst, std::uint32_t kind,
         break;  // lowest-id partition's reply
       }
       if (done) break;
-      ++busy_replies_;
-      ctr_busy_->inc();
+      count(kBusyReplies);
     } else {
       last_was_busy = false;
     }
@@ -440,16 +457,13 @@ sim::Task<Client::Result> Client::submit(DstMask dst, std::uint32_t kind,
   result.latency = sim.now() - start;
   if (done) {
     result.status = SubmitStatus::kOk;
-    ++completed_;
     latencies_.record(result.latency);
   } else if (last_was_busy) {
     result.status = SubmitStatus::kOverloaded;
-    ++overloaded_;
-    ctr_timeouts_->inc();
+    count(kOverloaded);
   } else {
     result.status = SubmitStatus::kTimeout;
-    ++timeouts_;
-    ctr_timeouts_->inc();
+    count(kTimeouts);
   }
   if (system_->outcome_observer()) {
     system_->outcome_observer()(id(), seq, result.status, result.attempts);
@@ -498,8 +512,7 @@ sim::Task<Client::ReadResult> Client::read(GroupId home, Oid oid) {
         const auto lease = rdma::load_pod<LeaseWord>(
             std::span<const std::byte>(lease_buf), 0);
         if (lease.epoch == 0 || lease.expiry <= sim.now()) {
-          ++fastread_lease_rejects_;
-          ctr_fast_lease_rejects_->inc();
+          count(kFastReadLeaseRejects);
         } else {
           // READ 2 (+ retries): the object slot. A torn (odd) seqlock
           // means a write phase or its write gate is in flight there.
@@ -520,13 +533,11 @@ sim::Task<Client::ReadResult> Client::read(GroupId home, Oid oid) {
             }
             const SlotView view = SlotView::parse(slot_buf);
             if (view.torn()) {
-              ++fastread_torn_retries_;
-              ctr_fast_torn_->inc();
+              count(kFastReadTornRetries);
               continue;
             }
             const auto [tmp, value] = view.current();
-            ++fastread_hits_;
-            ctr_fast_hits_->inc();
+            count(kFastReadHits);
             ReadResult res;
             res.fast = true;
             res.tmp = tmp;
@@ -544,8 +555,7 @@ sim::Task<Client::ReadResult> Client::read(GroupId home, Oid oid) {
   // Linearizable because the replica answers it in stream order, after
   // every earlier write's gate completed. The reply carries the slot
   // address and re-seeds the fast-read cache.
-  ++fastread_fallbacks_;
-  ctr_fast_fallbacks_->inc();
+  count(kFastReadFallbacks);
   ReadResult res;
   Result sub =
       co_await submit(amcast::dst_of(home), 0, rdma::pod_bytes(oid),
@@ -563,8 +573,7 @@ sim::Task<Client::ReadResult> Client::read(GroupId home, Oid oid) {
     // through: the 32-byte WrongEpochWire would pass the ReadAnswerWire
     // size check and seed a garbage FastLoc into the cache.
     apply_wrong_epoch(sub.reply);
-    ++wrong_epoch_retries_;
-    ctr_wrong_epoch_->inc();
+    count(kWrongEpochRetries);
     session_seq_ = sub.session_seq - 1;
     continue;
   }
@@ -928,9 +937,8 @@ sim::Task<Client::WriteResult> Client::write(
           rdma::pod_bytes(static_cast<std::uint64_t>(fast_tmp)));
     }
 
-    ++fastwrite_commits_;
-    ctr_fastw_commits_->inc();
-    ++completed_;
+    count(kFastWriteCommits);
+    count(kCompleted);
     res.fast = true;
     res.tmp = fast_tmp;
     res.base_tmp = base;
@@ -944,14 +952,11 @@ sim::Task<Client::WriteResult> Client::write(
   // including any this attempt's partial one-sided traffic reached —
   // before the new value commits.
   res.fallback_reason = reason;
-  ++fastwrite_fallbacks_;
-  ctr_fastw_fallbacks_->inc();
+  count(kFastWriteFallbacks);
   if (reason == kFastWriteConflict) {
-    ++fastwrite_conflicts_;
-    ctr_fastw_conflicts_->inc();
+    count(kFastWriteConflicts);
   } else if (reason == kFastWriteNoLease) {
-    ++fastwrite_lease_rejects_;
-    ctr_fastw_lease_rejects_->inc();
+    count(kFastWriteLeaseRejects);
   }
   const Result sub = co_await submit_routed(oid, home, kind, ordered_payload);
   res.status = sub.status;

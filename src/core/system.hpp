@@ -145,15 +145,27 @@ class Client {
   [[nodiscard]] std::uint32_t id() const { return ep_->client_id(); }
   [[nodiscard]] rdma::Node& node() { return ep_->node(); }
   [[nodiscard]] rdma::MrId reply_mr() const { return reply_mr_; }
-  [[nodiscard]] std::uint64_t completed() const { return completed_; }
+
+  /// Statistics. Each lives in one registry counter, keyed by
+  /// (subsystem, name, "c<amcast client id>") as listed in system.cpp's
+  /// kClientStats; System::reset_stats zeroes them all.
+  enum Stat : int {
+    kCompleted, kRetries, kTimeouts, kOverloaded, kBusyReplies, kFastReadHits,
+    kFastReadTornRetries, kFastReadFallbacks, kFastReadLeaseRejects,
+    kFastWriteCommits, kFastWriteConflicts, kFastWriteFallbacks,
+    kFastWriteLeaseRejects, kWrongEpochRetries, kStatCount
+  };
+  [[nodiscard]] std::uint64_t stat(Stat s) const { return stats_[s]->value(); }
+  [[nodiscard]] std::uint64_t completed() const { return stat(kCompleted); }
   [[nodiscard]] sim::LatencyRecorder& latencies() { return latencies_; }
 
-  // Lifecycle stats (kept outside telemetry so tests can read them
-  // without enabling the metrics registry).
-  [[nodiscard]] std::uint64_t retries() const { return retries_; }
-  [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
-  [[nodiscard]] std::uint64_t overloaded() const { return overloaded_; }
-  [[nodiscard]] std::uint64_t busy_replies() const { return busy_replies_; }
+  // Lifecycle stats.
+  [[nodiscard]] std::uint64_t retries() const { return stat(kRetries); }
+  [[nodiscard]] std::uint64_t timeouts() const { return stat(kTimeouts); }
+  [[nodiscard]] std::uint64_t overloaded() const { return stat(kOverloaded); }
+  [[nodiscard]] std::uint64_t busy_replies() const {
+    return stat(kBusyReplies);
+  }
   [[nodiscard]] bool in_flight() const { return in_flight_; }
 
   // Fast-read path stats.
@@ -164,29 +176,31 @@ class Client {
     if (it == fastread_cache_.end()) return std::nullopt;
     return it->second.rank;
   }
-  [[nodiscard]] std::uint64_t fastread_hits() const { return fastread_hits_; }
+  [[nodiscard]] std::uint64_t fastread_hits() const {
+    return stat(kFastReadHits);
+  }
   [[nodiscard]] std::uint64_t fastread_torn_retries() const {
-    return fastread_torn_retries_;
+    return stat(kFastReadTornRetries);
   }
   [[nodiscard]] std::uint64_t fastread_fallbacks() const {
-    return fastread_fallbacks_;
+    return stat(kFastReadFallbacks);
   }
   [[nodiscard]] std::uint64_t fastread_lease_rejects() const {
-    return fastread_lease_rejects_;
+    return stat(kFastReadLeaseRejects);
   }
 
   // Fast-write path stats.
   [[nodiscard]] std::uint64_t fastwrite_commits() const {
-    return fastwrite_commits_;
+    return stat(kFastWriteCommits);
   }
   [[nodiscard]] std::uint64_t fastwrite_conflicts() const {
-    return fastwrite_conflicts_;
+    return stat(kFastWriteConflicts);
   }
   [[nodiscard]] std::uint64_t fastwrite_fallbacks() const {
-    return fastwrite_fallbacks_;
+    return stat(kFastWriteFallbacks);
   }
   [[nodiscard]] std::uint64_t fastwrite_lease_rejects() const {
-    return fastwrite_lease_rejects_;
+    return stat(kFastWriteLeaseRejects);
   }
 
   // Reconfiguration-side stats / hooks (heron::reconfig).
@@ -194,7 +208,7 @@ class Client {
   /// layout, advanced by kStatusWrongEpoch replies).
   [[nodiscard]] const reconfig::Layout& layout() const { return layout_; }
   [[nodiscard]] std::uint64_t wrong_epoch_retries() const {
-    return wrong_epoch_retries_;
+    return stat(kWrongEpochRetries);
   }
   /// Test hook: the layout epoch a cached fast-read entry was seeded
   /// under (nullopt when cold).
@@ -203,20 +217,6 @@ class Client {
     const auto it = fastread_cache_.find(oid);
     if (it == fastread_cache_.end()) return std::nullopt;
     return it->second.epoch;
-  }
-
-  /// Clears every accumulated statistic; configuration-like state (the
-  /// cached layout, the fast-read address cache, session_seq_) survives —
-  /// resetting those would change behaviour, not accounting.
-  void reset_stats() {
-    completed_ = 0;
-    retries_ = timeouts_ = overloaded_ = busy_replies_ = 0;
-    fastread_hits_ = fastread_torn_retries_ = fastread_fallbacks_ =
-        fastread_lease_rejects_ = 0;
-    fastwrite_commits_ = fastwrite_conflicts_ = fastwrite_fallbacks_ =
-        fastwrite_lease_rejects_ = 0;
-    wrong_epoch_retries_ = 0;
-    latencies_.clear();
   }
 
   /// Test hook: rewinds the session counter so the next submit reuses an
@@ -232,11 +232,6 @@ class Client {
   bool in_flight_ = false;
   std::uint64_t session_seq_ = 0;  // last issued logical command number
   sim::Rng rng_;                   // backoff jitter, forked off the fabric seed
-  std::uint64_t completed_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t timeouts_ = 0;     // kTimeout outcomes
-  std::uint64_t overloaded_ = 0;   // kOverloaded outcomes
-  std::uint64_t busy_replies_ = 0; // BUSY answers observed (pre-backoff)
   sim::LatencyRecorder latencies_;
 
   /// Per-oid fast-read address cache, seeded by ordered-read replies.
@@ -258,10 +253,12 @@ class Client {
     bool serialized = false;
   };
   std::unordered_map<Oid, FastLoc> fastread_cache_;
-  std::uint64_t fastread_hits_ = 0;
-  std::uint64_t fastread_torn_retries_ = 0;
-  std::uint64_t fastread_fallbacks_ = 0;
-  std::uint64_t fastread_lease_rejects_ = 0;
+
+  /// submit() minus the completion count, so submit_routed counts a
+  /// command once however many wrong-epoch hops it took.
+  sim::Task<Result> submit_uncounted(DstMask dst, std::uint32_t kind,
+                                     std::span<const std::byte> payload,
+                                     std::uint32_t flags);
 
   /// Shared state of one fast-write attempt's per-replica fan-out
   /// (defined in system.cpp; the helpers below each own one replica).
@@ -275,30 +272,15 @@ class Client {
   sim::Task<void> fast_write_verify(GroupId home, int rank, Oid oid,
                                     FastLoc loc, Tmp fast_tmp, Tmp base,
                                     FastWriteRound* st);
-  std::uint64_t fastwrite_commits_ = 0;
-  std::uint64_t fastwrite_conflicts_ = 0;
-  std::uint64_t fastwrite_fallbacks_ = 0;
-  std::uint64_t fastwrite_lease_rejects_ = 0;
 
   /// Applies a kStatusWrongEpoch reply: advances layout_ (when the wire
   /// epoch is newer) and evicts every fast-read cache entry seeded under
   /// an older layout. Returns false on a malformed payload.
   bool apply_wrong_epoch(const Reply& reply);
   reconfig::Layout layout_;
-  std::uint64_t wrong_epoch_retries_ = 0;
 
-  telemetry::Counter* ctr_retries_;
-  telemetry::Counter* ctr_timeouts_;
-  telemetry::Counter* ctr_busy_;
-  telemetry::Counter* ctr_fast_hits_;
-  telemetry::Counter* ctr_fast_torn_;
-  telemetry::Counter* ctr_fast_fallbacks_;
-  telemetry::Counter* ctr_fast_lease_rejects_;
-  telemetry::Counter* ctr_fastw_commits_;
-  telemetry::Counter* ctr_fastw_conflicts_;
-  telemetry::Counter* ctr_fastw_fallbacks_;
-  telemetry::Counter* ctr_fastw_lease_rejects_;
-  telemetry::Counter* ctr_wrong_epoch_;
+  std::array<telemetry::Counter*, kStatCount> stats_{};
+  void count(Stat s) { stats_[s]->inc(); }
 };
 
 class System {
@@ -358,9 +340,11 @@ class System {
   [[nodiscard]] std::uint64_t total_completed() const;
   /// Lease renewal periods skipped by the backpressure gate (see
   /// HeronConfig::lease_backpressure_threshold).
-  [[nodiscard]] std::uint64_t lease_renewals_skipped() const {
-    return lease_renewals_skipped_;
-  }
+  [[nodiscard]] std::uint64_t lease_renewals_skipped() const;
+  /// The one statistics reset: zeroes every registry counter of the
+  /// fabric (replicas, clients, streams, amcast, rdma, durable) via
+  /// Fabric::reset_stats and clears the latency recorders. Runtime state
+  /// (watermarks, sessions, leases, layouts, cursors) is untouched.
   void reset_stats();
 
   // --- heron::reconfig: elastic repartitioning --------------------------
@@ -458,7 +442,8 @@ class System {
   reconfig::Layout layout_;   // controller's current layout
   std::uint64_t reconfig_tickets_issued_ = 0;  // migration serialization
   std::uint64_t reconfig_tickets_done_ = 0;
-  std::uint64_t lease_renewals_skipped_ = 0;  // backpressure-gated renewals
+  /// Per partition: backpressure-gated lease renewals.
+  std::vector<telemetry::Counter*> ctr_renewals_skipped_;
   std::vector<MigrationTimes> migration_times_;
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::vector<std::unique_ptr<Client>> clients_;

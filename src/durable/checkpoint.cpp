@@ -107,17 +107,15 @@ void append_pod(std::vector<std::byte>& buf, const T& v) {
 
 }  // namespace
 
-CheckpointStore::CheckpointStore(sim::Simulator& sim, telemetry::Hub* hub,
+CheckpointStore::CheckpointStore(sim::Simulator& sim,
+                                 telemetry::MetricsRegistry& m,
                                  const DurableConfig& cfg,
                                  const std::string& label)
-    : sim_(&sim), cfg_(cfg), dev_(sim, hub, cfg.device, label) {
-  if (hub != nullptr) {
-    auto& m = hub->metrics;
-    ctr_checkpoints_ = &m.counter("durable", "checkpoints", label);
-    ctr_full_checkpoints_ = &m.counter("durable", "full_checkpoints", label);
-    ctr_aborted_ = &m.counter("durable", "aborted_checkpoints", label);
-    ctr_pages_freed_ = &m.counter("durable", "pages_freed", label);
-  }
+    : sim_(&sim), cfg_(cfg), dev_(sim, m, cfg.device, label) {
+  ctr_checkpoints_ = &m.counter("durable", "checkpoints", label);
+  ctr_full_checkpoints_ = &m.counter("durable", "full_checkpoints", label);
+  ctr_aborted_ = &m.counter("durable", "aborted_checkpoints", label);
+  ctr_pages_freed_ = &m.counter("durable", "pages_freed", label);
 }
 
 std::uint32_t CheckpointStore::page_payload_capacity() const {
@@ -151,10 +149,7 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
   std::vector<std::uint64_t> fresh;
   const auto give_up = [&](bool count_abort) {
     for (const std::uint64_t p : fresh) free_page(p);
-    if (count_abort) {
-      ++aborted_;
-      if (ctr_aborted_ != nullptr) ctr_aborted_->inc();
-    }
+    if (count_abort) ctr_aborted_->inc();
   };
 
   // --- pack records into data-page payloads ----------------------------
@@ -260,7 +255,7 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
       free_page(p);
       ++freed;
     }
-    if (ctr_pages_freed_ != nullptr) ctr_pages_freed_->inc(freed);
+    ctr_pages_freed_->inc(freed);
     chain_pages_.clear();
     index_.clear();
   }
@@ -272,12 +267,8 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
           RecordLoc{entries[i].page, offset, r.flags, r.tmp};
     });
   }
-  ++checkpoints_;
-  if (ctr_checkpoints_ != nullptr) ctr_checkpoints_->inc();
-  if (full) {
-    ++fulls_;
-    if (ctr_full_checkpoints_ != nullptr) ctr_full_checkpoints_->inc();
-  }
+  ctr_checkpoints_->inc();
+  if (full) ctr_full_checkpoints_->inc();
   co_return true;
 }
 

@@ -51,7 +51,7 @@ struct Image {
 
 class CheckpointStore {
  public:
-  CheckpointStore(sim::Simulator& sim, telemetry::Hub* hub,
+  CheckpointStore(sim::Simulator& sim, telemetry::MetricsRegistry& metrics,
                   const DurableConfig& cfg, const std::string& label);
 
   /// Persists one checkpoint and commits it atomically. `full` replaces
@@ -81,10 +81,14 @@ class CheckpointStore {
   [[nodiscard]] bool has_checkpoint() const { return head_page_ != kNoPage; }
   [[nodiscard]] std::uint64_t watermark() const { return watermark_; }
   [[nodiscard]] std::uint64_t checkpoints_written() const {
-    return checkpoints_;
+    return ctr_checkpoints_->value();
   }
-  [[nodiscard]] std::uint64_t full_checkpoints() const { return fulls_; }
-  [[nodiscard]] std::uint64_t aborted_checkpoints() const { return aborted_; }
+  [[nodiscard]] std::uint64_t full_checkpoints() const {
+    return ctr_full_checkpoints_->value();
+  }
+  [[nodiscard]] std::uint64_t aborted_checkpoints() const {
+    return ctr_aborted_->value();
+  }
   [[nodiscard]] std::uint64_t chain_pages() const {
     return chain_pages_.size();
   }
@@ -128,14 +132,10 @@ class CheckpointStore {
   std::uint64_t next_page_ = 2;
   std::vector<std::uint64_t> free_;
 
-  std::uint64_t checkpoints_ = 0;
-  std::uint64_t fulls_ = 0;
-  std::uint64_t aborted_ = 0;
-
-  telemetry::Counter* ctr_checkpoints_ = nullptr;
-  telemetry::Counter* ctr_full_checkpoints_ = nullptr;
-  telemetry::Counter* ctr_aborted_ = nullptr;
-  telemetry::Counter* ctr_pages_freed_ = nullptr;
+  telemetry::Counter* ctr_checkpoints_;
+  telemetry::Counter* ctr_full_checkpoints_;
+  telemetry::Counter* ctr_aborted_;
+  telemetry::Counter* ctr_pages_freed_;
 };
 
 }  // namespace heron::durable

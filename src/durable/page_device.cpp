@@ -31,17 +31,14 @@ std::uint32_t crc32(std::span<const std::byte> bytes) {
   return c ^ 0xFFFFFFFFu;
 }
 
-PageDevice::PageDevice(sim::Simulator& sim, telemetry::Hub* hub,
+PageDevice::PageDevice(sim::Simulator& sim, telemetry::MetricsRegistry& m,
                        const DeviceConfig& cfg, const std::string& label)
     : sim_(&sim), cfg_(cfg), pages_(cfg.page_count) {
-  if (hub != nullptr) {
-    auto& m = hub->metrics;
-    ctr_pages_written_ = &m.counter("durable", "pages_written", label);
-    ctr_bytes_written_ = &m.counter("durable", "bytes_written", label);
-    ctr_pages_read_ = &m.counter("durable", "pages_read", label);
-    ctr_bytes_read_ = &m.counter("durable", "bytes_read", label);
-    ctr_crc_failures_ = &m.counter("durable", "crc_failures", label);
-  }
+  ctr_pages_written_ = &m.counter("durable", "pages_written", label);
+  ctr_bytes_written_ = &m.counter("durable", "bytes_written", label);
+  ctr_pages_read_ = &m.counter("durable", "pages_read", label);
+  ctr_bytes_read_ = &m.counter("durable", "bytes_read", label);
+  ctr_crc_failures_ = &m.counter("durable", "crc_failures", label);
 }
 
 sim::Task<void> PageDevice::charge(sim::Nanos base, double bw_bytes_per_ns,
@@ -78,12 +75,8 @@ sim::Task<void> PageDevice::write_page(std::uint64_t page,
     p.data.assign(payload.begin(), payload.end());
   }
   p.written = true;
-  ++pages_written_;
-  bytes_written_ += payload.size();
-  if (ctr_pages_written_ != nullptr) {
-    ctr_pages_written_->inc();
-    ctr_bytes_written_->inc(payload.size());
-  }
+  ctr_pages_written_->inc();
+  ctr_bytes_written_->inc(payload.size());
 }
 
 sim::Task<bool> PageDevice::read_page(std::uint64_t page,
@@ -92,17 +85,12 @@ sim::Task<bool> PageDevice::read_page(std::uint64_t page,
     throw std::out_of_range("durable: page index past device capacity");
   }
   co_await charge(cfg_.read_base, cfg_.read_bw_bytes_per_ns, cfg_.page_bytes);
-  ++pages_read_;
-  bytes_read_ += cfg_.page_bytes;
-  if (ctr_pages_read_ != nullptr) {
-    ctr_pages_read_->inc();
-    ctr_bytes_read_->inc(cfg_.page_bytes);
-  }
+  ctr_pages_read_->inc();
+  ctr_bytes_read_->inc(cfg_.page_bytes);
 
   const Page& p = pages_[page];
   if (!p.written || crc32(p.data) != p.crc) {
-    ++crc_failures_;
-    if (ctr_crc_failures_ != nullptr) ctr_crc_failures_->inc();
+    ctr_crc_failures_->inc();
     co_return false;
   }
   out.assign(p.data.begin(), p.data.end());

@@ -23,7 +23,7 @@
 #include "durable/config.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
-#include "telemetry/hub.hpp"
+#include "telemetry/registry.hpp"
 
 namespace heron::durable {
 
@@ -33,8 +33,8 @@ std::uint32_t crc32(std::span<const std::byte> bytes);
 
 class PageDevice {
  public:
-  /// `hub` may be null (unit tests); `label` keys the telemetry series.
-  PageDevice(sim::Simulator& sim, telemetry::Hub* hub,
+  /// Counts in `metrics`, under `label`.
+  PageDevice(sim::Simulator& sim, telemetry::MetricsRegistry& metrics,
              const DeviceConfig& cfg, const std::string& label);
 
   /// Persists `payload` (<= page_bytes) into `page`, charging base +
@@ -54,10 +54,15 @@ class PageDevice {
 
   [[nodiscard]] std::uint32_t page_bytes() const { return cfg_.page_bytes; }
   [[nodiscard]] std::uint64_t page_count() const { return cfg_.page_count; }
-  [[nodiscard]] std::uint64_t pages_written() const { return pages_written_; }
-  [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
-  [[nodiscard]] std::uint64_t pages_read() const { return pages_read_; }
-  [[nodiscard]] std::uint64_t crc_failures() const { return crc_failures_; }
+  [[nodiscard]] std::uint64_t pages_written() const {
+    return ctr_pages_written_->value();
+  }
+  [[nodiscard]] std::uint64_t pages_read() const {
+    return ctr_pages_read_->value();
+  }
+  [[nodiscard]] std::uint64_t crc_failures() const {
+    return ctr_crc_failures_->value();
+  }
 
  private:
   struct Page {
@@ -77,17 +82,11 @@ class PageDevice {
   sim::Nanos free_at_ = 0;
   bool tear_next_ = false;
 
-  std::uint64_t pages_written_ = 0;
-  std::uint64_t bytes_written_ = 0;
-  std::uint64_t pages_read_ = 0;
-  std::uint64_t bytes_read_ = 0;
-  std::uint64_t crc_failures_ = 0;
-
-  telemetry::Counter* ctr_pages_written_ = nullptr;
-  telemetry::Counter* ctr_bytes_written_ = nullptr;
-  telemetry::Counter* ctr_pages_read_ = nullptr;
-  telemetry::Counter* ctr_bytes_read_ = nullptr;
-  telemetry::Counter* ctr_crc_failures_ = nullptr;
+  telemetry::Counter* ctr_pages_written_;
+  telemetry::Counter* ctr_bytes_written_;
+  telemetry::Counter* ctr_pages_read_;
+  telemetry::Counter* ctr_bytes_read_;
+  telemetry::Counter* ctr_crc_failures_;
 };
 
 }  // namespace heron::durable

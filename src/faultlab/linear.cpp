@@ -73,7 +73,9 @@ std::vector<Violation> LinearChecker::check(
     // after each wipe reuses the same tmp. `resolve` disambiguates by
     // picking the latest instance invoked before the observation point.
     std::map<core::Tmp, std::vector<const FastWriteOp*>> fast_of;
+    std::size_t fast_count = 0;
     if (const auto it = fast_writes_.find(key); it != fast_writes_.end()) {
+      fast_count = it->second.size();
       for (const FastWriteOp& f : it->second) fast_of[f.tmp].push_back(&f);
       for (auto& [tmp, ops] : fast_of) {
         std::sort(ops.begin(), ops.end(),
@@ -95,11 +97,15 @@ std::vector<Violation> LinearChecker::check(
     // `before` anchors disambiguation: the time the version was observed
     // (a read's completion, or the dependent fast write's invocation).
     // A fast tmp with no note resolves to itself — membership flags it.
-    auto ordkey = [&resolve](core::Tmp tmp, sim::Nanos before) {
+    // An acyclic chain has at most one link per fast write of the key, so
+    // that count bounds the walk (and stops a cycle through the
+    // `front()` fallback).
+    auto ordkey = [&resolve, fast_count](core::Tmp tmp, sim::Nanos before) {
       OrdKey k;
       core::Tmp t = tmp;
       sim::Nanos at = before;
-      for (int guard = 0; core::is_fast_tmp(t) && guard < 64; ++guard) {
+      for (std::size_t links = 0; core::is_fast_tmp(t) && links < fast_count;
+           ++links) {
         const FastWriteOp* f = resolve(t, at);
         if (f == nullptr) break;
         k.push_back(static_cast<std::uint64_t>(f->completed_at));

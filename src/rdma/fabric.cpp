@@ -39,13 +39,29 @@ Fabric::Fabric(sim::Simulator& sim, LatencyModel model, std::uint64_t seed)
   ctr_uplink_queued_ = &m.counter("rdma", "uplink_queued");
   ctr_priority_ops_ = &m.counter("rdma", "priority_ops");
   ctr_injected_ = &m.counter("rdma", "injected_ops");
+  ctr_injected_bytes_ = &m.counter("rdma", "injected_bytes");
   hist_queue_wait_ = &m.histogram("rdma", "nic_queue_wait_ns");
   hist_credit_wait_ = &m.histogram("rdma", "credit_wait_ns");
   hist_uplink_wait_ = &m.histogram("rdma", "uplink_wait_ns");
 }
 
+FabricStats Fabric::stats() const {
+  return FabricStats{
+      .reads = ctr_reads_->value(),
+      .writes = ctr_writes_->value() + ctr_writes_async_->value(),
+      .read_bytes = ctr_read_bytes_->value(),
+      .write_bytes = ctr_write_bytes_->value(),
+      .failures = ctr_errors_->value() + ctr_bad_addr_->value(),
+      .credit_stalls = ctr_credit_stalls_->value(),
+      .uplink_queued = ctr_uplink_queued_->value(),
+      .priority_ops = ctr_priority_ops_->value(),
+      .injected_ops = ctr_injected_->value(),
+      .injected_bytes = ctr_injected_bytes_->value(),
+  };
+}
+
 void Fabric::reset_stats() {
-  stats_ = {};
+  hub_->metrics.reset_counters();
   hist_queue_wait_->reset();
   hist_credit_wait_->reset();
   hist_uplink_wait_->reset();
@@ -53,8 +69,6 @@ void Fabric::reset_stats() {
     link.bytes = 0;
     link.busy_ns = 0;
   }
-  std::fill(credit_stalls_by_node_.begin(), credit_stalls_by_node_.end(),
-            std::uint64_t{0});
 }
 
 sim::Nanos Fabric::jitter(sim::Nanos base) {
@@ -133,7 +147,6 @@ sim::Nanos Fabric::link_transit(std::int32_t initiator, std::int32_t target,
   const sim::Nanos hop = jitter(model_.tor_hop);
   if (model_.priority_lanes && lane == Lane::kControl) {
     // QoS class: skips the FIFO, pays only the switch hop.
-    ++stats_.priority_ops;
     ctr_priority_ops_->inc();
     return ready + hop;
   }
@@ -145,7 +158,6 @@ sim::Nanos Fabric::link_transit(std::int32_t initiator, std::int32_t target,
   const sim::Nanos start = std::max({ready, su.free_at, du.free_at});
   const sim::Nanos wait = start - ready;
   if (wait > 0) {
-    ++stats_.uplink_queued;
     ctr_uplink_queued_->inc();
     hist_uplink_wait_->observe(wait);
   }
@@ -216,7 +228,6 @@ Fabric::Qp& Fabric::open_qp(std::vector<std::unique_ptr<Qp>>& row,
 }
 
 void Fabric::note_credit_stall(std::int32_t initiator) {
-  ++stats_.credit_stalls;
   ctr_credit_stalls_->inc();
   const auto i = static_cast<std::size_t>(initiator);
   if (credit_stalls_by_node_.size() <= i) {
@@ -258,8 +269,6 @@ void Fabric::release_credit(Qp& qp, bool gated) {
 
 sim::Task<Completion> Fabric::read(std::int32_t initiator, RAddr addr,
                                    std::span<std::byte> out, Lane lane) {
-  ++stats_.reads;
-  stats_.read_bytes += out.size();
   ctr_reads_->inc();
   ctr_read_bytes_->inc(out.size());
   auto span = hub_->tracer.span("rdma", "read", initiator);
@@ -268,7 +277,6 @@ sim::Task<Completion> Fabric::read(std::int32_t initiator, RAddr addr,
 
   Node& target = node(addr.node);
   if (!in_bounds(target.region(addr.mr), addr.offset, out.size())) {
-    ++stats_.failures;
     ctr_bad_addr_->inc();
     span.arg("bad_address", 1);
     co_return Completion{Status::kBadAddress};
@@ -290,7 +298,6 @@ sim::Task<Completion> Fabric::read(std::int32_t initiator, RAddr addr,
   if (arrive > sim_->now()) co_await sim_->sleep(arrive - sim_->now());
 
   if (!target.alive()) {
-    ++stats_.failures;
     ctr_errors_->inc();
     span.arg("wc_error", 1);
     const sim::Nanos err_at = departed + model_.failure_detect;
@@ -317,8 +324,6 @@ sim::Task<Completion> Fabric::cas(std::int32_t initiator, RAddr addr,
                                   std::uint64_t desired,
                                   std::uint64_t* observed, Lane lane) {
   // Atomics ride the READ timing path: tiny request out, old value back.
-  ++stats_.reads;
-  stats_.read_bytes += sizeof(std::uint64_t);
   ctr_reads_->inc();
   ctr_read_bytes_->inc(sizeof(std::uint64_t));
   auto span = hub_->tracer.span("rdma", "cas", initiator);
@@ -327,7 +332,6 @@ sim::Task<Completion> Fabric::cas(std::int32_t initiator, RAddr addr,
   Node& target = node(addr.node);
   if (!in_bounds(target.region(addr.mr), addr.offset,
                  sizeof(std::uint64_t))) {
-    ++stats_.failures;
     ctr_bad_addr_->inc();
     span.arg("bad_address", 1);
     co_return Completion{Status::kBadAddress};
@@ -348,7 +352,6 @@ sim::Task<Completion> Fabric::cas(std::int32_t initiator, RAddr addr,
   if (arrive > sim_->now()) co_await sim_->sleep(arrive - sim_->now());
 
   if (!target.alive()) {
-    ++stats_.failures;
     ctr_errors_->inc();
     span.arg("wc_error", 1);
     const sim::Nanos err_at = departed + model_.failure_detect;
@@ -396,7 +399,6 @@ std::uint32_t Fabric::stash_payload(std::span<const std::byte> data) {
 void Fabric::deliver_write(RAddr addr, std::span<const std::byte> data) {
   Node& target = node(addr.node);
   if (!target.alive()) {
-    ++stats_.failures;
     ctr_errors_->inc();
     hub_->tracer.instant(
         "rdma", "write_dropped", addr.node,
@@ -413,8 +415,6 @@ void Fabric::deliver_write(RAddr addr, std::span<const std::byte> data) {
 sim::Task<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
                                     std::span<const std::byte> data,
                                     Lane lane) {
-  ++stats_.writes;
-  stats_.write_bytes += data.size();
   ctr_writes_->inc();
   ctr_write_bytes_->inc(data.size());
   auto span = hub_->tracer.span("rdma", "write", initiator);
@@ -423,7 +423,6 @@ sim::Task<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
 
   Node& target = node(addr.node);
   if (!in_bounds(target.region(addr.mr), addr.offset, data.size())) {
-    ++stats_.failures;
     ctr_bad_addr_->inc();
     span.arg("bad_address", 1);
     co_return Completion{Status::kBadAddress};
@@ -448,7 +447,6 @@ sim::Task<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
   release_credit(qp_for(initiator, addr.node, lane), gated);
 
   if (!target.alive()) {
-    ++stats_.failures;
     ctr_errors_->inc();
     span.arg("wc_error", 1);
     const sim::Nanos err_at = departed + model_.failure_detect;
@@ -464,14 +462,11 @@ sim::Task<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
 
 void Fabric::write_async(std::int32_t initiator, RAddr addr,
                          std::span<const std::byte> data, Lane lane) {
-  ++stats_.writes;
-  stats_.write_bytes += data.size();
   ctr_writes_async_->inc();
   ctr_write_bytes_->inc(data.size());
 
   Node& target = node(addr.node);
   if (!in_bounds(target.region(addr.mr), addr.offset, data.size())) {
-    ++stats_.failures;
     ctr_bad_addr_->inc();
     hub_->tracer.instant("rdma", "write_async_bad_address", initiator,
                          {telemetry::Arg{"target",
@@ -518,9 +513,8 @@ void Fabric::write_async(std::int32_t initiator, RAddr addr,
 
 void Fabric::inject_flow(std::int32_t initiator, std::int32_t target,
                          std::uint64_t bytes, Lane lane) {
-  ++stats_.injected_ops;
-  stats_.injected_bytes += bytes;
   ctr_injected_->inc();
+  ctr_injected_bytes_->inc(bytes);
 
   const bool gated = credit_gated(lane);
   with_credit(qp_for(initiator, target, lane), gated, initiator,

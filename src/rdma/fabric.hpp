@@ -126,7 +126,8 @@ struct LatencyModel {
   }
 };
 
-/// Counters for substrate-level reporting.
+/// Substrate-level counters, read back from the fabric's registry
+/// counters (Fabric::stats()).
 struct FabricStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -154,12 +155,15 @@ class Fabric {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] const LatencyModel& model() const { return model_; }
   [[nodiscard]] LatencyModel& model() { return model_; }
-  [[nodiscard]] const FabricStats& stats() const { return stats_; }
-  /// Clears the counters AND the fabric-owned telemetry series (queue-wait
-  /// / credit-wait / uplink-wait histograms, per-rack byte and busy
-  /// accumulators) so a bench that resets between warmup and measurement
-  /// reports only the measured window. Live queuing state (NIC free
-  /// times, uplink FIFOs, outstanding credits) is untouched.
+  [[nodiscard]] FabricStats stats() const;
+  /// Zeroes every counter of the registry this fabric owns (the counters
+  /// of every layer attached to it, not only rdma's) AND the fabric-owned
+  /// telemetry series (queue-wait / credit-wait / uplink-wait histograms,
+  /// per-rack byte and busy accumulators) so a bench that resets between
+  /// warmup and measurement reports only the measured window. Live
+  /// queuing state (NIC free times, uplink FIFOs, outstanding credits)
+  /// and the per-node credit-stall counts behind credit_stalls(node) are
+  /// untouched: those are inputs to admission control, not statistics.
   void reset_stats();
 
   /// The telemetry hub shared by every layer attached to this fabric
@@ -242,8 +246,10 @@ class Fabric {
   /// Cumulative occupancy of a rack's uplink in ns (utilization =
   /// busy_ns / window).
   [[nodiscard]] std::uint64_t uplink_busy_ns(int rack) const;
-  /// Credit-queue stalls charged to verbs initiated by `node_id` (since
-  /// last reset_stats) — the starvation half of the backpressure signal.
+  /// Credit-queue stalls charged to verbs initiated by `node_id` since the
+  /// fabric was built — the starvation half of the backpressure signal.
+  /// Monotone (reset_stats leaves it alone): adaptive admission samples
+  /// its delta.
   [[nodiscard]] std::uint64_t credit_stalls(std::int32_t node_id) const;
   /// Verbs currently waiting in software credit queues out of `node_id`.
   [[nodiscard]] std::size_t credit_queue_depth(std::int32_t node_id) const;
@@ -370,7 +376,6 @@ class Fabric {
   LatencyModel model_;
   std::uint64_t seed_;
   sim::Rng rng_;
-  FabricStats stats_;
   std::unique_ptr<telemetry::Hub> hub_;
   std::vector<std::unique_ptr<Node>> nodes_;
   // QP table: one row per initiator node, indexed by target * 2 + lane.
@@ -389,7 +394,8 @@ class Fabric {
   std::vector<std::int32_t> partitioned_;  // sorted node set; one side of the cut
   sim::Nanos partition_heal_at_ = 0;
 
-  // Telemetry handles (registered once; recording is branch-guarded).
+  // Telemetry handles (registered once): the counters are FabricStats'
+  // only home; histograms record only while telemetry is enabled.
   telemetry::Counter* ctr_reads_;
   telemetry::Counter* ctr_writes_;
   telemetry::Counter* ctr_writes_async_;
@@ -401,6 +407,7 @@ class Fabric {
   telemetry::Counter* ctr_uplink_queued_;
   telemetry::Counter* ctr_priority_ops_;
   telemetry::Counter* ctr_injected_;
+  telemetry::Counter* ctr_injected_bytes_;
   telemetry::Histogram* hist_queue_wait_;
   telemetry::Histogram* hist_credit_wait_;
   telemetry::Histogram* hist_uplink_wait_;

@@ -2,9 +2,10 @@
 //
 // Every simulated component reaches its hub through the rdma::Fabric it
 // is attached to (all layers already hold a fabric reference), so no
-// extra plumbing is needed to instrument a new subsystem. Both parts are
-// disabled by default and cost a single branch per call site until
-// enabled.
+// extra plumbing is needed to instrument a new subsystem. Registry
+// counters always count (they are the home of every statistic); gauges,
+// histograms and the tracer are disabled by default and cost a single
+// branch per call site until enabled.
 #pragma once
 
 #include <cstdint>

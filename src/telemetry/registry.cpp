@@ -12,16 +12,7 @@ Counter& MetricsRegistry::counter(std::string subsystem, std::string name,
                                   std::string label) {
   auto& slot = counters_[{std::move(subsystem), std::move(name),
                           std::move(label)}];
-  if (!slot) slot.reset(new Counter(&enabled_));
-  return *slot;
-}
-
-Counter& MetricsRegistry::stat(std::string subsystem, std::string name,
-                               std::string label) {
-  static const bool kAlways = true;
-  auto& slot = counters_[{std::move(subsystem), std::move(name),
-                          std::move(label)}];
-  if (!slot) slot.reset(new Counter(&kAlways));
+  if (!slot) slot.reset(new Counter());
   return *slot;
 }
 
@@ -42,16 +33,14 @@ Histogram& MetricsRegistry::histogram(std::string subsystem, std::string name,
   return *slot;
 }
 
-void MetricsRegistry::reset_values() {
+void MetricsRegistry::reset_counters() {
   for (auto& [k, c] : counters_) c->value_ = 0;
+}
+
+void MetricsRegistry::reset_values() {
+  reset_counters();
   for (auto& [k, g] : gauges_) g->value_ = 0;
-  for (auto& [k, h] : histograms_) {
-    h->counts_.assign(h->counts_.size(), 0);
-    h->count_ = 0;
-    h->sum_ = 0;
-    h->min_ = std::numeric_limits<std::int64_t>::max();
-    h->max_ = std::numeric_limits<std::int64_t>::min();
-  }
+  for (auto& [k, h] : histograms_) h->reset();
 }
 
 namespace {

@@ -3,13 +3,16 @@
 // partition or replica (e.g. "g0.r1").
 //
 // Handles are registered once (construction time) and held by pointer at
-// the instrumentation site; recording is a single branch on the
-// registry-wide enabled flag plus an add, so disabled telemetry costs
-// near nothing on the hot path. Snapshots serialize deterministically
-// (std::map key order).
+// the instrumentation site. A counter is the one home of a statistic: it
+// always counts, and the owning class's accessor reads it back (no raw
+// twin field). The registry-wide enabled flag gates only gauges and
+// histograms (and the tracer has its own flag), so disabled telemetry
+// costs one branch per gauge/histogram call site. Snapshots serialize
+// deterministically (std::map key order).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -24,18 +27,15 @@ namespace heron::telemetry {
 
 class MetricsRegistry;
 
+/// Counts whether or not the registry is enabled.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) {
-    if (*enabled_) value_ += n;
-  }
+  void inc(std::uint64_t n = 1) { value_ += n; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(const bool* enabled) : enabled_(enabled) {}
-  const bool* enabled_;
+  Counter() = default;
   std::uint64_t value_ = 0;
 };
 
@@ -112,6 +112,23 @@ class Histogram {
   std::int64_t max_ = std::numeric_limits<std::int64_t>::min();
 };
 
+/// Registry key of one entry of a class's statistics enum. A class keeps
+/// a table of these in enum order (`stat` is the enum value, so
+/// in_enum_order can check the table) and one counter per entry.
+struct StatKey {
+  int stat;
+  const char* subsystem;
+  const char* name;
+};
+
+template <std::size_t N>
+constexpr bool in_enum_order(const std::array<StatKey, N>& keys) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (keys[i].stat != static_cast<int>(i)) return false;
+  }
+  return true;
+}
+
 /// Default latency bucket bounds (ns): 0.25us .. ~134ms, doubling.
 std::vector<std::int64_t> latency_buckets_ns();
 
@@ -128,17 +145,25 @@ class MetricsRegistry {
   /// lifetime; repeated calls with the same key return the same object.
   Counter& counter(std::string subsystem, std::string name,
                    std::string label = "");
-  /// A counter that counts whether or not the registry is enabled: the
-  /// single home of a statistic that an accessor reads back (no shadow
-  /// raw field). Snapshotted and reset like any other counter.
-  Counter& stat(std::string subsystem, std::string name,
-                std::string label = "");
   Gauge& gauge(std::string subsystem, std::string name,
                std::string label = "");
   Histogram& histogram(std::string subsystem, std::string name,
                        std::string label = "",
                        std::vector<std::int64_t> bounds = latency_buckets_ns());
+  /// One counter per key of a StatKey table, all under `label`.
+  template <std::size_t N>
+  std::array<Counter*, N> counters(const std::array<StatKey, N>& keys,
+                                   const std::string& label) {
+    std::array<Counter*, N> out{};
+    for (std::size_t i = 0; i < N; ++i) {
+      out[i] = &counter(keys[i].subsystem, keys[i].name, label);
+    }
+    return out;
+  }
 
+  /// Zeroes every counter: the statistics reset (see
+  /// rdma::Fabric::reset_stats). Gauges and histograms are untouched.
+  void reset_counters();
   /// Zeroes every metric's value (bucket layout is kept). Used at the
   /// start of a measurement window.
   void reset_values();

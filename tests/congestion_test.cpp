@@ -7,6 +7,7 @@
 // oracle) deterministically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,6 +50,9 @@ struct CellResult {
   std::uint64_t admission_final = 0;
   std::uint64_t hits_mid = 0;
   std::uint64_t rejects_mid = 0;
+  std::uint64_t admission_at_reset = 0;
+  std::uint64_t admission_min_after_reset = 0;
+  std::uint64_t tightened_after_reset = 0;
   std::vector<std::uint64_t> digests;
   std::vector<Violation> violations;
 };
@@ -70,6 +74,11 @@ struct CellOptions {
   /// When > 0, sample fast-read counters and the leader's admission
   /// window at this instant (mid-congestion probes).
   sim::Nanos sample_at = 0;
+  /// When > 0, call Fabric::reset_stats at this instant, then track the
+  /// leader's admission window (and amcast/admission_tightened) for
+  /// `after_reset`.
+  sim::Nanos reset_at = 0;
+  sim::Nanos after_reset = sim::ms(5);
 };
 
 sim::Task<void> mixed_loop(core::System& sys, core::Client& client,
@@ -137,6 +146,29 @@ CellResult run_cell(const CellOptions& opt) {
         res.rejects_mid += s.client(c).fastread_lease_rejects();
       }
     }(sys, out, opt.sample_at));
+  }
+  if (opt.reset_at > 0) {
+    sim.spawn([](core::System& s, CellResult& res, sim::Nanos at,
+                 sim::Nanos span) -> sim::Task<void> {
+      auto& sim = s.simulator();
+      co_await sim.sleep(at);
+      auto& leader = s.amcast().endpoint(0, 0);
+      res.admission_at_reset = leader.effective_admission_window();
+      res.admission_min_after_reset = res.admission_at_reset;
+      s.fabric().reset_stats();
+      const sim::Nanos end = sim.now() + span;
+      while (sim.now() < end) {
+        co_await sim.sleep(sim::us(1));
+        res.admission_min_after_reset =
+            std::min<std::uint64_t>(res.admission_min_after_reset,
+                                    leader.effective_admission_window());
+      }
+      res.tightened_after_reset =
+          s.fabric()
+              .telemetry()
+              .metrics.counter("amcast", "admission_tightened", "g0.r0")
+              .value();
+    }(sys, out, opt.reset_at, opt.after_reset));
   }
   sim.run_for(opt.run_for);
 
@@ -216,11 +248,18 @@ TEST(Congestion, AdaptiveAdmissionTightensThenRecovers) {
   opt.seed = 43;
   opt.ops = 120;
   opt.read_ratio = 0.3;  // write-heavy: keeps the leader's batch loop busy
+  // Credits on: the storm also charges credit stalls to the leader's node,
+  // the other half of the backpressure signal.
+  opt.model = congested_model(2.0, /*credits=*/2);
   opt.amcast.admission_window = 16;
   opt.amcast.adaptive_admission = true;
   opt.amcast.admission_min_window = 2;
   opt.plan = "incast g0.r0 f8 b32768 p20us @ 2ms for 4ms";
   opt.sample_at = sim::ms(5);
+  // Regression: Fabric::reset_stats used to zero the per-node stall
+  // counts, so the leader's next sample computed (small - large) unsigned,
+  // read a ~2^64 stall delta as congestion and halved a healthy window.
+  opt.reset_at = sim::ms(60);
 
   const CellResult res = run_cell(opt);
   expect_clean(res);
@@ -229,6 +268,10 @@ TEST(Congestion, AdaptiveAdmissionTightensThenRecovers) {
   EXPECT_LT(res.admission_min_seen, 16u);
   EXPECT_GE(res.admission_min_seen, 2u);
   EXPECT_EQ(res.admission_final, 16u);
+  // A statistics reset after recovery is not congestion.
+  EXPECT_EQ(res.admission_at_reset, 16u);
+  EXPECT_EQ(res.admission_min_after_reset, 16u);
+  EXPECT_EQ(res.tightened_after_reset, 0u);
 }
 
 // ---------------------------------------------------------------------

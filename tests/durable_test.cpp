@@ -11,6 +11,7 @@
 #include "durable/checkpoint.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
+#include "telemetry/registry.hpp"
 
 namespace heron::durable {
 namespace {
@@ -113,7 +114,8 @@ TEST(RecordCodec, RoundtripAndTruncation) {
 TEST(PageDevice, RoundtripChargesDeviceTime) {
   sim::Simulator sim;
   DeviceConfig cfg;
-  PageDevice dev(sim, nullptr, cfg, "t");
+  telemetry::MetricsRegistry metrics;
+  PageDevice dev(sim, metrics, cfg, "t");
 
   const auto payload = bytes_of("hello durable world");
   drive(sim, [&]() -> sim::Task<void> {
@@ -137,7 +139,8 @@ TEST(PageDevice, RoundtripChargesDeviceTime) {
 TEST(PageDevice, UnwrittenAndOutOfRangePages) {
   sim::Simulator sim;
   DeviceConfig cfg;
-  PageDevice dev(sim, nullptr, cfg, "t");
+  telemetry::MetricsRegistry metrics;
+  PageDevice dev(sim, metrics, cfg, "t");
   drive(sim, [&]() -> sim::Task<void> {
     std::vector<std::byte> back;
     EXPECT_FALSE(co_await dev.read_page(7, back));  // never written
@@ -148,7 +151,8 @@ TEST(PageDevice, UnwrittenAndOutOfRangePages) {
 TEST(PageDevice, DetectsMediumCorruption) {
   sim::Simulator sim;
   DeviceConfig cfg;
-  PageDevice dev(sim, nullptr, cfg, "t");
+  telemetry::MetricsRegistry metrics;
+  PageDevice dev(sim, metrics, cfg, "t");
   drive(sim, [&]() -> sim::Task<void> {
     co_await dev.write_page(3, bytes_of("precious bits"));
     dev.corrupt_page(3);
@@ -161,7 +165,8 @@ TEST(PageDevice, DetectsMediumCorruption) {
 TEST(PageDevice, DetectsTornWrite) {
   sim::Simulator sim;
   DeviceConfig cfg;
-  PageDevice dev(sim, nullptr, cfg, "t");
+  telemetry::MetricsRegistry metrics;
+  PageDevice dev(sim, metrics, cfg, "t");
   drive(sim, [&]() -> sim::Task<void> {
     dev.tear_next_write();
     co_await dev.write_page(4, bytes_of("half of this payload persists"));
@@ -177,7 +182,8 @@ TEST(CheckpointStore, CommitAndLoadRoundtrip) {
   sim::Simulator sim;
   DurableConfig cfg;
   cfg.checkpoint_interval = sim::ms(1);
-  CheckpointStore store(sim, nullptr, cfg, "t");
+  telemetry::MetricsRegistry metrics;
+  CheckpointStore store(sim, metrics, cfg, "t");
 
   std::vector<Record> records{object_record(1, 100, "alpha"),
                               object_record(2, 100, "beta")};
@@ -233,7 +239,8 @@ TEST(CheckpointStore, DeltaChainNewestWins) {
   sim::Simulator sim;
   DurableConfig cfg;
   cfg.checkpoint_interval = sim::ms(1);
-  CheckpointStore store(sim, nullptr, cfg, "t");
+  telemetry::MetricsRegistry metrics;
+  CheckpointStore store(sim, metrics, cfg, "t");
 
   drive(sim, [&]() -> sim::Task<void> {
     co_await store.write_checkpoint(
@@ -269,7 +276,8 @@ TEST(CheckpointStore, AbortedCheckpointKeepsPreviousCommit) {
   sim::Simulator sim;
   DurableConfig cfg;
   cfg.checkpoint_interval = sim::ms(1);
-  CheckpointStore store(sim, nullptr, cfg, "t");
+  telemetry::MetricsRegistry metrics;
+  CheckpointStore store(sim, metrics, cfg, "t");
 
   drive(sim, [&]() -> sim::Task<void> {
     co_await store.write_checkpoint(100, 0, 0, true,
@@ -296,7 +304,8 @@ TEST(CheckpointStore, CorruptHeadFallsBackToPreviousSuperblock) {
   sim::Simulator sim;
   DurableConfig cfg;
   cfg.checkpoint_interval = sim::ms(1);
-  CheckpointStore store(sim, nullptr, cfg, "t");
+  telemetry::MetricsRegistry metrics;
+  CheckpointStore store(sim, metrics, cfg, "t");
 
   drive(sim, [&]() -> sim::Task<void> {
     // Commit seq 1 (superblock page 1), then seq 2 (superblock page 0).
@@ -321,7 +330,8 @@ TEST(CheckpointStore, FullyCorruptDeviceLoadsNothing) {
   sim::Simulator sim;
   DurableConfig cfg;
   cfg.checkpoint_interval = sim::ms(1);
-  CheckpointStore store(sim, nullptr, cfg, "t");
+  telemetry::MetricsRegistry metrics;
+  CheckpointStore store(sim, metrics, cfg, "t");
 
   drive(sim, [&]() -> sim::Task<void> {
     co_await store.write_checkpoint(100, 0, 0, true,
@@ -338,7 +348,8 @@ TEST(CheckpointStore, FullCheckpointCompactsTheOldChain) {
   DurableConfig cfg;
   cfg.checkpoint_interval = sim::ms(1);
   cfg.device.page_count = 64;  // small device: utilization is visible
-  CheckpointStore store(sim, nullptr, cfg, "t");
+  telemetry::MetricsRegistry metrics;
+  CheckpointStore store(sim, metrics, cfg, "t");
 
   const std::string big(40 << 10, 'x');  // ~1.5 records per 64K page
   drive(sim, [&]() -> sim::Task<void> {
@@ -377,7 +388,8 @@ TEST(CheckpointStore, AbortAtDataPageAllocDoesNotLeakPages) {
   cfg.checkpoint_interval = sim::ms(1);
   cfg.device.page_count = 8;  // tiny device: a one-page-per-abort leak
                               // exhausts it after a handful of attempts
-  CheckpointStore store(sim, nullptr, cfg, "t");
+  telemetry::MetricsRegistry metrics;
+  CheckpointStore store(sim, metrics, cfg, "t");
 
   drive(sim, [&]() -> sim::Task<void> {
     co_await store.write_checkpoint(100, 0, 0, true,
@@ -402,7 +414,8 @@ TEST(CheckpointStore, LoadLatestReclaimsUnreferencedPages) {
   sim::Simulator sim;
   DurableConfig cfg;
   cfg.checkpoint_interval = sim::ms(1);
-  CheckpointStore store(sim, nullptr, cfg, "t");
+  telemetry::MetricsRegistry metrics;
+  CheckpointStore store(sim, metrics, cfg, "t");
 
   drive(sim, [&]() -> sim::Task<void> {
     // full A (pages 2,3) + delta (4,5), then full B: B allocates fresh
@@ -431,7 +444,8 @@ TEST(CheckpointStore, TornManifestInvalidatesOnlyNewestCandidate) {
   sim::Simulator sim;
   DurableConfig cfg;
   cfg.checkpoint_interval = sim::ms(1);
-  CheckpointStore store(sim, nullptr, cfg, "t");
+  telemetry::MetricsRegistry metrics;
+  CheckpointStore store(sim, metrics, cfg, "t");
 
   drive(sim, [&]() -> sim::Task<void> {
     co_await store.write_checkpoint(100, 0, 0, true,

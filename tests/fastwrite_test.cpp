@@ -7,6 +7,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -316,14 +317,195 @@ TEST(FastWrite, TakeoverMidGateReleasesWriteBrackets) {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: System::reset_stats clears every accumulator
+// System::reset_stats is the one reset, and every statistic has one home
 // ---------------------------------------------------------------------
 
-/// Regression: reset_stats missed lease_renewals_skipped_, so every
+/// Fast reads and fast writes on a warm cache, so the one-sided paths run
+/// next to the bank transfers.
+sim::Task<void> fast_path_loop(core::Client& client, int ops) {
+  for (int k = 0; k < ops; ++k) {
+    const auto oid = static_cast<core::Oid>(k % kAccounts);
+    co_await client.read(0, oid);
+    co_await set_balance(client, oid, 1000 + k);
+  }
+}
+
+/// Counters of a registry snapshot whose value is not 0, as
+/// "subsystem/name/label=value" (walks every counter; no name list).
+std::vector<std::string> nonzero_counters(
+    const telemetry::MetricsRegistry& metrics) {
+  const std::string json = metrics.to_json();
+  const std::size_t end = json.find("\"gauges\"");
+  static const std::regex kCounter(
+      R"re(\{"subsystem":"([^"]*)","name":"([^"]*)",)re"
+      R"re("label":"([^"]*)","value":(\d+)\})re");
+  std::vector<std::string> out;
+  std::size_t seen = 0;
+  for (auto it = std::sregex_iterator(json.begin(), json.begin() + end,
+                                      kCounter);
+       it != std::sregex_iterator(); ++it) {
+    ++seen;
+    const auto& m = *it;
+    if (m[4].str() != "0") {
+      out.push_back(m[1].str() + "/" + m[2].str() + "/" + m[3].str() + "=" +
+                    m[4].str());
+    }
+  }
+  EXPECT_GT(seen, 100u) << "counter snapshot did not parse";
+  return out;
+}
+
+/// One statistic read through its accessor and through its registry
+/// counter; `exercised` statistics must also be non-zero.
+struct StatPair {
+  std::string what;
+  std::uint64_t accessor;
+  std::uint64_t counter;
+  bool exercised;
+};
+
+std::vector<StatPair> stat_pairs(core::System& sys, rdma::Fabric& fabric) {
+  auto& m = fabric.telemetry().metrics;
+  std::vector<StatPair> out;
+  auto add = [&](std::string what, std::uint64_t accessor,
+                 std::uint64_t counter, bool exercised) {
+    out.push_back({std::move(what), accessor, counter, exercised});
+  };
+  auto ctr = [&](const char* sub, const char* name, const std::string& label) {
+    return m.counter(sub, name, label).value();
+  };
+  for (int r = 0; r < 3; ++r) {
+    auto& rep = sys.replica(0, r);
+    const std::string l = "g0.r" + std::to_string(r);
+    const core::CoordStats cs = rep.coord_stats();
+    add(l + " executed", rep.executed_count(), ctr("core", "executed", l),
+        true);
+    add(l + " skipped", rep.skipped_count(), ctr("core", "skipped", l), false);
+    add(l + " state_transfers", rep.state_transfers(),
+        ctr("core", "state_transfers", l), false);
+    add(l + " transfers_served", rep.transfers_served(),
+        ctr("core", "transfers_served", l), false);
+    add(l + " dedup_hits", rep.dedup_hits(),
+        ctr("core", "session_dedup_hits", l), false);
+    add(l + " shed_replies", rep.shed_replies(), ctr("core", "shed_replies", l),
+        false);
+    add(l + " lease_grants", rep.lease_grants(), ctr("core", "lease_grants", l),
+        true);
+    add(l + " gate_waits", rep.gate_waits(), ctr("core", "gate_waits", l),
+        true);
+    add(l + " fast_fence_waits", rep.stat(core::Replica::kFastFenceWaits),
+        ctr("core", "fastwrite_fence_waits", l), true);
+    add(l + " fast_discards", rep.stat(core::Replica::kFastDiscards),
+        ctr("core", "fastwrite_discards", l), false);
+    add(l + " fast_repairs", rep.fast_repairs(),
+        ctr("core", "fastwrite_repairs", l), true);
+    add(l + " fast_adopted", rep.stat(core::Replica::kFastAdopted),
+        ctr("core", "fastwrite_reconciled_adopted", l), false);
+    add(l + " fast_rediscarded", rep.stat(core::Replica::kFastRediscarded),
+        ctr("core", "fastwrite_reconciled_discarded", l), false);
+    add(l + " coord multi_partition", cs.multi_partition,
+        ctr("core", "coord_multi_partition", l), false);
+    add(l + " coord delayed", cs.delayed, ctr("core", "coord_delayed", l),
+        false);
+    add(l + " coord delay_sum", static_cast<std::uint64_t>(cs.delay_sum),
+        ctr("core", "coord_delay_ns", l), false);
+    add(l + " coord gave_up", cs.gave_up, ctr("core", "coord_gave_up", l),
+        false);
+    add(l + " checkpoints_completed", rep.checkpoints_completed(),
+        ctr("durable", "replica_checkpoints", l), false);
+    add(l + " checkpoints_deferred", rep.checkpoints_deferred(),
+        ctr("durable", "checkpoints_deferred", l), false);
+    add(l + " sessions_evicted", rep.sessions_evicted(),
+        ctr("durable", "sessions_evicted", l), false);
+    add(l + " stale_session_replies", rep.stale_session_replies(),
+        ctr("durable", "stale_session_replies", l), false);
+    add(l + " xfer_applied_full_bytes", rep.xfer_applied_full_bytes(),
+        ctr("xfer", "applied_full_bytes", l), false);
+    add(l + " xfer_applied_delta_bytes", rep.xfer_applied_delta_bytes(),
+        ctr("xfer", "applied_delta_bytes", l), false);
+    add(l + " copy_chunks_sent", rep.copy_chunks_sent(),
+        ctr("copy", "chunks_sent", l), false);
+    add(l + " copy_chunks_received", rep.copy_chunks_received(),
+        ctr("copy", "chunks_received", l), false);
+    add(l + " copy_chunks_corrupt", rep.copy_chunks_corrupt(),
+        ctr("copy", "chunks_corrupt", l), false);
+    add(l + " copy_pulls", rep.copy_pulls(), ctr("copy", "resends", l), false);
+    add(l + " copy_pulls_served", rep.copy_pulls_served(),
+        ctr("copy", "resends_served", l), false);
+    add(l + " copy_deferred", rep.copy_deferred(),
+        ctr("reconfig", "copy_deferred", l), false);
+    add(l + " wrong_epoch_replies", rep.wrong_epoch_replies(),
+        ctr("reconfig", "wrong_epoch_replies", l), false);
+    add(l + " quiesce_deferred", rep.quiesce_deferred(),
+        ctr("reconfig", "quiesce_deferred", l), false);
+    add(l + " migrated_out", rep.migrated_out(),
+        ctr("reconfig", "migrated_out", l), false);
+    add(l + " migrated_in", rep.migrated_in(),
+        ctr("reconfig", "migrated_in", l), false);
+    add(l + " checkpoints_rejected_layout", rep.checkpoints_rejected_layout(),
+        ctr("reconfig", "checkpoints_rejected_layout", l), false);
+  }
+  for (std::uint32_t c = 0; c < sys.client_count(); ++c) {
+    auto& cl = sys.client(c);
+    const std::string l = "c" + std::to_string(cl.id());
+    add(l + " completed", cl.completed(), ctr("client", "completed", l), true);
+    add(l + " retries", cl.retries(), ctr("client", "retries", l), false);
+    add(l + " timeouts", cl.timeouts(), ctr("client", "timeouts", l), false);
+    add(l + " overloaded", cl.overloaded(), ctr("client", "overloaded", l),
+        false);
+    add(l + " busy_replies", cl.busy_replies(),
+        ctr("client", "busy_replies", l), false);
+    add(l + " fastread_hits", cl.fastread_hits(),
+        ctr("core", "fastread_hits", l), false);
+    add(l + " fastread_torn_retries", cl.fastread_torn_retries(),
+        ctr("core", "fastread_torn_retries", l), false);
+    add(l + " fastread_fallbacks", cl.fastread_fallbacks(),
+        ctr("core", "fastread_fallbacks", l), false);
+    add(l + " fastread_lease_rejects", cl.fastread_lease_rejects(),
+        ctr("core", "fastread_lease_rejects", l), false);
+    add(l + " fastwrite_commits", cl.fastwrite_commits(),
+        ctr("core", "fastwrite_commits", l), false);
+    add(l + " fastwrite_conflicts", cl.fastwrite_conflicts(),
+        ctr("core", "fastwrite_conflicts", l), false);
+    add(l + " fastwrite_fallbacks", cl.fastwrite_fallbacks(),
+        ctr("core", "fastwrite_fallbacks", l), false);
+    add(l + " fastwrite_lease_rejects", cl.fastwrite_lease_rejects(),
+        ctr("core", "fastwrite_lease_rejects", l), false);
+    add(l + " wrong_epoch_retries", cl.wrong_epoch_retries(),
+        ctr("reconfig", "client_wrong_epoch", l), false);
+  }
+  const rdma::FabricStats fs = fabric.stats();
+  add("fabric reads", fs.reads, ctr("rdma", "read_ops", ""), true);
+  add("fabric writes", fs.writes,
+      ctr("rdma", "write_ops", "") + ctr("rdma", "write_async_ops", ""), true);
+  add("fabric read_bytes", fs.read_bytes, ctr("rdma", "read_bytes", ""), true);
+  add("fabric write_bytes", fs.write_bytes, ctr("rdma", "write_bytes", ""),
+      true);
+  add("fabric failures", fs.failures,
+      ctr("rdma", "completion_errors", "") + ctr("rdma", "bad_address", ""),
+      false);
+  add("fabric credit_stalls", fs.credit_stalls,
+      ctr("rdma", "credit_stalls", ""), true);
+  add("fabric uplink_queued", fs.uplink_queued,
+      ctr("rdma", "uplink_queued", ""), true);
+  add("fabric priority_ops", fs.priority_ops, ctr("rdma", "priority_ops", ""),
+      true);
+  add("fabric injected_ops", fs.injected_ops, ctr("rdma", "injected_ops", ""),
+      true);
+  add("fabric injected_bytes", fs.injected_bytes,
+      ctr("rdma", "injected_bytes", ""), true);
+  add("lease_renewals_skipped", sys.lease_renewals_skipped(),
+      ctr("core", "lease_renewals_skipped", "g0"), true);
+  return out;
+}
+
+/// Regression: reset_stats once missed lease_renewals_skipped_, so every
 /// report that reset after a warm-up phase carried the warm-up's skip
-/// count forever. Drive the counter up with a congestion window, reset,
-/// and require a clean zero (alongside the replica/client counters that
-/// were already covered).
+/// count forever. Now every statistic is a registry counter: with
+/// telemetry off, each accessor reads its counter, and one reset zeroes
+/// them all. Drive a faulted run (congestion window, fast reads and
+/// writes), check every accessor against its counter, reset, and require
+/// every counter in the registry to read 0.
 TEST(FastWrite, ResetStatsClearsLeaseRenewalSkips) {
   sim::Simulator sim;
   // All three replicas share one oversubscribed rack uplink so the incast
@@ -332,6 +514,7 @@ TEST(FastWrite, ResetStatsClearsLeaseRenewalSkips) {
   rdma::LatencyModel congested;
   congested.rack_size = 3;
   congested.oversub_ratio = 2.0;
+  congested.credit_window = 4;
   rdma::Fabric fabric(sim, congested, 131);
   core::HeronConfig cfg = write_config(sim::us(400));
   cfg.lease_backpressure_threshold = sim::us(50);
@@ -343,27 +526,31 @@ TEST(FastWrite, ResetStatsClearsLeaseRenewalSkips) {
   sys.start();
   auto& client = sys.add_client();
   sim.spawn(bank_client_loop(sys, client, 131, /*ops=*/40, kAccounts));
+  sim.spawn(fast_path_loop(sys.add_client(), /*ops=*/40));
   Injector injector(sys);
   injector.run(FaultPlan::parse("plan", "incast g0.r0 f8 b32768 p20us "
                                         "@ 2ms for 4ms"));
   sim.run_for(sim::ms(20));
 
-  ASSERT_GT(sys.lease_renewals_skipped(), 0u)
-      << "congestion window never tripped the renewal gate";
-  sys.reset_stats();
-  EXPECT_EQ(sys.lease_renewals_skipped(), 0u)
-      << "reset_stats missed lease_renewals_skipped_";
-  EXPECT_EQ(client.completed(), 0u);
-  EXPECT_EQ(client.retries(), 0u);
-  EXPECT_EQ(client.fastread_hits(), 0u);
-  EXPECT_EQ(client.fastread_fallbacks(), 0u);
-  EXPECT_EQ(client.fastwrite_commits(), 0u);
-  EXPECT_EQ(client.fastwrite_fallbacks(), 0u);
-  EXPECT_EQ(client.wrong_epoch_retries(), 0u);
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(sys.replica(0, r).gate_waits(), 0u) << "replica " << r;
-    EXPECT_EQ(sys.replica(0, r).lease_grants(), 0u) << "replica " << r;
+  ASSERT_FALSE(fabric.telemetry().metrics.enabled());
+  for (const StatPair& p : stat_pairs(sys, fabric)) {
+    EXPECT_EQ(p.accessor, p.counter) << p.what;
+    if (p.exercised) EXPECT_GT(p.accessor, 0u) << p.what;
   }
+  auto& reader = sys.client(1);
+  EXPECT_GT(reader.fastread_hits(), 0u);
+  EXPECT_GT(reader.fastread_fallbacks(), 0u);
+  EXPECT_GT(reader.fastwrite_commits(), 0u);
+  EXPECT_GT(reader.fastwrite_fallbacks(), 0u);
+
+  sys.reset_stats();
+  EXPECT_EQ(nonzero_counters(fabric.telemetry().metrics),
+            std::vector<std::string>{});
+  for (const StatPair& p : stat_pairs(sys, fabric)) {
+    EXPECT_EQ(p.accessor, 0u) << p.what;
+  }
+  EXPECT_EQ(client.latencies().count(), 0u);
+  EXPECT_EQ(sys.replica(0, 0).exec_lat().count(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -567,6 +754,30 @@ void expect_clean(const WriteCellResult& res) {
   for (const auto& v : res.violations) {
     ADD_FAILURE() << "[" << v.oracle << "] " << v.detail;
   }
+}
+
+/// Regression: the version-order walk stopped after 64 fast-write links,
+/// so a read at the end of a longer unbroken chain got a truncated key
+/// that matched no write, and a clean history reported violations.
+TEST(LinearChecker, LongFastWriteChainIsClean) {
+  constexpr int kLinks = 120;
+  constexpr core::Oid kKey = 3;
+  LinearChecker lin;
+  core::Tmp base = 0;  // the bootstrap version
+  for (int i = 1; i <= kLinks; ++i) {
+    const core::Tmp tmp = core::next_fast_tmp(base, /*client_id=*/1);
+    const sim::Nanos at = 100 * i;
+    lin.note_fast_write(kKey, tmp, base, at, at + 10);
+    // Each version is read back right after it committed.
+    lin.note_read(kKey, tmp, at + 20, at + 30, /*fast=*/true);
+    base = tmp;
+  }
+  ASSERT_EQ(lin.write_count(), static_cast<std::size_t>(kLinks));
+  const HistoryRecorder history;
+  const auto violations = lin.check(history);
+  EXPECT_TRUE(violations.empty())
+      << violations.size() << " violations, first: "
+      << violations.front().detail;
 }
 
 TEST(FastWrite, MixedWorkloadIsLinearizableAndMostlyOneSided) {

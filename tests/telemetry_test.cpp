@@ -51,7 +51,9 @@ TEST(MetricsRegistry, DisabledRecordingIsDropped) {
   c.inc();
   g.set(7);
   h.observe(100);
-  EXPECT_EQ(c.value(), 0u);
+  // Counters are the home of statistics and count regardless; only
+  // gauges and histograms honour the enabled flag.
+  EXPECT_EQ(c.value(), 1u);
   EXPECT_EQ(g.value(), 0);
   EXPECT_EQ(h.count(), 0u);
 
@@ -61,7 +63,7 @@ TEST(MetricsRegistry, DisabledRecordingIsDropped) {
   g.add(-2);
   h.observe(100);
   h.observe(900);
-  EXPECT_EQ(c.value(), 3u);
+  EXPECT_EQ(c.value(), 4u);
   EXPECT_EQ(g.value(), 5);
   EXPECT_EQ(h.count(), 2u);
   EXPECT_EQ(h.sum(), 1000);
@@ -307,10 +309,21 @@ TEST(TelemetryEndToEnd, DisabledTelemetryRecordsNothing) {
   auto result = cluster.run(sim::ms(2), sim::ms(4));
   EXPECT_GT(result.completed, 0u);
   EXPECT_EQ(cluster.telemetry().tracer.event_count(), 0u);
-  // Handles exist (registered at construction) but recorded nothing.
+  // Histogram handles exist (registered at construction) but recorded
+  // nothing.
   auto& m = cluster.telemetry().metrics;
-  EXPECT_EQ(m.counter("core", "executed", "g0.r0").value(), 0u);
-  EXPECT_EQ(m.counter("rdma", "write_ops").value(), 0u);
+  EXPECT_EQ(m.histogram("core", "exec_ns", "g0.r0").count(), 0u);
+  EXPECT_EQ(m.histogram("rdma", "nic_queue_wait_ns").count(), 0u);
+  // Counters still count: they are what the accessors read.
+  auto& replica = cluster.system().replica(0, 0);
+  EXPECT_GT(replica.executed_count(), 0u);
+  EXPECT_EQ(m.counter("core", "executed", "g0.r0").value(),
+            replica.executed_count());
+  const rdma::FabricStats fs = cluster.fabric().stats();
+  EXPECT_GT(fs.writes, 0u);
+  EXPECT_EQ(m.counter("rdma", "write_ops").value() +
+                m.counter("rdma", "write_async_ops").value(),
+            fs.writes);
 }
 
 // ---------------------------------------------------------------------
