@@ -76,25 +76,32 @@ static_assert(telemetry::in_enum_order(kReplicaStats));
 
 }  // namespace
 
-std::vector<std::byte> encode_session(const Replica::Session& s) {
-  std::vector<std::byte> out(sizeof(SessionWire));
+void append_session(durable::RecordBuffer& out, std::uint32_t client,
+                    const Replica::Session& s, const Reply* paged_in) {
+  const Reply& reply = paged_in != nullptr ? *paged_in : s.cached_reply;
+  const std::size_t extra = s.seqs.above_count();
   const SessionWire wire{
       s.watermark(),
       s.cached_seq,
       s.last_tmp,
-      s.cached_reply.status,
-      static_cast<std::uint32_t>(s.cached_reply.payload.size()),
-      static_cast<std::uint32_t>(s.seqs.above_count()),
-      s.reply_paged_out ? 1u : 0u};
-  std::memcpy(out.data(), &wire, sizeof(wire));
-  out.insert(out.end(), s.cached_reply.payload.begin(),
-             s.cached_reply.payload.end());
-  s.seqs.for_each_above([&out](std::uint64_t e) {
-    const std::size_t off = out.size();
-    out.resize(off + sizeof(e));
-    std::memcpy(out.data() + off, &e, sizeof(e));
+      reply.status,
+      static_cast<std::uint32_t>(reply.payload.size()),
+      static_cast<std::uint32_t>(extra),
+      s.reply_paged_out && paged_in == nullptr ? 1u : 0u};
+  const auto value =
+      out.append(durable::kRecordSession, 0, client, s.last_tmp,
+                 sizeof(wire) + reply.payload.size() + extra * sizeof(Tmp));
+  std::byte* at = value.data();
+  std::memcpy(at, &wire, sizeof(wire));
+  at += sizeof(wire);
+  if (!reply.payload.empty()) {
+    std::memcpy(at, reply.payload.data(), reply.payload.size());
+    at += reply.payload.size();
+  }
+  s.seqs.for_each_above([&at](std::uint64_t e) {
+    std::memcpy(at, &e, sizeof(e));
+    at += sizeof(e);
   });
-  return out;
 }
 
 Replica::Session decode_session(std::span<const std::byte> bytes) {
@@ -1428,7 +1435,7 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
       migration_dirty_.clear();
       pass_pending_.clear();
       copy_caught_up_ = false;
-      final_image_.clear();
+      final_image_ = {};
       // Disarm fast writes for the whole partition before the copy
       // machine's first pass: re-publish the lease word with
       // kLeaseFastWriteDisarmedBit so in-flight probes/verifies abort
@@ -1489,12 +1496,13 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
   delta.insert(pass_pending_.begin(), pass_pending_.end());
   migration_dirty_.clear();
   pass_pending_.clear();
-  std::vector<durable::Record> records;
-  for (const durable::Record& rec : final_image_) {
+  durable::RecordBuffer records;
+  for (std::size_t i = 0; i < final_image_.size(); ++i) {
+    const durable::RecordView rec = final_image_[i];
     if (rec.kind == durable::kRecordObject && !delta.contains(rec.id)) {
       continue;
     }
-    records.push_back(rec);
+    records.append(rec);
   }
   co_await copy_send(std::move(records), outbound_epoch_, mig.to, rank_,
                      /*seal=*/true, /*throttle=*/false);
@@ -1572,7 +1580,7 @@ sim::Task<void> Replica::copy_machine(std::uint64_t mig_epoch) {
   }
 }
 
-sim::Task<void> Replica::copy_send(std::vector<durable::Record> records,
+sim::Task<void> Replica::copy_send(durable::RecordBuffer records,
                                    std::uint64_t mig_epoch, GroupId dest_group,
                                    int dest_rank, bool seal, bool throttle) {
   const reconfig::ReconfigConfig& rcfg = system_->config().reconfig;
@@ -1921,7 +1929,7 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
   // complete up to its watermark — so sessions idle at or before
   // from_tmp are skipped. Session-TTL tombstones always ship whole (a
   // handful of u64 pairs); the receiver merges by max floor.
-  std::vector<durable::Record> records =
+  durable::RecordBuffer records =
       collect_records(oids, /*sessions=*/true, sessions_delta ? from_tmp : 0);
 
   // Donor layout + seal knowledge (heron::reconfig): a rejoining replica
@@ -1930,13 +1938,11 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
   // this very transfer) already contains everything its sealed copy
   // stream carried.
   if (layout_.enabled()) {
-    durable::Record rec;
-    rec.kind = durable::kRecordLayout;
-    rec.tmp = layout_.epoch;
-    rec.bytes.resize(sizeof(std::uint64_t));
-    rdma::store_pod(std::span(rec.bytes), 0, copy_->sealed());
-    if (reconfig::encode_marker(layout_, 0, rec.bytes)) {
-      records.push_back(std::move(rec));
+    std::vector<std::byte> value(sizeof(std::uint64_t));
+    rdma::store_pod(std::span(value), 0, copy_->sealed());
+    if (reconfig::encode_marker(layout_, 0, value)) {
+      records.append(durable::RecordView{durable::kRecordLayout, 0, 0,
+                                         layout_.epoch, value});
     }
   }
 
@@ -1980,27 +1986,30 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
 // 3 transfers, migration copy and checkpoints.
 // ---------------------------------------------------------------------
 
-std::vector<durable::Record> Replica::collect_records(
-    const std::vector<Oid>& oids, bool sessions, Tmp sessions_after) {
-  std::vector<durable::Record> out;
-  out.reserve(oids.size());
+durable::RecordBuffer Replica::collect_records(
+    const std::vector<Oid>& oids, bool sessions, Tmp sessions_after,
+    const std::map<std::uint32_t, Reply>* paged_in) {
+  durable::RecordBuffer out;
   for (const Oid oid : oids) {
     if (!store_->exists(oid)) continue;  // retired (migrated away)
     const auto [tmp, value] = store_->get(oid);
-    out.push_back(durable::Record{
+    out.append(durable::RecordView{
         durable::kRecordObject,
         store_->is_serialized(oid) ? durable::kRecordFlagSerialized : 0u, oid,
-        tmp, std::vector<std::byte>(value.begin(), value.end())});
+        tmp, value});
   }
   if (!sessions) return out;
   for (const auto& [client, s] : sessions_) {
     if (sessions_after != 0 && s.last_tmp <= sessions_after) continue;
-    out.push_back(durable::Record{durable::kRecordSession, 0, client,
-                                  s.last_tmp, encode_session(s)});
+    const Reply* reply = nullptr;
+    if (paged_in != nullptr && s.reply_paged_out) {
+      const auto it = paged_in->find(client);
+      if (it != paged_in->end()) reply = &it->second;
+    }
+    append_session(out, client, s, reply);
   }
   for (const auto& [client, floor] : evicted_sessions_) {
-    out.push_back(
-        durable::Record{durable::kRecordTombstone, 0, client, floor, {}});
+    out.append(durable::kRecordTombstone, 0, client, floor, 0);
   }
   return out;
 }
@@ -2129,33 +2138,19 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
     oids.reserve(store_->object_count());
     store_->for_each_oid([&oids](Oid oid) { oids.push_back(oid); });
   } else {
-    std::set<Oid> dirty;
     auto it = std::lower_bound(
         update_log_.begin(), update_log_.end(), ckpt_watermark_ + 1,
         [](const LogEntry& e, Tmp t) { return e.tmp < t; });
-    for (; it != update_log_.end(); ++it) dirty.insert(it->oid);
-    oids.assign(dirty.begin(), dirty.end());
+    for (; it != update_log_.end(); ++it) oids.push_back(it->oid);
+    std::sort(oids.begin(), oids.end());
+    oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
   }
-  std::vector<durable::Record> records = collect_records(
-      oids, /*sessions=*/true, full ? 0 : ckpt_watermark_);
-  std::uint64_t snap_bytes = 0;
-  for (durable::Record& rec : records) {
-    if (rec.kind == durable::kRecordSession) {
-      const Session& s = sessions_.at(static_cast<std::uint32_t>(rec.id));
-      const auto paged = paged_replies.find(static_cast<std::uint32_t>(rec.id));
-      if (s.reply_paged_out && paged != paged_replies.end()) {
-        Session copy = s;
-        copy.cached_reply = paged->second;
-        copy.reply_paged_out = false;
-        rec.bytes = encode_session(copy);
-      }
-    }
-    snap_bytes += rec.bytes.size();
-  }
+  const durable::RecordBuffer records = collect_records(
+      oids, /*sessions=*/true, full ? 0 : ckpt_watermark_, &paged_replies);
 
   // Snapshotting is memcpy-class CPU work on the replica's core.
   const auto snap_cpu = static_cast<sim::Nanos>(
-      static_cast<double>(snap_bytes) * cfg.memcpy_ns_per_byte);
+      static_cast<double>(records.value_bytes()) * cfg.memcpy_ns_per_byte);
   if (snap_cpu > 0) {
     co_await node().cpu().use(snap_cpu);
     if (stale(inc)) co_return;
@@ -2302,7 +2297,7 @@ void Replica::restart() {
   migration_dirty_.clear();
   pass_pending_.clear();
   copy_caught_up_ = false;
-  final_image_.clear();
+  final_image_ = {};
   inbound_epoch_ = 0;
 
   // State streams: the receive cursors live in the registered regions and

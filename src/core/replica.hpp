@@ -392,9 +392,12 @@ class Replica {
   /// The one record collector: the objects in `oids` that still exist
   /// (retired ones migrated away), then — with `sessions` — every session
   /// except those idle at or below `sessions_after` (when non-zero), and
-  /// every tombstone.
-  [[nodiscard]] std::vector<durable::Record> collect_records(
-      const std::vector<Oid>& oids, bool sessions, Tmp sessions_after = 0);
+  /// every tombstone. Encodes everything before returning, so the
+  /// snapshot is consistent as of the call. `paged_in` supplies the
+  /// cached replies of paged-out sessions, fetched back from the device.
+  [[nodiscard]] durable::RecordBuffer collect_records(
+      const std::vector<Oid>& oids, bool sessions, Tmp sessions_after = 0,
+      const std::map<std::uint32_t, Reply>* paged_in = nullptr);
   /// How an incoming record meets local state: Algorithm 3 transfers and
   /// checkpoint restores replace; migration is newest-wins per object and
   /// union-merges sessions (both sides may have executed commands).
@@ -438,7 +441,7 @@ class Replica {
   /// Streams `records` into dest's copy ring (stream id = the migration
   /// epoch). `seal` flags the last chunk; `throttle` defers between chunks
   /// under foreground load.
-  sim::Task<void> copy_send(std::vector<durable::Record> records,
+  sim::Task<void> copy_send(durable::RecordBuffer records,
                             std::uint64_t mig_epoch, GroupId dest_group,
                             int dest_rank, bool seal, bool throttle);
   /// Offset of requester rank `rank`'s pull word in a reconfig region.
@@ -578,7 +581,7 @@ class Replica {
   /// Snapshot of the handed-off range (+ all sessions/tombstones) taken
   /// at FLIP, kept in memory to serve idempotent pull resends after the
   /// live objects were retired.
-  std::vector<durable::Record> final_image_;
+  durable::RecordBuffer final_image_;
   std::vector<std::uint64_t> pull_seen_;  // handled pull serial per rank
   // Destination role (inbound migration). Seal knowledge and stream taint
   // live in copy_.
@@ -617,7 +620,12 @@ class Replica {
 /// migration and the checkpoint writer. `last_active` is a
 /// local clock and stays off the wire; installers re-stamp it. A
 /// truncated or corrupt blob decodes to an empty session.
-std::vector<std::byte> encode_session(const Replica::Session& s);
+/// append_session encodes `s` as client `client`'s record; `paged_in`,
+/// when set, stands in for a paged-out cached reply (the record then
+/// says the reply is in memory).
+void append_session(durable::RecordBuffer& out, std::uint32_t client,
+                    const Replica::Session& s,
+                    const Reply* paged_in = nullptr);
 Replica::Session decode_session(std::span<const std::byte> bytes);
 
 }  // namespace heron::core

@@ -1,6 +1,7 @@
 #include "core/state_stream.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "durable/page_device.hpp"  // durable::crc32
@@ -74,7 +75,7 @@ sim::Task<bool> StateStream::read_cursor(Target to, SendState& st,
 }
 
 sim::Task<bool> StateStream::send(Target to, std::uint64_t stream,
-                                  std::vector<durable::Record> records,
+                                  durable::RecordBuffer records,
                                   SendOptions opts) {
   const std::uint64_t gen = gen_;
   auto& sim = fabric_->simulator();
@@ -92,7 +93,9 @@ sim::Task<bool> StateStream::send(Target to, std::uint64_t stream,
     return stale(gen) || st.resyncs != resyncs || st.stream > stream;
   };
 
+  // The pending chunk is records [first, first + nrec), `fill` bytes.
   std::vector<std::byte> chunk(sizeof(ChunkHeader) + geo_.chunk_bytes);
+  std::size_t first = 0;
   std::uint32_t fill = 0;
   std::uint32_t nrec = 0;
   sim::Nanos cpu = 0;
@@ -140,6 +143,10 @@ sim::Task<bool> StateStream::send(Target to, std::uint64_t stream,
       }(*this, to, st, gen));
     }
 
+    if (fill > 0) {
+      std::memcpy(chunk.data() + sizeof(ChunkHeader),
+                  records.encoded(first, first + nrec).data(), fill);
+    }
     ChunkHeader hdr{++st.sent, stream, nrec, fill,
                     static_cast<std::uint16_t>(opts.flags |
                                                (seal ? kChunkSeal : 0) |
@@ -163,12 +170,13 @@ sim::Task<bool> StateStream::send(Target to, std::uint64_t stream,
     }
     count(kChunksSent);
     count(kBytesSent, sizeof(hdr) + fill);
+    first += nrec;
     fill = nrec = 0;
     co_return true;
   };
 
-  for (const durable::Record& rec : records) {
-    const std::size_t len = rec.encoded_size();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::size_t len = records.encoded_size(i);
     if (len > geo_.chunk_bytes) {
       throw std::runtime_error("state stream: record larger than a chunk");
     }
@@ -176,11 +184,9 @@ sim::Task<bool> StateStream::send(Target to, std::uint64_t stream,
       const bool flushed = co_await flush(false);
       if (!flushed) co_return false;
     }
-    durable::encode_record(
-        rec, std::span(chunk).subspan(sizeof(ChunkHeader) + fill));
     fill += static_cast<std::uint32_t>(len);
     ++nrec;
-    if (!costs_.send_memcpy) cpu += costs_.of(rec.view());
+    if (!costs_.send_memcpy) cpu += costs_.of(records[i]);
   }
   co_return co_await flush(true);
 }

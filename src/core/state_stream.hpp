@@ -122,11 +122,12 @@ class StateStream {
     /// Polled before each chunk; a positive result defers it that long.
     std::function<sim::Nanos()> defer;
   };
-  /// Ships `records` as stream `stream` into this node's ring at `to`.
-  /// False when abandoned: owner restarted, receiver down, or a newer
-  /// stream to the same receiver started.
+  /// Ships `records` as stream `stream` into this node's ring at `to`,
+  /// cut into chunks at record boundaries. False when abandoned: owner
+  /// restarted, receiver down, or a newer stream to the same receiver
+  /// started.
   sim::Task<bool> send(Target to, std::uint64_t stream,
-                       std::vector<durable::Record> records, SendOptions opts);
+                       durable::RecordBuffer records, SendOptions opts);
 
   /// Drains the rings until the owner restarts. Every chunk is consumed;
   /// only chunks whose stream `accept`s are applied, record by record.

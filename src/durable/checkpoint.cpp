@@ -1,6 +1,7 @@
 #include "durable/checkpoint.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <set>
 #include <stdexcept>
@@ -118,6 +119,62 @@ CheckpointStore::CheckpointStore(sim::Simulator& sim,
   ctr_pages_freed_ = &m.counter("durable", "pages_freed", label);
 }
 
+std::size_t CheckpointStore::RecordIndex::probe(std::uint32_t kind,
+                                               std::uint64_t id) const {
+  // Fibonacci hashing of the id; keys of other kinds with the same id
+  // share the probe chain.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(
+      (id * 0x9E3779B97F4A7C15ull) >> (64 - std::countr_zero(slots_.size())));
+  while (slots_[i].page != kNoPage &&
+         (slots_[i].id != id || slots_[i].kind != kind)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+std::size_t CheckpointStore::RecordIndex::claim(std::uint32_t kind,
+                                                std::uint64_t id) {
+  if (4 * (used_ + 1) > 3 * slots_.size()) {
+    std::vector<Slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (s.page != kNoPage) slots_[probe(s.kind, s.id)] = s;
+    }
+  }
+  return probe(kind, id);
+}
+
+std::optional<CheckpointStore::RecordLoc> CheckpointStore::RecordIndex::find(
+    std::uint32_t kind, std::uint64_t id) const {
+  if (slots_.empty()) return std::nullopt;
+  const Slot& s = slots_[probe(kind, id)];
+  if (s.page == kNoPage) return std::nullopt;
+  return RecordLoc{s.page, s.offset};
+}
+
+bool CheckpointStore::RecordIndex::insert(std::uint32_t kind, std::uint64_t id,
+                                          RecordLoc loc) {
+  Slot& s = slots_[claim(kind, id)];
+  if (s.page != kNoPage) return false;
+  s = Slot{id, loc.page, loc.offset, kind};
+  ++used_;
+  return true;
+}
+
+void CheckpointStore::RecordIndex::insert_or_assign(std::uint32_t kind,
+                                                    std::uint64_t id,
+                                                    RecordLoc loc) {
+  Slot& s = slots_[claim(kind, id)];
+  if (s.page == kNoPage) ++used_;
+  s = Slot{id, loc.page, loc.offset, kind};
+}
+
+void CheckpointStore::RecordIndex::clear() {
+  for (Slot& s : slots_) s.page = kNoPage;
+  used_ = 0;
+}
+
 std::uint32_t CheckpointStore::page_payload_capacity() const {
   return dev_.page_bytes();
 }
@@ -143,7 +200,7 @@ double CheckpointStore::utilization() const {
 
 sim::Task<bool> CheckpointStore::write_checkpoint(
     std::uint64_t watermark, std::uint64_t lease_epoch,
-    std::int64_t lease_expiry, bool full, const std::vector<Record>& records,
+    std::int64_t lease_expiry, bool full, const RecordBuffer& records,
     std::function<bool()> abort, std::uint64_t layout_epoch) {
   const auto aborted = [&abort] { return abort && abort(); };
   std::vector<std::uint64_t> fresh;
@@ -152,32 +209,27 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
     if (count_abort) ctr_aborted_->inc();
   };
 
-  // --- pack records into data-page payloads ----------------------------
+  // --- cut the records into data pages at record boundaries ------------
+  // Page k holds records [cuts[k], cuts[k + 1]).
   const std::uint32_t cap = page_payload_capacity();
-  std::vector<std::vector<std::byte>> payloads;
-  std::vector<std::uint32_t> payload_counts;
-  for (const Record& r : records) {
-    const std::size_t rec_len = r.encoded_size();
+  std::vector<std::size_t> cuts;
+  std::size_t used = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::size_t rec_len = records.encoded_size(i);
     if (sizeof(DPageHeader) + rec_len > cap) {
       throw std::runtime_error("durable: record larger than a page");
     }
-    if (payloads.empty() || payloads.back().size() + rec_len > cap) {
-      payloads.emplace_back(sizeof(DPageHeader));
-      payload_counts.push_back(0);
+    if (cuts.empty() || used + rec_len > cap) {
+      cuts.push_back(i);
+      used = sizeof(DPageHeader);
     }
-    auto& page = payloads.back();
-    page.resize(page.size() + rec_len);
-    encode_record(r, std::span(page).last(rec_len));
-    ++payload_counts.back();
+    used += rec_len;
   }
+  cuts.push_back(records.size());
 
   // --- write data pages ------------------------------------------------
   std::vector<PageEntry> entries;
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    auto& payload = payloads[i];
-    store_pod(std::span(payload), 0,
-              DPageHeader{kDataMagic, payload_counts[i],
-                          static_cast<std::uint32_t>(payload.size())});
+  for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
     const std::uint64_t page = alloc_page();
     if (page == kNoPage || aborted()) {
       free_page(page);  // not yet in `fresh`; no-op for kNoPage
@@ -185,9 +237,19 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
       co_return false;
     }
     fresh.push_back(page);
-    co_await dev_.write_page(page, payload);
-    entries.push_back(PageEntry{page, crc32(payload),
-                                static_cast<std::uint32_t>(payload.size())});
+    const auto body = records.encoded(cuts[k], cuts[k + 1]);
+    const auto bytes =
+        static_cast<std::uint32_t>(sizeof(DPageHeader) + body.size());
+    std::vector<std::byte> payload;
+    payload.reserve(bytes);
+    append_pod(payload,
+               DPageHeader{kDataMagic,
+                           static_cast<std::uint32_t>(cuts[k + 1] - cuts[k]),
+                           bytes});
+    payload.insert(payload.end(), body.begin(), body.end());
+    const std::uint32_t crc =
+        co_await dev_.write_page(page, std::move(payload));
+    entries.push_back(PageEntry{page, crc, bytes});
   }
 
   // --- serialize + write the manifest chain ----------------------------
@@ -218,19 +280,19 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
     const std::size_t off = i * mcap;
     const std::size_t part =
         std::min<std::size_t>(mcap, blob.size() - off);
-    std::vector<std::byte> payload;
-    append_pod(payload,
-               MPageHeader{kMPageMagic,
-                           i + 1 < mpage_count ? mpages[i + 1] : kNoPage,
-                           static_cast<std::uint32_t>(part), 0});
-    payload.insert(payload.end(), blob.begin() + static_cast<std::ptrdiff_t>(off),
-                   blob.begin() + static_cast<std::ptrdiff_t>(off + part));
-    if (i == 0) head_crc_new = crc32(payload);
+    std::vector<std::byte> payload(sizeof(MPageHeader) + part);
+    store_pod(std::span(payload), 0,
+              MPageHeader{kMPageMagic,
+                          i + 1 < mpage_count ? mpages[i + 1] : kNoPage,
+                          static_cast<std::uint32_t>(part), 0});
+    std::memcpy(payload.data() + sizeof(MPageHeader), blob.data() + off, part);
     if (aborted()) {
       give_up(true);
       co_return false;
     }
-    co_await dev_.write_page(mpages[i], payload);
+    const std::uint32_t crc =
+        co_await dev_.write_page(mpages[i], std::move(payload));
+    if (i == 0) head_crc_new = crc;
   }
 
   // --- commit: the superblock write is the atomic switch ---------------
@@ -242,7 +304,7 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
   std::vector<std::byte> sb;
   append_pod(sb, Superblock{kSuperMagic, seq, mpages[0], head_crc_new, 0,
                             watermark});
-  co_await dev_.write_page(seq % 2, sb);
+  co_await dev_.write_page(seq % 2, std::move(sb));
 
   // In-memory mirror of the now-durable state.
   super_seq_ = seq;
@@ -260,12 +322,14 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
     index_.clear();
   }
   chain_pages_.insert(chain_pages_.end(), fresh.begin(), fresh.end());
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    for_each_page_record(payloads[i], [&](const RecordView& r,
-                                          std::uint32_t offset) {
-      index_[{r.kind, r.id}] =
-          RecordLoc{entries[i].page, offset, r.flags, r.tmp};
-    });
+  // Each record's location follows from the cut that packed it.
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    auto offset = static_cast<std::uint32_t>(sizeof(DPageHeader));
+    for (std::size_t i = cuts[k]; i < cuts[k + 1]; ++i) {
+      const RecordView r = records[i];
+      index_.insert_or_assign(r.kind, r.id, RecordLoc{entries[k].page, offset});
+      offset += static_cast<std::uint32_t>(records.encoded_size(i));
+    }
   }
   ctr_checkpoints_->inc();
   if (full) ctr_full_checkpoints_->inc();
@@ -290,8 +354,7 @@ sim::Task<std::optional<Image>> CheckpointStore::load_latest() {
   for (const Superblock& sb : cands) {
     Image img;
     img.pages_read = 2;
-    std::set<std::pair<std::uint32_t, std::uint64_t>> have;
-    std::map<std::pair<std::uint32_t, std::uint64_t>, RecordLoc> new_index;
+    RecordIndex new_index;
     std::set<std::uint64_t> seen_set;  // cycle guard + live-page collector
     bool ok = true;
     bool first_manifest = true;
@@ -365,12 +428,11 @@ sim::Task<std::optional<Image>> CheckpointStore::load_latest() {
         }
         ok = for_each_page_record(buf, [&](const RecordView& rec,
                                            std::uint32_t offset) {
-          const auto key = std::pair{rec.kind, rec.id};
-          if (have.insert(key).second) {
+          if (new_index.insert(rec.kind, rec.id,
+                               RecordLoc{entry.page, offset})) {
             img.records.push_back(Record{
                 rec.kind, rec.flags, rec.id, rec.tmp,
                 std::vector<std::byte>(rec.value.begin(), rec.value.end())});
-            new_index[key] = RecordLoc{entry.page, offset, rec.flags, rec.tmp};
           }
         });
         if (!ok) break;
@@ -415,15 +477,14 @@ sim::Task<std::optional<Image>> CheckpointStore::load_latest() {
 
 sim::Task<std::optional<Record>> CheckpointStore::fetch_record(
     std::uint32_t kind, std::uint64_t id) {
-  const auto it = index_.find({kind, id});
-  if (it == index_.end()) co_return std::nullopt;
-  const RecordLoc loc = it->second;
+  const auto loc = index_.find(kind, id);
+  if (!loc.has_value()) co_return std::nullopt;
   std::vector<std::byte> buf;
-  const bool ok = co_await dev_.read_page(loc.page, buf);
+  const bool ok = co_await dev_.read_page(loc->page, buf);
   if (!ok) co_return std::nullopt;
   const auto dh = load_pod<DPageHeader>(buf, 0);
   if (dh.magic != kDataMagic) co_return std::nullopt;
-  std::size_t off = loc.offset;
+  std::size_t off = loc->offset;
   RecordView rec;
   if (!decode_record(buf, &off, &rec) || rec.kind != kind || rec.id != id) {
     co_return std::nullopt;

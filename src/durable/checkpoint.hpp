@@ -24,10 +24,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "durable/page_device.hpp"
@@ -56,14 +54,15 @@ class CheckpointStore {
 
   /// Persists one checkpoint and commits it atomically. `full` replaces
   /// the whole chain (and frees the old one); otherwise `records` is the
-  /// dirty delta since the previous commit. `abort` is polled between
-  /// page writes — when it returns true (owner crashed) the checkpoint is
+  /// dirty delta since the previous commit. Data pages are cut from
+  /// `records` at record boundaries. `abort` is polled between page
+  /// writes — when it returns true (owner crashed) the checkpoint is
   /// abandoned with the previous commit intact. Returns false when
   /// aborted or out of pages.
   sim::Task<bool> write_checkpoint(std::uint64_t watermark,
                                    std::uint64_t lease_epoch,
                                    std::int64_t lease_expiry, bool full,
-                                   const std::vector<Record>& records,
+                                   const RecordBuffer& records,
                                    std::function<bool()> abort = {},
                                    std::uint64_t layout_epoch = 0);
 
@@ -108,8 +107,36 @@ class CheckpointStore {
   struct RecordLoc {
     std::uint64_t page = 0;
     std::uint32_t offset = 0;  // of the record header within the payload
-    std::uint32_t flags = 0;
-    std::uint64_t tmp = 0;
+  };
+
+  /// (kind, id) -> where its newest record sits. Open addressing with
+  /// linear probing at load <= 3/4. Keys are only added or overwritten
+  /// and clear() drops them all, so probe chains need no tombstones.
+  class RecordIndex {
+   public:
+    [[nodiscard]] std::optional<RecordLoc> find(std::uint32_t kind,
+                                                std::uint64_t id) const;
+    /// Adds (kind, id) unless present; true when it was added.
+    bool insert(std::uint32_t kind, std::uint64_t id, RecordLoc loc);
+    void insert_or_assign(std::uint32_t kind, std::uint64_t id,
+                          RecordLoc loc);
+    void clear();
+
+   private:
+    struct Slot {
+      std::uint64_t id = 0;
+      std::uint64_t page = kNoPage;  // kNoPage: empty slot
+      std::uint32_t offset = 0;
+      std::uint32_t kind = 0;
+    };
+    /// Slot holding (kind, id), or the empty slot ending its probe chain.
+    [[nodiscard]] std::size_t probe(std::uint32_t kind,
+                                    std::uint64_t id) const;
+    /// probe() after making room for one more key.
+    std::size_t claim(std::uint32_t kind, std::uint64_t id);
+
+    std::vector<Slot> slots_;  // power-of-two size once non-empty
+    std::size_t used_ = 0;
   };
 
   std::uint64_t alloc_page();
@@ -126,7 +153,7 @@ class CheckpointStore {
   std::uint32_t head_crc_ = 0;
   std::uint64_t watermark_ = 0;
   std::vector<std::uint64_t> chain_pages_;  // every live page of the chain
-  std::map<std::pair<std::uint32_t, std::uint64_t>, RecordLoc> index_;
+  RecordIndex index_;
 
   // Page allocator: bump + free list; pages 0/1 are the superblocks.
   std::uint64_t next_page_ = 2;

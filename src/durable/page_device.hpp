@@ -39,9 +39,10 @@ class PageDevice {
 
   /// Persists `payload` (<= page_bytes) into `page`, charging base +
   /// bandwidth cost on the device channel. The payload is committed at
-  /// completion time, not submission time.
-  sim::Task<void> write_page(std::uint64_t page,
-                             std::span<const std::byte> payload);
+  /// completion time, not submission time. Returns the CRC recorded with
+  /// the page: that of the intended payload, even when the write tears.
+  sim::Task<std::uint32_t> write_page(std::uint64_t page,
+                                      std::vector<std::byte> payload);
 
   /// Reads `page` into `out` (resized to the stored payload length).
   /// Returns false — with `out` untouched beyond a resize — when the page
@@ -78,7 +79,7 @@ class PageDevice {
 
   sim::Simulator* sim_;
   DeviceConfig cfg_;
-  std::vector<Page> pages_;
+  std::vector<Page> pages_;  // grown to the highest page written
   sim::Nanos free_at_ = 0;
   bool tear_next_ = false;
 

@@ -47,6 +47,8 @@ struct RecordView {
   }
 };
 
+/// A decoded record that owns its value bytes (checkpoint loads and
+/// record fetches, which outlive the page they were read from).
 struct Record {
   std::uint32_t kind = kRecordObject;
   std::uint32_t flags = 0;
@@ -54,23 +56,70 @@ struct Record {
   std::uint64_t tmp = 0;
   std::vector<std::byte> bytes;
 
-  [[nodiscard]] std::size_t encoded_size() const {
-    return sizeof(RecordHeader) + bytes.size();
-  }
   [[nodiscard]] RecordView view() const {
     return RecordView{kind, flags, id, tmp, bytes};
   }
 };
 
-/// Writes `r` at the front of `out` (at least r.encoded_size() bytes).
-inline void encode_record(const Record& r, std::span<std::byte> out) {
-  const RecordHeader h{r.kind, r.flags, r.id, r.tmp,
-                       static_cast<std::uint32_t>(r.bytes.size()), 0};
-  std::memcpy(out.data(), &h, sizeof(h));
-  if (!r.bytes.empty()) {
-    std::memcpy(out.data() + sizeof(h), r.bytes.data(), r.bytes.size());
+/// Records encoded back to back, with the offset of each: the one form a
+/// snapshot takes. Checkpoint pages and stream chunks are cut from it at
+/// record boundaries, so each record is encoded exactly once.
+class RecordBuffer {
+ public:
+  /// Appends a record with `len` value bytes and returns them for the
+  /// caller to fill (valid until the next append).
+  std::span<std::byte> append(std::uint32_t kind, std::uint32_t flags,
+                              std::uint64_t id, std::uint64_t tmp,
+                              std::size_t len) {
+    append_header(kind, flags, id, tmp, len);
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + len);
+    return std::span(bytes_).subspan(at, len);
   }
-}
+  void append(const RecordView& r) {
+    append_header(r.kind, r.flags, r.id, r.tmp, r.value.size());
+    bytes_.insert(bytes_.end(), r.value.begin(), r.value.end());
+  }
+
+  [[nodiscard]] std::size_t size() const { return offsets_.size(); }
+  [[nodiscard]] bool empty() const { return offsets_.empty(); }
+  /// Header + value bytes of record `i`.
+  [[nodiscard]] std::size_t encoded_size(std::size_t i) const {
+    return (i + 1 < offsets_.size() ? offsets_[i + 1] : bytes_.size()) -
+           offsets_[i];
+  }
+  /// The encoded records [first, last), contiguous.
+  [[nodiscard]] std::span<const std::byte> encoded(std::size_t first,
+                                                   std::size_t last) const {
+    const std::size_t end =
+        last < offsets_.size() ? offsets_[last] : bytes_.size();
+    return std::span(bytes_).subspan(offsets_[first], end - offsets_[first]);
+  }
+  [[nodiscard]] RecordView operator[](std::size_t i) const {
+    RecordHeader h;
+    std::memcpy(&h, bytes_.data() + offsets_[i], sizeof(h));
+    const std::size_t at = offsets_[i] + sizeof(h);
+    return RecordView{h.kind, h.flags, h.id, h.tmp,
+                      std::span(bytes_).subspan(at, h.len)};
+  }
+  /// Value bytes of every record (headers excluded).
+  [[nodiscard]] std::size_t value_bytes() const {
+    return bytes_.size() - offsets_.size() * sizeof(RecordHeader);
+  }
+
+ private:
+  void append_header(std::uint32_t kind, std::uint32_t flags,
+                     std::uint64_t id, std::uint64_t tmp, std::size_t len) {
+    offsets_.push_back(bytes_.size());
+    const RecordHeader h{kind, flags, id, tmp, static_cast<std::uint32_t>(len),
+                         0};
+    const auto head = std::as_bytes(std::span(&h, 1));
+    bytes_.insert(bytes_.end(), head.begin(), head.end());
+  }
+
+  std::vector<std::byte> bytes_;
+  std::vector<std::size_t> offsets_;
+};
 
 /// Decodes the record at `*off` and advances past it. False ("malformed")
 /// when the header or value would extend past `payload`; nothing outside

@@ -516,6 +516,18 @@ TEST(HeronSession, MergeIsAUnionAndKeepsTheNewerReply) {
   EXPECT_EQ(mine.last_active, 777);
 }
 
+/// The record value append_session writes for `s`.
+std::vector<std::byte> encode_session(const Replica::Session& s,
+                                      const Reply* paged_in = nullptr) {
+  durable::RecordBuffer buf;
+  append_session(buf, 9, s, paged_in);
+  const durable::RecordView rec = buf[0];
+  EXPECT_EQ(rec.kind, durable::kRecordSession);
+  EXPECT_EQ(rec.id, 9u);
+  EXPECT_EQ(rec.tmp, s.last_tmp);
+  return {rec.value.begin(), rec.value.end()};
+}
+
 TEST(HeronSession, EncodeSessionBytesAreUnchanged) {
   // Golden bytes of the session wire form shared by state transfer and
   // checkpoints: {u64 watermark, u64 cached_seq, u64 last_tmp, u32 status,
@@ -554,6 +566,14 @@ TEST(HeronSession, EncodeSessionBytesAreUnchanged) {
   EXPECT_EQ(back.cached_seq, 200u);
   EXPECT_EQ(back.cached_reply.payload, s.cached_reply.payload);
   EXPECT_EQ(encode_session(back), bytes);
+
+  // A paged-out session encodes with the reply fetched back from the
+  // device standing in for its cached one, and says it is in memory.
+  Replica::Session paged = s;
+  paged.cached_reply.payload.clear();
+  paged.reply_paged_out = true;
+  EXPECT_EQ(encode_session(paged)[36], std::byte{1});  // paged_out
+  EXPECT_EQ(encode_session(paged, &s.cached_reply), bytes);
 
   // Seqs out of ascending order mark a corrupt blob: empty session.
   std::vector<std::byte> corrupt = bytes;

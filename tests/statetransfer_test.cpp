@@ -6,6 +6,7 @@
 // malformed chunks, sender crash/restart).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 
@@ -458,11 +459,10 @@ TEST(StateStream, LeftoverChunksOfAnAbandonedStreamAreNotApplied) {
                        "b");
 
   // Six one-record chunks per stream; record ids say which stream.
-  auto stream_of = [](std::uint64_t base) {
-    std::vector<durable::Record> out;
-    for (std::uint64_t i = 0; i < 6; ++i) {
-      out.push_back(durable::Record{durable::kRecordObject, 0, base + i, 1,
-                                    std::vector<std::byte>(900)});
+  auto stream_of = [](std::uint64_t base, std::uint64_t n = 6) {
+    durable::RecordBuffer out;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      out.append(durable::kRecordObject, 0, base + i, 1, 900);
     }
     return out;
   };
@@ -471,7 +471,7 @@ TEST(StateStream, LeftoverChunksOfAnAbandonedStreamAreNotApplied) {
   auto run = [&](std::uint64_t stream, std::uint64_t base) {
     bool ok = false;
     sim.spawn([](StateStream& s, StateStream::Target t, std::uint64_t id,
-                 std::vector<durable::Record> recs, bool& out) -> Task<void> {
+                 durable::RecordBuffer recs, bool& out) -> Task<void> {
       out = co_await s.send(t, id, std::move(recs), {});
     }(sender, {b.id(), b_mr}, stream, stream_of(base), ok));
     sim.run_for(sim::ms(1));
@@ -483,12 +483,10 @@ TEST(StateStream, LeftoverChunksOfAnAbandonedStreamAreNotApplied) {
   ASSERT_TRUE(run(1, 100));
   sender.restart();
   expect = 2;
-  auto five = stream_of(200);
-  five.pop_back();
   sim.spawn([](StateStream& s, StateStream::Target t,
-               std::vector<durable::Record> recs) -> Task<void> {
+               durable::RecordBuffer recs) -> Task<void> {
     co_await s.send(t, 2, std::move(recs), {});
-  }(sender, {b.id(), b_mr}, std::move(five)));
+  }(sender, {b.id(), b_mr}, stream_of(200, 5)));
   sim.run_for(sim::ms(1));
   sim.spawn(receiver.receive_loop(
       [&expect](std::uint64_t s) { return s == expect; },
@@ -527,12 +525,14 @@ TEST(StateStream, RecordOverrunningThePayloadIsRejected) {
 
   // One good record followed by one whose header claims 200 value bytes
   // where only 8 follow; the chunk CRC covers exactly these 80 bytes.
-  std::vector<std::byte> payload(2 * sizeof(durable::RecordHeader) + 16);
-  const durable::Record good{durable::kRecordObject, 0, 7, 3,
-                             std::vector<std::byte>(8, std::byte{1})};
-  durable::encode_record(good, payload);
+  durable::RecordBuffer good;
+  const auto value = good.append(durable::kRecordObject, 0, 7, 3, 8);
+  std::fill(value.begin(), value.end(), std::byte{1});
+  std::vector<std::byte> payload(good.encoded(0, 1).begin(),
+                                 good.encoded(0, 1).end());
+  payload.resize(2 * sizeof(durable::RecordHeader) + 16);
   const durable::RecordHeader bad{durable::kRecordObject, 0, 8, 3, 200, 0};
-  std::memcpy(payload.data() + good.encoded_size(), &bad, sizeof(bad));
+  std::memcpy(payload.data() + good.encoded_size(0), &bad, sizeof(bad));
   ChunkHeader hdr;
   hdr.seq = 1;
   hdr.stream = 1;

@@ -6,9 +6,17 @@
 // the process's executable mappings ("map <line of /proc/self/maps>")
 // followed by one "pc <hex>" line per sample. symbolize.py turns that into
 // a per-function table. Single-threaded targets only (the simulator is).
+//
+// With SIGPROF_CALLER=1 each sample also records the return address a
+// leaf function would return to: the word at the stack pointer on x86-64,
+// the link register on AArch64 ("pc <hex> <hex>"). That names the caller
+// of a frameless leaf such as libc's memset or memcpy; for a PC inside a
+// function that has set up its frame, the word is whatever the frame
+// holds there, and symbolize.py drops it unless it points into code.
 #define _GNU_SOURCE
 #include <signal.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 #include <sys/time.h>
 #include <ucontext.h>
@@ -17,23 +25,33 @@
 #define MAX_SAMPLES (1u << 22)
 
 static unsigned long samples[MAX_SAMPLES];
+static unsigned long callers[MAX_SAMPLES];
 static volatile unsigned long nsamples;
+static int with_caller;
 
 static void on_sigprof(int sig, siginfo_t *info, void *ctx) {
   (void)sig;
   (void)info;
   const ucontext_t *uc = ctx;
+  if (nsamples >= MAX_SAMPLES) return;
 #if defined(__x86_64__)
-  const unsigned long pc = (unsigned long)uc->uc_mcontext.gregs[REG_RIP];
+  samples[nsamples] = (unsigned long)uc->uc_mcontext.gregs[REG_RIP];
+  if (with_caller) {
+    callers[nsamples] =
+        *(const unsigned long *)uc->uc_mcontext.gregs[REG_RSP];
+  }
 #elif defined(__aarch64__)
-  const unsigned long pc = (unsigned long)uc->uc_mcontext.pc;
+  samples[nsamples] = (unsigned long)uc->uc_mcontext.pc;
+  if (with_caller) callers[nsamples] = (unsigned long)uc->uc_mcontext.regs[30];
 #else
 #error "sigprof: unsupported architecture"
 #endif
-  if (nsamples < MAX_SAMPLES) samples[nsamples++] = pc;
+  ++nsamples;
 }
 
 __attribute__((constructor)) static void sigprof_start(void) {
+  const char *caller = getenv("SIGPROF_CALLER");
+  with_caller = caller != NULL && strcmp(caller, "1") == 0;
   struct sigaction sa;
   memset(&sa, 0, sizeof sa);
   sa.sa_sigaction = on_sigprof;
@@ -57,7 +75,11 @@ __attribute__((destructor)) static void sigprof_stop(void) {
   }
   if (maps != NULL) fclose(maps);
   for (unsigned long i = 0; i < nsamples; ++i) {
-    fprintf(out, "pc %lx\n", samples[i]);
+    if (with_caller) {
+      fprintf(out, "pc %lx %lx\n", samples[i], callers[i]);
+    } else {
+      fprintf(out, "pc %lx\n", samples[i]);
+    }
   }
   fclose(out);
   fprintf(stderr, "sigprof: %lu samples -> %s\n", nsamples, path);

@@ -13,8 +13,11 @@ which names GCC's coroutine bodies "f() [clone .actor]".
 
 A newsites file counts operator-new calls by call site; a site is one
 return address or a short chain of them (NEWSITES_DEPTH), printed
-innermost first as "f <- caller <- ...". Return addresses are looked up
-one byte back, inside the call instruction.
+innermost first as "f <- caller <- ...". A sigprof file written with
+SIGPROF_CALLER=1 pairs each PC with a leaf's return address and prints
+"f <- caller" the same way; a word that does not point into an
+executable mapping is not a return address and is dropped. Return
+addresses are looked up one byte back, inside the call instruction.
 """
 import bisect
 import collections
@@ -29,12 +32,13 @@ def run(*cmd):
 
 def load_profile(path):
     """Returns (maps, Counter of PC chains, unit); a sigprof chain is one
-    PC."""
+    PC, or a PC and its leaf caller's return address."""
     maps, sites, unit = [], collections.Counter(), "samples"
     for line in open(path):
         kind, rest = line.split(" ", 1)
         if kind == "pc":
-            sites[(int(rest, 16),)] += 1
+            pcs = [int(x, 16) for x in rest.split()]
+            sites[tuple(pcs[:1] + [x - 1 for x in pcs[1:]])] += 1
             continue
         if kind == "site":
             n, chain = rest.split()
@@ -87,6 +91,8 @@ def main():
 
     for chain, n in sites.items():
         names = [where(pc) for pc in chain]
+        if unit == "samples":  # a caller word that is not a code address
+            names = names[:1] + [x for x in names[1:] if x[0] != "[unmapped]"]
         funcs[" <- ".join(fn for fn, _ in names), names[0][1]] += n
     total = sum(sites.values())
     print(f"{total} {unit}")

@@ -3,14 +3,18 @@
 # unless a change means them to. Builds <base-rev> and the working tree,
 # runs `QUICK=1 SEED=<seed> bench/run_all.sh` on each, and compares every
 # BENCH_*.json after dropping the wall-clock keys (wall_secs,
-# events_per_wall_sec), which differ from run to run.
+# events_per_wall_sec), which differ from run to run. It also runs
+# `perfbench/run.py --trace 0 --seconds 0.5` on each side for seeds 1-4
+# and 42 on every workload, and compares their simulated metrics (sim_*,
+# rejoin_us) and outcome counts (correct, attempted, failed) as
+# BENCH_perfbench_<workload>_seed<n>.json.
 #
 # Usage: tools/same_seed_diff.sh <base-rev> [work_dir]
 #   base-rev   commit to compare against (e.g. the merge base of a PR)
 #   work_dir   scratch directory for both builds and their reports
 #              (default: a fresh mktemp -d; kept for inspection)
 # Env:
-#   SEED=<n>   seed passed to every benchmark (default 7)
+#   SEED=<n>   seed passed to every run_all.sh benchmark (default 7)
 #   JOBS=<n>   build parallelism (default: nproc)
 #
 # Exit status: 0 when every report is identical, 1 when any differs (each
@@ -19,7 +23,7 @@
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
-  sed -n '2,20p' "$0" >&2
+  sed -n '2,22p' "$0" >&2
   exit 2
 fi
 base_rev="$1"
@@ -65,6 +69,31 @@ echo "== base reports =="
   QUICK=1 SEED="$seed" "$work/base/src/bench/run_all.sh" build out)
 echo "== working-tree reports =="
 (cd "$work/head" && QUICK=1 SEED="$seed" "$repo/bench/run_all.sh" build out)
+
+# perfbench builds into .bench_build/ of its own checkout. Only the
+# metrics that are a function of the seed are kept.
+perfbench() {  # perfbench <source dir> <report dir>
+  local workload seed
+  for workload in tpcc kv-fast kv-crash; do
+    for seed in 1 2 3 4 42; do
+      echo "perfbench $workload seed $seed"
+      python3 "$1/perfbench/run.py" --workload "$workload" --seed "$seed" \
+          --seconds 0.5 --trace 0 2>>"$2/perfbench.log" | tail -1 |
+        python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+m = {k: v for k, v in r["metrics"].items()
+     if k.startswith("sim_") or k == "rejoin_us"}
+print(json.dumps({"correct": r["correct"], "attempted": r["attempted"],
+                  "failed": r["failed"], "metrics": m}, sort_keys=True))' \
+        >"$2/BENCH_perfbench_${workload}_seed${seed}.json"
+    done
+  done
+}
+echo "== base perfbench =="
+perfbench "$work/base/src" "$work/base/out"
+echo "== working-tree perfbench =="
+perfbench "$repo" "$work/head/out"
 
 echo "== comparing =="
 python3 - "$work/base/out" "$work/head/out" <<'EOF'
