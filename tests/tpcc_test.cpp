@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <set>
+#include <span>
 
 #include "harness/runner.hpp"
 #include "tpcc/app.hpp"
@@ -294,15 +297,65 @@ TEST(TpccTxn, DeliveryAdvancesOldestUndelivered) {
 
 TEST(TpccTxn, StockLevelCountsLowItems) {
   TpccHarness h(1);
-  StockLevelReq req{0, 1, /*threshold=*/101};  // everything is below 101
+  // A few NewOrders first, so the scan covers runtime-created orders and
+  // lines as well as bootstrapped ones, and stock quantities have moved.
+  for (std::uint32_t n = 0; n < 4; ++n) {
+    NewOrderReq no;
+    no.w_id = 0;
+    no.d_id = 1;
+    no.c_id = 1 + n;
+    no.ol_cnt = 5 + n;
+    for (std::uint32_t i = 0; i < no.ol_cnt; ++i) {
+      no.items[i] = {1 + (7 * n + 3 * i) % 100, 0, 1 + (n + i) % 10};
+    }
+    GeneratedRequest g;
+    g.kind = kNewOrder;
+    g.dst = amcast::dst_of(0);
+    g.set(no);
+    ASSERT_EQ(h.run(g).status, 0u);
+  }
+  // One order row in the scanned range goes missing on every replica:
+  // the scan must skip it (and its lines) rather than fail.
+  const auto district =
+      load_row<DistrictRow>(h.store(0), make_oid(Table::kDistrict, 0, 1, 0));
+  const Oid missing =
+      make_oid(Table::kOrder, 0, 1, district.next_o_id - 3);
+  for (int rank = 0; rank < 3; ++rank) h.store(0, rank).retire(missing);
+
+  // The expected answer, by a plain loop over the last 20 orders' lines.
+  const std::int32_t threshold = 50;
+  const auto& store = h.store(0);
+  const std::uint64_t from =
+      district.next_o_id > 20 ? district.next_o_id - 20 : 1;
+  std::set<std::uint32_t> low_items;
+  std::set<std::uint32_t> all_items;
+  for (std::uint64_t o = from; o < district.next_o_id; ++o) {
+    const Oid ooid = make_oid(Table::kOrder, 0, 1, o);
+    if (!store.exists(ooid)) continue;
+    const auto order = load_row<OrderRow>(store, ooid);
+    for (std::uint32_t l = 1; l <= order.ol_cnt; ++l) {
+      const auto line = load_row<OrderLineRow>(
+          store, make_oid(Table::kOrderLine, 0, 1, ol_key(o, l)));
+      const auto stock =
+          load_row<StockRow>(store, make_oid(Table::kStock, 0, 0, line.i_id));
+      all_items.insert(line.i_id);
+      if (stock.quantity < threshold) low_items.insert(line.i_id);
+    }
+  }
+  // The threshold splits the scanned items.
+  ASSERT_GT(low_items.size(), 0u);
+  ASSERT_LT(low_items.size(), all_items.size());
+
+  StockLevelReq req{0, 1, threshold};
   GeneratedRequest g;
   g.kind = kStockLevel;
   g.dst = amcast::dst_of(0);
   g.set(req);
   core::Reply reply = h.run(g);
+  ASSERT_EQ(reply.payload.size(), sizeof(std::uint64_t));
   std::uint64_t low;
   std::memcpy(&low, reply.payload.data(), sizeof(low));
-  EXPECT_GT(low, 0u);
+  EXPECT_EQ(low, low_items.size());
 }
 
 // --- generator -------------------------------------------------------------
@@ -398,6 +451,76 @@ TEST(TpccIntegration, MultiPartitionLatencyExceedsSinglePartition) {
   auto result = cluster.run(sim::ms(5), sim::ms(80));
   ASSERT_GT(result.latency_multi.count(), 5u);
   EXPECT_GT(result.latency_multi.mean(), result.latency_single.mean());
+}
+
+// --- golden execution digest ----------------------------------------------
+
+/// 64-bit FNV-1a, folded over successive byte strings.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::span<const std::byte> bytes) {
+    for (const std::byte b : bytes) {
+      h = (h ^ static_cast<std::uint64_t>(b)) * 0x100000001b3ull;
+    }
+  }
+  template <typename T>
+  void add_pod(const T& v) {
+    add(std::as_bytes(std::span(&v, 1)));
+  }
+};
+
+TEST(TpccGolden, ExecutionDigestIsPinned) {
+  // One client runs a fixed-seed stream of all five transaction kinds
+  // against two partitions. Every reply's bytes, every request's virtual
+  // latency and, at the end, every replica's raw object slots in
+  // creation order fold into one digest. It pins the results, the CPU
+  // charges (through the latencies) and the write and creation order
+  // (through the slots): a change meant to keep TPC-C's execution
+  // identical must leave the constant as it is.
+  const TpccScale scale{.factor = 0.01, .initial_orders_per_district = 6};
+  harness::TpccCluster cluster(2, 3, scale);
+  core::Client& client = cluster.system().add_client();
+  WorkloadConfig cfg;
+  cfg.partitions = 2;
+  cfg.scale = scale;
+  WorkloadGen gen(cfg, 0, 2718);
+
+  constexpr int kRequests = 500;
+  Fnv digest;
+  std::map<std::uint32_t, int> kinds;
+  int done = 0;
+  cluster.simulator().spawn(
+      [](core::Client& c, WorkloadGen& gen, Fnv& digest,
+         std::map<std::uint32_t, int>& kinds, int& done) -> Task<void> {
+        for (int i = 0; i < kRequests; ++i) {
+          const GeneratedRequest req = gen.next();
+          auto result = co_await c.submit(req.dst, req.kind, req.payload);
+          ++kinds[req.kind];
+          digest.add_pod(req.kind);
+          digest.add_pod(result.reply.status);
+          digest.add(result.reply.payload);
+          digest.add_pod(result.latency);
+          ++done;
+        }
+      }(client, gen, digest, kinds, done));
+  cluster.simulator().run_for(sim::ms(200));
+  ASSERT_EQ(done, kRequests);
+  for (const std::uint32_t kind :
+       {kNewOrder, kPayment, kOrderStatus, kDelivery, kStockLevel}) {
+    EXPECT_GT(kinds[kind], 5) << "kind " << kind;
+  }
+
+  for (int p = 0; p < 2; ++p) {
+    for (int rank = 0; rank < 3; ++rank) {
+      const auto& store = cluster.system().replica(p, rank).store();
+      digest.add_pod(store.object_count());
+      store.for_each_oid([&](Oid oid) {
+        digest.add_pod(oid);
+        digest.add(store.raw_slot(oid));
+      });
+    }
+  }
+  EXPECT_EQ(digest.h, 0x8124ef24f85b17f3ull);
 }
 
 }  // namespace
