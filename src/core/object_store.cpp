@@ -1,7 +1,9 @@
 #include "core/object_store.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cassert>
 #include <cstring>
 #include <stdexcept>
 
@@ -56,9 +58,8 @@ std::span<const std::byte> ObjectStore::slot_span(const Entry& e) const {
                                                 2ull * e.size);
 }
 
-std::size_t ObjectStore::probe(Oid oid) const {
+std::size_t ObjectStore::probe(Oid oid, std::size_t i) const {
   const std::size_t mask = slots_.size() - 1;
-  std::size_t i = home_of(oid);
   while (slots_[i] != 0 && entries_[slots_[i] - 1].oid != oid) {
     i = (i + 1) & mask;
   }
@@ -67,7 +68,7 @@ std::size_t ObjectStore::probe(Oid oid) const {
 
 const ObjectStore::Entry* ObjectStore::find(Oid oid) const {
   if (slots_.empty()) return nullptr;
-  const std::uint32_t s = slots_[probe(oid)];
+  const std::uint32_t s = slots_[probe(oid, home_of(oid))];
   return s == 0 ? nullptr : &entries_[s - 1];
 }
 
@@ -77,19 +78,72 @@ const ObjectStore::Entry& ObjectStore::at(Oid oid) const {
   return *e;
 }
 
+const ObjectStore::Entry& ObjectStore::at(Ref ref) const {
+  if (!ref.found()) throw std::out_of_range("ObjectStore: unknown oid");
+#ifdef HERON_SANITIZE
+  if (ref.generation_ != generation_) {
+    throw std::logic_error("ObjectStore: Ref used after a create or retire");
+  }
+#endif
+  return entries_[ref.index_];
+}
+
+void ObjectStore::resolve(std::span<const Oid> oids,
+                          std::span<Ref> out) const {
+  assert(out.size() == oids.size());
+  if (slots_.empty()) {
+    std::fill(out.begin(), out.end(), Ref{});
+    return;
+  }
+  const std::byte* region = node_->region(mr_).bytes().data();
+  std::array<std::size_t, kResolveGroup> home{};
+  for (std::size_t g = 0; g < oids.size(); g += kResolveGroup) {
+    const std::size_t n = std::min(kResolveGroup, oids.size() - g);
+    for (std::size_t k = 0; k < n; ++k) {
+      home[k] = home_of(oids[g + k]);
+      __builtin_prefetch(&slots_[home[k]]);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint32_t s = slots_[home[k]];
+      if (s != 0) __builtin_prefetch(&entries_[s - 1]);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint32_t s = slots_[probe(oids[g + k], home[k])];
+      Ref& ref = out[g + k];
+      ref = Ref{};
+      if (s == 0) continue;
+      ref.index_ = s - 1;
+#ifdef HERON_SANITIZE
+      ref.generation_ = generation_;
+#endif
+      __builtin_prefetch(region + entries_[s - 1].offset);
+    }
+  }
+}
+
 void ObjectStore::rebuild(std::size_t slot_count) {
   std::erase_if(entries_, [](const Entry& e) { return !e.live; });
   slots_.assign(slot_count, 0);
   shift_ = 64 - std::countr_zero(slot_count);
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    slots_[probe(entries_[i].oid)] = static_cast<std::uint32_t>(i + 1);
+    const Oid oid = entries_[i].oid;
+    slots_[probe(oid, home_of(oid))] = static_cast<std::uint32_t>(i + 1);
   }
 }
 
 std::uint64_t ObjectStore::create(Oid oid, std::span<const std::byte> init,
                                   bool serialized) {
-  if (exists(oid)) {
-    throw std::logic_error("ObjectStore::create: oid exists");
+  const auto offset = create_if_absent(oid, init, serialized);
+  if (!offset) throw std::logic_error("ObjectStore::create: oid exists");
+  return *offset;
+}
+
+std::optional<std::uint64_t> ObjectStore::create_if_absent(
+    Oid oid, std::span<const std::byte> init, bool serialized) {
+  std::size_t at_slot = 0;
+  if (!slots_.empty()) {
+    at_slot = probe(oid, home_of(oid));
+    if (slots_[at_slot] != 0) return std::nullopt;
   }
   const auto size = static_cast<std::uint32_t>(init.size());
   const std::uint64_t slot_bytes = SlotView::header_bytes() + 2ull * size;
@@ -108,10 +162,14 @@ std::uint64_t ObjectStore::create(Oid oid, std::span<const std::byte> init,
               size);
   if (2 * (live_ + 1) > slots_.size()) {
     rebuild(std::max<std::size_t>(16, 2 * slots_.size()));
+    at_slot = probe(oid, home_of(oid));
   }
   entries_.push_back(e);
-  slots_[probe(oid)] = static_cast<std::uint32_t>(entries_.size());
+  slots_[at_slot] = static_cast<std::uint32_t>(entries_.size());
   ++live_;
+#ifdef HERON_SANITIZE
+  ++generation_;
+#endif
   return offset;
 }
 
@@ -119,11 +177,18 @@ std::pair<Tmp, std::span<const std::byte>> ObjectStore::get(Oid oid) const {
   return view(oid).current();
 }
 
+std::pair<Tmp, std::span<const std::byte>> ObjectStore::get(Ref ref) const {
+  return SlotView::parse(slot_span(at(ref))).current();
+}
+
 void ObjectStore::retire(Oid oid) {
-  if (!exists(oid)) {
+  std::size_t hole = slots_.empty() ? 0 : probe(oid, home_of(oid));
+  if (slots_.empty() || slots_[hole] == 0) {
     throw std::logic_error("ObjectStore::retire: unknown oid");
   }
-  std::size_t hole = probe(oid);
+#ifdef HERON_SANITIZE
+  ++generation_;
+#endif
   Entry& e = entries_[slots_[hole] - 1];
   rdma::store_pod(slot_span(e), 24, kRetiredSize);
   e.live = false;
@@ -149,7 +214,15 @@ SlotView ObjectStore::view(Oid oid) const {
 }
 
 void ObjectStore::set(Oid oid, std::span<const std::byte> value, Tmp tmp) {
-  const Entry& e = at(oid);
+  set_entry(at(oid), value, tmp);
+}
+
+void ObjectStore::set(Ref ref, std::span<const std::byte> value, Tmp tmp) {
+  set_entry(at(ref), value, tmp);
+}
+
+void ObjectStore::set_entry(const Entry& e, std::span<const std::byte> value,
+                            Tmp tmp) {
   if (value.size() != e.size) {
     throw std::logic_error("ObjectStore::set: size mismatch");
   }
@@ -185,12 +258,28 @@ std::uint64_t ObjectStore::seqlock(Oid oid) const {
 }
 
 bool ObjectStore::fast_pending(Oid oid) const {
-  const auto lock = seqlock(oid);
+  return fast_pending(at(oid));
+}
+
+bool ObjectStore::fast_pending(Ref ref) const {
+  return fast_pending(at(ref));
+}
+
+bool ObjectStore::fast_pending(const Entry& e) const {
+  const auto lock = rdma::load_pod<std::uint64_t>(slot_span(e), 0);
   return (lock & kFastTmpBit) != 0 && (lock & 1) != 0;
 }
 
 bool ObjectStore::has_fast_trace(Oid oid) const {
-  const auto slot = slot_span(at(oid));
+  return has_fast_trace(at(oid));
+}
+
+bool ObjectStore::has_fast_trace(Ref ref) const {
+  return has_fast_trace(at(ref));
+}
+
+bool ObjectStore::has_fast_trace(const Entry& e) const {
+  const auto slot = slot_span(e);
   const auto lock = rdma::load_pod<std::uint64_t>(slot, 0);
   const auto tmp_a = rdma::load_pod<Tmp>(slot, 8);
   const auto tmp_b = rdma::load_pod<Tmp>(slot, 16);
@@ -262,7 +351,7 @@ void ObjectStore::install_slot(Oid oid, std::span<const std::byte> slot_bytes,
 
 void ObjectStore::install_version(Oid oid, std::span<const std::byte> value,
                                   Tmp tmp, bool serialized) {
-  if (!exists(oid)) create(oid, value, serialized);
+  create_if_absent(oid, value, serialized);
   const Entry& e = at(oid);
   if (value.size() != e.size) {
     throw std::logic_error("ObjectStore::install_version: size mismatch");
@@ -285,6 +374,10 @@ std::uint32_t ObjectStore::size_of(Oid oid) const {
 
 bool ObjectStore::is_serialized(Oid oid) const {
   return at(oid).serialized;
+}
+
+bool ObjectStore::is_serialized(Ref ref) const {
+  return at(ref).serialized;
 }
 
 std::uint64_t ObjectStore::slot_bytes_of(Oid oid) const {

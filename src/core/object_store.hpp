@@ -126,6 +126,27 @@ struct SlotView {
 
 class ObjectStore {
  public:
+  /// A resolved object: the index of its entry, or empty for an unknown
+  /// oid. A Ref is valid until the next create() or retire() on its store
+  /// (either may compact the entries), so it is never held across a
+  /// co_await. Sanitizer builds (HERON_SANITIZE) also stamp the store's
+  /// generation into it and check that stamp at every use.
+  class Ref {
+   public:
+    [[nodiscard]] bool found() const { return index_ != kAbsent; }
+
+   private:
+    friend class ObjectStore;
+    static constexpr std::uint32_t kAbsent = 0xFFFFFFFFu;
+    std::uint32_t index_ = kAbsent;
+#ifdef HERON_SANITIZE
+    std::uint64_t generation_ = 0;
+#endif
+  };
+
+  /// Oids resolve() carries through its stages together.
+  static constexpr std::size_t kResolveGroup = 16;
+
   /// Registers `region_bytes` of object memory on `node`.
   ObjectStore(rdma::Node& node, std::size_t region_bytes);
 
@@ -133,13 +154,30 @@ class ObjectStore {
   /// stored in serialized form (TPC-C Stock/Customer): their state
   /// transfers skip receiver-side deserialization cost. Both versions are
   /// initialised to `init` at timestamp 0. Returns the slot offset.
+  /// Throws std::logic_error if the oid exists.
   std::uint64_t create(Oid oid, std::span<const std::byte> init,
                        bool serialized = false);
+  /// create() that leaves an existing object alone and returns nullopt.
+  /// Either way it probes the index once: the probe that finds the oid
+  /// absent ends at the slot the new entry goes into.
+  std::optional<std::uint64_t> create_if_absent(
+      Oid oid, std::span<const std::byte> init, bool serialized = false);
 
   [[nodiscard]] bool exists(Oid oid) const { return find(oid) != nullptr; }
 
-  /// Local read of the current version.
+  /// Batched lookup: out[i] becomes the Ref of oids[i] (empty if the oid
+  /// is unknown); `out` must be as long as `oids`. Each group of
+  /// kResolveGroup oids runs in stages (hash every oid and prefetch its
+  /// index slot; prefetch the entries those slots name; finish the now
+  /// warm probes and prefetch each slot header), so the cache misses of a
+  /// group overlap instead of forming one dependent chain per oid.
+  void resolve(std::span<const Oid> oids, std::span<Ref> out) const;
+
+  /// Local read of the current version. The Ref overloads here and below
+  /// throw std::out_of_range for an empty Ref, as the oid-keyed ones do
+  /// for an unknown oid.
   [[nodiscard]] std::pair<Tmp, std::span<const std::byte>> get(Oid oid) const;
+  [[nodiscard]] std::pair<Tmp, std::span<const std::byte>> get(Ref ref) const;
 
   /// Parsed slot (both versions), e.g. for version_before().
   [[nodiscard]] SlotView view(Oid oid) const;
@@ -148,6 +186,7 @@ class ObjectStore {
   /// older version and tags it with `tmp`. Does not touch the seqlock
   /// word; the caller brackets write phases with begin/end_write.
   void set(Oid oid, std::span<const std::byte> value, Tmp tmp);
+  void set(Ref ref, std::span<const std::byte> value, Tmp tmp);
 
   /// Seqlock bracket around a request's write phase: begin_write makes
   /// the slot's lock word odd (fast readers see a torn slot), end_write
@@ -159,11 +198,13 @@ class ObjectStore {
   // --- fast-write state machine (see SlotView::fast_pending) -----------
   /// An INVALIDATE is pending on the slot (lock odd + fast-tagged).
   [[nodiscard]] bool fast_pending(Oid oid) const;
+  [[nodiscard]] bool fast_pending(Ref ref) const;
   /// Any fast-write residue on the slot: a fast-tagged lock word OR a
   /// fast-tagged version tmp. The ordered write path wipes such slots via
   /// install_version instead of set() so every replica converges on the
   /// same current version whether or not the one-sided traffic reached it.
   [[nodiscard]] bool has_fast_trace(Oid oid) const;
+  [[nodiscard]] bool has_fast_trace(Ref ref) const;
   /// Resolves a pending INVALIDATE as aborted: restores the lock word so
   /// the slot's surviving version (the pre-image, or an earlier committed
   /// fast version) is valid again. No-op if the slot is not pending.
@@ -199,6 +240,7 @@ class ObjectStore {
   [[nodiscard]] std::uint64_t offset_of(Oid oid) const;
   [[nodiscard]] std::uint32_t size_of(Oid oid) const;
   [[nodiscard]] bool is_serialized(Oid oid) const;
+  [[nodiscard]] bool is_serialized(Ref ref) const;
   [[nodiscard]] std::uint64_t slot_bytes_of(Oid oid) const;
   [[nodiscard]] std::span<const std::byte> raw_slot(Oid oid) const;
 
@@ -236,11 +278,19 @@ class ObjectStore {
   [[nodiscard]] std::size_t home_of(Oid oid) const {
     return static_cast<std::size_t>((oid * 0x9E3779B97F4A7C15ull) >> shift_);
   }
-  /// Slot holding `oid`, or the empty slot that ends its probe chain.
-  [[nodiscard]] std::size_t probe(Oid oid) const;
+  /// Slot holding `oid`, or the empty slot that ends its probe chain,
+  /// probing from slot `i` (home_of(oid) for a lookup from scratch).
+  /// Every lookup, batched or oid-keyed, goes through here.
+  [[nodiscard]] std::size_t probe(Oid oid, std::size_t i) const;
   [[nodiscard]] const Entry* find(Oid oid) const;
   /// find() that throws std::out_of_range for an unknown oid.
   [[nodiscard]] const Entry& at(Oid oid) const;
+  /// The entry `ref` names; throws std::out_of_range for an empty Ref
+  /// (and std::logic_error for a stale one in sanitizer builds).
+  [[nodiscard]] const Entry& at(Ref ref) const;
+  void set_entry(const Entry& e, std::span<const std::byte> value, Tmp tmp);
+  [[nodiscard]] bool fast_pending(const Entry& e) const;
+  [[nodiscard]] bool has_fast_trace(const Entry& e) const;
   /// Rebuilds slots_ at `slot_count` slots over the live entries, dropping
   /// retired ones from entries_.
   void rebuild(std::size_t slot_count);
@@ -252,6 +302,9 @@ class ObjectStore {
   std::vector<std::uint32_t> slots_;
   int shift_ = 64;
   std::size_t live_ = 0;
+#ifdef HERON_SANITIZE
+  std::uint64_t generation_ = 0;  // bumped by every create and retire
+#endif
 };
 
 }  // namespace heron::core

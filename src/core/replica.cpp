@@ -1,6 +1,7 @@
 #include "core/replica.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <set>
 #include <stdexcept>
@@ -856,23 +857,46 @@ sim::Task<Replica::ExecOutcome> Replica::execute_on(const Request& r,
   ExecContext ctx(group_, *store_);
   sim::Nanos read_cpu = 0;
 
-  for (Oid oid : app_->read_set(r, group_)) {
+  // The read set's local oids are resolved up to kResolveGroup at a time,
+  // in read-set order. A suspension (a fence or a remote read) lets other
+  // work create or retire objects, which invalidates the batch's Refs, so
+  // the rest of the read set is resolved afresh after one.
+  const std::vector<Oid> reads = app_->read_set(r, group_);
+  std::array<Oid, ObjectStore::kResolveGroup> batch;
+  std::array<ObjectStore::Ref, ObjectStore::kResolveGroup> refs;
+  std::size_t batch_next = 0;
+  std::size_t batch_size = 0;
+  auto resolve_from = [&](std::size_t i) {
+    batch_next = batch_size = 0;
+    for (; i < reads.size() && batch_size < batch.size(); ++i) {
+      if (app_->partition_of(reads[i]) == group_) {
+        batch[batch_size++] = reads[i];
+      }
+    }
+    store_->resolve(std::span(batch).first(batch_size),
+                    std::span(refs).first(batch_size));
+  };
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    const Oid oid = reads[i];
     const GroupId h = app_->partition_of(oid);
     if (h == group_) {
-      if (fast_writes_enabled() && store_->exists(oid) &&
-          store_->fast_pending(oid)) {
+      if (batch_next == batch_size) resolve_from(i);
+      ObjectStore::Ref ref = refs[batch_next++];
+      if (fast_writes_enabled() && ref.found() && store_->fast_pending(ref)) {
         // Fence right at the read: no suspension separates the check from
         // the get() below, so a validated-elsewhere fast write cannot slip
         // past this replica's ordered read (read inversion).
         co_await fence_slot(oid);
         if (stale(inc)) co_return ExecOutcome{};
+        resolve_from(i);
+        ref = refs[batch_next++];
       }
       // Lines 4-7: local read of the current version.
-      const auto [tmp, value] = store_->get(oid);
+      const auto [tmp, value] = store_->get(ref);
       ctx.set_value(oid, value);
       read_cpu += static_cast<sim::Nanos>(
           static_cast<double>(value.size()) *
-          (store_->is_serialized(oid) ? cfg.serialize_ns_per_byte
+          (store_->is_serialized(ref) ? cfg.serialize_ns_per_byte
                                       : cfg.memcpy_ns_per_byte));
       continue;
     }
@@ -881,6 +905,7 @@ sim::Task<Replica::ExecOutcome> Replica::execute_on(const Request& r,
     if (stale(inc)) co_return ExecOutcome{};
     if (rr.lagging) co_return ExecOutcome{.lagging = true};
     ctx.set_value(oid, rr.value);
+    batch_next = batch_size = 0;
   }
   // Service-time jitter. The dominant component is per (partition,
   // request) — replicas of one partition execute the same sequence on
@@ -963,9 +988,8 @@ void Replica::apply_writes(const Request& r, ExecContext& ctx) {
   auto& queued = apply_scratch_;
   queued.clear();
   for (const auto& c : ctx.creates()) {
-    if (!store_->exists(c.oid)) {
-      store_->create(c.oid, c.bytes, c.serialized);
-    }
+    // Creation order is call order (and so slot-offset order).
+    store_->create_if_absent(c.oid, c.bytes, c.serialized);
     queued.push_back({c.oid, queued.size(), c.bytes});
   }
   for (const auto& w : ctx.writes()) {
@@ -975,13 +999,24 @@ void Replica::apply_writes(const Request& r, ExecContext& ctx) {
             [](const QueuedWrite& a, const QueuedWrite& b) {
               return a.oid != b.oid ? a.oid < b.oid : a.pos < b.pos;
             });
+  auto& oids = apply_oids_;
+  oids.clear();
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < queued.size(); ++i) {
     if (i + 1 < queued.size() && queued[i + 1].oid == queued[i].oid) {
       continue;  // superseded by a later write to the same object
     }
+    queued[kept++] = queued[i];
+    oids.push_back(queued[i].oid);
+  }
+  // Nothing below creates or retires, so one batch serves every write.
+  auto& refs = apply_refs_;
+  refs.resize(kept);
+  store_->resolve(oids, refs);
+  for (std::size_t i = 0; i < kept; ++i) {
     const Oid oid = queued[i].oid;
     const std::span<const std::byte> bytes = queued[i].bytes;
-    if (system_->config().fast_writes && store_->has_fast_trace(oid)) {
+    if (system_->config().fast_writes && store_->has_fast_trace(refs[i])) {
       // Ordered wipe: the slot carries fast-write residue (a committed
       // fast version, or the headers of an aborted one). set() would keep
       // that residue in the sibling slot, and replicas that missed the
@@ -991,11 +1026,12 @@ void Replica::apply_writes(const Request& r, ExecContext& ctx) {
       // so every replica converges on {r.tmp, r.tmp} regardless of which
       // fast-write bytes reached it. This doubles as the repair path for
       // the fast writer's own ordered fallback.
-      store_->install_version(oid, bytes, r.tmp, store_->is_serialized(oid));
+      store_->install_version(oid, bytes, r.tmp,
+                              store_->is_serialized(refs[i]));
       store_->clear_fast_lock(oid);
       count(kFastRepairs);
     } else {
-      store_->set(oid, bytes, r.tmp);
+      store_->set(refs[i], bytes, r.tmp);
     }
     log_update(r.tmp, oid);
   }

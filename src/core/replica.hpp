@@ -305,17 +305,17 @@ class Replica {
   // --- execution (Algorithm 2) ----------------------------------------
   struct ExecOutcome {
     bool lagging = false;
-    Reply reply;
+    Reply reply{};
     /// Oids left seqlock-odd by the write phase (leases enabled only);
     /// the write gate releases them before the reply goes out.
-    std::vector<Oid> locked;
+    std::vector<Oid> locked{};
   };
   sim::Task<ExecOutcome> execute(const Request& r);
   sim::Task<ExecOutcome> execute_on(const Request& r, sim::Cpu& cpu);
   struct RemoteRead {
     bool lagging = false;
     bool ok = false;
-    std::vector<std::byte> value;
+    std::vector<std::byte> value{};
   };
   sim::Task<RemoteRead> read_remote(const Request& r, Oid oid, GroupId h);
   sim::Task<bool> resolve_addr(Oid oid, GroupId h);
@@ -539,7 +539,10 @@ class Replica {
   std::vector<std::uint64_t> addrq_next_;   // consumer cursor per stripe
   std::vector<std::uint64_t> addra_next_;   // consumer cursor per stripe
 
-  std::vector<QueuedWrite> apply_scratch_;  // reused by apply_writes
+  // Reused by apply_writes.
+  std::vector<QueuedWrite> apply_scratch_;
+  std::vector<Oid> apply_oids_;
+  std::vector<ObjectStore::Ref> apply_refs_;
 
   // Update log (ring semantics with truncation flag).
   std::deque<LogEntry> update_log_;

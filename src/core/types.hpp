@@ -109,7 +109,7 @@ static_assert(std::is_trivially_copyable_v<ReplySlot>);
 /// Application-level reply value.
 struct Reply {
   std::uint32_t status = 0;
-  std::vector<std::byte> payload;
+  std::vector<std::byte> payload{};
 };
 
 /// Coordination memory entry (Algorithm 1's coord_mem[h][q]).

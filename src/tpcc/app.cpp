@@ -1,7 +1,7 @@
 #include "tpcc/app.hpp"
 
 #include <algorithm>
-#include <set>
+#include <cstddef>
 
 #include "sim/random.hpp"
 
@@ -45,6 +45,13 @@ void TpccApp::charge_serialized(core::ExecContext& ctx, std::size_t bytes) {
   ctx.charge(static_cast<sim::Nanos>(static_cast<double>(bytes) *
                                      kSerializeNsPerByte) +
              kRowTouchCost);
+}
+
+std::span<const core::ObjectStore::Ref> TpccApp::resolve(
+    const core::ObjectStore& store) {
+  refs_.resize(oids_.size());
+  store.resolve(oids_, refs_);
+  return refs_;
 }
 
 std::vector<core::Oid> TpccApp::read_set(const core::Request& r,
@@ -120,20 +127,26 @@ core::Reply TpccApp::exec_new_order(const NewOrderReq& req,
 
   if (!home) return core::Reply{};  // supply partitions are done
 
-  // Home partition: order bookkeeping.
+  // Home partition: order bookkeeping. District, customer, warehouse and
+  // the lines' items resolve in one batch.
   const core::Oid doid = make_oid(Table::kDistrict, req.w_id, req.d_id, 0);
-  auto district = load_row<DistrictRow>(store, doid);
+  oids_.assign({doid, make_oid(Table::kCustomer, req.w_id, req.d_id, req.c_id),
+                make_oid(Table::kWarehouse, req.w_id, 0, 0)});
+  const auto item_w = static_cast<std::uint32_t>(ctx.my_partition());
+  for (std::uint32_t i = 0; i < req.ol_cnt; ++i) {
+    oids_.push_back(make_oid(Table::kItem, item_w, 0, req.items[i].i_id));
+  }
+  const auto refs = resolve(store);
+
+  auto district = load_row<DistrictRow>(store, refs[0]);
   const std::uint64_t o_id = district.next_o_id;
   district.next_o_id += 1;
   ctx.write_as(doid, district);
 
-  const core::Oid coid =
-      make_oid(Table::kCustomer, req.w_id, req.d_id, req.c_id);
-  const auto customer = load_row<CustomerRow>(store, coid);
+  const auto customer = load_row<CustomerRow>(store, refs[1]);
   charge_serialized(ctx, sizeof(CustomerRow));
 
-  const auto warehouse = load_row<WarehouseRow>(
-      store, make_oid(Table::kWarehouse, req.w_id, 0, 0));
+  const auto warehouse = load_row<WarehouseRow>(store, refs[2]);
 
   OrderRow order;
   order.o_id = o_id;
@@ -147,9 +160,7 @@ core::Reply TpccApp::exec_new_order(const NewOrderReq& req,
     const auto& it = req.items[i];
     if (it.supply_w_id != req.w_id) order.all_local = 0;
 
-    const auto item = load_row<ItemRow>(
-        store, make_oid(Table::kItem, static_cast<std::uint32_t>(ctx.my_partition()),
-                        0, it.i_id));
+    const auto item = load_row<ItemRow>(store, refs[3 + i]);
     const auto stock = from_ctx<StockRow>(
         ctx, make_oid(Table::kStock, it.supply_w_id, 0, it.i_id));
 
@@ -236,23 +247,28 @@ core::Reply TpccApp::exec_payment(const PaymentReq& req,
 core::Reply TpccApp::exec_order_status(const OrderStatusReq& req,
                                        core::ExecContext& ctx) {
   const auto& store = ctx.local_store();
-  const auto customer = load_row<CustomerRow>(
-      store, make_oid(Table::kCustomer, req.w_id, req.d_id, req.c_id));
+  oids_.assign(
+      {make_oid(Table::kCustomer, req.w_id, req.d_id, req.c_id),
+       make_oid(Table::kCustomerIndex, req.w_id, req.d_id, req.c_id)});
+  auto refs = resolve(store);
+  const auto customer = load_row<CustomerRow>(store, refs[0]);
   charge_serialized(ctx, sizeof(CustomerRow));
 
-  const auto idx = load_row<CustomerIndexRow>(
-      store, make_oid(Table::kCustomerIndex, req.w_id, req.d_id, req.c_id));
+  const auto idx = load_row<CustomerIndexRow>(store, refs[1]);
 
   double last_total = 0;
   if (idx.last_o_id != 0) {
     const auto order = load_row<OrderRow>(
         store, make_oid(Table::kOrder, req.w_id, req.d_id, idx.last_o_id));
     ctx.charge(kRowTouchCost);
+    oids_.clear();
     for (std::uint32_t l = 1; l <= order.ol_cnt; ++l) {
-      const auto line = load_row<OrderLineRow>(
-          store, make_oid(Table::kOrderLine, req.w_id, req.d_id,
-                          ol_key(idx.last_o_id, l)));
-      last_total += line.amount;
+      oids_.push_back(make_oid(Table::kOrderLine, req.w_id, req.d_id,
+                               ol_key(idx.last_o_id, l)));
+    }
+    refs = resolve(store);
+    for (const core::ObjectStore::Ref ref : refs) {
+      last_total += load_row<OrderLineRow>(store, ref).amount;
       ctx.charge(kRowTouchCost);
     }
   }
@@ -284,13 +300,17 @@ core::Reply TpccApp::exec_delivery(const DeliveryReq& req,
     ctx.charge(kRowTouchCost);
 
     double total = 0;
+    oids_.clear();
     for (std::uint32_t l = 1; l <= order.ol_cnt; ++l) {
-      const core::Oid loid = make_oid(Table::kOrderLine, req.w_id, req.d_id,
-                                      ol_key(o_id, l));
-      auto line = load_row<OrderLineRow>(store, loid);
+      oids_.push_back(make_oid(Table::kOrderLine, req.w_id, req.d_id,
+                               ol_key(o_id, l)));
+    }
+    const auto refs = resolve(store);
+    for (std::size_t l = 0; l < refs.size(); ++l) {
+      auto line = load_row<OrderLineRow>(store, refs[l]);
       line.delivery_d = static_cast<std::int64_t>(r.tmp);
       total += line.amount;
-      ctx.write_as(loid, line);
+      ctx.write_as(oids_[l], line);
       ctx.charge(kRowTouchCost);
     }
 
@@ -327,29 +347,49 @@ core::Reply TpccApp::exec_stock_level(const StockLevelReq& req,
 
   // Scan the last 20 orders' lines; count distinct items whose stock is
   // below the threshold. Expensive due to the serialized Stock table
-  // (the paper's explanation for StockLevel's latency, §V-D2).
+  // (the paper's explanation for StockLevel's latency, §V-D2). Three
+  // batched lookups: the orders, then their lines, then the lines' stock
+  // rows, of which only the quantity is read.
   const std::uint64_t from =
       district.next_o_id > 20 ? district.next_o_id - 20 : 1;
-  std::set<std::uint32_t> low;
+  oids_.clear();
   for (std::uint64_t o = from; o < district.next_o_id; ++o) {
-    const core::Oid ooid = make_oid(Table::kOrder, req.w_id, req.d_id, o);
-    if (!store.exists(ooid)) continue;
-    const auto order = load_row<OrderRow>(store, ooid);
+    oids_.push_back(make_oid(Table::kOrder, req.w_id, req.d_id, o));
+  }
+  auto refs = resolve(store);
+  oids_.clear();
+  for (std::size_t k = 0; k < refs.size(); ++k) {
+    if (!refs[k].found()) continue;  // a missing order row is skipped
+    const auto order = load_row<OrderRow>(store, refs[k]);
     ctx.charge(kRowTouchCost);
     for (std::uint32_t l = 1; l <= order.ol_cnt; ++l) {
-      const auto line = load_row<OrderLineRow>(
-          store, make_oid(Table::kOrderLine, req.w_id, req.d_id,
-                          ol_key(o, l)));
-      ctx.charge(kRowTouchCost);
-      const core::Oid soid =
-          make_oid(Table::kStock, req.w_id, 0, line.i_id);
-      const auto stock = load_row<StockRow>(store, soid);
-      charge_serialized(ctx, sizeof(StockRow));
-      if (stock.quantity < req.threshold) low.insert(line.i_id);
+      oids_.push_back(make_oid(Table::kOrderLine, req.w_id, req.d_id,
+                               ol_key(from + k, l)));
     }
   }
-
-  const std::uint64_t count = low.size();
+  refs = resolve(store);
+  oids_.clear();
+  for (const core::ObjectStore::Ref ref : refs) {
+    const auto line = load_row<OrderLineRow>(store, ref);
+    ctx.charge(kRowTouchCost);
+    oids_.push_back(make_oid(Table::kStock, req.w_id, 0, line.i_id));
+  }
+  refs = resolve(store);
+  // Keep the stock oids of low items, then count the distinct ones.
+  std::size_t low = 0;
+  for (std::size_t k = 0; k < refs.size(); ++k) {
+    const auto value = store.get(refs[k]).second;
+    std::int32_t quantity;
+    std::memcpy(&quantity, value.data() + offsetof(StockRow, quantity),
+                sizeof(quantity));
+    charge_serialized(ctx, sizeof(StockRow));
+    if (quantity < req.threshold) oids_[low++] = oids_[k];
+  }
+  std::sort(oids_.begin(), oids_.begin() + static_cast<std::ptrdiff_t>(low));
+  const std::uint64_t count = static_cast<std::uint64_t>(
+      std::unique(oids_.begin(),
+                  oids_.begin() + static_cast<std::ptrdiff_t>(low)) -
+      oids_.begin());
   core::Reply reply;
   reply.payload.resize(sizeof(count));
   std::memcpy(reply.payload.data(), &count, sizeof(count));

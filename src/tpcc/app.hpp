@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "core/app.hpp"
 #include "tpcc/requests.hpp"
@@ -43,16 +45,26 @@ class TpccApp : public core::Application {
   /// Charges the serialized-table access cost for `bytes`.
   static void charge_serialized(core::ExecContext& ctx, std::size_t bytes);
 
+  /// Resolves oids_ against the local store in one batch, into refs_.
+  /// The Refs hold until the next resolve(): execute() never suspends, so
+  /// the store cannot change under them.
+  std::span<const core::ObjectStore::Ref> resolve(
+      const core::ObjectStore& store);
+
   int partitions_;
   TpccScale scale_;
   std::uint64_t seed_;
+  // Lookup batches of the running execution (reused across executions).
+  std::vector<core::Oid> oids_;
+  std::vector<core::ObjectStore::Ref> refs_;
 };
 
-/// Typed local read through the store (used for rows that are always
-/// local: districts, orders, replicated tables, ...).
-template <typename T>
-T load_row(const core::ObjectStore& store, core::Oid oid) {
-  auto [tmp, bytes] = store.get(oid);
+/// Typed local read through the store, by oid or by a resolved Ref (used
+/// for rows that are always local: districts, orders, replicated tables,
+/// ...).
+template <typename T, typename Key>
+T load_row(const core::ObjectStore& store, Key key) {
+  auto [tmp, bytes] = store.get(key);
   T out;
   std::memcpy(&out, bytes.data(), sizeof(T));
   return out;

@@ -306,7 +306,9 @@ struct PropertyHarness {
             << "delivered outside destination set";
         // Timestamp consistency across all replicas.
         auto [it, inserted] = ts_of.emplace(d.uid, d.tmp);
-        if (!inserted) EXPECT_EQ(it->second, d.tmp);
+        if (!inserted) {
+          EXPECT_EQ(it->second, d.tmp);
+        }
       }
       // Delivery in timestamp order (also implies uniform acyclic order:
       // the timestamp order is a global total order).

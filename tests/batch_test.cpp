@@ -141,7 +141,9 @@ void check_properties(Cluster& c,
       EXPECT_TRUE(dst_contains(d.dst, key.first))
           << "delivered outside destination set";
       auto [it, inserted] = ts_of.emplace(d.uid, d.tmp);
-      if (!inserted) EXPECT_EQ(it->second, d.tmp);
+      if (!inserted) {
+        EXPECT_EQ(it->second, d.tmp);
+      }
     }
     for (size_t i = 1; i < seq.size(); ++i) {
       EXPECT_LT(seq[i - 1].tmp, seq[i].tmp);

@@ -535,7 +535,9 @@ TEST(FastWrite, ResetStatsClearsLeaseRenewalSkips) {
   ASSERT_FALSE(fabric.telemetry().metrics.enabled());
   for (const StatPair& p : stat_pairs(sys, fabric)) {
     EXPECT_EQ(p.accessor, p.counter) << p.what;
-    if (p.exercised) EXPECT_GT(p.accessor, 0u) << p.what;
+    if (p.exercised) {
+      EXPECT_GT(p.accessor, 0u) << p.what;
+    }
   }
   auto& reader = sys.client(1);
   EXPECT_GT(reader.fastread_hits(), 0u);

@@ -206,7 +206,8 @@ TEST(ObjectStore, FlatIndexMatchesOrderedMapUnderRandomOps) {
   // random creates, retires and re-creates of retired oids, growing the
   // table through several rehashes. Oids mix small dense keys with keys
   // whose low bits are all equal (packed TPC-C style ids), which share
-  // hash prefixes.
+  // hash prefixes. Every check also runs batched resolve() against the
+  // oid-keyed calls.
   sim::Simulator sim;
   rdma::Fabric fabric{sim};
   ObjectStore store{fabric.add_node(), 4 << 20};
@@ -219,9 +220,72 @@ TEST(ObjectStore, FlatIndexMatchesOrderedMapUnderRandomOps) {
   std::uint64_t creations = 0;
   std::size_t peak = 0;
   sim::Rng rng(2024);
-  auto draw_oid = [&] {
-    const std::uint64_t k = rng.bounded(3000);
-    return rng.chance(0.5) ? k + 1 : (k << 40) | 0xABCDEFull;
+  auto draw_oid = [&](sim::Rng& from) {
+    const std::uint64_t k = from.bounded(3000);
+    return from.chance(0.5) ? k + 1 : (k << 40) | 0xABCDEFull;
+  };
+  // Serialized-ness is a function of the oid, so the flag is checkable.
+  auto serialized_of = [](Oid oid) { return (oid & 2) != 0; };
+  auto raw_copy = [&](Oid oid) {
+    const auto raw = store.raw_slot(oid);
+    return std::vector<std::byte>(raw.begin(), raw.end());
+  };
+
+  // Batches mix live oids, absent oids and repeats of earlier entries, at
+  // sizes 0, 1, around the prefetch group and one large batch. Each Ref
+  // must read what the oid-keyed calls read, and set() through a Ref must
+  // leave the slot exactly as set() through the oid does.
+  sim::Rng pick(77);
+  auto check_resolve = [&] {
+    std::vector<Oid> live;
+    for (const auto& [oid, m] : model) live.push_back(oid);
+    const std::size_t g = ObjectStore::kResolveGroup;
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, g - 1, g, g + 1, 3000 + g / 2}) {
+      std::vector<Oid> batch;
+      while (batch.size() < n) {
+        const std::uint64_t roll = pick.bounded(4);
+        if (roll == 0 && !batch.empty()) {
+          batch.push_back(batch[pick.bounded(batch.size())]);
+        } else if (roll == 1 || live.empty()) {
+          Oid oid = draw_oid(pick);
+          while (model.contains(oid)) oid = draw_oid(pick);
+          batch.push_back(oid);
+        } else {
+          batch.push_back(live[pick.bounded(live.size())]);
+        }
+      }
+      std::vector<ObjectStore::Ref> refs(n);
+      store.resolve(batch, refs);
+      for (std::size_t i = 0; i < n; ++i) {
+        const Oid oid = batch[i];
+        const ObjectStore::Ref ref = refs[i];
+        if (!model.contains(oid)) {
+          ASSERT_FALSE(ref.found()) << oid;
+          EXPECT_THROW((void)store.get(ref), std::out_of_range);
+          EXPECT_THROW((void)store.is_serialized(ref), std::out_of_range);
+          continue;
+        }
+        ASSERT_TRUE(ref.found()) << oid;
+        const auto [tmp, value] = store.get(ref);
+        ASSERT_EQ(tmp, store.get(oid).first) << oid;
+        ASSERT_EQ(value_of(value), model.at(oid).value) << oid;
+        ASSERT_EQ(store.is_serialized(ref), store.is_serialized(oid)) << oid;
+        ASSERT_EQ(store.is_serialized(ref), serialized_of(oid)) << oid;
+        if (i % 5 != 0) continue;
+        // set(Ref) == set(oid); the slot is put back afterwards so the
+        // model stays right.
+        const auto before = raw_copy(oid);
+        const Tmp t = tmp + 1 + pick.bounded(3);
+        store.set(ref, bytes_of(~oid), t);
+        const auto via_ref = raw_copy(oid);
+        store.install_slot(oid, before, 8, serialized_of(oid));
+        store.set(oid, bytes_of(~oid), t);
+        ASSERT_EQ(raw_copy(oid), via_ref) << oid;
+        ASSERT_NE(via_ref, before) << oid;
+        store.install_slot(oid, before, 8, serialized_of(oid));
+      }
+    }
   };
   auto check_all = [&] {
     ASSERT_EQ(store.object_count(), model.size());
@@ -230,6 +294,7 @@ TEST(ObjectStore, FlatIndexMatchesOrderedMapUnderRandomOps) {
       ASSERT_TRUE(store.exists(oid)) << oid;
       ASSERT_EQ(store.offset_of(oid), m.offset) << oid;
       ASSERT_EQ(value_of(store.get(oid).second), m.value) << oid;
+      ASSERT_EQ(store.is_serialized(oid), serialized_of(oid)) << oid;
       by_creation.emplace_back(m.created, oid);
     }
     std::sort(by_creation.begin(), by_creation.end());
@@ -242,10 +307,11 @@ TEST(ObjectStore, FlatIndexMatchesOrderedMapUnderRandomOps) {
     for (std::size_t i = 1; i < seen.size(); ++i) {
       ASSERT_LT(store.offset_of(seen[i - 1]), store.offset_of(seen[i]));
     }
+    check_resolve();
   };
 
   for (int step = 0; step < 20000; ++step) {
-    const Oid oid = draw_oid();
+    const Oid oid = draw_oid(rng);
     const auto it = model.find(oid);
     if (it == model.end()) {
       ASSERT_FALSE(store.exists(oid)) << oid;
@@ -253,7 +319,8 @@ TEST(ObjectStore, FlatIndexMatchesOrderedMapUnderRandomOps) {
       // Grow faster than we shrink until the table is large.
       if (model.size() < 2500 || rng.chance(0.5)) {
         const std::uint64_t v = oid * 7 + static_cast<std::uint64_t>(step);
-        const std::uint64_t off = store.create(oid, bytes_of(v));
+        const std::uint64_t off =
+            store.create(oid, bytes_of(v), serialized_of(oid));
         model[oid] = Model{off, v, creations++};
       }
     } else if (rng.chance(0.3)) {
@@ -277,10 +344,42 @@ TEST(ObjectStore, FlatIndexMatchesOrderedMapUnderRandomOps) {
   }
   check_all();
   for (Oid oid : {Oid{5}, Oid{3}, Oid{1} << 40 | 0xABCDEF}) {
-    model[oid] = Model{store.create(oid, bytes_of(oid)), oid, creations++};
+    model[oid] = Model{store.create(oid, bytes_of(oid), serialized_of(oid)),
+                       oid, creations++};
   }
   check_all();
 }
+
+TEST(ObjectStore, CreateIfAbsentLeavesAnExistingObjectAlone) {
+  Env env;
+  const auto off = env.store.create_if_absent(7, bytes_of(70));
+  ASSERT_TRUE(off.has_value());
+  EXPECT_EQ(env.store.offset_of(7), *off);
+  EXPECT_FALSE(env.store.create_if_absent(7, bytes_of(71)).has_value());
+  EXPECT_EQ(value_of(env.store.get(7).second), 70u);
+  EXPECT_EQ(env.store.object_count(), 1u);
+  EXPECT_EQ(env.store.bytes_used(), SlotView::header_bytes() + 16);
+}
+
+#ifdef HERON_SANITIZE
+TEST(ObjectStore, StaleRefIsCaughtInSanitizerBuilds) {
+  // A Ref is valid until the next create or retire on its store; the
+  // sanitizer build stamps and checks the store generation.
+  Env env;
+  env.store.create(1, bytes_of(10));
+  const Oid oid = 1;
+  ObjectStore::Ref ref;
+  env.store.resolve(std::span(&oid, 1), std::span(&ref, 1));
+  EXPECT_EQ(value_of(env.store.get(ref).second), 10u);
+  env.store.create(2, bytes_of(20));
+  EXPECT_THROW((void)env.store.get(ref), std::logic_error);
+  EXPECT_THROW(env.store.set(ref, bytes_of(11), 1), std::logic_error);
+  env.store.resolve(std::span(&oid, 1), std::span(&ref, 1));
+  EXPECT_EQ(value_of(env.store.get(ref).second), 10u);
+  env.store.retire(2);
+  EXPECT_THROW((void)env.store.is_serialized(ref), std::logic_error);
+}
+#endif
 
 TEST(ObjectStore, SlotParseMatchesRawLayout) {
   Env env;

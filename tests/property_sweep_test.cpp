@@ -177,9 +177,13 @@ TEST_P(AmcastPropertySweep, OrderAgreementIntegrityHold) {
     std::set<amcast::MsgUid> seen;
     for (std::size_t i = 0; i < seq.size(); ++i) {
       EXPECT_TRUE(seen.insert(seq[i].uid).second);
-      if (i > 0) EXPECT_LT(seq[i - 1].tmp, seq[i].tmp);
+      if (i > 0) {
+        EXPECT_LT(seq[i - 1].tmp, seq[i].tmp);
+      }
       auto [it, fresh] = ts.emplace(seq[i].uid, seq[i].tmp);
-      if (!fresh) EXPECT_EQ(it->second, seq[i].tmp);
+      if (!fresh) {
+        EXPECT_EQ(it->second, seq[i].tmp);
+      }
     }
   }
   for (const auto& [uid, dst] : sent) {
