@@ -7,12 +7,15 @@
 // (default 5); remaining flags go to google-benchmark.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
 #include "amcast/system.hpp"
 #include "core/object_store.hpp"
 #include "rdma/fabric.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 using namespace heron;
@@ -125,18 +128,45 @@ void BM_ObjectStoreSet(benchmark::State& state) {
 BENCHMARK(BM_ObjectStoreSet);
 
 void BM_SimulatorEventThroughput(benchmark::State& state) {
-  // Wall-clock events/second of the DES engine itself.
+  // Wall-clock events/second of the DES engine itself at a fixed queue
+  // depth: range(0) self-rescheduling chains, each event scheduling its
+  // successor 1-4096 ns later (about the spread of the fabric's verb
+  // latencies). The chains stop once the event budget is spent, so the
+  // last `depth` events drain a shrinking queue; the budget keeps that
+  // tail under 6%.
+  const auto depth = static_cast<std::int64_t>(state.range(0));
+  const std::int64_t budget = std::max<std::int64_t>(1 << 18, 16 * depth);
+  std::uint64_t events = 0;
   for (auto _ : state) {
     sim::Simulator sim;
-    for (int i = 0; i < 10'000; ++i) {
-      sim.schedule(i, [] {});
+    sim::Rng rng(g_seed);
+    std::int64_t left = budget;
+    struct Chain {
+      sim::Simulator* sim;
+      sim::Rng* rng;
+      std::int64_t* left;
+      void operator()() const {
+        if (--*left >= 0) {
+          sim->schedule(static_cast<sim::Nanos>(1 + (rng->next() & 4095)),
+                        *this);
+        }
+      }
+    };
+    for (std::int64_t i = 0; i < depth; ++i) {
+      sim.schedule(static_cast<sim::Nanos>(rng.next() & 4095),
+                   Chain{&sim, &rng, &left});
     }
     sim.run();
     benchmark::DoNotOptimize(sim.events_executed());
+    events += sim.events_executed();
   }
-  state.SetItemsProcessed(state.iterations() * 10'000);
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_SimulatorEventThroughput);
+BENCHMARK(BM_SimulatorEventThroughput)
+    ->Arg(32)
+    ->Arg(256)
+    ->Arg(4096)
+    ->Arg(65536);
 
 }  // namespace
 

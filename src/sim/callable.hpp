@@ -19,8 +19,9 @@ namespace heron::sim {
 
 class EventFn {
  public:
-  /// Inline payload budget, sized so Event (when + seq + EventFn) fills a
-  /// single 64-byte cache line.
+  /// Inline payload budget. With the 8-byte ops pointer and the 16-byte
+  /// alignment of the buffer, an EventFn is 64 bytes: 8 of them padding
+  /// after ops_ (see the static_assert below the class).
   static constexpr std::size_t kInlineBytes = 40;
 
   EventFn() noexcept = default;
@@ -93,8 +94,8 @@ class EventFn {
     // Move-construct dst from src and destroy src. Must not throw: inline
     // targets are required to be nothrow-move-constructible. nullptr means
     // "memcpy the storage": pointer payloads and trivially-copyable inline
-    // targets relocate without an indirect call, which is what keeps the
-    // event queue's slot sorts (which move Events around) cheap.
+    // targets relocate without an indirect call, which keeps moves into
+    // and out of the event queue's slab (and its growth) cheap.
     void (*relocate)(void* dst, void* src) noexcept;
     // nullptr means trivially destructible: ~EventFn skips the call.
     void (*destroy)(void* storage) noexcept;
@@ -164,5 +165,6 @@ class EventFn {
   const Ops* ops_ = nullptr;
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
 };
+static_assert(sizeof(EventFn) == 64);
 
 }  // namespace heron::sim

@@ -1,28 +1,22 @@
-// Bucketed timer-wheel event queue for the discrete-event simulator.
+// Event queue for the discrete-event simulator: a 4-ary min-heap of
+// compact keys over a slab of callables.
 //
-// The old kernel popped a std::priority_queue: O(log n) comparison-heavy
-// sift per operation, plus the pop had to move out of top() via const_cast
-// (unspecified-behaviour territory). This queue hashes each event into one
-// of 4096 wheel slots of 64 ns each (a ~262 us horizon); events beyond the
-// horizon wait in coarse far buckets (an ordered map keyed by wheel span)
-// and are scattered into the wheel when it drains. Push and pop are O(1)
-// amortized, and pop returns the event by value before it executes.
+// Simulated queues are shallow (the benchmark workloads average 31 to 239
+// pending events), so the queue is one small heap that stays in cache.
+// Each heap key is {when, seq, slot}; the 64-byte EventFn stays put in
+// `fns_` at `slot` and only the key moves during a sift. A 4-ary heap
+// halves the depth of a binary one, and a node's four children sit next to
+// each other in memory. Freed slab slots are reused last-in first-out, so a
+// push usually writes a slot that is still warm from the previous pop.
 //
-// Determinism contract: pop order is exactly ascending (when, seq) — the
-// same total order the old binary heap produced — so same-seed runs are
-// bit-identical across the swap. Slots collect events unsorted and sort
-// lazily by (when, seq) once the slot becomes the active (draining) one;
-// events pushed into the active slot insert in sorted position among the
-// not-yet-drained tail.
+// Determinism contract: pop order is exactly ascending (when, seq), the
+// total order every earlier kernel produced, so same-seed runs stay
+// bit-identical. seq is unique per event, so the order has no ties.
 #pragma once
 
-#include <algorithm>
-#include <array>
-#include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <map>
 #include <vector>
 
 #include "sim/callable.hpp"
@@ -35,202 +29,113 @@ struct Event {
   std::uint64_t seq;
   EventFn fn;
 };
+// when + seq + the 64-byte EventFn (callable.hpp), which needs 16-byte
+// alignment.
+static_assert(sizeof(Event) == 80);
 
 class EventQueue {
  public:
   void push(Event ev) {
-    const std::int64_t s = slot_of(ev.when);
-    ++size_;
-    if (s < base_ + kSlots && s < far_floor_) {
-      // The slot fits the wheel window and precedes every far bucket.
-      if (s == active_) {
-        insert_sorted_active(std::move(ev));
-        return;
-      }
-      if (s < active_) {
-        // A peek activated a later slot before anything was popped from
-        // it; re-scan on the next pop. Only possible with an undrained
-        // active slot (once an event pops, now >= the active slot start
-        // and nothing can schedule before it).
-        assert(drain_idx_ == 0);
-        active_ = -1;
-      }
-      std::vector<Event>& vec = slots_[ring(s)];
-      vec.push_back(std::move(ev));
-      set_bit(s);
-      ++wheel_count_;
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(fns_.size());
+      fns_.push_back(std::move(ev.fn));
     } else {
-      const std::int64_t key = s >> kSlotsLog2;
-      FarBucket& bucket = far_[key];
-      bucket.min_when = bucket.events.empty()
-                            ? ev.when
-                            : std::min(bucket.min_when, ev.when);
-      bucket.events.push_back(std::move(ev));
-      far_floor_ = std::min(far_floor_, key << kSlotsLog2);
+      slot = free_.back();
+      free_.pop_back();
+      fns_[slot] = std::move(ev.fn);
     }
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, Key{ev.when, ev.seq, slot});
   }
 
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  /// Timestamp of the next event in pop order. Pre: !empty(). Peeking
-  /// never scatters far buckets or advances the wheel base, so it is safe
-  /// to peek, decline to pop, and keep scheduling earlier events (the
-  /// run_until pattern).
-  [[nodiscard]] Nanos next_when() {
-    assert(size_ > 0);
-    if (wheel_count_ == 0) return far_.begin()->second.min_when;
-    ensure_active();
-    return slots_[ring(active_)][drain_idx_].when;
+  /// Timestamp of the next event in pop order. Pre: !empty(). A pure peek:
+  /// the run_until pattern (peek, decline to pop, schedule something
+  /// earlier) needs nothing special.
+  [[nodiscard]] Nanos next_when() const {
+    assert(!empty());
+    return heap_.front().when;
   }
 
-  /// Pops the next event in (when, seq) order. Pre: !empty().
+  /// Pops the next event in (when, seq) order. Pre: !empty(). The callable
+  /// leaves the slab and its slot is freed before the caller runs it, so
+  /// the event may push (and grow the slab) while it executes.
   Event pop() {
-    assert(size_ > 0);
-    while (wheel_count_ == 0) scatter();
-    ensure_active();
-    std::vector<Event>& vec = slots_[ring(active_)];
-    Event ev = std::move(vec[drain_idx_]);
-    ++drain_idx_;
-    --size_;
-    --wheel_count_;
-    // The caller executes this event next, so virtual time reaches the
-    // active slot and the window can safely rebase onto it.
-    base_ = active_;
-    if (drain_idx_ == vec.size()) {
-      vec.clear();  // keeps capacity for reuse
-      clear_bit(active_);
-      active_ = -1;
-      drain_idx_ = 0;
-    }
+    assert(!empty());
+    const Key top = heap_.front();
+    Event ev{top.when, top.seq, std::move(fns_[top.slot])};
+    free_.push_back(top.slot);
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) refill_root(last);
     return ev;
   }
 
  private:
-  static constexpr int kGranLog2 = 6;    // 64 ns per wheel slot
-  static constexpr int kSlotsLog2 = 12;  // 4096 slots => ~262 us horizon
-  static constexpr std::int64_t kSlots = std::int64_t{1} << kSlotsLog2;
-  static constexpr std::int64_t kSlotMask = kSlots - 1;
-  static constexpr std::size_t kBitmapWords = kSlots / 64;
-  static constexpr std::int64_t kNoFloor =
-      std::numeric_limits<std::int64_t>::max();
+  // refill_root's tournament assumes four children.
+  static constexpr std::size_t kArity = 4;
 
-  struct FarBucket {
-    std::vector<Event> events;
-    Nanos min_when = 0;
+  struct Key {
+    Nanos when;
+    std::uint64_t seq;
+    std::uint32_t slot;  // index of the callable in fns_
   };
 
-  static std::int64_t slot_of(Nanos when) { return when >> kGranLog2; }
-  static std::size_t ring(std::int64_t slot) {
-    return static_cast<std::size_t>(slot & kSlotMask);
-  }
-  static bool event_less(const Event& a, const Event& b) {
-    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
-  }
-
-  void set_bit(std::int64_t slot) {
-    const std::size_t r = ring(slot);
-    bitmap_[r >> 6] |= std::uint64_t{1} << (r & 63);
-  }
-  void clear_bit(std::int64_t slot) {
-    const std::size_t r = ring(slot);
-    bitmap_[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
+  // One 128-bit comparison: the compiler emits no branch, and these
+  // comparisons are too random for a branch predictor.
+  static bool less(const Key& a, const Key& b) {
+    return ((static_cast<__int128>(a.when) << 64) | a.seq) <
+           ((static_cast<__int128>(b.when) << 64) | b.seq);
   }
 
-  /// First occupied absolute slot at or after base_. Pre: wheel_count_ > 0.
-  /// Valid because every live wheel slot lies in [base_, base_ + kSlots).
-  [[nodiscard]] std::int64_t next_occupied() const {
-    const std::size_t start = ring(base_);
-    std::size_t word = start >> 6;
-    std::uint64_t bits = bitmap_[word] & (~std::uint64_t{0} << (start & 63));
-    for (std::size_t scanned = 0;; ++scanned) {
-      assert(scanned <= kBitmapWords);
-      if (bits != 0) {
-        const std::size_t r =
-            (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-        const std::int64_t delta =
-            static_cast<std::int64_t>((r - start) & kSlotMask);
-        return base_ + delta;
+  /// Moves the hole at `hole` up until `key` fits there.
+  void sift_up(std::size_t hole, Key key) {
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / kArity;
+      if (!less(key, heap_[parent])) break;
+      heap_[hole] = heap_[parent];
+      hole = parent;
+    }
+    heap_[hole] = key;
+  }
+
+  /// Refills the root after a pop (Floyd's variant): walks the hole down
+  /// along the smaller child to a leaf, then sifts `key` (the old last
+  /// leaf, which usually belongs near the bottom) up from there.
+  void refill_root(Key key) {
+    const std::size_t n = heap_.size();
+    std::size_t hole = 0;
+    for (;;) {
+      const std::size_t first = hole * kArity + 1;
+      std::size_t best = first;
+      if (first + kArity <= n) {
+        // All four children: a two-round tournament. The final pick is
+        // a mask select (b if c[b] < c[a], else a): written as a ternary,
+        // it compiles to a branch, and BM_SimulatorEventThroughput runs
+        // slower at depth 256.
+        const Key* c = &heap_[first];
+        const std::size_t a = less(c[1], c[0]);
+        const std::size_t b = 2 + less(c[3], c[2]);
+        best += a ^ ((a ^ b) & (0 - std::size_t{less(c[b], c[a])}));
+      } else if (first < n) {
+        for (std::size_t c = first + 1; c < n; ++c) {
+          best = less(heap_[c], heap_[best]) ? c : best;
+        }
+      } else {
+        break;
       }
-      word = (word + 1) % kBitmapWords;
-      bits = bitmap_[word];
+      heap_[hole] = heap_[best];
+      hole = best;
     }
+    sift_up(hole, key);
   }
 
-  /// Picks and sorts the next draining slot. Pre: wheel_count_ > 0. Does
-  /// not touch base_: peeks must leave the push window alone.
-  void ensure_active() {
-    if (active_ >= 0) return;
-    const std::int64_t s = next_occupied();
-    sort_slot(slots_[ring(s)]);
-    active_ = s;
-    drain_idx_ = 0;
-  }
-
-  /// Sorts a slot vector into (when, seq) order. Events land in a slot in
-  /// ascending seq order, and the only reorder (this function) preserves
-  /// the relative order of equal-when events — so equal-when runs are
-  /// always already seq-ascending, and a *stable* counting sort keyed by
-  /// the 6-bit in-slot offset of `when` yields exactly the (when, seq)
-  /// order a comparison sort would, at one move per event and zero
-  /// comparisons.
-  void sort_slot(std::vector<Event>& vec) {
-    if (vec.size() < 2) return;
-    constexpr std::int64_t kGranMask = (std::int64_t{1} << kGranLog2) - 1;
-    std::array<std::uint32_t, (1u << kGranLog2) + 1> start{};
-    Nanos lo = vec.front().when;
-    Nanos hi = lo;
-    for (const Event& ev : vec) {
-      ++start[static_cast<std::size_t>(ev.when & kGranMask) + 1];
-      lo = std::min(lo, ev.when);
-      hi = std::max(hi, ev.when);
-    }
-    if (lo == hi) return;  // single timestamp: already in seq order
-    for (std::size_t i = 1; i <= kGranMask; ++i) start[i + 1] += start[i];
-    scratch_.resize(vec.size());
-    for (Event& ev : vec) {
-      scratch_[start[static_cast<std::size_t>(ev.when & kGranMask)]++] =
-          std::move(ev);
-    }
-    vec.swap(scratch_);
-    scratch_.clear();
-  }
-
-  /// Moves the earliest far bucket into the (empty) wheel.
-  void scatter() {
-    assert(wheel_count_ == 0 && !far_.empty());
-    auto it = far_.begin();
-    base_ = it->first << kSlotsLog2;
-    active_ = -1;
-    for (Event& ev : it->second.events) {
-      const std::int64_t s = slot_of(ev.when);
-      slots_[ring(s)].push_back(std::move(ev));
-      set_bit(s);
-      ++wheel_count_;
-    }
-    far_.erase(it);
-    far_floor_ = far_.empty() ? kNoFloor : far_.begin()->first << kSlotsLog2;
-  }
-
-  void insert_sorted_active(Event ev) {
-    std::vector<Event>& vec = slots_[ring(active_)];
-    auto pos = std::upper_bound(vec.begin() + static_cast<std::ptrdiff_t>(
-                                                  drain_idx_),
-                                vec.end(), ev, &event_less);
-    vec.insert(pos, std::move(ev));
-    ++wheel_count_;
-  }
-
-  std::array<std::vector<Event>, kSlots> slots_;
-  std::vector<Event> scratch_;  // reused by sort_slot
-  std::array<std::uint64_t, kBitmapWords> bitmap_{};
-  std::map<std::int64_t, FarBucket> far_;
-  std::int64_t base_ = 0;        // lower bound of the push window
-  std::int64_t active_ = -1;     // absolute slot being drained, -1 if none
-  std::int64_t far_floor_ = kNoFloor;  // start slot of the first far bucket
-  std::size_t drain_idx_ = 0;
-  std::size_t size_ = 0;
-  std::size_t wheel_count_ = 0;
+  std::vector<Key> heap_;
+  std::vector<EventFn> fns_;         // the slab; free slots hold no target
+  std::vector<std::uint32_t> free_;  // free slots of fns_, reused LIFO
 };
 
 }  // namespace heron::sim

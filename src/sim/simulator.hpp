@@ -5,11 +5,11 @@
 // time; this is what gives the simulation the 8-byte access atomicity the
 // paper obtains from RDMA hardware.
 //
-// The event queue is a bucketed timer wheel (see event_queue.hpp) and the
-// per-event callable is a small-buffer-optimized EventFn with a direct
-// coroutine-resume fast path (see callable.hpp); both preserve the exact
-// (timestamp, seq) total order of the original binary-heap kernel, so
-// same-seed runs stay bit-identical across the swap.
+// The event queue is a 4-ary min-heap of {when, seq, slot} keys over a
+// recycled slab of callables (see event_queue.hpp); the per-event callable
+// is a small-buffer-optimized EventFn with a direct coroutine-resume fast
+// path (see callable.hpp). The queue pops in exact (timestamp, seq) order,
+// so same-seed runs are bit-identical.
 #pragma once
 
 #include <cstdint>

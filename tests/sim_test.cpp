@@ -8,10 +8,13 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/event_queue.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/notifier.hpp"
 #include "sim/random.hpp"
@@ -455,14 +458,13 @@ TEST(Stats, ThroughputWindow) {
 }
 
 // ---------------------------------------------------------------------------
-// Timer-wheel event queue: ordering contract and pop-then-execute semantics.
+// Event queue: ordering contract and pop-then-execute semantics.
 
 TEST(Simulator, ScheduleSameTimestampFromInsideEventRunsFifo) {
   // Scheduling at the *current* timestamp from inside an executing event
   // must land after every already-queued event at that instant (FIFO by
-  // seq). The old kernel moved out of priority_queue::top() via const_cast
-  // before pop; this exercises the new pop-then-execute path, including
-  // sorted insertion into the actively draining wheel slot.
+  // seq). The events pop before they run, so these pushes land while
+  // their own timestamp is draining.
   Simulator sim;
   std::vector<int> order;
   sim.schedule(10, [&] {
@@ -479,10 +481,10 @@ TEST(Simulator, ScheduleSameTimestampFromInsideEventRunsFifo) {
 }
 
 TEST(Simulator, RandomizedOrderMatchesStableSortBySchedule) {
-  // Gold determinism test: thousands of events across every queue regime
-  // (same-tick, in-slot, cross-wheel, far-bucket), many scheduled from
-  // inside executing events, must pop in exactly ascending (when, seq) --
-  // i.e. a stable sort of the schedule order by timestamp.
+  // Gold determinism test: thousands of events with delays from zero to
+  // 5 ms, many scheduled from inside executing events, must pop in exactly
+  // ascending (when, seq) -- i.e. a stable sort of the schedule order by
+  // timestamp.
   Simulator sim;
   Rng rng(1234);
   std::vector<int> fired;
@@ -495,11 +497,11 @@ TEST(Simulator, RandomizedOrderMatchesStableSortBySchedule) {
     if (pick < 0.3) {
       delay = 0;  // same tick
     } else if (pick < 0.6) {
-      delay = rng.uniform_int(1, 1000);  // within a few wheel slots
+      delay = rng.uniform_int(1, 1000);  // short
     } else if (pick < 0.9) {
-      delay = rng.uniform_int(1000, 300'000);  // across the wheel horizon
+      delay = rng.uniform_int(1000, 300'000);  // medium
     } else {
-      delay = rng.uniform_int(300'000, 5'000'000);  // far buckets
+      delay = rng.uniform_int(300'000, 5'000'000);  // long
     }
     scheduled.emplace_back(sim.now() + delay, id);
     sim.schedule(delay, [&, id, depth] {
@@ -524,12 +526,12 @@ TEST(Simulator, RandomizedOrderMatchesStableSortBySchedule) {
 
 TEST(Simulator, RunUntilPeekThenEarlierScheduleStaysOrdered) {
   // run_until peeks the head (a far-future event), declines to pop it,
-  // and the caller then schedules something earlier. Peeking must not
-  // advance the wheel base past the new event's slot.
+  // and the caller then schedules something earlier. The peek must leave
+  // the queue able to pop the new event first.
   Simulator sim;
   std::vector<int> order;
   sim.schedule_at(ms(1), [&] { order.push_back(2); });
-  sim.schedule_at(ms(5), [&] { order.push_back(3); });  // separate far bucket
+  sim.schedule_at(ms(5), [&] { order.push_back(3); });
   sim.run_until(us(100));
   EXPECT_TRUE(order.empty());
   EXPECT_EQ(sim.now(), us(100));
@@ -537,6 +539,160 @@ TEST(Simulator, RunUntilPeekThenEarlierScheduleStaysOrdered) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.now(), ms(5));
+}
+
+// Drives an EventQueue directly against a std::set reference: each step
+// pushes (at `now` plus a delay from the given mix) or pops, and every pop
+// must return the reference's minimum (when, seq) with its own callable.
+// Pushes are biased while the depth is below `target_depth`, pops above it.
+void run_queue_differential(std::uint64_t seed, std::size_t target_depth,
+                            std::size_t steps) {
+  EventQueue q;
+  std::set<std::pair<Nanos, std::uint64_t>> ref;
+  Rng rng(seed);
+  Nanos now = 0;
+  std::uint64_t next_seq = 0;
+  std::uint64_t ran = UINT64_MAX;
+  std::size_t max_depth = 0;
+  for (std::size_t i = 0; i < steps; ++i) {
+    const double push_odds = q.size() < target_depth ? 0.7 : 0.3;
+    if (q.empty() || rng.uniform() < push_odds) {
+      const double pick = rng.uniform();
+      Nanos delay = 0;
+      if (pick < 0.25) {
+        delay = 0;  // equal timestamps
+      } else if (pick < 0.5) {
+        delay = rng.uniform_int(1, 64);
+      } else if (pick < 0.8) {
+        delay = rng.uniform_int(1, us(300));
+      } else {
+        delay = rng.uniform_int(us(300), ms(10));
+      }
+      const std::uint64_t seq = next_seq++;
+      q.push(Event{now + delay, seq, [&ran, seq] { ran = seq; }});
+      ref.emplace(now + delay, seq);
+    } else {
+      ASSERT_EQ(q.next_when(), ref.begin()->first) << "step " << i;
+      Event ev = q.pop();
+      ASSERT_EQ(ev.when, ref.begin()->first) << "step " << i;
+      ASSERT_EQ(ev.seq, ref.begin()->second) << "step " << i;
+      ref.erase(ref.begin());
+      ev.fn();
+      ASSERT_EQ(ran, ev.seq) << "step " << i;
+      now = ev.when;
+    }
+    ASSERT_EQ(q.size(), ref.size());
+    max_depth = std::max(max_depth, q.size());
+  }
+  EXPECT_GE(max_depth, target_depth);
+  while (!q.empty()) {
+    ASSERT_EQ(q.next_when(), ref.begin()->first);
+    Event ev = q.pop();
+    ASSERT_EQ(ev.seq, ref.begin()->second);
+    ref.erase(ref.begin());
+  }
+  EXPECT_TRUE(ref.empty());
+}
+
+TEST(EventQueue, MatchesOrderedSetAtShallowDepth) {
+  run_queue_differential(7, 16, 200'000);
+}
+
+TEST(EventQueue, MatchesOrderedSetAtMediumDepth) {
+  run_queue_differential(8, 2'000, 200'000);
+}
+
+TEST(EventQueue, MatchesOrderedSetAtDeepQueue) {
+  run_queue_differential(9, 100'000, 400'000);
+}
+
+TEST(EventQueue, PeekThenEarlierPushPopsTheEarlierEvent) {
+  EventQueue q;
+  q.push(Event{ms(1), 0, [] {}});
+  q.push(Event{ms(5), 1, [] {}});
+  EXPECT_EQ(q.next_when(), ms(1));
+  q.push(Event{us(200), 2, [] {}});  // earlier than the peeked head
+  EXPECT_EQ(q.next_when(), us(200));
+  q.push(Event{ms(1), 3, [] {}});  // ties the old head; later seq
+  std::vector<std::uint64_t> seqs;
+  while (!q.empty()) seqs.push_back(q.pop().seq);
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{2, 0, 3, 1}));
+}
+
+// Counts its own live instances, so a callable destroyed twice (or never)
+// shows up as a nonzero balance.
+struct LiveCounter {
+  explicit LiveCounter(int& live) : live(&live) { ++live; }
+  LiveCounter(const LiveCounter& o) : live(o.live) { ++*live; }
+  LiveCounter(LiveCounter&& o) noexcept : live(o.live) { ++*live; }
+  LiveCounter& operator=(const LiveCounter&) = delete;
+  LiveCounter& operator=(LiveCounter&&) = delete;
+  ~LiveCounter() { --*live; }
+  int* live;
+};
+
+TEST(EventQueue, SimulatorTeardownReleasesQueuedCallablesOnce) {
+  auto token = std::make_shared<int>(0);
+  int live = 0;
+  {
+    Simulator sim;
+    for (int i = 0; i < 1'000; ++i) {
+      LiveCounter counter(live);
+      if (i % 2 == 0) {
+        sim.schedule(i, [token, counter] { *token += 1; });  // inline
+      } else {
+        std::array<std::uint64_t, 8> pad{};  // too big: heap target
+        sim.schedule(i, [token, counter, pad] {
+          *token += 1 + static_cast<int>(pad[0]);
+        });
+      }
+    }
+    sim.run_until(499);  // run half; the rest stays queued
+    EXPECT_EQ(*token, 500);
+    EXPECT_EQ(sim.pending_events(), 500u);
+    EXPECT_EQ(token.use_count(), 501);
+    EXPECT_EQ(live, 500);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(live, 0);
+}
+
+TEST(EventQueue, RunningCallableSurvivesSlabGrowth) {
+  Simulator sim;
+  auto token = std::make_shared<int>(42);
+  const std::string name(100, 'x');  // a heap-allocated capture
+  int scheduled_ran = 0;
+  bool checked = false;
+  sim.schedule(1, [&, token, name] {
+    // This callable's slot was freed before it ran, so after the first
+    // push every push takes a fresh slab slot, and the slab reallocates
+    // several times under the running callable.
+    for (int i = 0; i < 5'000; ++i) {
+      sim.schedule(i % 7, [&scheduled_ran] { ++scheduled_ran; });
+    }
+    EXPECT_EQ(*token, 42);
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_EQ(name, std::string(100, 'x'));
+    checked = true;
+  });
+  sim.run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(scheduled_ran, 5'000);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, PendingEventsHoldsAtFixedDepthOverAMillionCycles) {
+  constexpr std::size_t kDepth = 100;
+  Simulator sim;
+  Rng rng(5);
+  std::function<void()> chain = [&] {
+    sim.schedule(rng.uniform_int(0, 5'000), [&] { chain(); });
+  };
+  for (std::size_t i = 0; i < kDepth; ++i) chain();
+  while (sim.events_executed() < 1'000'000) {
+    sim.run_for(us(100));
+    ASSERT_EQ(sim.pending_events(), kDepth);
+  }
 }
 
 TEST(Simulator, RootFailureSurfacesPromptly) {
@@ -712,7 +868,7 @@ TEST(Notifier, TimedWaiterDestroyedMidWaitCancelsDeadlineResume) {
 }
 
 TEST(Notifier, NotifyHeavyTimedWaitKeepsEventQueueBounded) {
-  // Queue-bloat guard for the timer wheel + intrusive waiters: a timed
+  // Queue-bloat guard for the timer pool + intrusive waiters: a timed
   // wait bombarded by notifies must hold at most the deadline shell, one
   // in-flight walker and the re-park -- not one event per notify.
   Simulator sim;
