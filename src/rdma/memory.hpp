@@ -7,6 +7,17 @@
 // watcher is told the byte range of each landed write first, so a poller
 // can index what changed instead of rescanning the region (the simulated
 // analogue of RDMA WRITE-with-immediate; it costs no virtual time).
+//
+// Registered memory is paid for when touched. Replicas register their
+// regions up front and sized for the worst case, as real RDMA servers do,
+// and most of those bytes are never written. A region of kMappedMin bytes
+// or more is therefore a private anonymous mapping: its pages read as zero
+// and take memory only once written. Its end lies against a PROT_NONE
+// guard page, so a store past bytes().end() faults in every build (the
+// start is 64-byte aligned, so a size that is not a multiple of 64 leaves
+// up to 63 unguarded bytes). Smaller regions are zeroed heap arrays: a
+// mapping each would cost a page, a guard page and two kernel mappings,
+// and a cell registers a thousand or more of them (client reply slots).
 #pragma once
 
 #include <cstddef>
@@ -14,7 +25,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "sim/notifier.hpp"
 
@@ -37,15 +47,23 @@ struct RAddr {
   bool operator==(const RAddr&) const = default;
 };
 
-/// One registered region: owned bytes + wake-on-write notifier.
+/// One registered region: owned zero-initialised bytes + wake-on-write
+/// notifier.
 class MemoryRegion {
  public:
-  MemoryRegion(sim::Simulator& sim, std::size_t size)
-      : bytes_(size), notifier_(sim) {}
+  /// Regions this large or larger are backed by demand-zero pages.
+  static constexpr std::size_t kMappedMin = 64 * 1024;
 
-  [[nodiscard]] std::size_t size() const { return bytes_.size(); }
-  [[nodiscard]] std::span<std::byte> bytes() { return bytes_; }
-  [[nodiscard]] std::span<const std::byte> bytes() const { return bytes_; }
+  MemoryRegion(sim::Simulator& sim, std::size_t size);
+  ~MemoryRegion();
+  MemoryRegion(const MemoryRegion&) = delete;
+  MemoryRegion& operator=(const MemoryRegion&) = delete;
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::span<std::byte> bytes() { return {data_, size_}; }
+  [[nodiscard]] std::span<const std::byte> bytes() const {
+    return {data_, size_};
+  }
 
   /// Fired after every remote write into this region.
   [[nodiscard]] sim::Notifier& on_write() { return notifier_; }
@@ -64,7 +82,11 @@ class MemoryRegion {
   }
 
  private:
-  std::vector<std::byte> bytes_;
+  std::byte* data_ = nullptr;
+  std::size_t size_;
+  std::unique_ptr<std::byte[]> heap_;  // below kMappedMin
+  void* mapping_ = nullptr;            // kMappedMin and up, guard included
+  std::size_t mapping_len_ = 0;
   sim::Notifier notifier_;
   WriteWatcher watcher_;
 };

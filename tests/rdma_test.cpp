@@ -2,8 +2,11 @@
 // semantics, latency model, in-order channels, crash behaviour and the
 // wake-on-write notifier.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -570,6 +573,127 @@ TEST(Fabric, InjectFlowNeedsNoMemoryRegion) {
   EXPECT_EQ(fabric.stats().injected_ops, 1u);
   EXPECT_EQ(fabric.stats().injected_bytes, 64u * 1024u);
   EXPECT_GT(fabric.uplink_bytes(fabric.rack_of(dst.id())), 0u);
+}
+
+// One fabric WRITE of `payload` to `addr` from node `src`; returns its status.
+Status write_once(Simulator& sim, Fabric& fabric, std::int32_t src, RAddr addr,
+                  std::span<const std::byte> payload) {
+  Status st = Status::kRemoteFailure;
+  sim.spawn([](Fabric& f, std::int32_t from, RAddr to,
+               std::span<const std::byte> p, Status& out) -> Task<void> {
+    out = (co_await f.write(from, to, p)).status;
+  }(fabric, src, addr, payload, st));
+  sim.run();
+  return st;
+}
+
+// Residency of each page of `region`, as mincore reports it.
+std::vector<unsigned char> resident_pages(const MemoryRegion& region) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto lo = reinterpret_cast<std::uintptr_t>(region.bytes().data());
+  const std::uintptr_t start = lo / page * page;
+  const std::uintptr_t end = (lo + region.size() + page - 1) / page * page;
+  std::vector<unsigned char> vec((end - start) / page);
+  EXPECT_EQ(mincore(reinterpret_cast<void*>(start), end - start, vec.data()),
+            0);
+  for (auto& v : vec) v &= 1;
+  return vec;
+}
+
+TEST(MemoryRegion, LargeRegionIsDemandZero) {
+  constexpr std::size_t kSize = 64u << 20;
+  constexpr std::uint64_t kAt = 37'000'000;
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  Simulator sim;
+  Fabric fabric(sim, LatencyModel{});
+  Node& a = fabric.add_node();
+  Node& b = fabric.add_node();
+  const MrId mr = b.register_region(kSize);
+  const MemoryRegion& region = b.region(mr);
+  ASSERT_EQ(region.size(), kSize);
+  ASSERT_EQ(reinterpret_cast<std::uintptr_t>(region.bytes().data()) % page,
+            0u);  // a multiple of the page size starts on a page
+
+  std::vector<unsigned char> res = resident_pages(region);
+  EXPECT_EQ(std::count(res.begin(), res.end(), 1), 0)
+      << "registration touched the region";
+
+  const std::uint64_t word = 0x0123'4567'89ab'cdefULL;
+  ASSERT_EQ(write_once(sim, fabric, a.id(), RAddr{b.id(), mr, kAt},
+                       std::as_bytes(std::span(&word, 1))),
+            Status::kOk);
+  res = resident_pages(region);
+  const std::size_t hit = kAt / page;
+  EXPECT_EQ(res[hit], 1);
+  // Outside the 2 MiB block around the write nothing is resident; a host
+  // with transparent huge pages always on may back that whole block.
+  const std::size_t huge = (2u << 20) / page;
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    if (i / huge == hit / huge) continue;
+    ASSERT_EQ(res[i], 0) << "page " << i << " resident";
+  }
+
+  // Reading maps the shared zero page; it reads as zero everywhere but k.
+  const auto bytes = region.bytes();
+  EXPECT_EQ(bytes.front(), std::byte{0});
+  EXPECT_EQ(bytes.back(), std::byte{0});
+  for (std::size_t off = 0; off < kSize; off += 1'000'003) {
+    if (off >= kAt && off < kAt + sizeof word) continue;
+    ASSERT_EQ(bytes[off], std::byte{0}) << "offset " << off;
+  }
+  std::uint64_t got = 0;
+  std::memcpy(&got, bytes.data() + kAt, sizeof got);
+  EXPECT_EQ(got, word);
+}
+
+TEST(MemoryRegion, MappedRegionStartsOnACacheLine) {
+  Simulator sim;
+  for (const std::size_t size :
+       {MemoryRegion::kMappedMin, MemoryRegion::kMappedMin + 1,
+        std::size_t{1u << 20} + 40, std::size_t{3u << 20} + 4095}) {
+    const MemoryRegion region(sim, size);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(region.bytes().data()) % 64,
+              0u)
+        << "size " << size;
+    EXPECT_EQ(region.size(), size);
+  }
+}
+
+TEST(MemoryRegion, StorePastTheEndOfAMappedRegionFaults) {
+  Simulator sim;
+  // Not a whole number of pages: the region must still end at the guard.
+  MemoryRegion region(sim, (1u << 20) + 64);
+  std::byte* end = region.bytes().data() + region.size();
+  *(end - 1) = std::byte{1};  // the last byte is writable
+  EXPECT_EQ(region.bytes().back(), std::byte{1});
+  EXPECT_DEATH(*static_cast<volatile std::byte*>(end) = std::byte{1}, "");
+}
+
+TEST(MemoryRegion, SmallAndEmptyRegionsAreZeroedAndUsable) {
+  Simulator sim;
+  Fabric fabric(sim, LatencyModel{});
+  Node& a = fabric.add_node();
+  Node& b = fabric.add_node();
+  for (const std::size_t size : {std::size_t{320}, MemoryRegion::kMappedMin - 1}) {
+    const MrId mr = b.register_region(size);
+    const auto bytes = b.region(mr).bytes();
+    ASSERT_EQ(bytes.size(), size);
+    EXPECT_TRUE(std::all_of(bytes.begin(), bytes.end(),
+                            [](std::byte x) { return x == std::byte{0}; }));
+    const std::vector<std::uint8_t> payload{7, 8, 9};
+    EXPECT_EQ(write_once(sim, fabric, a.id(), RAddr{b.id(), mr, size - 3},
+                         as_bytes(payload)),
+              Status::kOk);
+    EXPECT_EQ(bytes[size - 4], std::byte{0});
+    EXPECT_EQ(bytes[size - 1], std::byte{9});
+  }
+  const MrId empty = b.register_region(0);
+  EXPECT_EQ(b.region(empty).size(), 0u);
+  EXPECT_TRUE(b.region(empty).bytes().empty());
+  const std::vector<std::uint8_t> one{1};
+  EXPECT_EQ(write_once(sim, fabric, a.id(), RAddr{b.id(), empty, 0},
+                       as_bytes(one)),
+            Status::kBadAddress);
 }
 
 }  // namespace
