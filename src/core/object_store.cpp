@@ -20,8 +20,8 @@ void write_header(std::span<std::byte> slot, Tmp tmp_a, Tmp tmp_b,
                   std::uint32_t size, std::uint32_t serialized_word) {
   rdma::store_pod(slot, 8, tmp_a);
   rdma::store_pod(slot, 16, tmp_b);
-  rdma::store_pod(slot, 24, size);
-  rdma::store_pod(slot, 28, serialized_word);
+  rdma::store_pod(slot, SlotView::kSizeOffset, size);
+  rdma::store_pod(slot, SlotView::kWordOffset, serialized_word);
 }
 
 // Packed serialized word (see SlotView::serialized).
@@ -31,13 +31,18 @@ std::uint32_t header_word(Oid oid, bool serialized) {
 
 }  // namespace
 
-SlotView SlotView::parse(std::span<const std::byte> raw) {
+SlotView SlotView::parse_header(std::span<const std::byte> raw) {
   SlotView v;
   v.lock = rdma::load_pod<std::uint64_t>(raw, 0);
   v.tmp_a = rdma::load_pod<Tmp>(raw, 8);
   v.tmp_b = rdma::load_pod<Tmp>(raw, 16);
-  v.size = rdma::load_pod<std::uint32_t>(raw, 24);
-  v.serialized = rdma::load_pod<std::uint32_t>(raw, 28);
+  v.size = rdma::load_pod<std::uint32_t>(raw, kSizeOffset);
+  v.serialized = rdma::load_pod<std::uint32_t>(raw, kWordOffset);
+  return v;
+}
+
+SlotView SlotView::parse(std::span<const std::byte> raw) {
+  SlotView v = parse_header(raw);
   v.val_a = raw.subspan(header_bytes(), v.size);
   v.val_b = raw.subspan(header_bytes() + v.size, v.size);
   return v;
@@ -190,7 +195,7 @@ void ObjectStore::retire(Oid oid) {
   ++generation_;
 #endif
   Entry& e = entries_[slots_[hole] - 1];
-  rdma::store_pod(slot_span(e), 24, kRetiredSize);
+  rdma::store_pod(slot_span(e), SlotView::kSizeOffset, kRetiredSize);
   e.live = false;
   --live_;
   // Backward-shift deletion: pull later members of the probe chain into

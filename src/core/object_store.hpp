@@ -58,6 +58,12 @@ struct SlotView {
   static constexpr std::uint32_t oid_tag(Oid oid) {
     return static_cast<std::uint32_t>((oid ^ (oid >> 31)) & 0x7FFFFFFFu);
   }
+  /// The slot is `oid`'s, at `expect_size`: the identity check a one-sided
+  /// reader or writer runs on a slot it reached through a cached offset.
+  /// A retired slot fails it too (its size word is kRetiredSize).
+  [[nodiscard]] bool holds(Oid oid, std::uint32_t expect_size) const {
+    return size == expect_size && tag() == oid_tag(oid);
+  }
 
   /// Odd seqlock word: a write phase (or a fast write's INVALIDATE) is in
   /// flight; a fast reader must retry or fall back.
@@ -117,11 +123,19 @@ struct SlotView {
     return tmp_a >= tmp_b ? std::pair{tmp_a, val_a} : std::pair{tmp_b, val_b};
   }
 
+  /// Offsets of the header's size and packed serialized/tag words (see
+  /// the slot layout above).
+  static constexpr std::uint64_t kSizeOffset = 24;
+  static constexpr std::uint64_t kWordOffset = 28;
   static constexpr std::uint64_t header_bytes() { return 32; }
   [[nodiscard]] std::uint64_t slot_bytes() const {
     return header_bytes() + 2ull * size;
   }
+  /// The whole slot; `raw` must hold header_bytes() + 2 * size bytes.
   static SlotView parse(std::span<const std::byte> raw);
+  /// The header words only (val_a / val_b stay empty); `raw` needs just
+  /// header_bytes() bytes, and its size word is not trusted.
+  static SlotView parse_header(std::span<const std::byte> raw);
 };
 
 class ObjectStore {

@@ -296,9 +296,7 @@ bool Client::apply_wrong_epoch(const Reply& reply) {
   // older layout (satellite fix): they all potentially point at replicas
   // that handed their range off, and each would otherwise fail only
   // after its own round trip.
-  std::erase_if(fastread_cache_, [this](const auto& kv) {
-    return kv.second.epoch < layout_.epoch;
-  });
+  fastread_cache_.purge_older_than(layout_.epoch);
   return true;
 }
 
@@ -486,14 +484,14 @@ sim::Task<Client::ReadResult> Client::read(GroupId home, Oid oid) {
   if (layout_.enabled()) home = layout_.owner_of(oid);
 
   if (cfg.lease_duration > 0) {
-    const auto it = fastread_cache_.find(oid);
+    const FastLoc* cached = fastread_cache_.find(oid);
     // Entries seeded under a superseded layout are skipped (satellite
     // fix): the cached replica may have handed the range off, and its
     // retired slot (or a live lease on unrelated ranges) must not serve
     // this oid. The ordered fallback re-seeds under the current epoch.
-    if (it != fastread_cache_.end() &&
-        (!layout_.enabled() || it->second.epoch == layout_.epoch)) {
-      const FastLoc loc = it->second;
+    if (cached != nullptr &&
+        (!layout_.enabled() || cached->epoch == layout_.epoch)) {
+      const FastLoc loc = *cached;
       Replica& target = system_->replica(home, loc.rank);
       const auto target_node = target.node().id();
       bool cache_bad = false;
@@ -501,7 +499,7 @@ sim::Task<Client::ReadResult> Client::read(GroupId home, Oid oid) {
       // READ 1: the lease word. The per-(initiator, target) in-order
       // channel guarantees this samples strictly before the slot READ
       // below, so a lease valid here covers the slot sample.
-      std::vector<std::byte> lease_buf(sizeof(LeaseWord));
+      std::array<std::byte, sizeof(LeaseWord)> lease_buf{};
       const auto cc1 = co_await system_->fabric().read(
           node().id(),
           rdma::RAddr{target_node, target.fastread_mr(), kFastReadLeaseOffset},
@@ -514,34 +512,38 @@ sim::Task<Client::ReadResult> Client::read(GroupId home, Oid oid) {
         if (lease.epoch == 0 || lease.expiry <= sim.now()) {
           count(kFastReadLeaseRejects);
         } else {
-          // READ 2 (+ retries): the object slot. A torn (odd) seqlock
-          // means a write phase or its write gate is in flight there.
-          std::vector<std::byte> slot_buf(SlotView::header_bytes() +
-                                          2ull * loc.size);
+          // READ 2 (+ retries): the whole object slot, straight into the
+          // value buffer handed back, which is then cut down to the
+          // current version. A torn (odd) seqlock means a write phase or
+          // its write gate is in flight there. The slot must still be
+          // this oid's at the cached size: a cached offset that no
+          // longer names it (a retired slot, or a diverged layout that
+          // put a same-size neighbour there) is a bad cache entry, never
+          // a value.
+          ReadResult res;
+          res.value.resize(SlotView::header_bytes() + 2ull * loc.size);
           for (int attempt = 0; attempt <= cfg.fastread_torn_retries;
                ++attempt) {
             const auto cc2 = co_await system_->fabric().read(
                 node().id(),
                 rdma::RAddr{target_node, target.store().mr(), loc.offset},
-                slot_buf);
+                res.value);
             if (!cc2.ok() ||
-                rdma::load_pod<std::uint32_t>(std::span<const std::byte>(
-                                                  slot_buf),
-                                              24) != loc.size) {
+                !SlotView::parse_header(res.value).holds(oid, loc.size)) {
               cache_bad = true;
               break;
             }
-            const SlotView view = SlotView::parse(slot_buf);
+            const SlotView view = SlotView::parse(res.value);
             if (view.torn()) {
               count(kFastReadTornRetries);
               continue;
             }
             const auto [tmp, value] = view.current();
             count(kFastReadHits);
-            ReadResult res;
             res.fast = true;
             res.tmp = tmp;
-            res.value.assign(value.begin(), value.end());
+            std::memmove(res.value.data(), value.data(), value.size());
+            res.value.resize(value.size());
             res.latency = sim.now() - start;
             co_return res;
           }
@@ -593,8 +595,11 @@ sim::Task<Client::ReadResult> Client::read(GroupId home, Oid oid) {
   bool seeded = false;
   if (cfg.lease_duration > 0 &&
       rank < static_cast<std::uint32_t>(system_->replicas_per_partition())) {
-    fastread_cache_[oid] = FastLoc{static_cast<int>(rank), wire.offset,
-                                   wire.size, layout_.epoch, serialized};
+    fastread_cache_.put(oid, FastLoc{.offset = wire.offset,
+                                     .epoch = layout_.epoch,
+                                     .size = wire.size,
+                                     .rank = static_cast<std::int32_t>(rank),
+                                     .serialized = serialized});
     seeded = true;
   }
   if (res.status == kStatusReadTruncated && seeded && !truncated_retry) {
@@ -663,7 +668,7 @@ sim::Task<void> Client::fast_write_probe(GroupId home, int rank, Oid oid,
 
   // Lease word first: the in-order channel makes this sample strictly
   // older than the header sample, so a lease live here covers it.
-  std::vector<std::byte> lease_buf(sizeof(LeaseWord));
+  std::array<std::byte, sizeof(LeaseWord)> lease_buf{};
   const auto cc1 = co_await system_->fabric().read(
       node().id(),
       rdma::RAddr{target_node, target.fastread_mr(), kFastReadLeaseOffset},
@@ -681,7 +686,7 @@ sim::Task<void> Client::fast_write_probe(GroupId home, int rank, Oid oid,
     co_return;
   }
 
-  std::vector<std::byte> hdr(SlotView::header_bytes());
+  std::array<std::byte, SlotView::header_bytes()> hdr{};
   const auto cc2 = co_await system_->fabric().read(
       node().id(), rdma::RAddr{target_node, target.store().mr(), loc.offset},
       hdr);
@@ -690,30 +695,24 @@ sim::Task<void> Client::fast_write_probe(GroupId home, int rank, Oid oid,
     st->finish_one();
     co_return;
   }
-  const auto raw = std::span<const std::byte>(hdr);
-  const auto lock = rdma::load_pod<std::uint64_t>(raw, 0);
-  const auto tmp_a = rdma::load_pod<Tmp>(raw, 8);
-  const auto tmp_b = rdma::load_pod<Tmp>(raw, 16);
-  const auto size = rdma::load_pod<std::uint32_t>(raw, 24);
-  const auto word = rdma::load_pod<std::uint32_t>(raw, 28);
+  const SlotView h = SlotView::parse_header(hdr);
   // Identity and eligibility: the slot must be THIS oid (offsets can
   // diverge across replicas after a lagger re-created objects; a retire
   // also poisons the size), the row must be raw, and the lock must be
   // even — not an ordered write phase, not someone else's invalidation.
-  if (size != loc.size || (word >> 1) != SlotView::oid_tag(oid) ||
-      (word & 1) != 0 || (lock & 1) != 0) {
+  if (!h.holds(oid, loc.size) || h.is_serialized_slot() || h.torn()) {
     st->fail(kFastWriteConflict);
     st->finish_one();
     co_return;
   }
   // SlotView::current() on the header words alone (values not needed):
   // among valid versions the higher tmp wins; the loser is overwritten.
-  const bool va = !is_fast_tmp(tmp_a) || lock == tmp_a;
-  const bool vb = !is_fast_tmp(tmp_b) || lock == tmp_b;
-  const bool a_current = va != vb ? va : tmp_a >= tmp_b;
+  const bool va = h.valid(h.tmp_a);
+  const bool vb = h.valid(h.tmp_b);
+  const bool a_current = va != vb ? va : h.tmp_a >= h.tmp_b;
   auto& pr = st->ranks[static_cast<std::size_t>(rank)];
-  pr.lock = lock;
-  pr.base = a_current ? tmp_a : tmp_b;
+  pr.lock = h.lock;
+  pr.base = a_current ? h.tmp_a : h.tmp_b;
   pr.overwrite_idx = a_current ? 1 : 0;
   pr.lease_expiry = lease.expiry;
   st->finish_one();
@@ -778,7 +777,7 @@ sim::Task<void> Client::fast_write_verify(GroupId home, int rank, Oid oid,
   Replica& target = system_->replica(home, rank);
   const auto target_node = target.node().id();
 
-  std::vector<std::byte> hdr(SlotView::header_bytes());
+  std::array<std::byte, SlotView::header_bytes()> hdr{};
   const auto cc = co_await system_->fabric().read(
       node().id(), rdma::RAddr{target_node, target.store().mr(), loc.offset},
       hdr);
@@ -787,21 +786,16 @@ sim::Task<void> Client::fast_write_verify(GroupId home, int rank, Oid oid,
     st->finish_one();
     co_return;
   }
-  const auto raw = std::span<const std::byte>(hdr);
-  const auto lock = rdma::load_pod<std::uint64_t>(raw, 0);
-  const auto tmp_a = rdma::load_pod<Tmp>(raw, 8);
-  const auto tmp_b = rdma::load_pod<Tmp>(raw, 16);
-  const auto size = rdma::load_pod<std::uint32_t>(raw, 24);
-  const auto word = rdma::load_pod<std::uint32_t>(raw, 28);
+  const SlotView h = SlotView::parse_header(hdr);
   // The slot must hold exactly our pending invalidation over the agreed
   // base: lock still fast_tmp|1 (nothing resolved or clobbered it) and
   // the version pair exactly {fast_tmp, base}. Anything else — an
   // ordered wipe, a retire, an ABA'd lock generation — aborts before
   // VALIDATE, so the pending version dies unobserved.
-  const bool pair_ok = (tmp_a == fast_tmp && tmp_b == base) ||
-                       (tmp_a == base && tmp_b == fast_tmp);
-  if (lock != (static_cast<std::uint64_t>(fast_tmp) | 1) || !pair_ok ||
-      size != loc.size || (word >> 1) != SlotView::oid_tag(oid)) {
+  const bool pair_ok = (h.tmp_a == fast_tmp && h.tmp_b == base) ||
+                       (h.tmp_a == base && h.tmp_b == fast_tmp);
+  if (h.lock != (static_cast<std::uint64_t>(fast_tmp) | 1) || !pair_ok ||
+      !h.holds(oid, loc.size)) {
     st->fail(kFastWriteConflict);
     st->finish_one();
     co_return;
@@ -809,7 +803,7 @@ sim::Task<void> Client::fast_write_verify(GroupId home, int rank, Oid oid,
   // Fresh lease sample: the VALIDATE margin check runs against the
   // tightest expiry across replicas as of this phase, and a disarm that
   // landed since the probe (a PREPARE marker) must abort the commit.
-  std::vector<std::byte> lease_buf(sizeof(LeaseWord));
+  std::array<std::byte, sizeof(LeaseWord)> lease_buf{};
   const auto cc2 = co_await system_->fabric().read(
       node().id(),
       rdma::RAddr{target_node, target.fastread_mr(), kFastReadLeaseOffset},
@@ -845,16 +839,16 @@ sim::Task<Client::WriteResult> Client::write(
     reason = kFastWriteDisabled;
   } else {
     if (layout_.enabled()) home = layout_.owner_of(oid);
-    const auto it = fastread_cache_.find(oid);
-    if (it == fastread_cache_.end() ||
-        (layout_.enabled() && it->second.epoch != layout_.epoch)) {
+    const FastLoc* cached = fastread_cache_.find(oid);
+    if (cached == nullptr ||
+        (layout_.enabled() && cached->epoch != layout_.epoch)) {
       reason = kFastWriteColdCache;
-    } else if (it->second.serialized) {
+    } else if (cached->serialized) {
       reason = kFastWriteSerialized;
-    } else if (value.size() != it->second.size) {
+    } else if (value.size() != cached->size) {
       reason = kFastWriteSizeMismatch;
     } else {
-      loc = it->second;
+      loc = *cached;
     }
   }
 

@@ -5,10 +5,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "amcast/system.hpp"
+#include "core/fast_loc_index.hpp"
 #include "core/replica.hpp"
 #include "core/types.hpp"
 #include "sim/random.hpp"
@@ -172,9 +172,19 @@ class Client {
   /// Test hook: the replica rank a fast read of `oid` would target, or
   /// nullopt when the address cache is cold.
   [[nodiscard]] std::optional<int> fastread_cached_rank(Oid oid) const {
-    const auto it = fastread_cache_.find(oid);
-    if (it == fastread_cache_.end()) return std::nullopt;
-    return it->second.rank;
+    const FastLoc* loc = fastread_cache_.find(oid);
+    if (loc == nullptr) return std::nullopt;
+    return loc->rank;
+  }
+  /// Test hook: points the warm cache entry of `oid` at another slot
+  /// offset of the same replica, modelling a cached offset that no longer
+  /// matches that replica's layout. No-op when the cache is cold.
+  void fastread_repoint(Oid oid, std::uint64_t offset) {
+    if (const FastLoc* loc = fastread_cache_.find(oid)) {
+      FastLoc moved = *loc;
+      moved.offset = offset;
+      fastread_cache_.put(oid, moved);
+    }
   }
   [[nodiscard]] std::uint64_t fastread_hits() const {
     return stat(kFastReadHits);
@@ -214,9 +224,9 @@ class Client {
   /// under (nullopt when cold).
   [[nodiscard]] std::optional<std::uint64_t> fastread_cached_epoch(
       Oid oid) const {
-    const auto it = fastread_cache_.find(oid);
-    if (it == fastread_cache_.end()) return std::nullopt;
-    return it->second.epoch;
+    const FastLoc* loc = fastread_cache_.find(oid);
+    if (loc == nullptr) return std::nullopt;
+    return loc->epoch;
   }
 
   /// Test hook: rewinds the session counter so the next submit reuses an
@@ -234,25 +244,9 @@ class Client {
   sim::Rng rng_;                   // backoff jitter, forked off the fabric seed
   sim::LatencyRecorder latencies_;
 
-  /// Per-oid fast-read address cache, seeded by ordered-read replies.
-  /// Per-rank coherent: slot offsets can diverge across replicas after a
-  /// state transfer, so the cached offset is only used against the rank
-  /// that answered.
-  struct FastLoc {
-    int rank = 0;
-    std::uint64_t offset = 0;
-    std::uint32_t size = 0;
-    /// Layout epoch the entry was seeded under (satellite fix): an entry
-    /// from a superseded layout may point at a replica that handed the
-    /// range off, so the fast path skips it and the next wrong-epoch
-    /// reply purges all such entries at once.
-    std::uint64_t epoch = 0;
-    /// The object is stored serialized (ReadAnswerWire rank bit 31): the
-    /// fast-write path skips it — a one-sided overwrite of the raw value
-    /// cannot re-serialize. Fast reads are unaffected.
-    bool serialized = false;
-  };
-  std::unordered_map<Oid, FastLoc> fastread_cache_;
+  /// Per-oid fast-path address cache, seeded by ordered-read replies
+  /// (per-rank coherent; see FastLoc).
+  FastLocIndex fastread_cache_;
 
   /// submit() minus the completion count, so submit_routed counts a
   /// command once however many wrong-epoch hops it took.
