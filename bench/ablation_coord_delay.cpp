@@ -4,25 +4,18 @@
 // small extra delay for the remaining replicas so slow ones don't become
 // laggers. This sweep varies the cutoff and reports lagger activity
 // (state transfers + skipped requests) and the throughput cost.
-// Flags: --seed <n> sets the fabric/workload seed (default 99).
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 
+#include "common/cli.hpp"
 #include "harness/runner.hpp"
 
 using namespace heron;
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 99;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "usage: %s [--seed <n>]\n", argv[0]);
-      return 2;
-    }
-  }
+  bench::Cli()
+      .flag("--seed", seed, "<n>", "fabric/workload seed")
+      .parse(argc, argv);
   std::printf(
       "Ablation: Phase-4 wait-for-all cutoff vs lagger rate "
       "(4 partitions, 3 replicas, all-multi-partition NewOrder, 1%% 150us stalls)\n\n");

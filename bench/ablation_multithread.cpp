@@ -8,13 +8,11 @@
 // Expected: throughput scales with worker cores until another resource
 // (ordering, conflicts) binds; the conflict-heavy column shows the
 // mechanism degrading gracefully to sequential execution.
-// Flags: --seed <n> sets the fabric/client seed (default 31).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <string>
 
+#include "common/cli.hpp"
 #include "core/system.hpp"
 #include "rdma/fabric.hpp"
 #include "sim/random.hpp"
@@ -95,14 +93,9 @@ double run_config(int threads, bool conflict_heavy, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 31;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "usage: %s [--seed <n>]\n", argv[0]);
-      return 2;
-    }
-  }
+  bench::Cli()
+      .flag("--seed", seed, "<n>", "fabric/client seed")
+      .parse(argc, argv);
   std::printf(
       "Ablation: multi-threaded execution (SIII-D1 extension), CPU-bound "
       "single-partition requests, 1 partition x 3 replicas, 24 clients\n\n");

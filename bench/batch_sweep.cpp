@@ -6,17 +6,12 @@
 //     software costs are the whole effect);
 //   - with one client the latency must stay flat (batch_timeout = 0 never
 //     holds a lonely request back).
-//
-// Flags:
-//   --json <path>   machine-readable report (BENCH_batch.json in CI)
-//   --quick         fewer batch sizes and short windows (CI smoke mode)
-//   --seed <n>      fabric/workload seed (default 99), echoed into the
-//                   report so any run can be reproduced exactly
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 
@@ -62,20 +57,14 @@ harness::RunResult run_single_client(std::uint32_t max_batch,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else if (a == "--quick") {
-      opt.quick = true;
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "usage: %s [--json <path>] [--quick] [--seed <n>]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  bench::Cli()
+      .flag("--json", opt.json_path, "<path>",
+            "machine-readable report (BENCH_batch.json in CI)")
+      .flag("--quick", opt.quick,
+            "fewer batch sizes and short windows (CI smoke)")
+      .flag("--seed", opt.seed, "<n>",
+            "fabric/workload seed, echoed into the report")
+      .parse(argc, argv);
 
   std::vector<std::uint32_t> batches = {1, 2, 4, 8, 16};
   if (opt.quick) batches = {1, 8};
@@ -106,14 +95,12 @@ int main(int argc, char** argv) {
     std::printf("%-10u %14.0f %12.2f %12.2f %9.2fx\n", b, r.throughput_tps,
                 r.latency.mean() / 1000.0,
                 static_cast<double>(r.latency.percentile(99)) / 1000.0, gain);
-    if (!opt.json_path.empty()) {
-      report.row("saturated/b" + std::to_string(b), r,
-                 [&](telemetry::JsonWriter& w) {
-                   w.kv("max_batch", static_cast<std::uint64_t>(b));
-                   w.kv("clients_per_partition", clients);
-                   w.kv("seed", opt.seed);
-                 });
-    }
+    report.row("saturated/b" + std::to_string(b), r,
+               [&](telemetry::JsonWriter& w) {
+                 w.kv("max_batch", static_cast<std::uint64_t>(b));
+                 w.kv("clients_per_partition", clients);
+                 w.kv("seed", opt.seed);
+               });
   }
   std::printf("\nknee: max_batch=%u (%.2fx over max_batch=1)\n", knee,
               knee_gain);
@@ -125,23 +112,13 @@ int main(int argc, char** argv) {
     harness::RunResult r = run_single_client(b, opt);
     std::printf("%-10u %12.2f %12.2f\n", b, r.latency.mean() / 1000.0,
                 static_cast<double>(r.latency.percentile(99)) / 1000.0);
-    if (!opt.json_path.empty()) {
-      report.row("single-client/b" + std::to_string(b), r,
-                 [&](telemetry::JsonWriter& w) {
-                   w.kv("max_batch", static_cast<std::uint64_t>(b));
-                   w.kv("clients_per_partition", 0);
-                   w.kv("seed", opt.seed);
-                 });
-    }
+    report.row("single-client/b" + std::to_string(b), r,
+               [&](telemetry::JsonWriter& w) {
+                 w.kv("max_batch", static_cast<std::uint64_t>(b));
+                 w.kv("clients_per_partition", 0);
+                 w.kv("seed", opt.seed);
+               });
   }
 
-  if (!opt.json_path.empty()) {
-    if (report.finish_to_file(opt.json_path)) {
-      std::printf("report -> %s\n", opt.json_path.c_str());
-    } else {
-      std::fprintf(stderr, "report: cannot write %s\n", opt.json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return bench::write_report(opt.json_path, report.finish()) ? 0 : 1;
 }

@@ -2,14 +2,7 @@
 // runs the bank and TPC-C workloads under fault injection, checks the
 // recorded histories against the atomic multicast + SMR oracles
 // (src/faultlab/history.hpp) and emits a machine-readable report naming
-// the exact (seed, plan) needed to reproduce any violation:
-//
-//   chaos_explorer [--quick] [--seed <s>] [--plan <name>]
-//                  [--json <path>]          (default BENCH_chaos.json)
-//                  [--timeout-us <t>] [--retries <n>] [--backoff-us <b>]
-//                  [--deadline-us <d>] [--no-retry]
-//                  [--rack-size <n>] [--oversub <x>] [--credit-window <n>]
-//                  [--no-priority-lanes] [--adaptive-admission]
+// the exact (seed, plan) needed to reproduce any violation.
 //
 // Clients run the robust retry lifecycle by default (fresh-uid retries,
 // session dedup at the replicas); --no-retry restores the legacy
@@ -20,11 +13,12 @@
 //
 // Exit code is non-zero when any oracle reported a violation.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
 #include "faultlab/bank.hpp"
 #include "faultlab/history.hpp"
 #include "faultlab/injector.hpp"
@@ -266,63 +260,35 @@ CellOutcome run_tpcc_cell(Shape shape, const faultlab::FaultPlan& plan,
   return out;
 }
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      opt.quick = true;
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--plan" && i + 1 < argc) {
-      opt.plan = argv[++i];
-    } else if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else if (a == "--timeout-us" && i + 1 < argc) {
-      opt.timeout_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--retries" && i + 1 < argc) {
-      opt.retries = std::atoi(argv[++i]);
-    } else if (a == "--backoff-us" && i + 1 < argc) {
-      opt.backoff_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--deadline-us" && i + 1 < argc) {
-      opt.deadline_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--no-retry") {
-      opt.retry = false;
-    } else if (a == "--max-batch" && i + 1 < argc) {
-      opt.max_batch = static_cast<std::uint32_t>(
-          std::strtoul(argv[++i], nullptr, 10));
-    } else if (a == "--batch-timeout-us" && i + 1 < argc) {
-      opt.batch_timeout_us = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--rack-size" && i + 1 < argc) {
-      opt.rack_size = std::atoi(argv[++i]);
-    } else if (a == "--oversub" && i + 1 < argc) {
-      opt.oversub = std::strtod(argv[++i], nullptr);
-    } else if (a == "--credit-window" && i + 1 < argc) {
-      opt.credit_window = static_cast<std::uint32_t>(
-          std::strtoul(argv[++i], nullptr, 10));
-    } else if (a == "--no-priority-lanes") {
-      opt.priority_lanes = false;
-    } else if (a == "--adaptive-admission") {
-      opt.adaptive_admission = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--seed <s>] [--plan <name>] "
-                   "[--json <path>] [--timeout-us <t>] [--retries <n>] "
-                   "[--backoff-us <b>] [--deadline-us <d>] [--no-retry] "
-                   "[--max-batch <n>] [--batch-timeout-us <t>] "
-                   "[--rack-size <n>] [--oversub <x>] [--credit-window <n>] "
-                   "[--no-priority-lanes] [--adaptive-admission]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
-  return opt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
+  Options opt;
+  bench::Cli()
+      .flag("--quick", opt.quick, "fewer seeds, shapes and TPC-C cells")
+      .flag("--seed", opt.seed, "<s>",
+            "run only this seed; 0 sweeps the default seed list")
+      .flag("--plan", opt.plan, "<name>", "run only this fault plan")
+      .flag("--json", opt.json_path, "<path>", "machine-readable report")
+      .flag("--timeout-us", opt.timeout_us, "<t>", "per-attempt timeout")
+      .flag("--retries", opt.retries, "<n>", "max retries (attempts - 1)")
+      .flag("--backoff-us", opt.backoff_us, "<b>", "initial retry backoff")
+      .flag("--deadline-us", opt.deadline_us, "<d>",
+            "overall per-request deadline")
+      .flag("--no-retry", opt.retry, "legacy wait-forever clients")
+      .flag("--max-batch", opt.max_batch, "<n>", "amcast leader batch size")
+      .flag("--batch-timeout-us", opt.batch_timeout_us, "<t>",
+            "hold a partial batch this long for stragglers")
+      .flag("--rack-size", opt.rack_size, "<n>",
+            "nodes per rack; 0 keeps the flat fabric")
+      .flag("--oversub", opt.oversub, "<x>", "ToR uplink oversubscription")
+      .flag("--credit-window", opt.credit_window, "<n>",
+            "per-QP credit window; 0 = no flow control")
+      .flag("--no-priority-lanes", opt.priority_lanes,
+            "control verbs queue behind data (no QoS separation)")
+      .flag("--adaptive-admission", opt.adaptive_admission,
+            "leaders shrink their admission window under backpressure")
+      .parse(argc, argv);
 
   std::vector<std::uint64_t> seeds =
       opt.quick ? std::vector<std::uint64_t>{1, 2}
@@ -390,9 +356,7 @@ int main(int argc, char** argv) {
                       static_cast<unsigned long long>(out.completed),
                       static_cast<unsigned long long>(out.expected),
                       out.violations.empty() ? "" : "  VIOLATIONS");
-          for (const auto& v : out.violations) {
-            std::printf("    [%s] %s\n", v.oracle.c_str(), v.detail.c_str());
-          }
+          bench::print_violations(out.violations);
         }
       }
     }
@@ -403,16 +367,7 @@ int main(int argc, char** argv) {
   w.kv("total_violations", total_violations);
   w.end_object();
 
-  if (!opt.json_path.empty()) {
-    FILE* f = std::fopen(opt.json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path.c_str());
-      return 2;
-    }
-    std::fputs(w.str().c_str(), f);
-    std::fclose(f);
-    std::printf("report -> %s\n", opt.json_path.c_str());
-  }
+  if (!bench::write_report(opt.json_path, w.str())) return 1;
 
   std::printf("%d cells, %llu violations\n", cells,
               static_cast<unsigned long long>(total_violations));

@@ -38,16 +38,14 @@
 // exactly that: senders self-clock to the uplink's service rate, the
 // backlog pins at credits x message size, and abandoned attempts never
 // monopolize the fabric.
-//
-//   congestion_bench [--quick] [--seed <s>] [--json <path>]
-//                    (default BENCH_congestion.json)
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
 #include "faultlab/bank.hpp"
 #include "faultlab/history.hpp"
 #include "faultlab/injector.hpp"
@@ -226,29 +224,16 @@ CellResult run_cell(double oversub, std::uint32_t credits, bool adaptive,
   return out;
 }
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      opt.quick = true;
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--seed <s>] [--json <path>]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
-  return opt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
+  Options opt;
+  bench::Cli()
+      .flag("--quick", opt.quick,
+            "one oversubscription ratio and a shorter storm (CI smoke)")
+      .flag("--seed", opt.seed, "<s>", "fabric/client seed")
+      .flag("--json", opt.json_path, "<path>", "machine-readable report")
+      .parse(argc, argv);
 
   const std::vector<double> oversubs =
       opt.quick ? std::vector<double>{2.0} : std::vector<double>{1.0, 2.0, 4.0};
@@ -321,10 +306,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(r.timeouts),
                     static_cast<unsigned long long>(r.admission_tightened),
                     sim::to_us(r.p50), sim::to_us(r.p99));
-        for (const auto& v : r.violations) {
-          std::printf("  VIOLATION [%s] %s\n", v.oracle.c_str(),
-                      v.detail.c_str());
-        }
+        bench::print_violations(r.violations);
       }
     }
   }
@@ -361,16 +343,7 @@ int main(int argc, char** argv) {
   w.kv("gate_ok", gate_ok);
   w.end_object();
 
-  if (!opt.json_path.empty()) {
-    FILE* f = std::fopen(opt.json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path.c_str());
-      return 2;
-    }
-    std::fputs(w.str().c_str(), f);
-    std::fclose(f);
-    std::printf("report -> %s\n", opt.json_path.c_str());
-  }
+  if (!bench::write_report(opt.json_path, w.str())) return 1;
 
   if (total_violations != 0) {
     std::fprintf(stderr, "FAIL: %llu oracle violations\n",

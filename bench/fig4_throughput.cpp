@@ -6,22 +6,12 @@
 // hold flat from 1WH to 2WH (coordination appears), then scale by
 // ~1.5x/3x/5x (null) and ~1.5x/2.7x/4x (TPCC) at 4/8/16 WH; local TPCC
 // scales linearly.
-//
-// Flags:
-//   --json <path>   write a machine-readable report (throughput and
-//                   per-kind latency summaries for every cell)
-//   --trace <path>  additionally run a small instrumented TPCC cluster
-//                   and export a Chrome trace_event file (load it in
-//                   chrome://tracing or https://ui.perfetto.dev)
-//   --quick         short windows and fewer cells (CI smoke mode)
-//   --seed <n>      fabric/workload seed (default 99), echoed into the
-//                   report so any run can be reproduced exactly
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 
@@ -65,7 +55,7 @@ harness::RunResult run_config(core::Mode mode, bool local_only, int partitions,
 /// Dedicated traced run: a small TPCC cluster with full telemetry on, so
 /// the exported trace stays readable (and the big throughput cells above
 /// run uninstrumented, at full speed).
-void export_trace(const std::string& path) {
+bool export_trace(const std::string& path) {
   tpcc::TpccScale scale{.factor = 0.02, .initial_orders_per_district = 10};
   core::HeronConfig cfg;
   cfg.mode = core::Mode::kApp;
@@ -75,47 +65,28 @@ void export_trace(const std::string& path) {
   cluster.telemetry().capture_logs();
   cluster.add_clients(2, tpcc::WorkloadConfig{});
   cluster.run(sim::ms(2), sim::ms(5));
-
-  if (cluster.telemetry().tracer.write_file(path)) {
-    std::printf("trace: %zu events -> %s\n",
-                cluster.telemetry().tracer.event_count(), path.c_str());
-  } else {
-    std::fprintf(stderr, "trace: cannot write %s\n", path.c_str());
-  }
-}
-
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else if (a == "--trace" && i + 1 < argc) {
-      opt.trace_path = argv[++i];
-    } else if (a == "--quick") {
-      opt.quick = true;
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--max-batch" && i + 1 < argc) {
-      opt.max_batch = static_cast<std::uint32_t>(
-          std::strtoul(argv[++i], nullptr, 10));
-    } else if (a == "--batch-timeout-us" && i + 1 < argc) {
-      opt.batch_timeout_us = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json <path>] [--trace <path>] [--quick] "
-                   "[--seed <n>] [--max-batch <n>] [--batch-timeout-us <n>]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
-  return opt;
+  return bench::write_trace(path, cluster.telemetry().tracer);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
+  Options opt;
+  bench::Cli()
+      .flag("--json", opt.json_path, "<path>",
+            "write a machine-readable report (throughput and per-kind "
+            "latency summaries for every cell)")
+      .flag("--trace", opt.trace_path, "<path>",
+            "also run a small instrumented TPCC cluster and export a Chrome "
+            "trace_event file (chrome://tracing or ui.perfetto.dev)")
+      .flag("--quick", opt.quick, "short windows and fewer cells (CI smoke)")
+      .flag("--seed", opt.seed, "<n>",
+            "fabric/workload seed, echoed into the report")
+      .flag("--max-batch", opt.max_batch, "<n>",
+            "amcast leader batch size (amcast::Config::max_batch)")
+      .flag("--batch-timeout-us", opt.batch_timeout_us, "<n>",
+            "hold a partial batch this long for stragglers")
+      .parse(argc, argv);
 
   std::vector<int> warehouses = {1, 2, 4, 8, 16};
   if (opt.quick) warehouses = {1, 2};
@@ -149,15 +120,13 @@ int main(int argc, char** argv) {
       harness::RunResult result =
           run_config(set.mode, set.local_only, wh, set.clients, opt);
       tput.push_back(result.throughput_tps);
-      if (!opt.json_path.empty()) {
-        report.row(std::string(set.label) + "/" + std::to_string(wh) + "wh",
-                   result, [&](telemetry::JsonWriter& w) {
-                     w.kv("set", set.label);
-                     w.kv("warehouses", wh);
-                     w.kv("seed", opt.seed);
-                     w.kv("max_batch", static_cast<std::uint64_t>(opt.max_batch));
-                   });
-      }
+      report.row(std::string(set.label) + "/" + std::to_string(wh) + "wh",
+                 result, [&](telemetry::JsonWriter& w) {
+                   w.kv("set", set.label);
+                   w.kv("warehouses", wh);
+                   w.kv("seed", opt.seed);
+                   w.kv("max_batch", static_cast<std::uint64_t>(opt.max_batch));
+                 });
     }
     std::printf("%-12s", set.label);
     for (double t : tput) std::printf(" %12.0f", t);
@@ -173,14 +142,7 @@ int main(int argc, char** argv) {
         "TPCC flat then 1.52x/2.65x/3.98x; local TPCC ~linear\n");
   }
 
-  if (!opt.json_path.empty()) {
-    if (report.finish_to_file(opt.json_path)) {
-      std::printf("report -> %s\n", opt.json_path.c_str());
-    } else {
-      std::fprintf(stderr, "report: cannot write %s\n", opt.json_path.c_str());
-      return 1;
-    }
-  }
-  if (!opt.trace_path.empty()) export_trace(opt.trace_path);
+  if (!bench::write_report(opt.json_path, report.finish())) return 1;
+  if (!opt.trace_path.empty() && !export_trace(opt.trace_path)) return 1;
   return 0;
 }

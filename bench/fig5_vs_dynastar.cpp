@@ -3,18 +3,13 @@
 //
 // Paper shape: Heron outperforms DynaStar by 17x (1WH) up to 27x (16WH)
 // in throughput, and DynaStar's latency is 44x-72x higher.
-//
-// Flags:
-//   --json <path>   machine-readable report (one row per system x WH)
-//   --quick         fewer warehouses, shorter windows (CI smoke mode)
-//   --seed <n>      fabric/workload seed (default 99), echoed into the
-//                   report so any run can be reproduced exactly
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
 #include "dynastar/system.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
@@ -92,29 +87,18 @@ harness::RunResult run_dynastar(int partitions, const Options& opt) {
   return result;
 }
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else if (a == "--quick") {
-      opt.quick = true;
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "usage: %s [--json <path>] [--quick] [--seed <n>]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
-  return opt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
+  Options opt;
+  bench::Cli()
+      .flag("--json", opt.json_path, "<path>",
+            "machine-readable report (one row per system x WH)")
+      .flag("--quick", opt.quick,
+            "fewer warehouses, shorter windows (CI smoke)")
+      .flag("--seed", opt.seed, "<n>",
+            "fabric/workload seed, echoed into the report")
+      .parse(argc, argv);
   harness::ReportWriter report("fig5_vs_dynastar");
 
   std::printf(
@@ -134,16 +118,14 @@ int main(int argc, char** argv) {
                 h.throughput_tps, d.throughput_tps,
                 h.throughput_tps / d.throughput_tps, h_lat, d_lat,
                 h_lat > 0 ? d_lat / h_lat : 0.0);
-    if (!opt.json_path.empty()) {
-      for (const auto* cell : {&h, &d}) {
-        const char* system = cell == &h ? "heron" : "dynastar";
-        report.row(std::string(system) + "/" + std::to_string(wh) + "wh",
-                   *cell, [&](telemetry::JsonWriter& w) {
-                     w.kv("system", system);
-                     w.kv("warehouses", wh);
-                     w.kv("seed", opt.seed);
-                   });
-      }
+    for (const auto* cell : {&h, &d}) {
+      const char* system = cell == &h ? "heron" : "dynastar";
+      report.row(std::string(system) + "/" + std::to_string(wh) + "wh", *cell,
+                 [&](telemetry::JsonWriter& w) {
+                   w.kv("system", system);
+                   w.kv("warehouses", wh);
+                   w.kv("seed", opt.seed);
+                 });
     }
   }
   if (!opt.quick) {
@@ -152,13 +134,5 @@ int main(int argc, char** argv) {
         "DynaStar latency 43.9x-72.0x higher\n");
   }
 
-  if (!opt.json_path.empty()) {
-    if (report.finish_to_file(opt.json_path)) {
-      std::printf("report -> %s\n", opt.json_path.c_str());
-    } else {
-      std::fprintf(stderr, "report: cannot write %s\n", opt.json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return bench::write_report(opt.json_path, report.finish()) ? 0 : 1;
 }

@@ -6,18 +6,11 @@
 // (ordering ~18 us, execution ~16 us, coordination ~2 us); requests
 // pinned to 1WH have no coordination; coordination never exceeds ~3 us
 // even at 4 partitions (§V-D1).
-//
-// Flags:
-//   --json <path>   machine-readable report: per-case latency summaries
-//                   plus the stage-mean breakdown
-//   --trace <path>  run the plain-TPCC case with tracing enabled and
-//                   export the measurement window as a Chrome trace
-//   --seed <n>      fabric/workload seed (default 99), echoed into the
-//                   report so any run can be reproduced exactly
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 
@@ -41,8 +34,11 @@ struct Row {
   double client_us;
 };
 
+/// Runs one case and adds its report row; `trace_ok` turns false when
+/// the case's trace could not be written.
 Row run_case(const char* label, bool plain_tpcc, int span,
-             harness::ReportWriter* report, const Options& opt) {
+             harness::ReportWriter& report, const Options& opt,
+             bool& trace_ok) {
   const std::string& trace_path = opt.trace_path;
   tpcc::TpccScale scale{.factor = 0.02, .initial_orders_per_district = 10};
   amcast::Config acfg;
@@ -65,14 +61,8 @@ Row run_case(const char* label, bool plain_tpcc, int span,
 
   auto result = cluster.run(sim::ms(10), sim::ms(120));
 
-  if (traced) {
-    if (cluster.telemetry().tracer.write_file(trace_path)) {
-      std::printf("trace: %zu events -> %s\n",
-                  cluster.telemetry().tracer.event_count(),
-                  trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "trace: cannot write %s\n", trace_path.c_str());
-    }
+  if (traced && !bench::write_trace(trace_path, cluster.telemetry().tracer)) {
+    trace_ok = false;
   }
 
   // Replica-side stage means, averaged over partition 0's replicas (the
@@ -85,15 +75,13 @@ Row run_case(const char* label, bool plain_tpcc, int span,
   row.exec_us = rep.exec_lat().mean() / 1000.0;
   row.client_us = result.latency.mean() / 1000.0;
 
-  if (report != nullptr) {
-    report->row(label, result, [&](telemetry::JsonWriter& w) {
-      w.kv("ordering_us", row.ordering_us);
-      w.kv("coordination_us", row.coord_us);
-      w.kv("execution_us", row.exec_us);
-      w.kv("seed", opt.seed);
-      w.kv("max_batch", static_cast<std::uint64_t>(opt.max_batch));
-    });
-  }
+  report.row(label, result, [&](telemetry::JsonWriter& w) {
+    w.kv("ordering_us", row.ordering_us);
+    w.kv("coordination_us", row.coord_us);
+    w.kv("execution_us", row.exec_us);
+    w.kv("seed", opt.seed);
+    w.kv("max_batch", static_cast<std::uint64_t>(opt.max_batch));
+  });
 
   // CDF series (right-hand plot).
   std::printf("# CDF %s\n", label);
@@ -108,30 +96,23 @@ Row run_case(const char* label, bool plain_tpcc, int span,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else if (a == "--trace" && i + 1 < argc) {
-      opt.trace_path = argv[++i];
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--max-batch" && i + 1 < argc) {
-      opt.max_batch = static_cast<std::uint32_t>(
-          std::strtoul(argv[++i], nullptr, 10));
-    } else if (a == "--batch-timeout-us" && i + 1 < argc) {
-      opt.batch_timeout_us = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json <path>] [--trace <path>] [--seed <n>] "
-                   "[--max-batch <n>] [--batch-timeout-us <n>]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  bench::Cli()
+      .flag("--json", opt.json_path, "<path>",
+            "machine-readable report: per-case latency summaries plus the "
+            "stage-mean breakdown")
+      .flag("--trace", opt.trace_path, "<path>",
+            "trace the plain-TPCC case and export its measurement window "
+            "as a Chrome trace")
+      .flag("--seed", opt.seed, "<n>",
+            "fabric/workload seed, echoed into the report")
+      .flag("--max-batch", opt.max_batch, "<n>",
+            "amcast leader batch size (amcast::Config::max_batch)")
+      .flag("--batch-timeout-us", opt.batch_timeout_us, "<n>",
+            "hold a partial batch this long for stragglers")
+      .parse(argc, argv);
 
   harness::ReportWriter report("fig6_latency_breakdown");
-  harness::ReportWriter* rep = opt.json_path.empty() ? nullptr : &report;
+  bool trace_ok = true;
 
   std::printf(
       "Figure 6: latency breakdown with 1 client (4 partitions, 3 replicas)\n"
@@ -139,9 +120,11 @@ int main(int argc, char** argv) {
       "coordination ~2; coordination <= ~3us at 4WH\n\n");
 
   Row rows[] = {
-      run_case("tpcc", true, 0, rep, opt), run_case("1WH", false, 1, rep, opt),
-      run_case("2WH", false, 2, rep, opt), run_case("3WH", false, 3, rep, opt),
-      run_case("4WH", false, 4, rep, opt),
+      run_case("tpcc", true, 0, report, opt, trace_ok),
+      run_case("1WH", false, 1, report, opt, trace_ok),
+      run_case("2WH", false, 2, report, opt, trace_ok),
+      run_case("3WH", false, 3, report, opt, trace_ok),
+      run_case("4WH", false, 4, report, opt, trace_ok),
   };
 
   std::printf("\n%-8s %12s %14s %12s %12s\n", "workload", "ordering(us)",
@@ -151,13 +134,6 @@ int main(int argc, char** argv) {
                 r.coord_us, r.exec_us, r.client_us);
   }
 
-  if (rep != nullptr) {
-    if (report.finish_to_file(opt.json_path)) {
-      std::printf("report -> %s\n", opt.json_path.c_str());
-    } else {
-      std::fprintf(stderr, "report: cannot write %s\n", opt.json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  if (!bench::write_report(opt.json_path, report.finish())) return 1;
+  return trace_ok ? 0 : 1;
 }

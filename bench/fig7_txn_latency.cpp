@@ -5,15 +5,11 @@
 // Paper reference points: OrderStatus 16.5 us, Delivery 17.6 us (light
 // local transactions); StockLevel expensive (serialized Stock scans);
 // NewOrder and Payment pay an extra multi-partition premium.
-//
-// Flags:
-//   --json <path>   machine-readable report (one row per txn kind)
-//   --seed <n>      fabric/workload seed (default 99), echoed into the
-//                   report so any run can be reproduced exactly
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 
@@ -31,7 +27,7 @@ struct KindCase {
   std::uint32_t kind;
 };
 
-void run_kind(const KindCase& kc, harness::ReportWriter* report,
+void run_kind(const KindCase& kc, harness::ReportWriter& report,
               const Options& opt) {
   tpcc::TpccScale scale{.factor = 0.02, .initial_orders_per_district = 10};
   harness::TpccCluster cluster(/*partitions=*/4, /*replicas=*/3, scale, {}, {},
@@ -85,42 +81,29 @@ void run_kind(const KindCase& kc, harness::ReportWriter* report,
     std::printf("cdf %-12s %8.2f us %5.2f\n", kc.label, sim::to_us(ns), frac);
   }
 
-  if (report != nullptr) {
-    harness::RunResult result;
-    result.window = sim::ms(150);
-    result.completed = single.count() + multi.count();
-    result.latency = all;
-    result.latency_single = single;
-    result.latency_multi = multi;
-    report->row(kc.label, result, [&](telemetry::JsonWriter& w) {
-      w.kv("kind", kc.label);
-      w.kv("seed", opt.seed);
-    });
-  }
-}
-
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "usage: %s [--json <path>] [--seed <n>]\n", argv[0]);
-      std::exit(2);
-    }
-  }
-  return opt;
+  harness::RunResult result;
+  result.window = sim::ms(150);
+  result.completed = single.count() + multi.count();
+  result.latency = all;
+  result.latency_single = single;
+  result.latency_multi = multi;
+  report.row(kc.label, result, [&](telemetry::JsonWriter& w) {
+    w.kv("kind", kc.label);
+    w.kv("seed", opt.seed);
+  });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
+  Options opt;
+  bench::Cli()
+      .flag("--json", opt.json_path, "<path>",
+            "machine-readable report (one row per txn kind)")
+      .flag("--seed", opt.seed, "<n>",
+            "fabric/workload seed, echoed into the report")
+      .parse(argc, argv);
   harness::ReportWriter report("fig7_txn_latency");
-  harness::ReportWriter* rep = opt.json_path.empty() ? nullptr : &report;
 
   std::printf(
       "Figure 7: TPC-C per-transaction latency, 1 client, 4 partitions\n"
@@ -134,15 +117,7 @@ int main(int argc, char** argv) {
       {"OrderStatus", tpcc::kOrderStatus}, {"Delivery", tpcc::kDelivery},
       {"StockLevel", tpcc::kStockLevel},
   };
-  for (const auto& kc : cases) run_kind(kc, rep, opt);
+  for (const auto& kc : cases) run_kind(kc, report, opt);
 
-  if (rep != nullptr) {
-    if (report.finish_to_file(opt.json_path)) {
-      std::printf("report -> %s\n", opt.json_path.c_str());
-    } else {
-      std::fprintf(stderr, "report: cannot write %s\n", opt.json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return bench::write_report(opt.json_path, report.finish()) ? 0 : 1;
 }

@@ -13,17 +13,14 @@
 // Data moves in 32 KB RDMA writes (§V-E2). After each case the lagger's
 // store is compared object by object with the donor's; any mismatch is
 // reported and the bench exits non-zero.
-//
-// Flags:
-//   --json <path>   machine-readable report (one row per case)
-//   --seed <n>      fabric seed (default 7), echoed into the report so
-//                   any run can be reproduced exactly
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
+#include "common/state_app.hpp"
 #include "core/system.hpp"
 #include "harness/report.hpp"
 #include "rdma/fabric.hpp"
@@ -35,43 +32,6 @@ namespace {
 struct Options {
   std::string json_path;
   std::uint64_t seed = 7;
-};
-
-/// Synthetic application: `count` objects of `size` bytes; kTouch writes
-/// every object (populating the update log); kNoop writes nothing.
-class StateApp : public core::Application {
- public:
-  StateApp(std::uint64_t count, std::uint32_t size, bool serialized)
-      : count_(count), size_(size), serialized_(serialized) {}
-
-  [[nodiscard]] core::GroupId partition_of(core::Oid) const override {
-    return 0;
-  }
-  [[nodiscard]] std::vector<core::Oid> read_set(const core::Request&,
-                                                core::GroupId) const override {
-    return {};
-  }
-  core::Reply execute(const core::Request& r,
-                      core::ExecContext& ctx) override {
-    if (r.header.kind == 1 /* touch */) {
-      std::vector<std::byte> value(size_, std::byte{0x5a});
-      for (std::uint64_t i = 0; i < count_; ++i) {
-        ctx.write(i + 1, value);
-      }
-    }
-    return core::Reply{};
-  }
-  void bootstrap(core::GroupId, core::ObjectStore& store) override {
-    std::vector<std::byte> init(size_);
-    for (std::uint64_t i = 0; i < count_; ++i) {
-      store.create(i + 1, init, serialized_);
-    }
-  }
-
- private:
-  std::uint64_t count_;
-  std::uint32_t size_;
-  bool serialized_;
 };
 
 struct Measured {
@@ -111,7 +71,7 @@ Measured run_case(const Options& opt, std::uint64_t total_bytes,
   core::System sys(
       fabric, /*partitions=*/1, /*replicas=*/3,
       [count, serialized, size = kObjSize] {
-        return std::make_unique<StateApp>(count, size, serialized);
+        return std::make_unique<bench::StateApp>(count, size, serialized);
       },
       cfg);
   sys.start();
@@ -143,26 +103,15 @@ Measured run_case(const Options& opt, std::uint64_t total_bytes,
           mismatched_objects(sys, count)};
 }
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "usage: %s [--json <path>] [--seed <n>]\n", argv[0]);
-      std::exit(2);
-    }
-  }
-  return opt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
+  Options opt;
+  bench::Cli()
+      .flag("--json", opt.json_path, "<path>",
+            "machine-readable report (one row per case)")
+      .flag("--seed", opt.seed, "<n>", "fabric seed, echoed into the report")
+      .parse(argc, argv);
   harness::ReportWriter report("fig8_state_transfer");
   std::uint64_t mismatched = 0;
   auto add_row = [&](const char* name, std::uint64_t bytes, bool serialized,
@@ -172,7 +121,6 @@ int main(int argc, char** argv) {
                    name, static_cast<unsigned long long>(m.mismatched));
       mismatched += m.mismatched;
     }
-    if (opt.json_path.empty()) return;
     harness::RunResult result;
     result.completed = m.lat.count();
     result.latency = m.lat;
@@ -229,13 +177,6 @@ int main(int argc, char** argv) {
   std::printf("%-22s %11.1f ms   (paper: 109.4 ms = 36.9 + 72.5)\n",
               "warehouse total", (wh_ser.avg_us + wh_raw.avg_us) / 1000.0);
 
-  if (!opt.json_path.empty()) {
-    if (report.finish_to_file(opt.json_path)) {
-      std::printf("report -> %s\n", opt.json_path.c_str());
-    } else {
-      std::fprintf(stderr, "report: cannot write %s\n", opt.json_path.c_str());
-      return 1;
-    }
-  }
+  if (!bench::write_report(opt.json_path, report.finish())) return 1;
   return mismatched == 0 ? 0 : 1;
 }

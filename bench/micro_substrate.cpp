@@ -3,16 +3,14 @@
 // operations. These document the calibrated cost model underlying every
 // figure (values are *simulated* time per operation, reported as
 // microseconds via the Lat counter; wall time measures simulator speed).
-// Flags: --seed <n> sets the fabric seed used by the randomized cases
-// (default 5); remaining flags go to google-benchmark.
+// Arguments other than --seed go to google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
 #include "amcast/system.hpp"
+#include "common/cli.hpp"
 #include "core/object_store.hpp"
 #include "rdma/fabric.hpp"
 #include "sim/random.hpp"
@@ -171,18 +169,12 @@ BENCHMARK(BM_SimulatorEventThroughput)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --seed before google-benchmark sees the arguments.
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      g_seed = std::strtoull(argv[++i], nullptr, 10);
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
+  argc = bench::Cli()
+             .flag("--seed", g_seed, "<n>",
+                   "fabric seed of the randomized cases")
+             .parse_known(argc, argv);
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -8,15 +8,13 @@
 // requests stays controlled. Every request terminates: ok, overloaded or
 // timeout — hung clients would be a bug, and the run fails if any client
 // is still in flight at the end.
-//
-//   overload_bench [--quick] [--seed <s>] [--json <path>]
-//                  (default BENCH_overload.json)
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
 #include "faultlab/bank.hpp"
 #include "rdma/fabric.hpp"
 #include "telemetry/json.hpp"
@@ -97,29 +95,15 @@ CellResult run_cell(int clients, std::uint32_t window, const Options& opt) {
   return out;
 }
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      opt.quick = true;
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--seed <s>] [--json <path>]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
-  return opt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
+  Options opt;
+  bench::Cli()
+      .flag("--quick", opt.quick, "fewer clients and ops per cell (CI smoke)")
+      .flag("--seed", opt.seed, "<s>", "fabric/client seed")
+      .flag("--json", opt.json_path, "<path>", "machine-readable report")
+      .parse(argc, argv);
 
   std::vector<int> client_counts = opt.quick ? std::vector<int>{4, 12}
                                              : std::vector<int>{4, 12, 24, 48};
@@ -176,16 +160,7 @@ int main(int argc, char** argv) {
   w.kv("total_hung", total_hung);
   w.end_object();
 
-  if (!opt.json_path.empty()) {
-    FILE* f = std::fopen(opt.json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path.c_str());
-      return 2;
-    }
-    std::fputs(w.str().c_str(), f);
-    std::fclose(f);
-    std::printf("report -> %s\n", opt.json_path.c_str());
-  }
+  if (!bench::write_report(opt.json_path, w.str())) return 1;
 
   // Termination is part of the contract: a client still in flight after
   // the run window means the lifecycle failed to bound a request.

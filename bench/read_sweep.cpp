@@ -11,16 +11,13 @@
 // --chaos runs a single leased cell with a leader crash + restart mid-run
 // and checks the full oracle suite (amcast properties, exactly-once,
 // store convergence, read linearizability); violations fail the run.
-//
-//   read_sweep [--quick] [--chaos] [--seed <s>] [--json <path>]
-//              (default BENCH_reads.json; --chaos default
-//               BENCH_reads_chaos.json)
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
 #include "faultlab/bank.hpp"
 #include "faultlab/injector.hpp"
 #include "faultlab/linear.hpp"
@@ -171,37 +168,9 @@ CellResult run_cell(double read_ratio, sim::Nanos lease_duration,
     faultlab::check_store_convergence(sys, v);
     for (auto& lv : lin.check(history)) v.push_back(std::move(lv));
     out.violations = v.size();
-    for (const auto& viol : v) {
-      std::fprintf(stderr, "VIOLATION [%s] %s\n", viol.oracle.c_str(),
-                   viol.detail.c_str());
-    }
+    bench::print_violations(v);
   }
   return out;
-}
-
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      opt.quick = true;
-    } else if (a == "--chaos") {
-      opt.chaos = true;
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--chaos] [--seed <s>] [--json <path>]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
-  if (opt.json_path.empty()) {
-    opt.json_path = opt.chaos ? "BENCH_reads_chaos.json" : "BENCH_reads.json";
-  }
-  return opt;
 }
 
 void emit_cell(telemetry::JsonWriter& w, double read_ratio, bool leases,
@@ -236,7 +205,20 @@ void emit_cell(telemetry::JsonWriter& w, double read_ratio, bool leases,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
+  Options opt;
+  bench::Cli()
+      .flag("--quick", opt.quick, "fewer clients and ops per cell (CI smoke)")
+      .flag("--chaos", opt.chaos,
+            "one leased cell under a leader crash + restart, gated by the "
+            "oracle suite")
+      .flag("--seed", opt.seed, "<s>", "fabric/client seed")
+      .flag("--json", opt.json_path, "<path>",
+            "machine-readable report (default BENCH_reads.json; with --chaos "
+            "BENCH_reads_chaos.json)")
+      .parse(argc, argv);
+  if (opt.json_path.empty()) {
+    opt.json_path = opt.chaos ? "BENCH_reads_chaos.json" : "BENCH_reads.json";
+  }
 
   telemetry::JsonWriter w;
   w.begin_object();
@@ -308,15 +290,6 @@ int main(int argc, char** argv) {
   if (!opt.chaos) w.kv("speedup_at_90_reads", speedup);
   w.end_object();
 
-  if (!opt.json_path.empty()) {
-    FILE* f = std::fopen(opt.json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path.c_str());
-      return 2;
-    }
-    std::fputs(w.str().c_str(), f);
-    std::fclose(f);
-    std::printf("report -> %s\n", opt.json_path.c_str());
-  }
+  if (!bench::write_report(opt.json_path, w.str())) return 1;
   return exit_code;
 }

@@ -15,16 +15,13 @@
 // --chaos replaces the sweep with two adversarial cells: a source-rank
 // crash right after PREPARE (recovery through pulls against flipped
 // survivors), and torn copy chunks (CRC-detected, pull-repaired).
-//
-//   reconfig_bench [--quick] [--chaos] [--seed <s>] [--json <path>]
-//                  (default BENCH_reconfig.json; --chaos default
-//                   BENCH_reconfig_chaos.json)
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
 #include "faultlab/injector.hpp"
 #include "faultlab/plan.hpp"
 #include "faultlab/rangekv.hpp"
@@ -228,37 +225,8 @@ CellResult run_cell(const Options& opt, bool migrate, double corrupt_rate,
   faultlab::check_kv_sum(sys, /*rank=*/0, kKeys, /*delta=*/1, out.executed,
                          v);
   out.violations = v.size();
-  for (const auto& viol : v) {
-    std::fprintf(stderr, "VIOLATION [%s] %s\n", viol.oracle.c_str(),
-                 viol.detail.c_str());
-  }
+  bench::print_violations(v);
   return out;
-}
-
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      opt.quick = true;
-    } else if (a == "--chaos") {
-      opt.chaos = true;
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else {
-      std::fprintf(
-          stderr, "usage: %s [--quick] [--chaos] [--seed <s>] [--json <path>]\n",
-          argv[0]);
-      std::exit(2);
-    }
-  }
-  if (opt.json_path.empty()) {
-    opt.json_path =
-        opt.chaos ? "BENCH_reconfig_chaos.json" : "BENCH_reconfig.json";
-  }
-  return opt;
 }
 
 void emit_cell(telemetry::JsonWriter& w, const char* name,
@@ -333,7 +301,21 @@ void print_cell(const char* name, const CellResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
+  Options opt;
+  bench::Cli()
+      .flag("--quick", opt.quick, "fewer clients, shorter run (CI smoke)")
+      .flag("--chaos", opt.chaos,
+            "source-leader crash after PREPARE and torn copy chunks instead "
+            "of the sweep")
+      .flag("--seed", opt.seed, "<s>", "fabric/client seed")
+      .flag("--json", opt.json_path, "<path>",
+            "machine-readable report (default BENCH_reconfig.json; with "
+            "--chaos BENCH_reconfig_chaos.json)")
+      .parse(argc, argv);
+  if (opt.json_path.empty()) {
+    opt.json_path =
+        opt.chaos ? "BENCH_reconfig_chaos.json" : "BENCH_reconfig.json";
+  }
 
   telemetry::JsonWriter w;
   w.begin_object();
@@ -406,15 +388,6 @@ int main(int argc, char** argv) {
   w.end_array();
   w.end_object();
 
-  if (!opt.json_path.empty()) {
-    FILE* f = std::fopen(opt.json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path.c_str());
-      return 2;
-    }
-    std::fputs(w.str().c_str(), f);
-    std::fclose(f);
-    std::printf("report -> %s\n", opt.json_path.c_str());
-  }
+  if (!bench::write_report(opt.json_path, w.str())) return 1;
   return exit_code;
 }

@@ -19,14 +19,14 @@
 // cell, with the next page write torn), then restarted mid-workload. The
 // full oracle suite gates the run: atomic-multicast properties,
 // exactly-once execution, store convergence and session convergence.
-//
-//   recovery_bench [--quick] [--chaos] [--seed <s>] [--json <path>]
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
+#include "common/state_app.hpp"
 #include "faultlab/bank.hpp"
 #include "faultlab/history.hpp"
 #include "harness/report.hpp"
@@ -42,42 +42,6 @@ struct Options {
   bool chaos = false;
   std::uint64_t seed = 11;
   std::string json_path;
-};
-
-/// Synthetic application: `count` non-serialized objects of `size` bytes;
-/// kind 1 rewrites every object (populating the update log).
-class StateApp : public core::Application {
- public:
-  StateApp(std::uint64_t count, std::uint32_t size)
-      : count_(count), size_(size) {}
-
-  [[nodiscard]] core::GroupId partition_of(core::Oid) const override {
-    return 0;
-  }
-  [[nodiscard]] std::vector<core::Oid> read_set(const core::Request&,
-                                                core::GroupId) const override {
-    return {};
-  }
-  core::Reply execute(const core::Request& r,
-                      core::ExecContext& ctx) override {
-    if (r.header.kind == 1 /* touch */) {
-      std::vector<std::byte> value(size_, std::byte{0x5a});
-      for (std::uint64_t i = 0; i < count_; ++i) {
-        ctx.write(i + 1, value);
-      }
-    }
-    return core::Reply{};
-  }
-  void bootstrap(core::GroupId, core::ObjectStore& store) override {
-    std::vector<std::byte> init(size_);
-    for (std::uint64_t i = 0; i < count_; ++i) {
-      store.create(i + 1, init, /*serialized=*/false);
-    }
-  }
-
- private:
-  std::uint64_t count_;
-  std::uint32_t size_;
 };
 
 struct RecoveryResult {
@@ -113,7 +77,10 @@ RecoveryResult run_recovery(const Options& opt, std::uint64_t total_bytes,
   }
   core::System sys(
       fabric, /*partitions=*/1, /*replicas=*/3,
-      [count, size = kObjSize] { return std::make_unique<StateApp>(count, size); },
+      [count, size = kObjSize] {
+        return std::make_unique<bench::StateApp>(count, size,
+                                                 /*serialized=*/false);
+      },
       cfg);
   sys.start();
   auto& client = sys.add_client();
@@ -285,40 +252,22 @@ ChaosResult run_chaos(const Options& opt, bool torn) {
   faultlab::check_store_convergence(sys, v);
   faultlab::check_session_convergence(sys, v);
   out.violations = v.size();
-  for (const auto& viol : v) {
-    std::fprintf(stderr, "VIOLATION [%s] %s\n", viol.oracle.c_str(),
-                 viol.detail.c_str());
-  }
+  bench::print_violations(v);
   out.hung += static_cast<std::uint64_t>(state.remaining);
   return out;
-}
-
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      opt.quick = true;
-    } else if (a == "--chaos") {
-      opt.chaos = true;
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--chaos] [--seed <s>] [--json <path>]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
-  return opt;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
+  Options opt;
+  bench::Cli()
+      .flag("--quick", opt.quick, "smaller states and workloads (CI smoke)")
+      .flag("--chaos", opt.chaos,
+            "crash a replica mid-checkpoint instead of the restart sweep")
+      .flag("--seed", opt.seed, "<s>", "fabric/client seed")
+      .flag("--json", opt.json_path, "<path>", "machine-readable report")
+      .parse(argc, argv);
   harness::ReportWriter report(opt.chaos ? "recovery_bench_chaos"
                                          : "recovery_bench");
   int exit_code = 0;
@@ -339,22 +288,20 @@ int main(int argc, char** argv) {
           r.crashed_mid_checkpoint ? 1 : 0, r.restored_from_checkpoint ? 1 : 0,
           static_cast<unsigned long long>(r.hung), r.violations);
       if (r.violations != 0 || r.hung != 0) exit_code = 1;
-      if (!opt.json_path.empty()) {
-        harness::RunResult row;
-        row.completed = r.ops_done;
-        report.row(names[cell], row, [&](telemetry::JsonWriter& w) {
-          w.kv("retries", r.retries);
-          w.kv("stale_replies", r.stale_replies);
-          w.kv("pages_written", r.pages_written);
-          w.kv("crc_failures", r.crc_failures);
-          w.kv("crashed_mid_checkpoint", r.crashed_mid_checkpoint);
-          w.kv("restored_from_checkpoint", r.restored_from_checkpoint);
-          w.kv("hung", r.hung);
-          w.kv("violations", static_cast<std::uint64_t>(r.violations));
-          w.kv("seed", opt.seed);
-          w.kv("quick", opt.quick);
-        });
-      }
+      harness::RunResult row;
+      row.completed = r.ops_done;
+      report.row(names[cell], row, [&](telemetry::JsonWriter& w) {
+        w.kv("retries", r.retries);
+        w.kv("stale_replies", r.stale_replies);
+        w.kv("pages_written", r.pages_written);
+        w.kv("crc_failures", r.crc_failures);
+        w.kv("crashed_mid_checkpoint", r.crashed_mid_checkpoint);
+        w.kv("restored_from_checkpoint", r.restored_from_checkpoint);
+        w.kv("hung", r.hung);
+        w.kv("violations", static_cast<std::uint64_t>(r.violations));
+        w.kv("seed", opt.seed);
+        w.kv("quick", opt.quick);
+      });
     }
   } else {
     std::printf(
@@ -383,30 +330,26 @@ int main(int argc, char** argv) {
                   base.restart_us, ckpt.restart_us, speedup,
                   ckpt.restored_from_checkpoint ? "" : "  [no checkpoint!]",
                   (base.hung || ckpt.hung) ? "  [HUNG]" : "");
-      if (!opt.json_path.empty()) {
-        auto add_row = [&](const char* arm, const RecoveryResult& r,
-                           double sp) {
-          harness::RunResult row;
-          row.completed = 1;
-          report.row((label + "/" + arm).c_str(), row,
-                     [&](telemetry::JsonWriter& w) {
-                       w.kv("bytes", bytes);
-                       w.kv("restart_us", r.restart_us);
-                       w.kv("restored_from_checkpoint",
-                            r.restored_from_checkpoint);
-                       w.kv("catchup_bytes", r.catchup_bytes);
-                       w.kv("applied_full_bytes", r.applied_full_bytes);
-                       w.kv("applied_delta_bytes", r.applied_delta_bytes);
-                       w.kv("checkpoints", r.checkpoints);
-                       w.kv("speedup", sp);
-                       w.kv("hung", r.hung);
-                       w.kv("seed", opt.seed);
-                       w.kv("quick", opt.quick);
-                     });
-        };
-        add_row("baseline", base, 0.0);
-        add_row("checkpoint", ckpt, speedup);
-      }
+      auto add_row = [&](const char* arm, const RecoveryResult& r,
+                         double sp) {
+        harness::RunResult row;
+        row.completed = 1;
+        report.row(label + "/" + arm, row, [&](telemetry::JsonWriter& w) {
+          w.kv("bytes", bytes);
+          w.kv("restart_us", r.restart_us);
+          w.kv("restored_from_checkpoint", r.restored_from_checkpoint);
+          w.kv("catchup_bytes", r.catchup_bytes);
+          w.kv("applied_full_bytes", r.applied_full_bytes);
+          w.kv("applied_delta_bytes", r.applied_delta_bytes);
+          w.kv("checkpoints", r.checkpoints);
+          w.kv("speedup", sp);
+          w.kv("hung", r.hung);
+          w.kv("seed", opt.seed);
+          w.kv("quick", opt.quick);
+        });
+      };
+      add_row("baseline", base, 0.0);
+      add_row("checkpoint", ckpt, speedup);
     }
     // Acceptance gate: checkpoints must beat a full transfer by >= 5x at
     // the largest swept size (the paper's O(delta) restart claim).
@@ -418,13 +361,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!opt.json_path.empty()) {
-    if (report.finish_to_file(opt.json_path)) {
-      std::printf("report -> %s\n", opt.json_path.c_str());
-    } else {
-      std::fprintf(stderr, "report: cannot write %s\n", opt.json_path.c_str());
-      return 1;
-    }
-  }
+  if (!bench::write_report(opt.json_path, report.finish())) return 1;
   return exit_code;
 }

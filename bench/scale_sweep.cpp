@@ -24,21 +24,19 @@
 // kernel is watched via telemetry::KernelStats, so the report also says
 // how deep the event queue ran, how many events each cell cost and how
 // many of them the simulator ran per wall-second (Mev/s).
-//
-//   scale_sweep [--quick] [--seed <s>] [--clients <n>] [--json <path>]
-//               (default BENCH_scale.json)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
 #include "faultlab/bank.hpp"
 #include "rdma/fabric.hpp"
 #include "sim/random.hpp"
@@ -351,33 +349,18 @@ CellResult run_cell(Arrival arrival, Skew skew, std::uint64_t n_arrivals,
   return out;
 }
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      opt.quick = true;
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--clients" && i + 1 < argc) {
-      opt.clients = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--seed <s>] [--clients <n>] "
-                   "[--json <path>]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
-  return opt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
+  Options opt;
+  bench::Cli()
+      .flag("--quick", opt.quick, "20k logical clients, pool 256 (CI smoke)")
+      .flag("--seed", opt.seed, "<s>", "fabric/arrival seed")
+      .flag("--clients", opt.clients, "<n>",
+            "logical clients in the headline cell; 0 means 10^6, or 20k "
+            "with --quick")
+      .flag("--json", opt.json_path, "<path>", "machine-readable report")
+      .parse(argc, argv);
 
   // Headline cell (poisson x zipfian) takes the full logical-client count;
   // the other cells run a slice so the sweep stays inside a few minutes.
@@ -419,8 +402,15 @@ int main(int argc, char** argv) {
       const std::uint64_t n = is_headline ? headline : slice;
       const CellResult r = run_cell(arrival, skew, n, pool, opt);
       total_clients += r.arrivals;
-      if (!r.accounted) ++total_violations;
-      if (r.hung_workers != 0) ++total_violations;
+      std::vector<faultlab::Violation> v;
+      if (!r.accounted) {
+        v.push_back({"accounting", "served+abandoned+failed != arrivals"});
+      }
+      if (r.hung_workers != 0) {
+        v.push_back({"hung", std::to_string(r.hung_workers) +
+                                 " sessions still in flight"});
+      }
+      total_violations += v.size();
       // Healthy-cell SLO gate: with uniform keys the system runs at ~50%
       // load and must keep nearly every logical client inside the p99
       // target; skewed and bursty cells are the stress arms and only the
@@ -476,14 +466,7 @@ int main(int argc, char** argv) {
           r.wall_secs > 0.0
               ? static_cast<double>(r.sim_events) / r.wall_secs / 1e6
               : 0.0);
-      if (!r.accounted) {
-        std::printf("  VIOLATION [accounting] served+abandoned+failed != "
-                    "arrivals\n");
-      }
-      if (r.hung_workers != 0) {
-        std::printf("  VIOLATION [hung] %llu sessions still in flight\n",
-                    static_cast<unsigned long long>(r.hung_workers));
-      }
+      bench::print_violations(v);
     }
   }
   w.end_array();
@@ -508,16 +491,7 @@ int main(int argc, char** argv) {
   std::printf("\ntotal logical clients: %llu\n",
               static_cast<unsigned long long>(total_clients));
 
-  if (!opt.json_path.empty()) {
-    FILE* f = std::fopen(opt.json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path.c_str());
-      return 2;
-    }
-    std::fputs(w.str().c_str(), f);
-    std::fclose(f);
-    std::printf("report -> %s\n", opt.json_path.c_str());
-  }
+  if (!bench::write_report(opt.json_path, w.str())) return 1;
 
   if (!slo_ok) {
     std::fprintf(stderr, "FAIL: a uniform cell missed the p99 SLO gate\n");

@@ -6,16 +6,11 @@
 // increases with the partition id while the average delay decreases
 // (consequence of the coordination-write order: smallest partition id
 // first, then replica id).
-//
-// Flags:
-//   --json <path>   machine-readable report (one row per configuration,
-//                   with the per-partition delay stats inlined)
-//   --seed <n>      fabric/workload seed (default 99), echoed into the
-//                   report so any run can be reproduced exactly
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/cli.hpp"
+#include "common/report.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 
@@ -28,7 +23,7 @@ struct Options {
   std::uint64_t seed = 99;
 };
 
-void run_config(int partitions, int replicas, harness::ReportWriter* report,
+void run_config(int partitions, int replicas, harness::ReportWriter& report,
                 const Options& opt) {
   tpcc::TpccScale scale{.factor = 0.02, .initial_orders_per_district = 10};
   core::HeronConfig cfg;
@@ -73,47 +68,34 @@ void run_config(int partitions, int replicas, harness::ReportWriter* report,
     stats.push_back({frac, avg_us});
   }
 
-  if (report != nullptr) {
-    report->row("p" + std::to_string(partitions) + "r" +
-                    std::to_string(replicas),
-                result, [&](telemetry::JsonWriter& w) {
-                  w.kv("partitions", partitions);
-                  w.kv("replicas", replicas);
-                  w.kv("seed", opt.seed);
-                  w.key("per_partition").begin_array();
-                  for (const auto& s : stats) {
-                    w.begin_object();
-                    w.kv("delayed_pct", s.delayed_pct);
-                    w.kv("avg_delay_us", s.avg_delay_us);
-                    w.end_object();
-                  }
-                  w.end_array();
-                });
-  }
-}
-
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "usage: %s [--json <path>] [--seed <n>]\n", argv[0]);
-      std::exit(2);
-    }
-  }
-  return opt;
+  report.row("p" + std::to_string(partitions) + "r" + std::to_string(replicas),
+             result, [&](telemetry::JsonWriter& w) {
+               w.kv("partitions", partitions);
+               w.kv("replicas", replicas);
+               w.kv("seed", opt.seed);
+               w.key("per_partition").begin_array();
+               for (const auto& s : stats) {
+                 w.begin_object();
+                 w.kv("delayed_pct", s.delayed_pct);
+                 w.kv("avg_delay_us", s.avg_delay_us);
+                 w.end_object();
+               }
+               w.end_array();
+             });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
+  Options opt;
+  bench::Cli()
+      .flag("--json", opt.json_path, "<path>",
+            "machine-readable report (one row per configuration, with the "
+            "per-partition delay stats inlined)")
+      .flag("--seed", opt.seed, "<n>",
+            "fabric/workload seed, echoed into the report")
+      .parse(argc, argv);
   harness::ReportWriter report("table1_wait_for_all");
-  harness::ReportWriter* rep = opt.json_path.empty() ? nullptr : &report;
 
   std::printf(
       "Table I: transaction delay when waiting for all (vs majority) "
@@ -121,18 +103,10 @@ int main(int argc, char** argv) {
       "paper shape: delayed%% rises with partition id, average delay "
       "falls; worst case 8%% delayed; delays are a fraction of request "
       "latency\n");
-  run_config(2, 3, rep, opt);
-  run_config(2, 5, rep, opt);
-  run_config(4, 3, rep, opt);
-  run_config(4, 5, rep, opt);
+  run_config(2, 3, report, opt);
+  run_config(2, 5, report, opt);
+  run_config(4, 3, report, opt);
+  run_config(4, 5, report, opt);
 
-  if (rep != nullptr) {
-    if (report.finish_to_file(opt.json_path)) {
-      std::printf("report -> %s\n", opt.json_path.c_str());
-    } else {
-      std::fprintf(stderr, "report: cannot write %s\n", opt.json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return bench::write_report(opt.json_path, report.finish()) ? 0 : 1;
 }

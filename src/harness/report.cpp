@@ -1,7 +1,5 @@
 #include "harness/report.hpp"
 
-#include <cstdio>
-
 #include "tpcc/requests.hpp"
 
 namespace heron::harness {
@@ -69,15 +67,6 @@ std::string ReportWriter::finish(const telemetry::MetricsRegistry* metrics) {
     finished_ = true;
   }
   return w_.str() + "\n";
-}
-
-bool ReportWriter::finish_to_file(const std::string& path,
-                                  const telemetry::MetricsRegistry* metrics) {
-  const std::string text = finish(metrics);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace heron::harness

@@ -39,10 +39,6 @@ class ReportWriter {
   /// returns the JSON text.
   std::string finish(const telemetry::MetricsRegistry* metrics = nullptr);
 
-  /// finish() + write to `path`. Returns false on I/O error.
-  bool finish_to_file(const std::string& path,
-                      const telemetry::MetricsRegistry* metrics = nullptr);
-
  private:
   telemetry::JsonWriter w_;
   bool finished_ = false;

@@ -115,4 +115,11 @@ JsonWriter& JsonWriter::value_fixed(double v, int decimals) {
   return *this;
 }
 
+bool write_text_file(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 }  // namespace heron::telemetry

@@ -52,4 +52,9 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
+/// Writes `text` to `path`, checking both the fwrite and the fclose.
+/// Returns false on any I/O error (a full device shows up at fclose).
+[[nodiscard]] bool write_text_file(const std::string& path,
+                                   std::string_view text);
+
 }  // namespace heron::telemetry

@@ -1,7 +1,5 @@
 #include "telemetry/trace.hpp"
 
-#include <cstdio>
-
 namespace heron::telemetry {
 
 void TraceSpan::arg(const char* key, std::uint64_t value) {
@@ -120,11 +118,7 @@ std::string Tracer::chrome_json() const {
 }
 
 bool Tracer::write_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string json = chrome_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  return write_text_file(path, chrome_json());
 }
 
 }  // namespace heron::telemetry
