@@ -8,8 +8,9 @@
 // session dedup at the replicas); --no-retry restores the legacy
 // wait-forever client. The fabric flags select the congestion-capable
 // topology (two-level ToR with per-QP credit windows) instead of the
-// default flat fabric. All knobs are echoed in every cell's repro
-// command so a violating cell replays under identical behaviour.
+// default flat fabric. Every flag that differs from its default is
+// echoed in each cell's repro command, so a violating cell replays under
+// identical behaviour.
 //
 // Exit code is non-zero when any oracle reported a violation.
 #include <cstdio>
@@ -106,35 +107,6 @@ void apply_client_knobs(core::HeronConfig& cfg, const Options& opt) {
   cfg.client_max_retries = opt.retries;
   cfg.client_retry_backoff = sim::us(static_cast<double>(opt.backoff_us));
   cfg.client_deadline = sim::us(static_cast<double>(opt.deadline_us));
-}
-
-/// Client-lifecycle + batching flags for a cell's repro command line.
-std::string retry_flags(const Options& opt) {
-  std::string flags;
-  if (opt.retry) {
-    flags = " --timeout-us " + std::to_string(opt.timeout_us) + " --retries " +
-            std::to_string(opt.retries) + " --backoff-us " +
-            std::to_string(opt.backoff_us) + " --deadline-us " +
-            std::to_string(opt.deadline_us);
-  } else {
-    flags = " --no-retry";
-  }
-  if (opt.max_batch != 1) {
-    flags += " --max-batch " + std::to_string(opt.max_batch);
-    if (opt.batch_timeout_us != 0) {
-      flags += " --batch-timeout-us " + std::to_string(opt.batch_timeout_us);
-    }
-  }
-  if (opt.rack_size != 0) {
-    flags += " --rack-size " + std::to_string(opt.rack_size) + " --oversub " +
-             std::to_string(opt.oversub);
-  }
-  if (opt.credit_window != 0) {
-    flags += " --credit-window " + std::to_string(opt.credit_window);
-  }
-  if (!opt.priority_lanes) flags += " --no-priority-lanes";
-  if (opt.adaptive_admission) flags += " --adaptive-admission";
-  return flags;
 }
 
 struct CellOutcome {
@@ -264,8 +236,8 @@ CellOutcome run_tpcc_cell(Shape shape, const faultlab::FaultPlan& plan,
 
 int main(int argc, char** argv) {
   Options opt;
-  bench::Cli()
-      .flag("--quick", opt.quick, "fewer seeds, shapes and TPC-C cells")
+  bench::Cli cli;
+  cli.flag("--quick", opt.quick, "fewer seeds, shapes and TPC-C cells")
       .flag("--seed", opt.seed, "<s>",
             "run only this seed; 0 sweeps the default seed list")
       .flag("--plan", opt.plan, "<name>", "run only this fault plan")
@@ -345,9 +317,8 @@ int main(int argc, char** argv) {
           }
           w.end_array();
           w.kv("client_retry", opt.retry);
-          w.kv("repro", std::string(argv[0]) + " --seed " +
-                            std::to_string(seed) + " --plan " + named.name +
-                            retry_flags(opt));
+          w.kv("repro", cli.repro(argv[0], {{"--seed", std::to_string(seed)},
+                                            {"--plan", named.name}}));
           w.end_object();
 
           std::printf("%-5s p=%d r=%d seed=%llu plan=%-15s %llu/%llu%s\n",

@@ -40,7 +40,7 @@ std::optional<std::string> parse_number(std::string_view text, T& out) {
 
 Cli& Cli::flag(std::string name, bool& field, std::string help) {
   flags_.push_back(
-      Flag{std::move(name), &field, "", std::move(help), "", !field});
+      Flag{std::move(name), &field, "", std::move(help), "", "", !field});
   return *this;
 }
 
@@ -73,7 +73,7 @@ std::optional<std::string> Cli::apply(std::span<char* const> args,
             if constexpr (std::is_same_v<T, std::string>) {
               *field = text;
             } else if (auto why = parse_number(text, *field)) {
-              return "'" + std::string(text) + "' is " + *why;
+              return std::string("'").append(text).append("' is ").append(*why);
             }
             return std::nullopt;
           }
@@ -116,6 +116,52 @@ std::string Cli::usage(std::string_view program) const {
     text += "\n";
   }
   return text;
+}
+
+std::string Cli::arg_text(Field field) {
+  return std::visit(
+      [](auto* v) -> std::string {
+        using T = std::remove_pointer_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          return "";
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          return *v;
+        } else {
+          char buf[32];
+          const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), *v);
+          return std::string(buf, end);
+        }
+      },
+      field);
+}
+
+std::string Cli::repro(std::string_view argv0,
+                       std::initializer_list<Override> overrides) const {
+  const std::size_t slash = argv0.rfind('/');
+  std::string cmd(slash == std::string_view::npos ? argv0
+                                                  : argv0.substr(slash + 1));
+  for (const Flag& f : flags_) {
+    if (f.name == "--json" || f.name == "--trace") continue;
+    const auto over =
+        std::find_if(overrides.begin(), overrides.end(),
+                     [&](const Override& o) { return o.name == f.name; });
+    std::string value;
+    if (over != overrides.end()) {
+      value = over->value;
+    } else if (auto* sw = std::get_if<bool*>(&f.field)) {
+      if (**sw != f.on) continue;
+    } else {
+      value = arg_text(f.field);
+      if (value == f.initial) continue;
+    }
+    cmd += ' ';
+    cmd += f.name;
+    if (!f.metavar.empty()) {
+      cmd += ' ';
+      cmd += value;
+    }
+  }
+  return cmd;
 }
 
 void Cli::fail(const char* program, const std::string& error) const {

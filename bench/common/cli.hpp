@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
@@ -28,7 +29,8 @@ class Cli {
   Cli& flag(std::string name, T& field, std::string metavar,
             std::string help) {
     flags_.push_back(Flag{std::move(name), &field, std::move(metavar),
-                          std::move(help), default_text(field)});
+                          std::move(help), default_text(field),
+                          arg_text(&field)});
     return *this;
   }
 
@@ -50,6 +52,23 @@ class Cli {
   /// "usage: <program> [--flag <v>] ..." plus one help line per flag.
   [[nodiscard]] std::string usage(std::string_view program) const;
 
+  /// A flag written with a value of the caller's choosing (a sweep cell's
+  /// own seed or plan).
+  struct Override {
+    std::string_view name;
+    std::string value;
+  };
+
+  /// The command line that reruns this configuration: the basename of
+  /// `argv0`, then, in table order, every flag whose value differs from
+  /// its default. --json and --trace are left out: where a run writes is
+  /// not what it does. A flag named in `overrides` is always written,
+  /// with the override's value. Doubles are written in shortest
+  /// round-trip form, so the command reproduces the exact values.
+  [[nodiscard]] std::string repro(
+      std::string_view argv0,
+      std::initializer_list<Override> overrides = {}) const;
+
  private:
   using Field = std::variant<bool*, std::string*, std::uint64_t*,
                              std::uint32_t*, int*, double*>;
@@ -59,6 +78,7 @@ class Cli {
     std::string metavar;  // empty for a switch
     std::string help;
     std::string def;      // default shown in the help line; empty = none
+    std::string initial;  // arg_text() of the default
     bool on = false;      // the value a switch sets
   };
 
@@ -68,6 +88,9 @@ class Cli {
   static std::string default_text(T v) {
     return std::to_string(v);
   }
+
+  /// A field's value as a command-line argument ("" for a switch).
+  static std::string arg_text(Field field);
 
   [[noreturn]] void fail(const char* program, const std::string& error) const;
 

@@ -228,8 +228,8 @@ CellResult run_cell(double oversub, std::uint32_t credits, bool adaptive,
 
 int main(int argc, char** argv) {
   Options opt;
-  bench::Cli()
-      .flag("--quick", opt.quick,
+  bench::Cli cli;
+  cli.flag("--quick", opt.quick,
             "one oversubscription ratio and a shorter storm (CI smoke)")
       .flag("--seed", opt.seed, "<s>", "fabric/client seed")
       .flag("--json", opt.json_path, "<path>", "machine-readable report")
@@ -292,9 +292,7 @@ int main(int argc, char** argv) {
         w.kv("p50_ns", r.p50);
         w.kv("p99_ns", r.p99);
         w.kv("violations", static_cast<std::uint64_t>(r.violations.size()));
-        w.kv("repro", std::string(argv[0]) + " --seed " +
-                          std::to_string(opt.seed) +
-                          (opt.quick ? " --quick" : ""));
+        w.kv("repro", cli.repro(argv[0]));
         w.end_object();
 
         std::printf("%-8.1f %-8u %-9s %8llu %8llu %8llu %8llu %8llu %10.1f "

@@ -99,8 +99,8 @@ CellResult run_cell(int clients, std::uint32_t window, const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  bench::Cli()
-      .flag("--quick", opt.quick, "fewer clients and ops per cell (CI smoke)")
+  bench::Cli cli;
+  cli.flag("--quick", opt.quick, "fewer clients and ops per cell (CI smoke)")
       .flag("--seed", opt.seed, "<s>", "fabric/client seed")
       .flag("--json", opt.json_path, "<path>", "machine-readable report")
       .parse(argc, argv);
@@ -140,9 +140,7 @@ int main(int argc, char** argv) {
       w.kv("hung_clients", r.hung);
       w.kv("p50_ns", r.p50);
       w.kv("p99_ns", r.p99);
-      w.kv("repro", std::string(argv[0]) + " --seed " +
-                        std::to_string(opt.seed) +
-                        (opt.quick ? " --quick" : ""));
+      w.kv("repro", cli.repro(argv[0]));
       w.end_object();
 
       std::printf("%-8d %-8u %8llu %8llu %8llu %8llu %8llu %10.1f %10.1f%s\n",

@@ -174,7 +174,7 @@ CellResult run_cell(double read_ratio, sim::Nanos lease_duration,
 }
 
 void emit_cell(telemetry::JsonWriter& w, double read_ratio, bool leases,
-               const CellResult& r, const Options& opt, char* argv0,
+               const CellResult& r, const std::string& repro,
                const std::string& plan_text) {
   w.begin_object();
   w.kv("read_ratio", read_ratio);
@@ -196,9 +196,7 @@ void emit_cell(telemetry::JsonWriter& w, double read_ratio, bool leases,
     w.kv("plan", plan_text);
     w.kv("violations", static_cast<std::uint64_t>(r.violations));
   }
-  w.kv("repro", std::string(argv0) + " --seed " + std::to_string(opt.seed) +
-                    (opt.quick ? " --quick" : "") +
-                    (opt.chaos ? " --chaos" : ""));
+  w.kv("repro", repro);
   w.end_object();
 }
 
@@ -206,8 +204,8 @@ void emit_cell(telemetry::JsonWriter& w, double read_ratio, bool leases,
 
 int main(int argc, char** argv) {
   Options opt;
-  bench::Cli()
-      .flag("--quick", opt.quick, "fewer clients and ops per cell (CI smoke)")
+  bench::Cli cli;
+  cli.flag("--quick", opt.quick, "fewer clients and ops per cell (CI smoke)")
       .flag("--chaos", opt.chaos,
             "one leased cell under a leader crash + restart, gated by the "
             "oracle suite")
@@ -216,6 +214,7 @@ int main(int argc, char** argv) {
             "machine-readable report (default BENCH_reads.json; with --chaos "
             "BENCH_reads_chaos.json)")
       .parse(argc, argv);
+  const std::string repro = cli.repro(argv[0]);
   if (opt.json_path.empty()) {
     opt.json_path = opt.chaos ? "BENCH_reads_chaos.json" : "BENCH_reads.json";
   }
@@ -239,7 +238,7 @@ int main(int argc, char** argv) {
     std::printf("Read chaos smoke: 2x3 bank, 90%% reads, leases on, %s\n\n",
                 plan.c_str());
     const CellResult r = run_cell(0.9, sim::ms(1), opt, plan);
-    emit_cell(w, 0.9, true, r, opt, argv[0], plan);
+    emit_cell(w, 0.9, true, r, repro, plan);
     std::printf(
         "ops=%llu fast=%llu fallback=%llu timeouts=%llu violations=%zu%s\n",
         static_cast<unsigned long long>(r.ops_done),
@@ -263,7 +262,7 @@ int main(int argc, char** argv) {
             run_cell(ratio, leases ? sim::ms(1) : sim::Nanos{0}, opt);
         total_hung += r.hung;
         if (ratio == 0.9) (leases ? leased_90 : ordered_90) = r.ops_per_sec;
-        emit_cell(w, ratio, leases, r, opt, argv[0], "");
+        emit_cell(w, ratio, leases, r, repro, "");
         std::printf("%-8.2f %-8s %10llu %12.0f %8llu %8llu %9.1fus %11.1fus%s\n",
                     ratio, leases ? "on" : "off",
                     static_cast<unsigned long long>(r.ops_done), r.ops_per_sec,

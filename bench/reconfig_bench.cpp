@@ -230,7 +230,7 @@ CellResult run_cell(const Options& opt, bool migrate, double corrupt_rate,
 }
 
 void emit_cell(telemetry::JsonWriter& w, const char* name,
-               const CellResult& r, const Options& opt, char* argv0,
+               const CellResult& r, const std::string& repro,
                const std::string& plan_text) {
   w.begin_object();
   w.kv("cell", name);
@@ -261,9 +261,7 @@ void emit_cell(telemetry::JsonWriter& w, const char* name,
   w.key("windows").begin_array();
   for (const auto win : r.windows) w.value(win);
   w.end_array();
-  w.kv("repro", std::string(argv0) + " --seed " + std::to_string(opt.seed) +
-                    (opt.quick ? " --quick" : "") +
-                    (opt.chaos ? " --chaos" : ""));
+  w.kv("repro", repro);
   w.end_object();
 }
 
@@ -302,8 +300,8 @@ void print_cell(const char* name, const CellResult& r) {
 
 int main(int argc, char** argv) {
   Options opt;
-  bench::Cli()
-      .flag("--quick", opt.quick, "fewer clients, shorter run (CI smoke)")
+  bench::Cli cli;
+  cli.flag("--quick", opt.quick, "fewer clients, shorter run (CI smoke)")
       .flag("--chaos", opt.chaos,
             "source-leader crash after PREPARE and torn copy chunks instead "
             "of the sweep")
@@ -312,6 +310,7 @@ int main(int argc, char** argv) {
             "machine-readable report (default BENCH_reconfig.json; with "
             "--chaos BENCH_reconfig_chaos.json)")
       .parse(argc, argv);
+  const std::string repro = cli.repro(argv[0]);
   if (opt.json_path.empty()) {
     opt.json_path =
         opt.chaos ? "BENCH_reconfig_chaos.json" : "BENCH_reconfig.json";
@@ -339,14 +338,14 @@ int main(int argc, char** argv) {
         "us";
     const CellResult a = run_cell(opt, true, 0.0, crash_plan);
     print_cell("leader-crash", a);
-    emit_cell(w, "leader_crash_mid_migration", a, opt, argv[0], crash_plan);
+    emit_cell(w, "leader_crash_mid_migration", a, repro, crash_plan);
     exit_code |= gate(a, "leader_crash_mid_migration");
 
     // Torn copy chunks: CRC must catch every corruption and the dest
     // pull path must still seal the move.
     const CellResult b = run_cell(opt, true, 0.5, "");
     print_cell("torn-chunks", b);
-    emit_cell(w, "torn_copy_chunks", b, opt, argv[0], "");
+    emit_cell(w, "torn_copy_chunks", b, repro, "");
     exit_code |= gate(b, "torn_copy_chunks");
     if (b.chunks_corrupt == 0) {
       std::fprintf(stderr, "FAIL(torn_copy_chunks): nothing was corrupted\n");
@@ -356,12 +355,12 @@ int main(int argc, char** argv) {
     std::printf("Reconfig bench: 2x3 RangeKv, move [0,16) g0 -> g1 mid-run\n\n");
     const CellResult base = run_cell(opt, false, 0.0, "");
     print_cell("baseline", base);
-    emit_cell(w, "baseline", base, opt, argv[0], "");
+    emit_cell(w, "baseline", base, repro, "");
     exit_code |= gate(base, "baseline");
 
     const CellResult split = run_cell(opt, true, 0.0, "");
     print_cell("split", split);
-    emit_cell(w, "split_under_load", split, opt, argv[0], "");
+    emit_cell(w, "split_under_load", split, repro, "");
     exit_code |= gate(split, "split_under_load");
     if (split.seal_ok) {
       std::printf(

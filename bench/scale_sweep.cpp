@@ -353,8 +353,8 @@ CellResult run_cell(Arrival arrival, Skew skew, std::uint64_t n_arrivals,
 
 int main(int argc, char** argv) {
   Options opt;
-  bench::Cli()
-      .flag("--quick", opt.quick, "20k logical clients, pool 256 (CI smoke)")
+  bench::Cli cli;
+  cli.flag("--quick", opt.quick, "20k logical clients, pool 256 (CI smoke)")
       .flag("--seed", opt.seed, "<s>", "fabric/arrival seed")
       .flag("--clients", opt.clients, "<n>",
             "logical clients in the headline cell; 0 means 10^6, or 20k "
@@ -443,12 +443,7 @@ int main(int argc, char** argv) {
       w.kv("queue_depth_mean", r.queue_depth_mean);
       w.kv("queue_depth_max", r.queue_depth_max);
       w.kv("accounted", r.accounted);
-      w.kv("repro", std::string(argv[0]) + " --seed " +
-                        std::to_string(opt.seed) +
-                        (opt.quick ? " --quick" : "") +
-                        (opt.clients != 0
-                             ? " --clients " + std::to_string(opt.clients)
-                             : ""));
+      w.kv("repro", cli.repro(argv[0]));
       w.end_object();
 
       std::printf(

@@ -68,7 +68,10 @@ void run_config(int partitions, int replicas, harness::ReportWriter& report,
     stats.push_back({frac, avg_us});
   }
 
-  report.row("p" + std::to_string(partitions) + "r" + std::to_string(replicas),
+  report.row(std::string("p")
+                 .append(std::to_string(partitions))
+                 .append("r")
+                 .append(std::to_string(replicas)),
              result, [&](telemetry::JsonWriter& w) {
                w.kv("partitions", partitions);
                w.kv("replicas", replicas);

@@ -216,7 +216,7 @@ CellResult run_cell(double write_ratio, bool fast_writes, const Options& opt,
 }
 
 void emit_cell(telemetry::JsonWriter& w, double write_ratio, bool fast,
-               const CellResult& r, const Options& opt, char* argv0,
+               const CellResult& r, const std::string& repro,
                const std::string& plan_text) {
   w.begin_object();
   w.kv("write_ratio", write_ratio);
@@ -238,9 +238,7 @@ void emit_cell(telemetry::JsonWriter& w, double write_ratio, bool fast,
     w.kv("plan", plan_text);
     w.kv("violations", static_cast<std::uint64_t>(r.violations));
   }
-  w.kv("repro", std::string(argv0) + " --seed " + std::to_string(opt.seed) +
-                    (opt.quick ? " --quick" : "") +
-                    (opt.chaos ? " --chaos" : ""));
+  w.kv("repro", repro);
   w.end_object();
 }
 
@@ -248,8 +246,8 @@ void emit_cell(telemetry::JsonWriter& w, double write_ratio, bool fast,
 
 int main(int argc, char** argv) {
   Options opt;
-  bench::Cli()
-      .flag("--quick", opt.quick, "fewer clients and ops per cell (CI smoke)")
+  bench::Cli cli;
+  cli.flag("--quick", opt.quick, "fewer clients and ops per cell (CI smoke)")
       .flag("--chaos", opt.chaos,
             "one fast-write cell under a leader crash + restart, gated by "
             "the oracle suite")
@@ -258,6 +256,7 @@ int main(int argc, char** argv) {
             "machine-readable report (default BENCH_writes.json; with --chaos "
             "BENCH_writes_chaos.json)")
       .parse(argc, argv);
+  const std::string repro = cli.repro(argv[0]);
   if (opt.json_path.empty()) {
     opt.json_path = opt.chaos ? "BENCH_writes_chaos.json" : "BENCH_writes.json";
   }
@@ -281,7 +280,7 @@ int main(int argc, char** argv) {
     std::printf("Write chaos smoke: 2x3 bank, 60%% writes, fast on, %s\n\n",
                 plan.c_str());
     const CellResult r = run_cell(0.6, true, opt, plan);
-    emit_cell(w, 0.6, true, r, opt, argv[0], plan);
+    emit_cell(w, 0.6, true, r, repro, plan);
     std::printf(
         "ops=%llu fw_commits=%llu fallback=%llu timeouts=%llu odd_locks=%llu "
         "violations=%zu%s\n",
@@ -319,7 +318,7 @@ int main(int argc, char** argv) {
         } else {
           ordered_tput = r.ops_per_sec;
         }
-        emit_cell(w, ratio, fast, r, opt, argv[0], "");
+        emit_cell(w, ratio, fast, r, repro, "");
         std::printf(
             "%-8.2f %-6s %10llu %12.0f %10llu %8llu %9.1fus %11.1fus%s\n",
             ratio, fast ? "on" : "off",

@@ -47,8 +47,10 @@ Endpoint::Endpoint(System& system, GroupId group, int rank, rdma::Node& node)
       system.fabric().simulator());
 
   hub_ = &system.fabric().telemetry();
-  const std::string label =
-      "g" + std::to_string(group) + ".r" + std::to_string(rank);
+  const std::string label = std::string("g")
+                                .append(std::to_string(group))
+                                .append(".r")
+                                .append(std::to_string(rank));
   hub_->tracer.set_tid_name(node.id(), label);
   ctr_proposes_ = &hub_->metrics.counter("amcast", "proposes", label);
   ctr_commits_ = &hub_->metrics.counter("amcast", "commits", label);
@@ -379,6 +381,15 @@ sim::Task<void> Endpoint::batch_loop() {
   }
 }
 
+// Adaptive admission thresholds. The leader tightens when its rack uplink
+// holds more than kBackpressureQueueThreshold of queued transfer, or its
+// node accrued at least kBackpressureStallThreshold credit stalls since the
+// previous batch sample; it re-widens after kAdmissionRecoverSamples
+// consecutive clean samples.
+constexpr sim::Nanos kBackpressureQueueThreshold = sim::us(30);
+constexpr std::uint64_t kBackpressureStallThreshold = 4;
+constexpr std::uint32_t kAdmissionRecoverSamples = 8;
+
 std::uint32_t Endpoint::sample_admission_window() {
   const Config& cfg = system_->config();
   if (cfg.admission_window == 0) return 0;
@@ -390,8 +401,8 @@ std::uint32_t Endpoint::sample_admission_window() {
   const std::uint64_t stall_delta = stalls - admission_last_stalls_;
   admission_last_stalls_ = stalls;
 
-  const bool congested = queue > cfg.backpressure_queue_threshold ||
-                         stall_delta >= cfg.backpressure_stall_threshold;
+  const bool congested = queue > kBackpressureQueueThreshold ||
+                         stall_delta >= kBackpressureStallThreshold;
   const std::uint32_t floor_window =
       std::min(std::max(cfg.admission_min_window, 1u), cfg.admission_window);
   if (congested) {
@@ -408,7 +419,7 @@ std::uint32_t Endpoint::sample_admission_window() {
     effective_window_ = tightened;
     admission_clean_streak_ = 0;
   } else if (effective_window_ < cfg.admission_window &&
-             ++admission_clean_streak_ >= cfg.admission_recover_samples) {
+             ++admission_clean_streak_ >= kAdmissionRecoverSamples) {
     // Multiplicative recovery after a hysteresis delay: grow ~1.5x per
     // clean streak so a recovering leader re-opens in a few batches
     // without flapping on the first calm sample.
@@ -795,34 +806,6 @@ sim::Task<std::vector<Delivery>> Endpoint::next_deliveries() {
   co_return out;
 }
 
-void Endpoint::debug_dump() const {
-  std::fprintf(stderr,
-               "[amcast g%d r%d] leader=%d epoch=%llu clock=%llu applied=%llu "
-               "appended=%llu delivered=%llu seen=%zu pending=%zu\n",
-               group_, rank_, leader_, (unsigned long long)epoch_,
-               (unsigned long long)clock_, (unsigned long long)applied_seq_,
-               (unsigned long long)append_seq_,
-               (unsigned long long)delivered_count_, seen_.size(),
-               pending_.size());
-  for (const auto& [uid, p] : pending_) {
-    std::fprintf(stderr,
-                 "  uid=%llu dst=%llx has_msg=%d proposed=%d clock=%llu "
-                 "acked=%d sent=%d committed=%d final=%llu nprops=%zu\n",
-                 (unsigned long long)uid, (unsigned long long)p.msg.dst,
-                 p.has_msg, p.proposed_locally,
-                 (unsigned long long)p.local_clock, p.propose_acked,
-                 p.proposals_sent, p.committed,
-                 (unsigned long long)p.final_ts, p.proposals.size());
-  }
-}
-
-std::optional<Delivery> Endpoint::try_next_delivery() {
-  if (ready_.empty()) return std::nullopt;
-  Delivery d = ready_.front();
-  ready_.pop_front();
-  return d;
-}
-
 // ---------------------------------------------------------------------
 // Failover: heartbeat monitoring, epoch-based takeover.
 // ---------------------------------------------------------------------
@@ -856,15 +839,19 @@ sim::Task<void> Endpoint::control_loop() {
   }
 }
 
+// Failure detector: a follower reads the leader's heartbeat word every
+// kHeartbeatInterval and suspects it after kHeartbeatMisses unchanged reads.
+constexpr sim::Nanos kHeartbeatInterval = sim::us(50);
+constexpr int kHeartbeatMisses = 4;
+
 sim::Task<void> Endpoint::heartbeat_loop() {
   const std::uint64_t inc = incarnation_;
-  const Config& cfg = system_->config();
   auto& fabric = system_->fabric();
   std::uint64_t last_seen = 0;
   int misses = 0;
 
   while (true) {
-    co_await fabric.simulator().sleep(cfg.heartbeat_interval);
+    co_await fabric.simulator().sleep(kHeartbeatInterval);
     if (stale(inc)) co_return;
     ++hb_value_;
     rdma::store_pod(node_->region(hb_mr_).bytes(), 0, hb_value_);
@@ -886,7 +873,7 @@ sim::Task<void> Endpoint::heartbeat_loop() {
     if (!completion.ok()) {
       suspect = true;  // QP error: the paper's RDMA exception path
     } else if (hb == last_seen) {
-      if (++misses >= cfg.heartbeat_misses) suspect = true;
+      if (++misses >= kHeartbeatMisses) suspect = true;
     } else {
       last_seen = hb;
       misses = 0;
@@ -925,7 +912,7 @@ sim::Task<void> Endpoint::heartbeat_loop() {
       leader_ = first_alive;
       // Grace period: the new leader's takeover may pause its proposal
       // flow for a while; don't re-suspect it immediately.
-      misses = -4 * cfg.heartbeat_misses;
+      misses = -4 * kHeartbeatMisses;
     }
   }
 }

@@ -15,7 +15,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -84,9 +83,6 @@ class Endpoint {
   [[nodiscard]] std::uint64_t clock() const { return clock_; }
   [[nodiscard]] std::uint64_t delivered_count() const { return delivered_count_; }
 
-  /// True once at least one delivery is queued for the application.
-  [[nodiscard]] bool has_delivery() const { return !ready_.empty(); }
-
   /// Awaits and returns the next delivered message, in delivery order.
   sim::Task<Delivery> next_delivery();
 
@@ -97,9 +93,6 @@ class Endpoint {
   /// to a waiter parked across a crash+restart (the stale sentinel).
   sim::Task<std::vector<Delivery>> next_deliveries();
 
-  /// Non-blocking variant used by pollers.
-  std::optional<Delivery> try_next_delivery();
-
   /// Observer invoked at the instant a message is delivered (before the
   /// application dequeues it). Used by heron::faultlab's history recorder;
   /// must not re-enter the endpoint.
@@ -107,9 +100,6 @@ class Endpoint {
   void set_delivery_observer(DeliveryObserver obs) {
     delivery_observer_ = std::move(obs);
   }
-
-  /// Prints protocol state to stderr (debugging aid for tests).
-  void debug_dump() const;
 
   /// Depth of the leader's propose queue (ordered-but-unproposed uids);
   /// the checkpoint writer uses it as a foreground-load signal.

@@ -222,8 +222,6 @@ struct Config {
   sim::Nanos deliver_proc = sim::us(2.0);   // hand-off to the application
   sim::Nanos client_proc = sim::us(3.0);    // marshal + post on the client
 
-  sim::Nanos heartbeat_interval = sim::us(50);
-  int heartbeat_misses = 4;  // suspicion threshold
   bool enable_failover = true;
 
   /// Admission window: if > 0, a leader whose pending + ready backlog has
@@ -242,19 +240,12 @@ struct Config {
   /// and halves its effective window (down to admission_min_window) while
   /// either crosses its threshold. Overload then produces early BUSY
   /// shedding instead of tail-latency collapse. Recovery is hysteretic:
-  /// only after admission_recover_samples consecutive clean samples does
-  /// the window grow again (multiplicatively, capped at
-  /// admission_window), so a flapping uplink cannot oscillate the window
-  /// every batch.
+  /// only after a run of consecutive clean samples does the window grow
+  /// again (multiplicatively, capped at admission_window), so a flapping
+  /// uplink cannot oscillate the window every batch. The thresholds and
+  /// the run length are fixed next to Endpoint::sample_admission_window.
   bool adaptive_admission = false;
   std::uint32_t admission_min_window = 2;
-  /// Uplink queue depth (ns of queued transfer on the leader's rack
-  /// uplink) above which the leader tightens.
-  sim::Nanos backpressure_queue_threshold = sim::us(30);
-  /// Credit stalls accrued by the leader's node since the previous batch
-  /// sample at or above which the leader tightens.
-  std::uint64_t backpressure_stall_threshold = 4;
-  std::uint32_t admission_recover_samples = 8;
 
   /// Leader-side batching: the leader drains its propose queue and
   /// coalesces up to `max_batch` messages into one PROPOSE span, one

@@ -186,7 +186,10 @@ Replica::Replica(System& system, GroupId group, int rank)
   addra_next_.assign(stripes, 0);
 
   hub_ = &system.fabric().telemetry();
-  label_ = "g" + std::to_string(group) + ".r" + std::to_string(rank);
+  label_ = std::string("g")
+               .append(std::to_string(group))
+               .append(".r")
+               .append(std::to_string(rank));
   const std::string& label = label_;
   StateStream::Costs costs{cfg.memcpy_ns_per_byte,
                            cfg.serialize_ns_per_byte};
@@ -680,7 +683,7 @@ sim::Task<void> Replica::handle_request(Request r) {
 
   // Phase 2 (lines 8-10).
   const sim::Nanos c0 = system_->simulator().now();
-  co_await coordinate(r, 1, cfg.extra_delay_in_phase2);
+  co_await coordinate(r, 1);
   if (stale(inc)) co_return;
   const sim::Nanos phase2 = system_->simulator().now() - c0;
 
@@ -706,7 +709,7 @@ sim::Task<void> Replica::handle_request(Request r) {
 
   // Phase 4 (lines 14-16); carries the wait-for-all statistics.
   const sim::Nanos c1 = system_->simulator().now();
-  co_await coordinate(r, 2, /*collect_stats=*/true);
+  co_await coordinate(r, 2);
   if (stale(inc)) co_return;
   const sim::Nanos coord_ns = phase2 + (system_->simulator().now() - c1);
   coord_lat_.record(coord_ns);
@@ -766,8 +769,7 @@ bool Replica::coord_satisfied(const Request& r, std::uint32_t phase,
   return true;
 }
 
-sim::Task<void> Replica::coordinate(const Request& r, std::uint32_t phase,
-                                    bool collect_stats) {
+sim::Task<void> Replica::coordinate(const Request& r, std::uint32_t phase) {
   const std::uint64_t inc = incarnation_;
   const HeronConfig& cfg = system_->config();
   auto span = hub_->tracer.span("core", "coordinate", node().id());
@@ -783,10 +785,10 @@ sim::Task<void> Replica::coordinate(const Request& r, std::uint32_t phase,
   });
   if (stale(inc)) co_return;
 
-  if (!collect_stats) co_return;
-
-  // Wait-for-all heuristic (§III-A last paragraph; Table I): after the
-  // majority is in, tentatively wait for all replicas up to the cutoff.
+  // Wait-for-all heuristic (§III-A last paragraph; Table I), in Phase 4
+  // (coordination phase 2) only: after the majority is in, tentatively
+  // wait for all replicas up to the cutoff.
+  if (phase != 2) co_return;
   if (coord_satisfied(r, phase, /*require_all=*/true)) co_return;
   count(kCoordDelayed);
   if (cfg.coord_extra_delay <= 0) {
@@ -1168,7 +1170,7 @@ sim::Task<void> Replica::fence_slot(Oid oid) {
     if (lease_expiry_ <= now) {
       // The lease (including any renewal) has run out and the slot is
       // still pending: the writer never posted its VALIDATE — clients
-      // only validate while more than fast_write_val_margin of lease
+      // only validate while more than kFastWriteValMargin of lease
       // remains, and the margin dwarfs the fabric's delivery latency, so
       // a posted VALIDATE would have landed by now. Every replica reaches
       // this same verdict at its own expiry; discard restores the
@@ -1564,9 +1566,30 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
   outbound_active_ = false;  // outbound_/outbound_epoch_ kept for pulls
 }
 
+// Foreground throttle of the two background writers, checkpoint_loop and
+// the migration copier: the replica is busy while its ordering propose
+// queue holds more than kBusyProposeBacklog uids or its CPU has more than
+// kBusyCpuBacklog of queued work. A deferred writer re-checks after
+// kBusyBackoff.
+constexpr std::size_t kBusyProposeBacklog = 16;
+constexpr sim::Nanos kBusyCpuBacklog = sim::us(50);
+constexpr sim::Nanos kBusyBackoff = sim::us(200);
+
+bool Replica::foreground_busy() {
+  return system_->amcast().endpoint(group_, rank_).propose_backlog() >
+             kBusyProposeBacklog ||
+         node().cpu().free_at() >
+             system_->simulator().now() + kBusyCpuBacklog;
+}
+
+// Copy-machine pacing: sleep between delta passes, and the dirty-set size
+// at or below which the source reports caught-up (the controller may then
+// order the FLIP marker).
+constexpr sim::Nanos kDeltaPassInterval = sim::us(100);
+constexpr std::size_t kSealDirtyThreshold = 64;
+
 sim::Task<void> Replica::copy_machine(std::uint64_t mig_epoch) {
   const std::uint64_t inc = incarnation_;
-  const reconfig::ReconfigConfig& rcfg = system_->config().reconfig;
   auto& sim = system_->simulator();
   const reconfig::Migration mig = outbound_;
   int pass = 0;
@@ -1611,36 +1634,29 @@ sim::Task<void> Replica::copy_machine(std::uint64_t mig_epoch) {
     for (const Oid oid : oids) pass_pending_.erase(oid);
     ++pass;
     copy_caught_up_ = migration_dirty_.size() + pass_pending_.size() <=
-                      rcfg.seal_dirty_threshold;
-    co_await sim.sleep(rcfg.delta_pass_interval);
+                      kSealDirtyThreshold;
+    co_await sim.sleep(kDeltaPassInterval);
   }
 }
 
 sim::Task<void> Replica::copy_send(durable::RecordBuffer records,
                                    std::uint64_t mig_epoch, GroupId dest_group,
                                    int dest_rank, bool seal, bool throttle) {
-  const reconfig::ReconfigConfig& rcfg = system_->config().reconfig;
+  // Fabric half of the copy throttle: copy chunks yield a rack uplink
+  // holding more than this much queued transfer (and its credits) to
+  // foreground traffic. A flat fabric never exceeds it.
+  constexpr sim::Nanos kCopyUplinkBacklog = sim::us(50);
   Replica& dest = system_->replica(dest_group, dest_rank);
   StateStream::SendOptions opts;
   opts.seal = seal;
   if (throttle) {
-    // Same backpressure discipline as the checkpoint writer — defer while
-    // the ordering propose queue is deep or the replica CPU has a backlog
-    // of queued foreground work — plus the fabric signal: copy chunks
-    // yield the congested rack uplink (and its credits) to foreground
-    // traffic.
-    opts.defer = [this, &rcfg]() -> sim::Nanos {
-      auto& fabric = system_->fabric();
-      const bool busy =
-          system_->amcast().endpoint(group_, rank_).propose_backlog() >
-              rcfg.throttle_queue_depth ||
-          node().cpu().free_at() >
-              system_->simulator().now() + rcfg.throttle_cpu_backlog ||
-          (rcfg.throttle_uplink_backlog > 0 &&
-           fabric.uplink_backlog(node().id()) > rcfg.throttle_uplink_backlog);
+    opts.defer = [this]() -> sim::Nanos {
+      const bool busy = foreground_busy() ||
+                        system_->fabric().uplink_backlog(node().id()) >
+                            kCopyUplinkBacklog;
       if (!busy) return 0;
       count(kCopyDeferred);
-      return rcfg.throttle_backoff;
+      return kBusyBackoff;
     };
   }
   // A send abandoned because the dest is down is tolerated: the dest
@@ -1649,18 +1665,21 @@ sim::Task<void> Replica::copy_send(durable::RecordBuffer records,
                        std::move(records), std::move(opts));
 }
 
+// A destination with no inbound copy progress for this long pulls a full
+// resend from the next source rank.
+constexpr sim::Nanos kPullTimeout = sim::ms(2);
+
 sim::Task<void> Replica::inbound_watch_loop(std::uint64_t mig_epoch) {
   const std::uint64_t inc = incarnation_;
-  const reconfig::ReconfigConfig& rcfg = system_->config().reconfig;
   auto& sim = system_->simulator();
   const int reps = system_->replicas_per_partition();
   while (true) {
-    co_await sim.sleep(rcfg.pull_timeout / 2);
+    co_await sim.sleep(kPullTimeout / 2);
     if (stale(inc)) co_return;
     if (inbound_epoch_ != mig_epoch) co_return;    // superseded migration
     if (copy_->sealed() >= mig_epoch) co_return;   // sealed: done
     if (sim.now() - std::max(inbound_progress_at_, copy_->progress_at()) <=
-        rcfg.pull_timeout) {
+        kPullTimeout) {
       continue;
     }
     // Starved: ask the next source rank (pair rank first, then
@@ -2102,16 +2121,12 @@ sim::Task<void> Replica::checkpoint_loop() {
   const std::uint64_t inc = incarnation_;
   const durable::DurableConfig& dcfg = system_->config().durable;
   auto& sim = system_->simulator();
-  auto& ep = system_->amcast().endpoint(group_, rank_);
   while (true) {
     co_await sim.sleep(dcfg.checkpoint_interval);
     if (stale(inc)) co_return;
-    // Throttle: defer while the foreground is hot — the ordering propose
-    // queue is deep, or the replica CPU has a backlog of queued work.
-    while (ep.propose_backlog() > dcfg.throttle_queue_depth ||
-           node().cpu().free_at() > sim.now() + dcfg.throttle_cpu_backlog) {
+    while (foreground_busy()) {
       count(kCheckpointsDeferred);
-      co_await sim.sleep(dcfg.throttle_backoff);
+      co_await sim.sleep(kBusyBackoff);
       if (stale(inc)) co_return;
     }
     co_await write_checkpoint_once(inc);
@@ -2235,15 +2250,15 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
   }
 
   // Reply page-out: cached payloads now persisted in the chain can be
-  // dropped from memory; a late retry pages them back in.
-  if (dcfg.page_out_replies) {
-    for (auto& [client, s] : sessions_) {
-      if (s.last_tmp <= w && !s.reply_paged_out &&
-          !s.cached_reply.payload.empty()) {
-        s.cached_reply.payload.clear();
-        s.cached_reply.payload.shrink_to_fit();
-        s.reply_paged_out = true;
-      }
+  // dropped from memory; a late retry pages them back in. This bounds
+  // reply-cache memory at the cost of a device read on a (rare) late
+  // retry.
+  for (auto& [client, s] : sessions_) {
+    if (s.last_tmp <= w && !s.reply_paged_out &&
+        !s.cached_reply.payload.empty()) {
+      s.cached_reply.payload.clear();
+      s.cached_reply.payload.shrink_to_fit();
+      s.reply_paged_out = true;
     }
   }
 }

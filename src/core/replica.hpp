@@ -161,9 +161,8 @@ class Replica {
   [[nodiscard]] std::uint64_t xfer_applied_delta_bytes() const {
     return xfer_->stat(StateStream::kAppliedDeltaBytes);
   }
-  /// The Algorithm 3 and migration copy streams (statistics, tests).
+  /// The Algorithm 3 stream (statistics, tests).
   [[nodiscard]] const StateStream& xfer_stream() const { return *xfer_; }
-  [[nodiscard]] const StateStream& copy_stream() const { return *copy_; }
   /// Null when the durable subsystem is disabled.
   [[nodiscard]] durable::CheckpointStore* durable_store() {
     return ckpt_.get();
@@ -212,9 +211,6 @@ class Replica {
   [[nodiscard]] std::uint64_t gate_waits() const { return stat(kGateWaits); }
 
   // Fast-write state (tests / diagnostics).
-  /// A fast-write-armed lease grant (kWireFlagFastWrite) has been applied
-  /// since the last restart.
-  [[nodiscard]] bool fast_write_armed() const { return fast_write_armed_; }
   /// Ordered writes that wiped fast-write residue off a slot.
   [[nodiscard]] std::uint64_t fast_repairs() const {
     return stat(kFastRepairs);
@@ -235,11 +231,9 @@ class Replica {
   [[nodiscard]] const reconfig::Layout& layout() const { return layout_; }
   [[nodiscard]] rdma::MrId reconfig_mr() const { return reconfig_mr_; }
   /// Source role: the background copier has drained the range down to the
-  /// seal_dirty_threshold — the controller may order the FLIP marker.
+  /// seal threshold (kSealDirtyThreshold) — the controller may order the
+  /// FLIP marker.
   [[nodiscard]] bool copy_caught_up() const { return copy_caught_up_; }
-  /// Source role: FLIP processed; the range has been handed off and this
-  /// replica only serves idempotent pull resends from its final image.
-  [[nodiscard]] bool outbound_flipped() const { return outbound_flipped_; }
   /// Destination role: no unsealed inbound copy stream (either none was
   /// ever inbound, or the SEAL for the current migration epoch landed).
   [[nodiscard]] bool inbound_sealed() const {
@@ -295,8 +289,7 @@ class Replica {
   sim::Task<void> exec_concurrent(Request r, int slot,
                                   std::vector<Oid> keys);
   [[nodiscard]] bool keys_free(const std::vector<Oid>& keys) const;
-  sim::Task<void> coordinate(const Request& r, std::uint32_t phase,
-                             bool collect_stats);
+  sim::Task<void> coordinate(const Request& r, std::uint32_t phase);
   void write_coord(const Request& r, std::uint32_t phase);
   [[nodiscard]] bool coord_satisfied(const Request& r, std::uint32_t phase,
                                      bool require_all) const;
@@ -357,7 +350,7 @@ class Replica {
   /// whose slot carries a pending INVALIDATE, wait for the writer's
   /// VALIDATE (a one-sided write into the object region), bounded by the
   /// lease expiry; a still-pending slot at expiry is discarded. The
-  /// validate-margin rule (HeronConfig::fast_write_val_margin) makes the
+  /// validate-margin rule (kFastWriteValMargin, system.cpp) makes the
   /// outcome identical at every replica.
   sim::Task<void> fast_write_fence(const Request& r);
   /// Single-slot fence, called immediately before each local store read so
@@ -406,6 +399,10 @@ class Replica {
   bool apply_state_record(const durable::RecordView& rec, ApplyRule rule);
 
   // --- durability (checkpointing + log compaction) ----------------------
+  /// Foreground-load throttle shared by checkpoint_loop and the migration
+  /// copier: the ordering propose queue is deep or the CPU has a backlog
+  /// of queued work.
+  [[nodiscard]] bool foreground_busy();
   sim::Task<void> checkpoint_loop();
   sim::Task<void> write_checkpoint_once(std::uint64_t inc);
   /// Installs a restored checkpoint image: objects, sessions, tombstones,
@@ -450,7 +447,7 @@ class Replica {
            static_cast<std::uint64_t>(rank) * sizeof(reconfig::PullWord);
   }
   /// Destination-side starvation watcher: no inbound progress for
-  /// pull_timeout -> write a pull word to the next source rank.
+  /// kPullTimeout -> write a pull word to the next source rank.
   sim::Task<void> inbound_watch_loop(std::uint64_t mig_epoch);
   /// Source-side pull server: answers a dest rank's pull word with an
   /// idempotent full resend of the retained final image (+ SEAL).

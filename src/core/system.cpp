@@ -30,7 +30,8 @@ System::System(rdma::Fabric& fabric, int partitions, int replicas,
       replicas_.push_back(std::make_unique<Replica>(*this, g, r));
     }
     ctr_renewals_skipped_.push_back(&fabric.telemetry().metrics.counter(
-        "core", "lease_renewals_skipped", "g" + std::to_string(g)));
+        "core", "lease_renewals_skipped",
+        std::string("g").append(std::to_string(g))));
   }
 }
 
@@ -275,7 +276,7 @@ Client::Client(System& system, amcast::ClientEndpoint& ep)
   reply_mr_ = ep.node().register_region(
       static_cast<std::size_t>(system.partitions()) * sizeof(ReplySlot));
   stats_ = system.fabric().telemetry().metrics.counters(
-      kClientStats, "c" + std::to_string(ep.client_id()));
+      kClientStats, std::string("c").append(std::to_string(ep.client_id())));
 }
 
 bool Client::apply_wrong_epoch(const Reply& reply) {
@@ -824,6 +825,13 @@ sim::Task<void> Client::fast_write_verify(GroupId home, int rank, Oid oid,
   st->finish_one();
 }
 
+/// Minimum lease time that must remain when a fast writer posts its
+/// VALIDATE words. Replicas discard a still-pending invalidation at lease
+/// expiry; the margin guarantees any VALIDATE that was posted lands well
+/// before that deadline, so either every replica validates or every
+/// replica discards — never a mix.
+constexpr sim::Nanos kFastWriteValMargin = sim::us(20);
+
 sim::Task<Client::WriteResult> Client::write(
     GroupId home, Oid oid, std::span<const std::byte> value,
     std::uint32_t kind, std::span<const std::byte> ordered_payload) {
@@ -881,7 +889,7 @@ sim::Task<Client::WriteResult> Client::write(
       reason = kFastWriteConflict;
       break;
     }
-    if (min_expiry - sim.now() <= cfg.fast_write_val_margin) {
+    if (min_expiry - sim.now() <= kFastWriteValMargin) {
       reason = kFastWriteNoLease;
       break;
     }
@@ -919,7 +927,7 @@ sim::Task<Client::WriteResult> Client::write(
     for (const auto& pr : st.ranks) {
       min_expiry = std::min(min_expiry, pr.lease_expiry);
     }
-    if (min_expiry - sim.now() <= cfg.fast_write_val_margin) {
+    if (min_expiry - sim.now() <= kFastWriteValMargin) {
       reason = kFastWriteNoLease;
       break;
     }

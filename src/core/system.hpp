@@ -125,7 +125,7 @@ class Client {
   ///   VERIFY     per replica: re-READ the header (lock still fast_tmp|1,
   ///              versions exactly {fast_tmp, base}) and the lease word.
   ///   VALIDATE   posted only while every sampled lease still has more
-  ///              than fast_write_val_margin left: one-sided writes set
+  ///              than kFastWriteValMargin left: one-sided writes set
   ///              each lock word to fast_tmp (even — the version is now
   ///              valid everywhere). Replicas discard a still-pending
   ///              invalidation at lease expiry, so the margin makes the

@@ -299,13 +299,10 @@ struct HeronConfig {
   std::size_t object_region_bytes = 64u << 20;
 
   /// Post-majority extra wait in Phase 4, the paper's lagger-avoidance
-  /// heuristic (§III-A last paragraph, Table I). 0 disables it.
+  /// heuristic (§III-A last paragraph, Table I). 0 disables it. Phase 2
+  /// never waits past the majority (the paper applies the wait only to the
+  /// second coordination phase).
   sim::Nanos coord_extra_delay = sim::us(3);
-
-  /// Wait-for-all statistics collection (Table I) happens regardless;
-  /// this also controls whether Phase 2 uses the extra delay (the paper
-  /// applies it only to the second coordination phase).
-  bool extra_delay_in_phase2 = false;
 
   /// State transfer: suspicion timeout per candidate handler.
   sim::Nanos statesync_timeout = sim::ms(5);
@@ -376,12 +373,6 @@ struct HeronConfig {
   /// seed behaviour bit for bit: no invalidations are ever issued, no
   /// replica-side fence runs, and same-seed reports stay byte-identical.
   bool fast_writes = false;
-  /// Minimum lease time that must remain when a fast writer posts its
-  /// VALIDATE words. Replicas discard a still-pending invalidation at
-  /// lease expiry; the margin guarantees any VALIDATE that was posted
-  /// lands well before that deadline, so either every replica validates
-  /// or every replica discards — never a mix.
-  sim::Nanos fast_write_val_margin = sim::us(20);
 
   // --- durability (checkpointing + log compaction) ---------------------
   /// See durable/config.hpp. durable.checkpoint_interval == 0 (default)

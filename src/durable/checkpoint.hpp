@@ -95,8 +95,12 @@ class CheckpointStore {
   [[nodiscard]] std::size_t free_pages() const { return free_.size(); }
   /// Fraction of device pages held by the committed chain.
   [[nodiscard]] double utilization() const;
+  /// Device utilization above which the next checkpoint is written as a
+  /// full one, after which all pages of the previous chain are freed
+  /// (log-structured compaction).
+  static constexpr double kCompactUtilization = 0.6;
   [[nodiscard]] bool should_compact() const {
-    return utilization() > cfg_.compact_utilization;
+    return utilization() > kCompactUtilization;
   }
 
   [[nodiscard]] PageDevice& device() { return dev_; }

@@ -5,7 +5,6 @@
 // machinery into every translation unit.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "sim/time.hpp"
@@ -51,25 +50,6 @@ struct DurableConfig {
   /// client's floor is remembered as a tombstone; retries of commands at
   /// or below it get kStatusStaleSession instead of re-executing.
   sim::Nanos session_ttl = 0;
-
-  /// Drop cached session-reply payloads once the session is covered by a
-  /// committed checkpoint; retries page the reply back in from the
-  /// device. Bounds reply-cache memory at the cost of a device read on a
-  /// (rare) late retry.
-  bool page_out_replies = true;
-
-  /// Device utilization above which the next checkpoint is written as a
-  /// full one, after which all pages of the previous chain are freed
-  /// (log-structured compaction).
-  double compact_utilization = 0.6;
-
-  /// Throttling against foreground load: defer a due checkpoint while the
-  /// ordering propose queue is deeper than this, or the replica CPU has
-  /// more than `throttle_cpu_backlog` of queued work. Re-check after
-  /// `throttle_backoff`.
-  std::size_t throttle_queue_depth = 16;
-  sim::Nanos throttle_cpu_backlog = sim::us(50);
-  sim::Nanos throttle_backoff = sim::us(200);
 
   [[nodiscard]] bool enabled() const { return checkpoint_interval > 0; }
 };

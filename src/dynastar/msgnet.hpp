@@ -106,14 +106,12 @@ class Net {
     auto& fifo = last_arrival_[{from, to}];
     arrive = std::max(arrive, fifo);
     fifo = arrive;
-    ++messages_;
     bytes_ += m.body.size();
     sim_->schedule_at(arrive, [this, to, m = std::move(m)]() mutable {
       if (mailbox(to).node().alive()) mailbox(to).push(std::move(m));
     });
   }
 
-  [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_; }
 
  private:
@@ -121,7 +119,6 @@ class Net {
   NetConfig cfg_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::map<std::pair<std::int32_t, std::int32_t>, sim::Nanos> last_arrival_;
-  std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;
 };
 

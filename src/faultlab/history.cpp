@@ -7,16 +7,20 @@ namespace heron::faultlab {
 
 namespace {
 
-std::string uid_str(amcast::MsgUid uid) {
+/// Streams every part into one string (a violation's detail).
+template <typename... Parts>
+std::string str(const Parts&... parts) {
   std::ostringstream os;
-  os << "c" << amcast::uid_client(uid) << "#" << amcast::uid_seq(uid);
+  (os << ... << parts);
   return os.str();
 }
 
+std::string uid_str(amcast::MsgUid uid) {
+  return str("c", amcast::uid_client(uid), "#", amcast::uid_seq(uid));
+}
+
 std::string cmd_str(std::uint32_t client, std::uint64_t seq) {
-  std::ostringstream os;
-  os << "c" << client << "/s" << seq;
-  return os.str();
+  return str("c", client, "/s", seq);
 }
 
 }  // namespace
@@ -83,18 +87,16 @@ std::vector<Violation> check_amcast_properties(const HistoryRecorder& history,
     // so they are exempt from the uninvoked check (but not from the
     // order, timestamp and agreement checks below).
     if (!d.lease && !d.epoch && !invoked.empty() && !invoked.contains(d.uid)) {
-      violation("integrity", "replica g" + std::to_string(d.group) + ".r" +
-                                 std::to_string(d.rank) +
-                                 " delivered uninvoked " + uid_str(d.uid));
+      violation("integrity", str("replica g", d.group, ".r", d.rank,
+                                 " delivered uninvoked ", uid_str(d.uid)));
     }
     if (!amcast::dst_contains(d.dst, d.group)) {
-      violation("integrity", "g" + std::to_string(d.group) +
-                                 " is not a destination of " + uid_str(d.uid));
+      violation("integrity", str("g", d.group, " is not a destination of ",
+                                 uid_str(d.uid)));
     }
     if (!delivered_by[d.uid][d.group].insert(d.rank).second) {
-      violation("integrity", "g" + std::to_string(d.group) + ".r" +
-                                 std::to_string(d.rank) +
-                                 " delivered " + uid_str(d.uid) + " twice");
+      violation("integrity", str("g", d.group, ".r", d.rank, " delivered ",
+                                 uid_str(d.uid), " twice"));
     }
     delivered_groups[d.uid].insert(d.group);
 
@@ -103,15 +105,14 @@ std::vector<Violation> check_amcast_properties(const HistoryRecorder& history,
     if (auto [it, inserted] = uid_tmp.try_emplace(d.uid, d.tmp);
         !inserted && it->second != d.tmp) {
       violation("uniform-timestamps",
-                uid_str(d.uid) + " delivered with tmp " +
-                    std::to_string(d.tmp) + " and " +
-                    std::to_string(it->second));
+                str(uid_str(d.uid), " delivered with tmp ", d.tmp, " and ",
+                    it->second));
     }
     if (auto [it, inserted] = tmp_uid.try_emplace(d.tmp, d.uid);
         !inserted && it->second != d.uid) {
       violation("uniform-timestamps",
-                "tmp " + std::to_string(d.tmp) + " assigned to both " +
-                    uid_str(d.uid) + " and " + uid_str(it->second));
+                str("tmp ", d.tmp, " assigned to both ", uid_str(d.uid),
+                    " and ", uid_str(it->second)));
     }
   }
 
@@ -122,11 +123,9 @@ std::vector<Violation> check_amcast_properties(const HistoryRecorder& history,
     for (std::size_t i = 1; i < seq.size(); ++i) {
       if (seq[i]->tmp <= seq[i - 1]->tmp) {
         violation("total-order",
-                  "g" + std::to_string(key.first) + ".r" +
-                      std::to_string(key.second) + " delivered " +
-                      uid_str(seq[i]->uid) + " (tmp " +
-                      std::to_string(seq[i]->tmp) + ") after tmp " +
-                      std::to_string(seq[i - 1]->tmp));
+                  str("g", key.first, ".r", key.second, " delivered ",
+                      uid_str(seq[i]->uid), " (tmp ", seq[i]->tmp,
+                      ") after tmp ", seq[i - 1]->tmp));
       }
     }
   }
@@ -138,9 +137,8 @@ std::vector<Violation> check_amcast_properties(const HistoryRecorder& history,
       for (int r = 0; r < sys.replicas_per_partition(); ++r) {
         if (ranks.contains(r)) continue;
         if (ever_crashed.contains({g, r})) continue;
-        violation("agreement", "g" + std::to_string(g) + ".r" +
-                                   std::to_string(r) + " never delivered " +
-                                   uid_str(uid));
+        violation("agreement",
+                  str("g", g, ".r", r, " never delivered ", uid_str(uid)));
       }
     }
   }
@@ -163,7 +161,7 @@ std::vector<Violation> check_amcast_properties(const HistoryRecorder& history,
     const auto outcome = history.outcomes().find(key);
     if (outcome == history.outcomes().end()) {
       violation("validity",
-                cmd_str(key.first, key.second) + " never terminated");
+                str(cmd_str(key.first, key.second), " never terminated"));
       continue;
     }
     if (outcome->second.status != core::SubmitStatus::kOk) continue;
@@ -174,10 +172,10 @@ std::vector<Violation> check_amcast_properties(const HistoryRecorder& history,
             return delivered_groups[uid].contains(g);
           });
       if (!delivered) {
-        violation("validity", cmd_str(key.first, key.second) +
+        violation("validity", str(cmd_str(key.first, key.second),
                                   " succeeded but no attempt was delivered "
-                                  "in g" +
-                                  std::to_string(g));
+                                  "in g",
+                                  g));
       }
     }
   }
@@ -194,8 +192,8 @@ std::vector<Violation> check_exactly_once(
     if (!seen[{e.group, e.rank}].insert({e.client, e.seq}).second) {
       out.push_back(Violation{
           "exactly-once",
-          "g" + std::to_string(e.group) + ".r" + std::to_string(e.rank) +
-              " executed " + cmd_str(e.client, e.seq) + " more than once"});
+          str("g", e.group, ".r", e.rank, " executed ",
+              cmd_str(e.client, e.seq), " more than once")});
     }
   }
   return out;
@@ -246,9 +244,8 @@ void check_tail_latency(const HistoryRecorder& history, sim::Nanos p99_bound,
   const sim::Nanos p99 = latency_percentile(sample, 99.0);
   if (p99 > p99_bound) {
     violations.push_back(Violation{
-        "tail-latency", "p99 latency " + std::to_string(p99) + "ns exceeds " +
-                            std::to_string(p99_bound) + "ns over " +
-                            std::to_string(sample.size()) + " commands"});
+        "tail-latency", str("p99 latency ", p99, "ns exceeds ", p99_bound,
+                            "ns over ", sample.size(), " commands")});
   }
 }
 
@@ -316,8 +313,8 @@ void check_session_convergence(core::System& sys,
       if (d != want) {
         violations.push_back(Violation{
             "session-convergence",
-            "g" + std::to_string(g) + ".r" + std::to_string(r) +
-                " session digest differs from r" + std::to_string(want_rank)});
+            str("g", g, ".r", r, " session digest differs from r",
+                want_rank)});
       }
     }
   }
@@ -340,8 +337,8 @@ void check_store_convergence(core::System& sys,
       if (d != want) {
         violations.push_back(Violation{
             "convergence",
-            "g" + std::to_string(g) + ".r" + std::to_string(r) +
-                " store digest differs from r" + std::to_string(want_rank)});
+            str("g", g, ".r", r, " store digest differs from r",
+                want_rank)});
       }
     }
   }

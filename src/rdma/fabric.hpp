@@ -263,11 +263,9 @@ class Fabric {
 
   /// Scales the latency component of every verb (1.0 = nominal).
   void set_latency_factor(double f) { latency_factor_ = f; }
-  [[nodiscard]] double latency_factor() const { return latency_factor_; }
 
   /// Scales effective bandwidth (0.5 = half bandwidth, transfers take 2x).
   void set_bandwidth_factor(double f) { bandwidth_factor_ = f; }
-  [[nodiscard]] double bandwidth_factor() const { return bandwidth_factor_; }
 
   /// Partitions `nodes` from the rest of the fabric until virtual time
   /// `heal_at`. Traffic crossing the cut is stalled until the heal instant,
@@ -275,8 +273,6 @@ class Fabric {
   /// (crash faults are modeled separately via Node::crash()). In-order
   /// channel delivery is preserved across the stall.
   void partition(std::vector<std::int32_t> nodes, sim::Nanos heal_at);
-  /// Lifts a partition before its scheduled heal time.
-  void heal_partition() { partitioned_.clear(); }
   [[nodiscard]] bool partition_active() const {
     return !partitioned_.empty() && sim_->now() < partition_heal_at_;
   }

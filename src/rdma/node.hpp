@@ -43,8 +43,6 @@ class Node {
     return *regions_[mr.value];
   }
 
-  [[nodiscard]] std::size_t region_count() const { return regions_.size(); }
-
   /// The node's (single) core; protocol handling and request execution
   /// charge their CPU time here and therefore serialize.
   [[nodiscard]] sim::Cpu& cpu() { return cpu_; }

@@ -72,23 +72,12 @@ struct Layout {
   static Layout uniform(int partitions, Oid keys);
 };
 
-/// Tuning + fault knobs for the copy machine. Throttle knobs mirror the
-/// durable checkpoint ones (PR 6): the copier defers while the foreground
-/// propose queue or CPU backlog is high.
+/// Ring sizing + fault knob of the copy machine. Its pacing (pass
+/// interval, seal threshold, pull timeout, foreground throttle) is fixed
+/// next to its use in core/replica.cpp.
 struct ReconfigConfig {
   std::uint32_t copy_chunk_bytes = 8u << 10;   // payload per copy chunk
   std::uint32_t copy_ring_slots = 64;          // per source-rank ring
-  std::uint32_t throttle_queue_depth = 16;     // defer above this backlog
-  sim::Nanos throttle_cpu_backlog = sim::us(50);
-  /// Fabric-backpressure half of the throttle: defer copy chunks while
-  /// the source's rack uplink holds more than this many ns of queued
-  /// transfer, yielding the shared link (and its credits) to foreground
-  /// traffic. 0 on a flat fabric is never exceeded.
-  sim::Nanos throttle_uplink_backlog = sim::us(50);
-  sim::Nanos throttle_backoff = sim::us(200);
-  sim::Nanos delta_pass_interval = sim::us(100);  // sleep between passes
-  std::uint32_t seal_dirty_threshold = 64;     // caught-up when dirty <=
-  sim::Nanos pull_timeout = sim::ms(2);        // dest starvation -> pull
   /// Torn-chunk fault hook of both state streams (migration copy and
   /// Algorithm 3 transfer): a payload byte flipped after the CRC.
   double chunk_corrupt_rate = 0.0;

@@ -37,11 +37,17 @@ bench::Cli table(Options& opt) {
   return cli;
 }
 
-std::optional<std::string> apply(Options& opt, std::vector<std::string> args,
+std::optional<std::string> apply(const bench::Cli& cli,
+                                 std::vector<std::string> args,
                                  std::vector<char*>* rest = nullptr) {
   std::vector<char*> argv;
   for (std::string& a : args) argv.push_back(a.data());
-  return table(opt).apply(argv, rest);
+  return cli.apply(argv, rest);
+}
+
+std::optional<std::string> apply(Options& opt, std::vector<std::string> args,
+                                 std::vector<char*>* rest = nullptr) {
+  return apply(table(opt), std::move(args), rest);
 }
 
 TEST(BenchCli, ValidValuesSetTheirFields) {
@@ -149,6 +155,55 @@ TEST(BenchCli, UsageListsEveryFlagWithItsDefault) {
   EXPECT_NE(usage.find("  --json <path>    report (default BENCH_x.json)\n"),
             std::string::npos);
   EXPECT_NE(usage.find("  --quick          smoke\n"), std::string::npos);
+}
+
+// Splits a repro command into argv (program name dropped) and applies it
+// to fresh defaults.
+Options replay(const std::string& repro) {
+  std::vector<std::string> args;
+  std::size_t at = repro.find(' ');
+  while (at != std::string::npos) {
+    const std::size_t next = repro.find(' ', at + 1);
+    args.push_back(repro.substr(at + 1, next - at - 1));
+    at = next;
+  }
+  Options out;
+  EXPECT_EQ(apply(out, args), std::nullopt) << repro;
+  return out;
+}
+
+TEST(BenchCli, ReproRoundTripsDoublesExactly) {
+  Options opt;
+  const bench::Cli cli = table(opt);
+  ASSERT_EQ(apply(cli, {"--oversub", "1.23456789"}), std::nullopt);
+  EXPECT_EQ(cli.repro("bench"), "bench --oversub 1.23456789");
+  EXPECT_EQ(replay(cli.repro("bench")).oversub, 1.23456789);
+
+  opt.oversub = 1.0 / 3.0;  // needs all 17 significant digits
+  EXPECT_EQ(replay(cli.repro("bench")).oversub, 1.0 / 3.0);
+}
+
+TEST(BenchCli, ReproNamesTheProgramByItsBasename) {
+  Options opt;
+  const bench::Cli cli = table(opt);
+  ASSERT_EQ(apply(cli, {"--seed", "7", "--quick"}), std::nullopt);
+  EXPECT_EQ(cli.repro("./build/bench/x"), "x --seed 7 --quick");
+  EXPECT_EQ(cli.repro("build/bench/x"), "x --seed 7 --quick");
+  EXPECT_EQ(cli.repro("/home/ci/heron/build/bench/x"), "x --seed 7 --quick");
+}
+
+TEST(BenchCli, ReproWritesChangedFlagsAndOverridesButNoReportPath) {
+  Options opt;
+  const bench::Cli cli = table(opt);
+  EXPECT_EQ(cli.repro("bench"), "bench");
+  ASSERT_EQ(apply(cli, {"--no-retry", "--json", "out.json", "--retries", "-3",
+                        "--max-batch", "1"}),
+            std::nullopt);
+  // --max-batch 1 is the default; --json says where, not what, to run.
+  EXPECT_EQ(cli.repro("bench"), "bench --retries -3 --no-retry");
+  // An override is written even at the default value, in table order.
+  EXPECT_EQ(cli.repro("bench", {{"--max-batch", "1"}, {"--seed", "4"}}),
+            "bench --seed 4 --max-batch 1 --retries -3 --no-retry");
 }
 
 TEST(BenchReport, AFailedWriteIsReported) {

@@ -447,7 +447,7 @@ std::vector<StatPair> stat_pairs(core::System& sys, rdma::Fabric& fabric) {
   }
   for (std::uint32_t c = 0; c < sys.client_count(); ++c) {
     auto& cl = sys.client(c);
-    const std::string l = "c" + std::to_string(cl.id());
+    const std::string l = std::string("c").append(std::to_string(cl.id()));
     add(l + " completed", cl.completed(), ctr("client", "completed", l), true);
     add(l + " retries", cl.retries(), ctr("client", "retries", l), false);
     add(l + " timeouts", cl.timeouts(), ctr("client", "timeouts", l), false);

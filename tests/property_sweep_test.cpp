@@ -10,6 +10,7 @@
 
 #include <map>
 #include <set>
+#include <sstream>
 #include <tuple>
 
 #include "amcast/system.hpp"
@@ -105,9 +106,10 @@ TEST_P(HeronConservationSweep, TotalBalancePreservedAndReplicasConverge) {
 
 std::string heron_shape_name(
     const ::testing::TestParamInfo<HeronShape>& info) {
-  return "p" + std::to_string(std::get<0>(info.param)) + "_r" +
-         std::to_string(std::get<1>(info.param)) + "_s" +
-         std::to_string(std::get<2>(info.param));
+  std::ostringstream name;
+  name << "p" << std::get<0>(info.param) << "_r" << std::get<1>(info.param)
+       << "_s" << std::get<2>(info.param);
+  return name.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -212,9 +214,10 @@ TEST_P(AmcastPropertySweep, OrderAgreementIntegrityHold) {
 
 std::string amcast_shape_name(
     const ::testing::TestParamInfo<AmcastShape>& info) {
-  return "g" + std::to_string(std::get<0>(info.param)) + "_r" +
-         std::to_string(std::get<1>(info.param)) + "_s" +
-         std::to_string(std::get<2>(info.param));
+  std::ostringstream name;
+  name << "g" << std::get<0>(info.param) << "_r" << std::get<1>(info.param)
+       << "_s" << std::get<2>(info.param);
+  return name.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,6 +6,7 @@
 // duplicated object, exactly-once execution across the split.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -611,6 +612,81 @@ TEST(Reconfig, CheckpointFromSupersededLayoutIsRejected) {
   sim.spawn(script(sys, client, done));
   for (int i = 0; i < 400 && !done; ++i) sim.run_for(sim::ms(1));
   EXPECT_TRUE(done) << "script did not finish";
+}
+
+// ---------------------------------------------------------------------
+// Foreground throttle of the background writers
+// ---------------------------------------------------------------------
+
+struct ThrottleRun {
+  std::uint64_t checkpoints_deferred = 0;
+  std::uint64_t copy_deferred = 0;
+  std::size_t max_propose_backlog = 0;  // g0's leader, sampled
+  bool sealed = false;
+};
+
+/// 2x3 RangeKv with checkpoints every 200us and [0, 16) moving g0 -> g1
+/// at 1ms, while `clients` closed loops of `ops` increments all start at
+/// once. Leaders hold a partial batch of up to 64 for 100us, so a burst
+/// queues in their propose queues. Returns the throttle counters summed
+/// over every replica.
+ThrottleRun run_throttle_cell(int clients, int ops) {
+  sim::Simulator sim;
+  rdma::Fabric fabric(sim, rdma::LatencyModel{}, 61);
+  auto cfg = kv_config();
+  cfg.durable.checkpoint_interval = sim::us(200);
+  amcast::Config acfg;
+  acfg.max_batch = 64;
+  acfg.batch_timeout = sim::us(100);
+  core::System sys(
+      fabric, 2, kReplicas, [] { return std::make_unique<RangeKv>(kKeys); },
+      cfg, acfg);
+  sys.start();
+  for (int c = 0; c < clients; ++c) {
+    sim.spawn(rangekv_client_loop(sys, sys.add_client(),
+                                  61000 + static_cast<std::uint64_t>(c), ops,
+                                  kKeys));
+  }
+  sys.schedule_migration(reconfig::Plan{sim::ms(1), 0, 16, 0, 1});
+
+  ThrottleRun out;
+  auto idle = [&sys] {
+    for (std::uint32_t c = 0; c < sys.client_count(); ++c) {
+      if (sys.client(c).in_flight()) return false;
+    }
+    return true;
+  };
+  for (int i = 0; i < 4000 && !(out.sealed && idle()); ++i) {
+    sim.run_for(sim::us(50));
+    out.max_propose_backlog = std::max(
+        out.max_propose_backlog, sys.amcast().endpoint(0, 0).propose_backlog());
+    out.sealed = !sys.migration_times().empty() &&
+                 sys.migration_times().front().sealed != 0;
+  }
+  for (core::GroupId g = 0; g < 2; ++g) {
+    for (int r = 0; r < kReplicas; ++r) {
+      out.checkpoints_deferred += sys.replica(g, r).checkpoints_deferred();
+      out.copy_deferred += sys.replica(g, r).copy_deferred();
+    }
+  }
+  return out;
+}
+
+TEST(ForegroundThrottle, BurstDefersCheckpointsAndMigrationCopy) {
+  const ThrottleRun run = run_throttle_cell(/*clients=*/192, /*ops=*/10);
+  ASSERT_TRUE(run.sealed) << "migration never sealed";
+  // The burst is what makes the foreground busy: more than 16 proposals
+  // waiting at g0's leader.
+  EXPECT_GT(run.max_propose_backlog, 16u);
+  EXPECT_GT(run.checkpoints_deferred, 0u);
+  EXPECT_GT(run.copy_deferred, 0u);
+}
+
+TEST(ForegroundThrottle, IdleRunDefersNothing) {
+  const ThrottleRun run = run_throttle_cell(/*clients=*/0, /*ops=*/0);
+  ASSERT_TRUE(run.sealed) << "migration never sealed";
+  EXPECT_EQ(run.checkpoints_deferred, 0u);
+  EXPECT_EQ(run.copy_deferred, 0u);
 }
 
 }  // namespace

@@ -61,14 +61,12 @@ build "$work/base/src" "$work/base"
 echo "== building working tree =="
 build "$repo" "$work/head"
 
-# Each side runs from its own directory with the relative build dir
-# "build", so reports that echo their command line (repro strings) name
-# the same binary path on both sides.
 echo "== base reports =="
-(cd "$work/base" &&
-  QUICK=1 SEED="$seed" "$work/base/src/bench/run_all.sh" build out)
+QUICK=1 SEED="$seed" "$work/base/src/bench/run_all.sh" "$work/base/build" \
+  "$work/base/out"
 echo "== working-tree reports =="
-(cd "$work/head" && QUICK=1 SEED="$seed" "$repo/bench/run_all.sh" build out)
+QUICK=1 SEED="$seed" "$repo/bench/run_all.sh" "$work/head/build" \
+  "$work/head/out"
 
 # perfbench builds into .bench_build/ of its own checkout. Only the
 # metrics that are a function of the seed are kept.
