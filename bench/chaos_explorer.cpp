@@ -4,13 +4,12 @@
 // (src/faultlab/history.hpp) and emits a machine-readable report naming
 // the exact (seed, plan) needed to reproduce any violation.
 //
-// Clients run the robust retry lifecycle by default (fresh-uid retries,
-// session dedup at the replicas); --no-retry restores the legacy
-// wait-forever client. The fabric flags select the congestion-capable
-// topology (two-level ToR with per-QP credit windows) instead of the
-// default flat fabric. Every flag that differs from its default is
-// echoed in each cell's repro command, so a violating cell replays under
-// identical behaviour.
+// Clients run the robust retry lifecycle (fresh-uid retries, session
+// dedup at the replicas) with the timeouts below. The fabric flags select
+// the congestion-capable topology (two-level ToR with per-QP credit
+// windows) instead of the default flat fabric. Every flag that differs
+// from its default is echoed in each cell's repro command, so a violating
+// cell replays under identical behaviour.
 //
 // Exit code is non-zero when any oracle reported a violation.
 #include <cstdio>
@@ -65,7 +64,6 @@ struct Options {
   std::string json_path = "BENCH_chaos.json";
   // Client retry lifecycle (see core::HeronConfig). Defaults keep every
   // plan terminating well inside the per-cell sim budget.
-  bool retry = true;
   std::uint64_t timeout_us = 2000;    // per-attempt timeout
   int retries = 10;                   // max retries (attempts - 1)
   std::uint64_t backoff_us = 50;      // initial backoff
@@ -102,7 +100,6 @@ amcast::Config amcast_knobs(const Options& opt) {
 }
 
 void apply_client_knobs(core::HeronConfig& cfg, const Options& opt) {
-  if (!opt.retry) return;
   cfg.client_attempt_timeout = sim::us(static_cast<double>(opt.timeout_us));
   cfg.client_max_retries = opt.retries;
   cfg.client_retry_backoff = sim::us(static_cast<double>(opt.backoff_us));
@@ -247,7 +244,6 @@ int main(int argc, char** argv) {
       .flag("--backoff-us", opt.backoff_us, "<b>", "initial retry backoff")
       .flag("--deadline-us", opt.deadline_us, "<d>",
             "overall per-request deadline")
-      .flag("--no-retry", opt.retry, "legacy wait-forever clients")
       .flag("--max-batch", opt.max_batch, "<n>", "amcast leader batch size")
       .flag("--batch-timeout-us", opt.batch_timeout_us, "<t>",
             "hold a partial batch this long for stragglers")
@@ -316,7 +312,6 @@ int main(int argc, char** argv) {
             w.end_object();
           }
           w.end_array();
-          w.kv("client_retry", opt.retry);
           w.kv("repro", cli.repro(argv[0], {{"--seed", std::to_string(seed)},
                                             {"--plan", named.name}}));
           w.end_object();

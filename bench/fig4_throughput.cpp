@@ -38,10 +38,12 @@ harness::RunResult run_config(core::Mode mode, bool local_only, int partitions,
   amcast::Config acfg;
   acfg.max_batch = opt.max_batch;
   acfg.batch_timeout = sim::us(static_cast<double>(opt.batch_timeout_us));
-  // Model the paper's testbed: above 40 nodes traffic crosses the ToR
-  // switch (the 8WH->16WH step softens, §V-C1).
+  // Model the paper's testbed (§V-C1): 40-node pods behind an
+  // oversubscribed ToR switch. Replicas take the lowest node ids, so
+  // replica traffic crosses it only at 16WH, where the step softens.
   rdma::LatencyModel fabric;
-  fabric.oversub_nodes = 40;
+  fabric.rack_size = 40;
+  fabric.oversub_ratio = 4.0;
   harness::TpccCluster cluster(partitions, 3, scale, cfg, acfg, seed, fabric);
 
   tpcc::WorkloadConfig workload;

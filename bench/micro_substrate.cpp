@@ -125,13 +125,25 @@ void BM_ObjectStoreSet(benchmark::State& state) {
 }
 BENCHMARK(BM_ObjectStoreSet);
 
+// A self-rescheduling event: each run schedules its successor 1-4096 ns
+// later (about the spread of the fabric's verb latencies) until `left`
+// runs out.
+struct Chain {
+  sim::Simulator* sim;
+  sim::Rng* rng;
+  std::int64_t* left;
+  void operator()() const {
+    if (--*left >= 0) {
+      sim->schedule(static_cast<sim::Nanos>(1 + (rng->next() & 4095)), *this);
+    }
+  }
+};
+
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   // Wall-clock events/second of the DES engine itself at a fixed queue
-  // depth: range(0) self-rescheduling chains, each event scheduling its
-  // successor 1-4096 ns later (about the spread of the fabric's verb
-  // latencies). The chains stop once the event budget is spent, so the
-  // last `depth` events drain a shrinking queue; the budget keeps that
-  // tail under 6%.
+  // depth: range(0) chains. The chains stop once the event budget is
+  // spent, so the last `depth` events drain a shrinking queue; the budget
+  // keeps that tail under 6%.
   const auto depth = static_cast<std::int64_t>(state.range(0));
   const std::int64_t budget = std::max<std::int64_t>(1 << 18, 16 * depth);
   std::uint64_t events = 0;
@@ -139,17 +151,6 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
     sim::Simulator sim;
     sim::Rng rng(g_seed);
     std::int64_t left = budget;
-    struct Chain {
-      sim::Simulator* sim;
-      sim::Rng* rng;
-      std::int64_t* left;
-      void operator()() const {
-        if (--*left >= 0) {
-          sim->schedule(static_cast<sim::Nanos>(1 + (rng->next() & 4095)),
-                        *this);
-        }
-      }
-    };
     for (std::int64_t i = 0; i < depth; ++i) {
       sim.schedule(static_cast<sim::Nanos>(rng.next() & 4095),
                    Chain{&sim, &rng, &left});
@@ -165,6 +166,27 @@ BENCHMARK(BM_SimulatorEventThroughput)
     ->Arg(256)
     ->Arg(4096)
     ->Arg(65536);
+
+void BM_TimerArmCancel(benchmark::State& state) {
+  // The retry client's kernel cost: each iteration is one request that
+  // arms a 100 ms deadline, lets ~125 events of other work run (1 us over
+  // 256 chains) and cancels the deadline when its reply lands.
+  sim::Simulator sim;
+  sim::Rng rng(g_seed);
+  std::int64_t left = INT64_MAX;
+  for (int i = 0; i < 256; ++i) {
+    sim.schedule(static_cast<sim::Nanos>(rng.next() & 4095),
+                 Chain{&sim, &rng, &left});
+  }
+  for (auto _ : state) {
+    auto timer = sim.schedule_at(sim.now() + sim::ms(100), [] {});
+    sim.run_for(sim::us(1));
+    benchmark::DoNotOptimize(sim.cancel_timer(timer));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["pending"] = static_cast<double>(sim.pending_events());
+}
+BENCHMARK(BM_TimerArmCancel);
 
 }  // namespace
 

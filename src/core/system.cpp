@@ -355,11 +355,8 @@ sim::Task<Client::Result> Client::submit_uncounted(
   std::vector<std::byte> wire(sizeof(RequestHeader) + payload.size());
   std::copy(payload.begin(), payload.end(), wire.begin() + sizeof(header));
 
-  // attempt_timeout == 0 selects the legacy closed-loop behaviour: one
-  // attempt, wait forever. The deadline only binds in retry mode.
-  const bool retry_mode = cfg.client_attempt_timeout > 0;
   const sim::Nanos deadline =
-      retry_mode && cfg.client_deadline > 0 ? start + cfg.client_deadline : 0;
+      cfg.client_deadline > 0 ? start + cfg.client_deadline : sim::kNever;
 
   auto& region = ep_->node().region(reply_mr_);
   auto slot_at = [this, &region](GroupId g) {
@@ -404,22 +401,17 @@ sim::Task<Client::Result> Client::submit_uncounted(
       return true;
     };
 
-    bool got_answer;
-    if (!retry_mode) {
-      co_await sim::wait_until(region.on_write(), answered);
-      got_answer = true;
-    } else {
-      sim::Nanos budget = cfg.client_attempt_timeout;
-      if (deadline != 0) budget = std::min(budget, deadline - sim.now());
-      got_answer = budget > 0 && co_await sim::wait_until_timeout(
-                                     region.on_write(), answered, budget);
-    }
+    const sim::Nanos budget =
+        std::min(cfg.client_attempt_timeout, deadline - sim.now());
+    const bool got_answer =
+        budget > 0 &&
+        co_await sim::wait_until_timeout(region.on_write(), answered, budget);
 
+    // Success iff some involved partition holds a non-BUSY reply for any
+    // attempt of this command; otherwise every slot is a BUSY for the
+    // latest attempt (the shed verdict is uniform per uid).
+    last_was_busy = got_answer;
     if (got_answer) {
-      // Success iff some involved partition holds a non-BUSY reply for
-      // any attempt of this command; otherwise every slot is a BUSY for
-      // the latest attempt (the shed verdict is uniform per uid).
-      last_was_busy = true;
       for (GroupId g = 0; g < system_->partitions(); ++g) {
         if (!amcast::dst_contains(dst, g)) continue;
         const auto slot = slot_at(g);
@@ -427,19 +419,16 @@ sim::Task<Client::Result> Client::submit_uncounted(
         result.reply.status = slot.status;
         result.reply.payload.assign(slot.payload.begin(),
                                     slot.payload.begin() + slot.payload_len);
-        last_was_busy = false;
         done = true;
         break;  // lowest-id partition's reply
       }
       if (done) break;
       count(kBusyReplies);
-    } else {
-      last_was_busy = false;
     }
 
     // Retry budget: attempts and deadline.
     if (attempt >= cfg.client_max_retries) break;
-    if (deadline != 0 && sim.now() >= deadline) break;
+    if (sim.now() >= deadline) break;
 
     // Seeded exponential backoff with jitter, capped at the deadline.
     const int shift = std::min(attempt, 20);
@@ -447,9 +436,9 @@ sim::Task<Client::Result> Client::submit_uncounted(
         std::min(cfg.client_retry_backoff_max, cfg.client_retry_backoff << shift);
     delay = delay / 2 + static_cast<sim::Nanos>(
                             rng_.bounded(static_cast<std::uint64_t>(delay / 2 + 1)));
-    if (deadline != 0) delay = std::min(delay, deadline - sim.now());
+    delay = std::min(delay, deadline - sim.now());
     if (delay > 0) co_await sim.sleep(delay);
-    if (deadline != 0 && sim.now() >= deadline) break;
+    if (sim.now() >= deadline) break;
   }
 
   result.attempts = attempt + 1;

@@ -23,13 +23,12 @@ using AppFactory = std::function<std::unique_ptr<Application>()>;
 /// Client handle: submits requests and awaits one reply per involved
 /// partition (the paper's closed-loop client).
 ///
-/// With `HeronConfig::client_attempt_timeout > 0` the submit path runs the
-/// robust lifecycle: bounded retries under fresh multicast uids (the
-/// logical command is identified by the header's session_seq, which
-/// replicas deduplicate), seeded exponential backoff with jitter, an
-/// optional overall deadline, and BUSY-aware backoff under admission
-/// control. With the default of 0 it behaves like the paper's closed-loop
-/// client: one attempt, wait forever.
+/// Every submit runs the robust lifecycle: bounded retries under fresh
+/// multicast uids (the logical command is identified by the header's
+/// session_seq, which replicas deduplicate) after each attempt timeout,
+/// seeded exponential backoff with jitter, an optional overall deadline,
+/// and BUSY-aware backoff under admission control. The default attempt
+/// timeout never fires in a fault-free run.
 class Client {
  public:
   Client(System& system, amcast::ClientEndpoint& ep);

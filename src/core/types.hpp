@@ -335,9 +335,10 @@ struct HeronConfig {
   double memcpy_ns_per_byte = 0.05;      // raw copy for non-serialized data
 
   // --- client request lifecycle (retry / timeout / backoff) -----------
-  /// Per-attempt reply timeout. 0 preserves the legacy behaviour: a
-  /// single attempt that waits forever (no retries, no deadline).
-  sim::Nanos client_attempt_timeout = 0;
+  /// Per-attempt reply timeout: by default far above any fault-free
+  /// request (fig8's full-warehouse touch runs 200-300 ms); fault benches
+  /// set it tighter.
+  sim::Nanos client_attempt_timeout = sim::sec(1);
   /// Maximum retries after the first attempt (attempts = retries + 1).
   int client_max_retries = 8;
   /// Exponential backoff between attempts: base doubles per retry, each

@@ -73,13 +73,6 @@ void Fabric::reset_stats() {
 
 sim::Nanos Fabric::jitter(sim::Nanos base) {
   double scaled = static_cast<double>(base);
-  // The flat oversubscription scalar only applies when the structural
-  // topology is off: with racks configured, crossing traffic pays the
-  // shared-uplink FIFO instead.
-  if (model_.rack_size == 0 && model_.oversub_nodes != 0 &&
-      nodes_.size() > model_.oversub_nodes) {
-    scaled *= model_.oversub_factor;
-  }
   if (latency_factor_ != 1.0) scaled *= latency_factor_;
   if (model_.jitter_sigma > 0.0) {
     scaled *= rng_.lognormal_mean(1.0, model_.jitter_sigma);

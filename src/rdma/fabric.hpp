@@ -21,9 +21,9 @@
 //   * a two-level ToR topology (`rack_size` / `oversub_ratio`) — traffic
 //     crossing racks serializes through a shared uplink FIFO whose
 //     bandwidth is the rack's aggregate NIC rate divided by the
-//     oversubscription ratio. This replaces the flat `oversub_factor`
-//     scalar of §V-C1 with a model under which congestion collapse,
-//     leader incast and victim-flow interference are reproducible.
+//     oversubscription ratio. It models §V-C1's ToR crossing beyond 40
+//     nodes, and makes congestion collapse, leader incast and
+//     victim-flow interference reproducible.
 //
 // Control traffic (lease renewals, epoch markers, failure-detector probes)
 // can be posted on Lane::kControl: a priority lane that bypasses credit
@@ -76,14 +76,6 @@ struct LatencyModel {
   double bandwidth_bytes_per_ns = 3.125;  // 25 Gbps
   sim::Nanos failure_detect = sim::us(400);  // WC error latency on dead peer
   double jitter_sigma = 0.0;  // lognormal sigma on the network component
-
-  /// Legacy testbed oversubscription (§V-C1: beyond 40 XL170 nodes,
-  /// traffic crosses the top-of-rack switch with no bandwidth guarantee).
-  /// When the fabric has more than `oversub_nodes` nodes, network
-  /// components are scaled by `oversub_factor`. 0 disables the model.
-  /// Superseded by the structural topology below when `rack_size` > 0.
-  std::size_t oversub_nodes = 0;
-  double oversub_factor = 1.3;
 
   // --- two-level ToR topology ------------------------------------------
   /// Nodes per rack; node id / rack_size is the rack index. 0 keeps the

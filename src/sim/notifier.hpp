@@ -242,9 +242,10 @@ Task<bool> wait_until_timeout(Notifier& n, Pred pred, Nanos timeout) {
   Simulator& sim = n.simulator();
   const Nanos deadline = sim.now() + timeout;
   // One deadline timer for the whole wait, armed lazily on the first
-  // suspension through the simulator's cancelable timer pool (zero
-  // allocation) and canceled when the frame unwinds — including external
-  // destruction mid-wait, since frame locals run their destructors then.
+  // suspension as a cancelable queue event (zero allocation) and canceled
+  // when the frame unwinds — including external destruction mid-wait,
+  // since frame locals run their destructors then. A canceled timer
+  // leaves no event behind: it never runs and does not move the clock.
   // The timer resumes the coroutine directly; between events it is either
   // parked on `n` (where a spurious resume is fine — the loop re-checks
   // pred and deadline) or already finished with the timer canceled.
@@ -268,7 +269,7 @@ Task<bool> wait_until_timeout(Notifier& n, Pred pred, Nanos timeout) {
         node.handle = h;
         n.park(node);
         if (!timer.armed()) {
-          timer = sim.schedule_timer_at(deadline, EventFn(h));
+          timer = sim.schedule_at(deadline, EventFn(h));
         }
       }
       void await_resume() const noexcept {}

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -26,7 +27,7 @@ class Simulator {
  public:
   Simulator() = default;
   /// Destroys the root frames first: a frame parked in a timed wait
-  /// cancels its pool timer on the way out, so the pool must still exist.
+  /// cancels its timer on the way out, so the queue must still exist.
   ~Simulator() { roots_.clear(); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -39,34 +40,24 @@ class Simulator {
     schedule_at(now_ + delay, std::move(fn));
   }
 
-  /// Schedules `fn` at absolute virtual time `when` (>= now()).
-  void schedule_at(Nanos when, EventFn fn) {
+  /// Names one scheduled event; default-constructed, it names none.
+  using TimerToken = EventQueue::Handle;
+
+  /// Schedules `fn` at absolute virtual time `when` (>= now()). The token
+  /// lets cancel_timer take the event back.
+  TimerToken schedule_at(Nanos when, EventFn fn) {
     if (when < now_) {
       throw std::logic_error("Simulator: scheduling into the past");
     }
-    queue_.push(Event{when, next_seq_++, std::move(fn)});
+    return queue_.push(Event{when, next_seq_++, std::move(fn)});
   }
 
-  /// Handle to a cancelable timer (see schedule_timer_at). Default state is
-  /// unarmed; cancel_timer on an unarmed token is a no-op.
-  struct TimerToken {
-    std::uint32_t slot = UINT32_MAX;
-    std::uint32_t gen = 0;
-
-    [[nodiscard]] bool armed() const { return slot != UINT32_MAX; }
-  };
-
-  /// Schedules `fn` at `when` through the cancelable timer pool: the
-  /// callable lives in a recycled pool slot (no allocation) and
-  /// cancel_timer disarms it in O(1). A canceled timer's queue entry still
-  /// fires as an empty event at `when` (it just finds a bumped generation),
-  /// so pending_events() counts it until the deadline passes — same
-  /// footprint as the old single-deadline-timer pattern.
-  TimerToken schedule_timer_at(Nanos when, EventFn fn);
-
-  /// Disarms the timer if `token` is still current; clears the token.
-  /// Returns true if the timer had been armed and was canceled.
-  bool cancel_timer(TimerToken& token);
+  /// Cancels the event `token` names if it is still pending, and clears
+  /// the token; returns whether it canceled. A canceled event never runs,
+  /// is not counted by events_executed() and does not move the clock.
+  bool cancel_timer(TimerToken& token) {
+    return queue_.cancel(std::exchange(token, TimerToken{}));
+  }
 
   /// Starts a root coroutine. The simulator owns the frame until the task
   /// completes (or until the simulator is destroyed). An exception
@@ -105,19 +96,16 @@ class Simulator {
     return events_executed_;
   }
 
-  /// Number of events currently scheduled and not yet run (diagnostics;
-  /// lets tests assert that waiting primitives don't bloat the queue).
+  /// Number of events scheduled and not yet run, plus canceled ones not
+  /// yet reclaimed (diagnostics; lets tests assert that waiting
+  /// primitives don't bloat the queue).
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
  private:
-  struct TimerSlot {
-    EventFn fn;
-    std::uint32_t gen = 0;
-  };
-
-  void step(Event&& ev);
+  /// Runs events with timestamp <= deadline (run_until's loop, shared with
+  /// run so that the queue's pop has one call site and is inlined).
+  void drain(Nanos deadline);
   void reap_roots();
-  void fire_timer(std::uint32_t slot, std::uint32_t gen);
 
   Nanos now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -128,8 +116,6 @@ class Simulator {
   // sets it to twice the surviving count (at least kMinReapAt).
   static constexpr std::size_t kMinReapAt = 64;
   std::size_t reap_at_ = kMinReapAt;
-  std::vector<TimerSlot> timer_slots_;
-  std::vector<std::uint32_t> timer_free_;
   // Set by a root task's promise the instant an exception escapes it;
   // checked after every event so failures surface promptly instead of at
   // the next lazy reap.

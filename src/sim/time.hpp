@@ -16,6 +16,8 @@ using Nanos = std::int64_t;
 constexpr Nanos kNanosPerMicro = 1'000;
 constexpr Nanos kNanosPerMilli = 1'000'000;
 constexpr Nanos kNanosPerSec = 1'000'000'000;
+/// A virtual time no run reaches: "no deadline".
+constexpr Nanos kNever = INT64_MAX;
 
 /// Builds a duration from microseconds.
 constexpr Nanos us(double v) { return static_cast<Nanos>(v * kNanosPerMicro); }

@@ -1,9 +1,8 @@
 // Simulator-kernel telemetry: periodic samples of event throughput and
 // event-queue depth, so scale benches can watch the kernel itself (is the
 // queue bloating? how many events per virtual second is this workload?)
-// without instrumenting the hot loop. Sampling rides the cancelable timer
-// pool: one pending timer regardless of period, safely disarmed when the
-// sampler stops or dies.
+// without instrumenting the hot loop. Sampling rides one cancelable
+// timer regardless of period, canceled when the sampler stops or dies.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +52,7 @@ class KernelStats {
   }
 
   void arm() {
-    timer_ = sim_->schedule_timer_at(sim_->now() + period_, [this] {
+    timer_ = sim_->schedule_at(sim_->now() + period_, [this] {
       sample();
       if (running_) arm();
     });

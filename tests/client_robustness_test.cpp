@@ -8,6 +8,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "core/system.hpp"
 #include "faultlab/bank.hpp"
@@ -144,18 +145,20 @@ TEST(ClientRobustness, AdmissionWindowShedsAndClientsRecover) {
   }
 }
 
-TEST(ClientRobustness, StalledGroupYieldsExplicitTimeout) {
-  // Failover off + dead leader: the group can never order the command.
-  // The legacy client would hang forever; the robust client burns its
-  // retry budget and reports kTimeout within the deadline.
+/// One submit to a group whose leader died with failover off, so the
+/// command can never be ordered. Returns whether the submit finished
+/// within `horizon` and its result.
+struct StalledSubmit {
+  bool finished = false;
+  core::Client::Result result;
+  std::uint64_t completed = 0;
+  std::uint64_t timeouts = 0;
+};
+
+StalledSubmit submit_to_stalled_group(const core::HeronConfig& cfg,
+                                      sim::Nanos horizon) {
   sim::Simulator sim;
   rdma::Fabric fabric(sim, rdma::LatencyModel{}, 3);
-  core::HeronConfig cfg;
-  cfg.object_region_bytes = 1u << 20;
-  cfg.client_attempt_timeout = sim::us(200);
-  cfg.client_max_retries = 3;
-  cfg.client_retry_backoff = sim::us(20);
-  cfg.client_deadline = sim::ms(5);
   amcast::Config acfg;
   acfg.enable_failover = false;
   core::System sys(
@@ -164,28 +167,55 @@ TEST(ClientRobustness, StalledGroupYieldsExplicitTimeout) {
   sys.start();
   core::Client& client = sys.add_client();
 
-  core::Client::Result result;
-  bool finished = false;
-  sim.spawn([](core::System& s, core::Client& c, core::Client::Result& out,
-               bool& done) -> sim::Task<void> {
+  StalledSubmit out;
+  sim.spawn([](core::System& s, core::Client& c,
+               StalledSubmit& o) -> sim::Task<void> {
     // Submit only after the leader is gone, so no attempt sneaks through.
     co_await s.simulator().sleep(sim::us(100));
     DepositReq req{0, 5};
-    out = co_await c.submit(amcast::dst_of(0), kDeposit,
-                            std::as_bytes(std::span(&req, 1)));
-    done = true;
-  }(sys, client, result, finished));
+    o.result = co_await c.submit(amcast::dst_of(0), kDeposit,
+                                 std::as_bytes(std::span(&req, 1)));
+    o.finished = true;
+  }(sys, client, out));
 
   Injector injector(sys);
   injector.run(FaultPlan::parse("dead-leader", "crash g0.r0 @ 10us"));
-  sim.run_for(sim::ms(20));
+  sim.run_for(horizon);
+  out.completed = client.completed();
+  out.timeouts = client.timeouts();
+  return out;
+}
 
-  ASSERT_TRUE(finished) << "submit never terminated";
-  EXPECT_EQ(result.status, core::SubmitStatus::kTimeout);
-  EXPECT_EQ(result.attempts, 4);  // 1 + client_max_retries
-  EXPECT_LE(result.latency, cfg.client_deadline);
-  EXPECT_EQ(client.completed(), 0u);
-  EXPECT_EQ(client.timeouts(), 1u);
+TEST(ClientRobustness, StalledGroupYieldsExplicitTimeout) {
+  // Failover off + dead leader: the group can never order the command.
+  // The client burns its retry budget and reports kTimeout, within the
+  // deadline when one is set. The default config must terminate too: a
+  // client that waits forever on its first attempt never finishes.
+  core::HeronConfig tight;
+  tight.object_region_bytes = 1u << 20;
+  tight.client_attempt_timeout = sim::us(200);
+  tight.client_max_retries = 3;
+  tight.client_retry_backoff = sim::us(20);
+  tight.client_deadline = sim::ms(5);
+  core::HeronConfig defaults;
+  defaults.object_region_bytes = 1u << 20;
+
+  for (const auto& [name, cfg, horizon] :
+       {std::tuple{"tight", tight, sim::ms(20)},
+        std::tuple{"defaults", defaults, sim::sec(10)}}) {
+    SCOPED_TRACE(name);
+    const StalledSubmit out = submit_to_stalled_group(cfg, horizon);
+    ASSERT_TRUE(out.finished) << "submit never terminated";
+    EXPECT_EQ(out.result.status, core::SubmitStatus::kTimeout);
+    EXPECT_EQ(out.result.attempts, 1 + cfg.client_max_retries);
+    if (cfg.client_deadline > 0) {
+      EXPECT_LE(out.result.latency, cfg.client_deadline);
+    }
+    EXPECT_GE(out.result.latency,
+              out.result.attempts * cfg.client_attempt_timeout);
+    EXPECT_EQ(out.completed, 0u);
+    EXPECT_EQ(out.timeouts, 1u);
+  }
 }
 
 TEST(ClientRobustness, OverlappingSubmitThrows) {

@@ -232,7 +232,7 @@ TEST(Notifier, WaitUntilTimeoutSucceedsWhenNotified) {
   });
   sim.run();
   EXPECT_TRUE(result);
-  EXPECT_EQ(sim.now(), us(100));  // the losing timer still fires at 100us
+  EXPECT_EQ(sim.now(), us(10));  // the canceled timer did not move the clock
 }
 
 TEST(Notifier, WaitUntilTimeoutPredTrueOnDeadlineTick) {
@@ -606,6 +606,71 @@ TEST(EventQueue, MatchesOrderedSetAtDeepQueue) {
   run_queue_differential(9, 100'000, 400'000);
 }
 
+TEST(EventQueue, CancelsMatchOrderedSetAcrossCompactions) {
+  // Pushes, pops and cancels against a std::set reference. A canceled
+  // event must never come back with a callable, every live one must pop
+  // in (when, seq) order, and after a cancel the heap must hold at most
+  // about an eighth more keys than live events.
+  EventQueue q;
+  std::set<std::pair<Nanos, std::uint64_t>> ref;
+  std::vector<std::pair<EventQueue::Handle, std::pair<Nanos, std::uint64_t>>>
+      handles;
+  Rng rng(21);
+  Nanos now = 0;
+  std::uint64_t next_seq = 0;
+  std::uint64_t ran = UINT64_MAX;
+  for (int i = 0; i < 300'000; ++i) {
+    const double pick = rng.uniform();
+    if (pick < 0.45 || ref.empty()) {
+      const Nanos when = now + rng.uniform_int(0, us(500));
+      const std::uint64_t seq = next_seq++;
+      handles.emplace_back(
+          q.push(Event{when, seq, [&ran, seq] { ran = seq; }}),
+          std::pair{when, seq});
+      ref.emplace(when, seq);
+    } else if (pick < 0.75) {
+      const std::size_t k = rng.uniform_int(0, handles.size() - 1);
+      const bool pending = ref.erase(handles[k].second) == 1;
+      ASSERT_EQ(q.cancel(handles[k].first), pending) << "step " << i;
+      handles[k] = handles.back();
+      handles.pop_back();
+      // A cancel reclaims dead keys once they are more than 8 and more
+      // than an eighth of the heap.
+      if (pending) {
+        ASSERT_LE(q.size(),
+                  ref.size() + std::max<std::size_t>(8, ref.size() / 7))
+            << "step " << i;
+      }
+    } else {
+      Event ev = q.pop();
+      while (!ev.fn) ev = q.pop();  // canceled entries come back empty
+      ASSERT_EQ(ev.when, ref.begin()->first) << "step " << i;
+      ASSERT_EQ(ev.seq, ref.begin()->second) << "step " << i;
+      ref.erase(ref.begin());
+      ev.fn();
+      ASSERT_EQ(ran, ev.seq);
+      now = ev.when;
+    }
+    if (handles.size() > 4 * ref.size() + 64) {
+      // Forget handles of popped events (their cancel must stay false).
+      std::erase_if(handles, [&](const auto& h) {
+        const bool popped = !ref.contains(h.second);
+        if (popped) {
+          EXPECT_FALSE(q.cancel(h.first));
+        }
+        return popped;
+      });
+    }
+  }
+  while (!ref.empty()) {
+    Event ev = q.pop();
+    if (!ev.fn) continue;
+    ASSERT_EQ(ev.seq, ref.begin()->second);
+    ref.erase(ref.begin());
+  }
+  while (!q.empty()) EXPECT_FALSE(q.pop().fn);
+}
+
 TEST(EventQueue, PeekThenEarlierPushPopsTheEarlierEvent) {
   EventQueue q;
   q.push(Event{ms(1), 0, [] {}});
@@ -714,10 +779,10 @@ TEST(Simulator, RootFailureSurfacesPromptly) {
 }
 
 TEST(Notifier, SimulatorTeardownWithTimedWaiterParked) {
-  // A root parked in wait_until_timeout holds an armed pool timer, and its
-  // frame cancels that timer when destroyed. Pre-fix the simulator freed
-  // its timer pool before its roots, so teardown read freed memory
-  // (reported under ASan).
+  // A root parked in wait_until_timeout holds an armed timer, and its
+  // frame cancels that timer when destroyed. The simulator must destroy
+  // its roots before its queue, or teardown reads freed memory (reported
+  // under ASan).
   bool woke = false;
   {
     Simulator sim;
@@ -731,21 +796,64 @@ TEST(Notifier, SimulatorTeardownWithTimedWaiterParked) {
 }
 
 TEST(Simulator, TimerPoolCancelReuseAndStaleTokens) {
+  // cancel_timer clears the token it is given, so the stale tokens below
+  // are copies taken while they were current.
   Simulator sim;
   int fired = 0;
-  auto t1 = sim.schedule_timer_at(us(10), [&] { fired += 1; });
-  auto t2 = sim.schedule_timer_at(us(20), [&] { fired += 10; });
-  EXPECT_TRUE(sim.cancel_timer(t1));
-  EXPECT_FALSE(sim.cancel_timer(t1));  // token cleared by cancel
+  auto t1 = sim.schedule_at(us(10), [&] { fired += 1; });
+  auto t2 = sim.schedule_at(us(20), [&] { fired += 10; });
+  auto t3 = sim.schedule_at(us(30), [&] { fired += 100; });
+  const auto t1_copy = t1;
+  const auto t3_copy = t3;
+  EXPECT_TRUE(sim.cancel_timer(t3));
+  EXPECT_FALSE(t3.armed());            // cancel clears the token
+  EXPECT_FALSE(sim.cancel_timer(t3));  // and a cleared token is a no-op
+  auto stale = t3_copy;
+  EXPECT_FALSE(sim.cancel_timer(stale));  // already canceled
+  sim.run_until(us(15));
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(sim.cancel_timer(t1));  // already fired
+  // t4 reuses the slot t1's event freed; neither stale token may cancel it.
+  auto t4 = sim.schedule_at(us(25), [&] { fired += 1000; });
+  EXPECT_EQ(t4.slot, t1_copy.slot);
+  stale = t1_copy;
+  EXPECT_FALSE(sim.cancel_timer(stale));
+  stale = t3_copy;
+  EXPECT_FALSE(sim.cancel_timer(stale));
+  const std::uint64_t executed = sim.events_executed();
   sim.run();
-  EXPECT_EQ(fired, 10);                 // t1 canceled, t2 fired
-  EXPECT_EQ(sim.now(), us(20));         // canceled shell still drains at us(10)
-  EXPECT_FALSE(sim.cancel_timer(t2));   // already fired: stale generation
-  // A freed slot is recycled (t2's, freed last) with a bumped generation.
-  auto t3 = sim.schedule_timer_at(sim.now() + us(5), [&] { fired += 100; });
-  EXPECT_EQ(t3.slot, 1u);
-  sim.run();
-  EXPECT_EQ(fired, 110);
+  EXPECT_EQ(fired, 1011);  // t1, t2 and t4 ran; t3 never did
+  EXPECT_EQ(sim.events_executed(), executed + 2);  // t3 is not counted
+  EXPECT_EQ(sim.now(), us(25));  // and did not move the clock to 30
+  EXPECT_FALSE(sim.cancel_timer(t2));
+  EXPECT_FALSE(sim.cancel_timer(t4));
+}
+
+TEST(Simulator, ArmAndCancelKeepsTheQueueNearItsLiveDepth) {
+  // The client's submit loop: every request arms a long deadline timer
+  // and cancels it when the reply lands, over a shallow live queue. Each
+  // canceled timer must leave the queue instead of lingering until its
+  // deadline; pre-fix, pending_events() grew by one per cancel.
+  constexpr std::size_t kLive = 100;
+  constexpr int kRequests = 20'000;
+  Simulator sim;
+  Rng rng(17);
+  std::function<void()> chain = [&] {
+    sim.schedule(rng.uniform_int(1, 2'000), [&] { chain(); });
+  };
+  for (std::size_t i = 0; i < kLive; ++i) chain();
+  int deadlines_fired = 0;
+  std::size_t max_pending = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    auto timer =
+        sim.schedule_at(sim.now() + ms(100), [&] { ++deadlines_fired; });
+    sim.run_for(100);
+    max_pending = std::max(max_pending, sim.pending_events());
+    EXPECT_TRUE(sim.cancel_timer(timer));
+  }
+  EXPECT_EQ(deadlines_fired, 0);
+  EXPECT_LE(max_pending, 2 * (kLive + 1));
+  EXPECT_LE(sim.pending_events(), 2 * kLive);
 }
 
 TEST(EventFn, InlineAndHeapTargetsInvokeAndDestroyOnce) {
@@ -850,8 +958,8 @@ TEST(Notifier, NotifierDestroyedByWokenWaiterStillWakesBatch) {
 
 TEST(Notifier, TimedWaiterDestroyedMidWaitCancelsDeadlineResume) {
   // A frame destroyed while suspended in wait_until_timeout must cancel
-  // its pool timer (frame locals run their destructors on destroy), so
-  // the deadline event finds a stale generation instead of a dead handle.
+  // its deadline timer (frame locals run their destructors on destroy),
+  // so the deadline never resumes a dead handle.
   Simulator sim;
   Notifier n(sim);
   bool resumed = false;
@@ -864,12 +972,12 @@ TEST(Notifier, TimedWaiterDestroyedMidWaitCancelsDeadlineResume) {
   w = Task<void>{};
   sim.run();  // pre-fix: the deadline timer resumed the destroyed frame
   EXPECT_FALSE(resumed);
-  EXPECT_EQ(sim.now(), us(100));  // the disarmed shell still drains
+  EXPECT_EQ(sim.now(), us(10));  // the canceled timer did not move the clock
 }
 
 TEST(Notifier, NotifyHeavyTimedWaitKeepsEventQueueBounded) {
-  // Queue-bloat guard for the timer pool + intrusive waiters: a timed
-  // wait bombarded by notifies must hold at most the deadline shell, one
+  // Queue-bloat guard for the deadline timer + intrusive waiters: a timed
+  // wait bombarded by notifies must hold at most the deadline timer, one
   // in-flight walker and the re-park -- not one event per notify.
   Simulator sim;
   Notifier n(sim);
