@@ -675,20 +675,20 @@ sim::Task<void> Endpoint::log_loop() {
       apply_record(tagged.rec);
       applied_any = true;
     }
-    if (applied_any) {
-      // Report the applied position to every peer (any of them may be, or
-      // become, the leader).
-      const std::uint64_t ack = applied_seq_;
-      for (int r = 0; r < system_->replicas_per_group(); ++r) {
-        if (r == rank_) continue;
-        Endpoint& peer = system_->endpoint(group_, r);
-        system_->fabric().write_async(
-            node_->id(),
-            rdma::RAddr{peer.node().id(), peer.acks_mr(),
-                        static_cast<std::uint64_t>(rank_) * 8},
-            rdma::pod_bytes(ack));
-      }
-    }
+    if (applied_any) publish_ack();
+  }
+}
+
+void Endpoint::publish_ack() {
+  const std::uint64_t ack = applied_seq_;
+  for (int r = 0; r < system_->replicas_per_group(); ++r) {
+    if (r == rank_) continue;
+    Endpoint& peer = system_->endpoint(group_, r);
+    system_->fabric().write_async(
+        node_->id(),
+        rdma::RAddr{peer.node().id(), peer.acks_mr(),
+                    static_cast<std::uint64_t>(rank_) * 8},
+        rdma::pod_bytes(ack));
   }
 }
 
@@ -780,24 +780,12 @@ void Endpoint::try_deliver() {
   }
 }
 
-sim::Task<Delivery> Endpoint::next_delivery() {
-  const std::uint64_t inc = incarnation_;
-  co_await sim::wait_until(*ready_notifier_, [this] { return !ready_.empty(); });
-  // A waiter parked across a crash+restart must not steal a delivery from
-  // the new incarnation's consumer: return an empty (uid 0) delivery,
-  // which callers discard along with their own stale frame.
-  if (stale(inc)) co_return Delivery{};
-  co_await node_->cpu().use(system_->config().deliver_proc);
-  if (stale(inc)) co_return Delivery{};
-  Delivery d = ready_.front();
-  ready_.pop_front();
-  co_return d;
-}
-
 sim::Task<std::vector<Delivery>> Endpoint::next_deliveries() {
   const std::uint64_t inc = incarnation_;
   co_await sim::wait_until(*ready_notifier_, [this] { return !ready_.empty(); });
-  // Stale-waiter sentinel, as in next_delivery(): an empty span.
+  // A waiter parked across a crash+restart must not steal deliveries from
+  // the new incarnation's consumer: it gets an empty span, which callers
+  // discard along with their own stale frame.
   if (stale(inc)) co_return std::vector<Delivery>{};
   co_await node_->cpu().use(system_->config().deliver_proc);
   if (stale(inc)) co_return std::vector<Delivery>{};
@@ -981,21 +969,8 @@ sim::Task<void> Endpoint::takeover() {
 
   // 2. Catch up from the most advanced responder.
   if (best_peer >= 0 && best_seq > applied_seq_) {
-    Endpoint& peer = system_->endpoint(group_, best_peer);
-    for (std::uint64_t s = applied_seq_ + 1; s <= best_seq; ++s) {
-      TaggedLogRecord rec{};
-      std::span<std::byte> buf(reinterpret_cast<std::byte*>(&rec), sizeof(rec));
-      const auto cc = co_await fabric.read(
-          node_->id(),
-          rdma::RAddr{peer.node().id(), peer.log_mr(), log_slot_offset(s)},
-          buf);
-      if (stale(inc)) co_return;
-      if (!cc.ok() || rec.rec.seq != s) break;  // peer died or ring moved on
-      rdma::store_pod(node_->region(log_mr_).bytes(), log_slot_offset(s),
-                      rec);
-      applied_seq_ = s;
-      apply_record(rec.rec);
-    }
+    co_await catch_up_from(system_->endpoint(group_, best_peer), best_seq);
+    if (stale(inc)) co_return;
   }
 
   // 3. Start a new epoch and reset every peer to our log position.
@@ -1048,33 +1023,7 @@ sim::Task<void> Endpoint::takeover() {
   //    drop them so maybe_commit re-decides under the new epoch.
   commit_buf_.clear();
   for (auto& [uid, p] : pending_) p.commit_queued = false;
-  // Snapshot first: spawn() starts the coroutine eagerly, and when the
-  // majority-ack predicate already holds it runs straight through to
-  // maybe_commit/flush_commits, which can erase pending_ entries out
-  // from under a live iterator.
-  std::vector<MsgUid> redrive;
-  for (const auto& [uid, p] : pending_) {
-    if (p.proposed_locally && !p.committed) redrive.push_back(uid);
-  }
-  for (MsgUid uid : redrive) {
-    system_->fabric().simulator().spawn(
-        [](Endpoint& self, MsgUid u) -> sim::Task<void> {
-          const std::uint64_t inc2 = self.incarnation_;
-          const auto pit = self.pending_.find(u);
-          if (pit == self.pending_.end()) co_return;  // earlier re-drive won
-          const std::uint64_t seq = pit->second.propose_seq;
-          co_await sim::wait_until(
-              self.node_->region(self.acks_mr_).on_write(),
-              [&self, seq] { return self.propose_majority_acked(seq); });
-          if (self.stale(inc2)) co_return;
-          auto it = self.pending_.find(u);
-          if (it == self.pending_.end()) co_return;
-          it->second.propose_acked = true;
-          self.send_proposals(u);
-          self.maybe_commit(u);
-          self.flush_commits();
-        }(*this, uid));
-  }
+  redrive_pending();
   std::vector<MsgUid> to_propose;
   for (const auto& [uid, msg] : seen_) {
     auto it = pending_.find(uid);
@@ -1087,6 +1036,52 @@ sim::Task<void> Endpoint::takeover() {
   ctr_reproposals_->inc(to_propose.size());
   for (MsgUid uid : to_propose) {
     enqueue_propose(uid);
+  }
+}
+
+sim::Task<void> Endpoint::catch_up_from(Endpoint& peer, std::uint64_t upto) {
+  const std::uint64_t inc = incarnation_;
+  for (std::uint64_t s = applied_seq_ + 1; s <= upto; ++s) {
+    TaggedLogRecord rec{};
+    std::span<std::byte> buf(reinterpret_cast<std::byte*>(&rec), sizeof(rec));
+    const auto cc = co_await system_->fabric().read(
+        node_->id(),
+        rdma::RAddr{peer.node().id(), peer.log_mr(), log_slot_offset(s)}, buf);
+    if (stale(inc)) co_return;
+    if (!cc.ok() || rec.rec.seq != s) break;  // peer died or ring moved on
+    rdma::store_pod(node_->region(log_mr_).bytes(), log_slot_offset(s), rec);
+    applied_seq_ = s;
+    apply_record(rec.rec);
+  }
+}
+
+void Endpoint::redrive_pending() {
+  // Snapshot first: spawn() starts the coroutine eagerly, and when the
+  // majority-ack predicate already holds it runs straight through to
+  // maybe_commit/flush_commits, which can erase pending_ entries out
+  // from under a live iterator.
+  std::vector<MsgUid> redrive;
+  for (const auto& [uid, p] : pending_) {
+    if (p.proposed_locally && !p.committed) redrive.push_back(uid);
+  }
+  for (MsgUid uid : redrive) {
+    system_->fabric().simulator().spawn(
+        [](Endpoint& self, MsgUid u) -> sim::Task<void> {
+          const std::uint64_t inc = self.incarnation_;
+          const auto pit = self.pending_.find(u);
+          if (pit == self.pending_.end()) co_return;  // earlier re-drive won
+          const std::uint64_t seq = pit->second.propose_seq;
+          co_await sim::wait_until(
+              self.node_->region(self.acks_mr_).on_write(),
+              [&self, seq] { return self.propose_majority_acked(seq); });
+          if (self.stale(inc)) co_return;
+          auto it = self.pending_.find(u);
+          if (it == self.pending_.end()) co_return;
+          it->second.propose_acked = true;
+          self.send_proposals(u);
+          self.maybe_commit(u);
+          self.flush_commits();
+        }(*this, uid));
   }
 }
 
@@ -1231,21 +1226,8 @@ sim::Task<void> Endpoint::rejoin() {
 
   // 3. Catch up the log tail from the most advanced peer.
   if (best_peer >= 0) {
-    Endpoint& peer = system_->endpoint(group_, best_peer);
-    for (std::uint64_t s = applied_seq_ + 1; s <= best_seq; ++s) {
-      TaggedLogRecord rec{};
-      std::span<std::byte> buf(reinterpret_cast<std::byte*>(&rec),
-                               sizeof(rec));
-      const auto cc = co_await fabric.read(
-          node_->id(),
-          rdma::RAddr{peer.node().id(), peer.log_mr(), log_slot_offset(s)},
-          buf);
-      if (stale(inc)) co_return;
-      if (!cc.ok() || rec.rec.seq != s) break;  // peer died or ring moved on
-      rdma::store_pod(node_->region(log_mr_).bytes(), log_slot_offset(s), rec);
-      applied_seq_ = s;
-      apply_record(rec.rec);
-    }
+    co_await catch_up_from(system_->endpoint(group_, best_peer), best_seq);
+    if (stale(inc)) co_return;
   }
 
   append_seq_ = applied_seq_;
@@ -1253,17 +1235,7 @@ sim::Task<void> Endpoint::rejoin() {
 
   // 4. Publish our applied position so the leader's majority counting
   //    sees us again.
-  {
-    const std::uint64_t ack = applied_seq_;
-    for (int r = 0; r < n; ++r) {
-      if (r == rank_) continue;
-      Endpoint& peer = system_->endpoint(group_, r);
-      fabric.write_async(node_->id(),
-                         rdma::RAddr{peer.node().id(), peer.acks_mr(),
-                                     static_cast<std::uint64_t>(rank_) * 8},
-                         rdma::pod_bytes(ack));
-    }
-  }
+  publish_ack();
 
   // 5. If we come back as the leader (no takeover happened — quick
   //    restart or failover disabled), recover per-receiver proposal
@@ -1294,25 +1266,7 @@ sim::Task<void> Endpoint::rejoin() {
         props_sent_[peer.node().id()] = max_seq;
       }
     }
-    for (auto& [uid, p] : pending_) {
-      if (p.proposed_locally && !p.committed) {
-        fabric.simulator().spawn(
-            [](Endpoint& self, MsgUid u) -> sim::Task<void> {
-              const std::uint64_t inc2 = self.incarnation_;
-              const std::uint64_t seq = self.pending_.at(u).propose_seq;
-              co_await sim::wait_until(
-                  self.node_->region(self.acks_mr_).on_write(),
-                  [&self, seq] { return self.propose_majority_acked(seq); });
-              if (self.stale(inc2)) co_return;
-              auto it = self.pending_.find(u);
-              if (it == self.pending_.end()) co_return;
-              it->second.propose_acked = true;
-              self.send_proposals(u);
-              self.maybe_commit(u);
-              self.flush_commits();
-            }(*this, uid));
-      }
-    }
+    redrive_pending();
   }
 
   // 6. Resume the protocol loops under the new incarnation.

@@ -83,9 +83,6 @@ class Endpoint {
   [[nodiscard]] std::uint64_t clock() const { return clock_; }
   [[nodiscard]] std::uint64_t delivered_count() const { return delivered_count_; }
 
-  /// Awaits and returns the next delivered message, in delivery order.
-  sim::Task<Delivery> next_delivery();
-
   /// Awaits at least one delivery and drains the whole ready queue in
   /// delivery order, charging the hand-off cost once for the span. This
   /// is the batched consumer path: under load the application stops
@@ -160,6 +157,16 @@ class Endpoint {
                                std::vector<MsgUid> members);
   sim::Task<void> takeover();
   sim::Task<void> rejoin();  // restart path: replay + adopt + catch up
+  /// Copies `peer`'s log records after applied_seq_ up to `upto` into the
+  /// local ring, applying each; stops at the first slot not holding the
+  /// next seq (the peer died or its ring moved on).
+  sim::Task<void> catch_up_from(Endpoint& peer, std::uint64_t upto);
+  /// Reports applied_seq_ to every peer (any of them may be, or become,
+  /// the leader).
+  void publish_ack();
+  /// Re-drives the locally proposed, uncommitted messages: each waits for
+  /// a majority to ack its PROPOSE, then sends its proposals and commits.
+  void redrive_pending();
 
   /// True when a coroutine spawned under incarnation `inc` must exit: the
   /// node crashed, or it restarted and fresh loops took over.

@@ -385,10 +385,6 @@ bool ObjectStore::is_serialized(Ref ref) const {
   return at(ref).serialized;
 }
 
-std::uint64_t ObjectStore::slot_bytes_of(Oid oid) const {
-  return SlotView::header_bytes() + 2ull * at(oid).size;
-}
-
 std::span<const std::byte> ObjectStore::raw_slot(Oid oid) const {
   return slot_span(at(oid));
 }

@@ -255,7 +255,6 @@ class ObjectStore {
   [[nodiscard]] std::uint32_t size_of(Oid oid) const;
   [[nodiscard]] bool is_serialized(Oid oid) const;
   [[nodiscard]] bool is_serialized(Ref ref) const;
-  [[nodiscard]] std::uint64_t slot_bytes_of(Oid oid) const;
   [[nodiscard]] std::span<const std::byte> raw_slot(Oid oid) const;
 
   [[nodiscard]] rdma::MrId mr() const { return mr_; }
@@ -270,6 +269,13 @@ class ObjectStore {
     for (const Entry& e : entries_) {
       if (e.live) fn(e.oid);
     }
+  }
+  /// Every object id, in for_each_oid's order.
+  [[nodiscard]] std::vector<Oid> oids() const {
+    std::vector<Oid> out;
+    out.reserve(object_count());
+    for_each_oid([&out](Oid oid) { out.push_back(oid); });
+    return out;
   }
 
  private:

@@ -22,20 +22,6 @@ constexpr std::uint64_t kAddrQSlot = sizeof(AddrQuery);
 constexpr std::uint64_t kAddrASlot = sizeof(AddrAnswer);
 constexpr std::uint32_t kAddrSlots = 256;  // per stripe
 
-/// Wire form of a Replica::Session: fixed header, then `cached_len` reply
-/// payload bytes, then `extra_count` u64 executed-seqs above the
-/// watermark.
-struct SessionWire {
-  std::uint64_t watermark = 0;
-  std::uint64_t cached_seq = 0;
-  std::uint64_t last_tmp = 0;    // tmp of the session's last executed cmd
-  std::uint32_t cached_status = 0;
-  std::uint32_t cached_len = 0;
-  std::uint32_t extra_count = 0;
-  std::uint32_t paged_out = 0;   // cached payload lives on the device
-};
-static_assert(std::is_trivially_copyable_v<SessionWire>);
-
 /// Registry keys of Replica::Stat, in enum order.
 constexpr std::array<telemetry::StatKey, Replica::kStatCount> kReplicaStats{{
     {Replica::kExecuted, "core", "executed"},
@@ -77,72 +63,11 @@ static_assert(telemetry::in_enum_order(kReplicaStats));
 
 }  // namespace
 
-void append_session(durable::RecordBuffer& out, std::uint32_t client,
-                    const Replica::Session& s, const Reply* paged_in) {
-  const Reply& reply = paged_in != nullptr ? *paged_in : s.cached_reply;
-  const std::size_t extra = s.seqs.above_count();
-  const SessionWire wire{
-      s.watermark(),
-      s.cached_seq,
-      s.last_tmp,
-      reply.status,
-      static_cast<std::uint32_t>(reply.payload.size()),
-      static_cast<std::uint32_t>(extra),
-      s.reply_paged_out && paged_in == nullptr ? 1u : 0u};
-  const auto value =
-      out.append(durable::kRecordSession, 0, client, s.last_tmp,
-                 sizeof(wire) + reply.payload.size() + extra * sizeof(Tmp));
-  std::byte* at = value.data();
-  std::memcpy(at, &wire, sizeof(wire));
-  at += sizeof(wire);
-  if (!reply.payload.empty()) {
-    std::memcpy(at, reply.payload.data(), reply.payload.size());
-    at += reply.payload.size();
-  }
-  s.seqs.for_each_above([&at](std::uint64_t e) {
-    std::memcpy(at, &e, sizeof(e));
-    at += sizeof(e);
-  });
-}
-
-Replica::Session decode_session(std::span<const std::byte> bytes) {
-  Replica::Session s;
-  if (bytes.size() < sizeof(SessionWire)) return s;  // malformed
-  SessionWire wire{};
-  std::memcpy(&wire, bytes.data(), sizeof(wire));
-  // Validate the declared lengths against the blob before slicing: a
-  // truncated or corrupt blob must yield an empty session, not OOB reads.
-  const std::size_t need =
-      sizeof(SessionWire) + static_cast<std::size_t>(wire.cached_len) +
-      static_cast<std::size_t>(wire.extra_count) * sizeof(std::uint64_t);
-  if (bytes.size() < need) return s;
-  s.cached_seq = wire.cached_seq;
-  s.last_tmp = wire.last_tmp;
-  s.cached_reply.status = wire.cached_status;
-  s.reply_paged_out = wire.paged_out != 0;
-  auto rest = bytes.subspan(sizeof(SessionWire));
-  s.cached_reply.payload.assign(rest.begin(), rest.begin() + wire.cached_len);
-  rest = rest.subspan(wire.cached_len);
-  // The encoder writes the seqs above the watermark in ascending order;
-  // anything else is a corrupt blob.
-  sim::SeqWindow seqs(wire.watermark + 1);
-  std::uint64_t prev = wire.watermark;
-  for (std::uint32_t e = 0; e < wire.extra_count; ++e) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, rest.data() + static_cast<std::size_t>(e) * sizeof(v),
-                sizeof(v));
-    if (v <= prev) return Replica::Session{};
-    seqs.insert(v);
-    prev = v;
-  }
-  s.seqs = std::move(seqs);
-  return s;
-}
-
 Replica::Replica(System& system, GroupId group, int rank)
     : system_(&system),
       group_(group),
       rank_(rank),
+      log_(system.config().update_log_capacity),
       rng_(0x9e3779b9u ^ (static_cast<std::uint64_t>(group) << 16) ^
            static_cast<std::uint64_t>(rank)) {
   const HeronConfig& cfg = system.config();
@@ -380,29 +305,25 @@ sim::Task<void> Replica::main_loop() {
       // (if any) happened before eviction; answering a distinguishable
       // kStatusStaleSession — and never re-executing — preserves
       // at-most-once without the session state.
-      if (r.header.session_seq != 0) {
-        const auto tomb = evicted_sessions_.find(amcast::uid_client(r.uid));
-        if (tomb != evicted_sessions_.end() &&
-            r.header.session_seq <= tomb->second) {
-          count(kStaleSessionReplies);
-          last_executed_ = std::max(last_executed_, r.tmp);
-          co_await send_reply(r, Reply{kStatusStaleSession, {}});
-          if (stale(inc)) co_return;
-          continue;
-        }
+      if (sessions_.tombstoned(r)) {
+        count(kStaleSessionReplies);
+        last_executed_ = std::max(last_executed_, r.tmp);
+        co_await send_reply(r, Reply{kStatusStaleSession, {}});
+        if (stale(inc)) co_return;
+        continue;
       }
 
       // Session dedup: a retry of a command that already executed (or is
       // executing right now) here must not run again. Answer from the reply
       // cache when it holds exactly this command; stay silent for in-flight
       // or stale duplicates — the live attempt owns the reply slot.
-      if (session_executed(r)) {
+      if (sessions_.executed(r)) {
         count(kDedupHits);
         last_executed_ = std::max(last_executed_, r.tmp);
-        if (const Reply* cached = session_cached(r)) {
+        if (const Reply* cached = sessions_.cached(r)) {
           co_await send_reply(r, *cached);
           if (stale(inc)) co_return;
-        } else if (session_reply_paged_out(r)) {
+        } else if (sessions_.paged_out(r)) {
           // The cached payload was paged out to the durable device after a
           // covering checkpoint; fetch it back and answer from there.
           co_await answer_paged_reply(r);
@@ -454,7 +375,7 @@ sim::Task<void> Replica::main_loop() {
 
       // Mark at dispatch, before execution completes: with exec_threads > 1
       // a duplicate can be delivered while the first copy is mid-execution.
-      session_mark(r);
+      sessions_.mark(r, system_->simulator().now());
 
       const HeronConfig& cfg = system_->config();
       // Concurrent dispatch is off under leases: the write gate's applied
@@ -504,80 +425,24 @@ bool Replica::keys_free(const std::vector<Oid>& keys) const {
 }
 
 // ---------------------------------------------------------------------
-// Sessions: at-most-once execution per (client, session_seq).
+// Sessions: at-most-once execution per (client, session_seq), kept in
+// the session table; the replica fetches paged-out replies back.
 // ---------------------------------------------------------------------
 
-bool Replica::session_executed(const Request& r) const {
-  if (r.header.session_seq == 0) return false;  // sessionless client
-  const auto it = sessions_.find(amcast::uid_client(r.uid));
-  return it != sessions_.end() && it->second.executed(r.header.session_seq);
-}
-
-void Replica::session_mark(const Request& r) {
-  if (r.header.session_seq == 0) return;
-  Session& s = sessions_[amcast::uid_client(r.uid)];
-  s.mark(r.header.session_seq);
-  s.last_tmp = std::max(s.last_tmp, r.tmp);
-  s.last_active = system_->simulator().now();
-}
-
-void Replica::session_cache_reply(const Request& r, const Reply& reply) {
-  if (r.header.session_seq == 0) return;
-  Session& s = sessions_[amcast::uid_client(r.uid)];
-  s.cached_seq = r.header.session_seq;
-  s.cached_reply.status = reply.status;
-  // Mirror what the reply slot carries: the payload truncated to the slot
-  // size, so a cached answer is byte-identical to the original one.
-  const std::size_t len = std::min(reply.payload.size(), kMaxReplyPayload);
-  s.cached_reply.payload.assign(reply.payload.begin(),
-                                reply.payload.begin() +
-                                    static_cast<std::ptrdiff_t>(len));
-  s.reply_paged_out = false;  // the in-memory copy is authoritative again
-}
-
-const Reply* Replica::session_cached(const Request& r) const {
-  if (r.header.session_seq == 0) return nullptr;
-  const auto it = sessions_.find(amcast::uid_client(r.uid));
-  if (it == sessions_.end()) return nullptr;
-  if (it->second.cached_seq != r.header.session_seq) return nullptr;
-  if (it->second.reply_paged_out) return nullptr;  // see answer_paged_reply
-  return &it->second.cached_reply;
-}
-
-bool Replica::session_reply_paged_out(const Request& r) const {
-  if (r.header.session_seq == 0) return false;
-  const auto it = sessions_.find(amcast::uid_client(r.uid));
-  return it != sessions_.end() &&
-         it->second.cached_seq == r.header.session_seq &&
-         it->second.reply_paged_out;
-}
-
 sim::Task<void> Replica::answer_paged_reply(const Request& r) {
-  const std::uint32_t client = amcast::uid_client(r.uid);
-  // Fallback when the fetch fails (CRC, compacted away): the command DID
-  // execute (session_executed passed), only its reply payload is gone —
-  // exactly the contract kStatusStaleSession carries.
+  // Fallback when the fetch fails (CRC, compacted away, or a record itself
+  // paged out by a delta checkpoint): the command DID execute, only its
+  // reply payload is gone — exactly the contract kStatusStaleSession
+  // carries.
   Reply reply{kStatusStaleSession, {}};
   if (ckpt_ != nullptr) {
-    const auto rec =
-        co_await ckpt_->fetch_record(durable::kRecordSession, client);
-    if (rec.has_value()) {
-      Session persisted = decode_session(rec->bytes);
-      // A persisted record that is itself marked paged-out carries no
-      // payload (a dirty-while-paged-out session snapshotted by a delta
-      // checkpoint); treat it like a failed fetch — the stale-session
-      // fallback — never as an empty success.
-      if (persisted.cached_seq == r.header.session_seq &&
-          !persisted.reply_paged_out) {
-        reply = persisted.cached_reply;
-        // Re-cache: further retries answer from memory again.
-        const auto it = sessions_.find(client);
-        if (it != sessions_.end() &&
-            it->second.cached_seq == r.header.session_seq) {
-          it->second.cached_reply = reply;
-          it->second.reply_paged_out = false;
-        }
-      }
+    const std::optional<Session> persisted =
+        decode_paged(co_await ckpt_->fetch_record(durable::kRecordSession,
+                                                  amcast::uid_client(r.uid)));
+    if (persisted && persisted->cached_seq == r.header.session_seq) {
+      reply = persisted->cached_reply;
+      // Re-cache (unless a racing retry did): later retries hit memory.
+      if (sessions_.paged_out(r)) sessions_.cache_reply(r, reply);
     }
   }
   co_await send_reply(r, reply);
@@ -585,7 +450,7 @@ sim::Task<void> Replica::answer_paged_reply(const Request& r) {
 
 void Replica::note_executed(const Request& r, const Reply& reply) {
   if (r.header.session_seq == 0) return;
-  session_cache_reply(r, reply);
+  sessions_.cache_reply(r, reply);
   if (system_->exec_observer()) {
     system_->exec_observer()(group_, rank_, amcast::uid_client(r.uid),
                              r.header.session_seq, r.uid, r.tmp);
@@ -653,39 +518,17 @@ sim::Task<void> Replica::handle_request(Request r) {
     co_return;
   }
 
-  // Lines 5-7: single-partition requests skip coordination.
-  if (r.single_partition()) {
-    Reply reply;
-    std::vector<Oid> locked;
-    if (cfg.mode == Mode::kApp) {
-      const sim::Nanos t0 = system_->simulator().now();
-      ExecOutcome out = co_await execute(r);
-      if (stale(inc)) co_return;
-      const sim::Nanos exec_ns = system_->simulator().now() - t0;
-      exec_lat_.record(exec_ns);
-      hist_exec_->observe(exec_ns);
-      // Single-partition requests only touch local objects; they cannot
-      // observe remote progress, hence cannot detect lagging.
-      reply = std::move(out.reply);
-      locked = std::move(out.locked);
-    }
-    count(kExecuted);
-    last_executed_ = std::max(last_executed_, r.tmp);
-    if (leases_enabled()) {
-      push_applied();
-      co_await write_gate(r, locked);
-      if (stale(inc)) co_return;
-    }
-    note_executed(r, reply);
-    co_await send_reply(r, reply);
-    co_return;
+  // Lines 5-7: single-partition requests skip coordination (Phases 2 and
+  // 4); they only touch local objects, so they never detect lagging.
+  const bool multi = !r.single_partition();
+  sim::Nanos phase2 = 0;
+  if (multi) {
+    // Phase 2 (lines 8-10).
+    const sim::Nanos c0 = system_->simulator().now();
+    co_await coordinate(r, 1);
+    if (stale(inc)) co_return;
+    phase2 = system_->simulator().now() - c0;
   }
-
-  // Phase 2 (lines 8-10).
-  const sim::Nanos c0 = system_->simulator().now();
-  co_await coordinate(r, 1);
-  if (stale(inc)) co_return;
-  const sim::Nanos phase2 = system_->simulator().now() - c0;
 
   // Phase 3 (lines 11-13).
   Reply reply;
@@ -707,14 +550,16 @@ sim::Task<void> Replica::handle_request(Request r) {
     locked = std::move(out.locked);
   }
 
-  // Phase 4 (lines 14-16); carries the wait-for-all statistics.
-  const sim::Nanos c1 = system_->simulator().now();
-  co_await coordinate(r, 2);
-  if (stale(inc)) co_return;
-  const sim::Nanos coord_ns = phase2 + (system_->simulator().now() - c1);
-  coord_lat_.record(coord_ns);
-  hist_coord_->observe(coord_ns);
-  count(kCoordMultiPartition);
+  if (multi) {
+    // Phase 4 (lines 14-16); carries the wait-for-all statistics.
+    const sim::Nanos c1 = system_->simulator().now();
+    co_await coordinate(r, 2);
+    if (stale(inc)) co_return;
+    const sim::Nanos coord_ns = phase2 + (system_->simulator().now() - c1);
+    coord_lat_.record(coord_ns);
+    hist_coord_->observe(coord_ns);
+    count(kCoordMultiPartition);
+  }
 
   count(kExecuted);
   last_executed_ = std::max(last_executed_, r.tmp);
@@ -1035,7 +880,8 @@ void Replica::apply_writes(const Request& r, ExecContext& ctx) {
     } else {
       store_->set(refs[i], bytes, r.tmp);
     }
-    log_update(r.tmp, oid);
+    roles_.note_write(oid);
+    log_.append(r.tmp, oid);
   }
 }
 
@@ -1055,7 +901,7 @@ void Replica::publish_lease_word() {
   // outbound migration's copy machine is live — one-sided commits bypass
   // its dirty tracking and would be lost at the destination after FLIP.
   if (epoch_word != 0 && system_->config().fast_writes &&
-      (!fast_write_armed_ || outbound_active_)) {
+      (!fast_write_armed_ || roles_.source.active)) {
     epoch_word |= kLeaseFastWriteDisarmedBit;
   }
   const LeaseWord w{epoch_word, lease_expiry_};
@@ -1436,7 +1282,7 @@ std::vector<Oid> Replica::request_oids(const Request& r) const {
 bool Replica::touches_unsealed_inbound(const std::vector<Oid>& oids) const {
   if (inbound_sealed()) return false;
   for (const Oid oid : oids) {
-    if (inbound_.contains(oid)) return true;
+    if (roles_.dest.range.contains(oid)) return true;
   }
   return false;
 }
@@ -1463,38 +1309,12 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
   if (phase == reconfig::kEpochPrepare) {
     layout_ = incoming;
     publish_epoch_word();
-    const reconfig::Migration& mig = layout_.migration;
-    if (!mig.active()) co_return;
-    if (mig.from == group_) {
-      outbound_active_ = true;
-      outbound_flipped_ = false;
-      outbound_ = mig;
-      outbound_epoch_ = layout_.epoch;
-      migration_dirty_.clear();
-      pass_pending_.clear();
-      copy_caught_up_ = false;
-      final_image_ = {};
-      // Disarm fast writes for the whole partition before the copy
-      // machine's first pass: re-publish the lease word with
-      // kLeaseFastWriteDisarmedBit so in-flight probes/verifies abort
-      // (one-sided commits bypass migration_dirty_).
-      if (leases_enabled()) publish_lease_word();
-      system_->simulator().spawn(copy_machine(layout_.epoch));
-    }
-    if (mig.to == group_) {
-      inbound_epoch_ = layout_.epoch;
-      inbound_ = mig;
-      // Taint is not cleared here: chunks of this epoch may have landed
-      // (and torn) before this PREPARE did. A stale taint only costs one
-      // pull resend.
-      inbound_progress_at_ = system_->simulator().now();
-      system_->simulator().spawn(inbound_watch_loop(layout_.epoch));
-    }
+    arm_migration_roles(/*rejoining=*/false);
     co_return;
   }
 
   // FLIP: ownership moves at this exact stream position on every replica.
-  const bool was_source = outbound_active_ && !outbound_flipped_;
+  const bool was_source = roles_.copying();
   const reconfig::Migration mig = layout_.migration;
   layout_ = incoming;  // ranges rewritten, migration cleared
   publish_epoch_word();
@@ -1505,8 +1325,8 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
   // range between the destination's seal and the retirement below
   // (satellite fix: lease words zeroed on ownership transfer, not only
   // on restart()).
-  outbound_flipped_ = true;
-  copy_caught_up_ = true;
+  roles_.source.flipped = true;
+  roles_.source.caught_up = true;
   lease_epoch_ = 0;
   lease_expiry_ = 0;
   publish_lease_word();
@@ -1514,56 +1334,54 @@ sim::Task<void> Replica::apply_epoch_marker(const Request& r) {
   // (2) Final image: full range snapshot + every session + tombstones,
   // retained in memory to serve idempotent pull resends after the live
   // slots are retired.
-  std::vector<Oid> range_oids;
-  store_->for_each_oid([&](Oid oid) {
-    if (mig.contains(oid)) range_oids.push_back(oid);
-  });
-  std::sort(range_oids.begin(), range_oids.end());
+  const std::vector<Oid> range_oids = oids_in(mig);
   // A slot still fast-pending here snapshots as its pre-image
   // (SlotView::current skips the pending version). That is the right
   // value: the PREPARE disarm stopped new fast commits long before this
   // FLIP, so a pending that lingered this long was abandoned by its
   // writer — no VALIDATE is coming — and step (4) discards it below.
-  final_image_ = collect_records(range_oids, /*sessions=*/true);
+  roles_.source.final_image = collect_records(range_oids, /*sessions=*/true);
 
   // (3) Final delta: objects written (or collected but not yet on the
-  // wire — pass_pending_) since the last drained pass, plus all session
-  // state, sealed. Unthrottled: this is the flip's quiesce window and
-  // should be as short as possible.
-  std::set<Oid> delta = migration_dirty_;
-  delta.insert(pass_pending_.begin(), pass_pending_.end());
-  migration_dirty_.clear();
-  pass_pending_.clear();
-  durable::RecordBuffer records;
-  for (std::size_t i = 0; i < final_image_.size(); ++i) {
-    const durable::RecordView rec = final_image_[i];
-    if (rec.kind == durable::kRecordObject && !delta.contains(rec.id)) {
-      continue;
-    }
-    records.append(rec);
-  }
-  co_await copy_send(std::move(records), outbound_epoch_, mig.to, rank_,
-                     /*seal=*/true, /*throttle=*/false);
+  // wire) since the last drained pass, plus all session state, sealed —
+  // the final image's records of exactly those objects (all in the range,
+  // ascending). Unthrottled: this is the flip's quiesce window and should
+  // be as short as possible.
+  const std::set<Oid> delta = roles_.take_final_delta();
+  co_await copy_send(collect_records({delta.begin(), delta.end()}, true),
+                     roles_.source.epoch, mig.to, rank_, /*seal=*/true,
+                     /*throttle=*/false);
   if (stale(inc)) co_return;
 
-  // (4) Retirement: normalize any odd seqlock (satellite fix — this sweep
-  // previously only ran on restart()), poison the size word so stale
-  // fast readers fail their size check, and purge the range from the
-  // update log so later delta checkpoints/transfers skip retired oids.
-  for (const Oid oid : range_oids) {
+  // (4) Retirement: normalize any odd seqlock, poison the size word so
+  // stale fast readers fail their size check, and purge the range from
+  // the update log so later delta checkpoints/transfers skip retired
+  // oids. A pending INVALIDATE on a migrating-away slot resolves as
+  // aborted: the final delta above shipped the committed version, and
+  // the writer's VERIFY against this retired slot (poisoned size) fails,
+  // sending it down the ordered fallback — which the new owner answers.
+  count(kMigratedOut, retire_oids(range_oids));
+  log_.erase_if([&mig](Oid oid) { return mig.contains(oid); });
+  roles_.source.active = false;  // epoch and range kept for pulls
+}
+
+std::vector<Oid> Replica::oids_in(const reconfig::Migration& mig) const {
+  std::vector<Oid> out = store_->oids();
+  std::erase_if(out, [&mig](Oid oid) { return !mig.contains(oid); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::size_t Replica::retire_oids(const std::vector<Oid>& oids) {
+  std::size_t retired = 0;
+  for (const Oid oid : oids) {
     if (!store_->exists(oid)) continue;
-    // A pending INVALIDATE on a migrating-away slot resolves as aborted:
-    // the final delta above shipped the committed version, and the writer's
-    // VERIFY against this retired slot (poisoned size) fails, sending it
-    // down the ordered fallback — which the new owner answers.
     if (store_->fast_pending(oid)) store_->discard_pending(oid);
     if (store_->seqlock(oid) & 1) store_->end_write(oid);
     store_->retire(oid);
-    count(kMigratedOut);
+    ++retired;
   }
-  std::erase_if(update_log_,
-                [&mig](const LogEntry& e) { return mig.contains(e.oid); });
-  outbound_active_ = false;  // outbound_/outbound_epoch_ kept for pulls
+  return retired;
 }
 
 // Foreground throttle of the two background writers, checkpoint_loop and
@@ -1591,50 +1409,39 @@ constexpr std::size_t kSealDirtyThreshold = 64;
 sim::Task<void> Replica::copy_machine(std::uint64_t mig_epoch) {
   const std::uint64_t inc = incarnation_;
   auto& sim = system_->simulator();
-  const reconfig::Migration mig = outbound_;
+  const reconfig::Migration mig = roles_.source.range;
+  MigrationRoles::Source& src = roles_.source;
   int pass = 0;
   while (true) {
-    if (stale(inc) || !outbound_active_ || outbound_flipped_ ||
-        outbound_epoch_ != mig_epoch) {
-      co_return;
-    }
+    if (stale(inc) || !roles_.copying() || src.epoch != mig_epoch) co_return;
     // Pass 0 snapshots the whole range; later passes drain the objects
     // foreground writes dirtied since. Collected oids sit in
-    // pass_pending_ until their chunk is on the wire, so a FLIP that
+    // pass_pending until their chunk is on the wire, so a FLIP that
     // interrupts a pass still covers them in its final delta.
-    std::vector<Oid> oids;
-    if (pass == 0) {
-      store_->for_each_oid([&](Oid oid) {
-        if (mig.contains(oid)) oids.push_back(oid);
-      });
-      std::sort(oids.begin(), oids.end());
-    } else {
-      oids.assign(migration_dirty_.begin(), migration_dirty_.end());
-      migration_dirty_.clear();
-    }
+    std::vector<Oid> oids = pass == 0 ? oids_in(mig) : roles_.take_dirty();
     // A pending invalidation may still receive its VALIDATE (posted
     // before the PREPARE disarm propagated to the writer); shipping the
     // pre-image now would miss that commit, and one-sided traffic never
-    // touches migration_dirty_. Defer such oids to a later pass — by then
+    // touches the dirty set. Defer such oids to a later pass — by then
     // the slot has validated or been discarded.
-    std::erase_if(oids, [this](Oid oid) {
+    std::erase_if(oids, [this, &src](Oid oid) {
       if (!store_->exists(oid) || !store_->fast_pending(oid)) return false;
-      migration_dirty_.insert(oid);
+      src.dirty.insert(oid);
       count(kCopyDeferred);
       return true;
     });
-    pass_pending_.insert(oids.begin(), oids.end());
+    src.pass_pending.insert(oids.begin(), oids.end());
     co_await copy_send(collect_records(oids, false), mig_epoch, mig.to, rank_,
                        /*seal=*/false, /*throttle=*/true);
-    if (stale(inc) || !outbound_active_ || outbound_flipped_) co_return;
+    if (stale(inc) || !roles_.copying()) co_return;
     // The whole pass is on the wire — or the destination is down and will
     // pull the final image once it rejoins (its restart taints the
     // stream). Either way a FLIP from here on needs only what was dirtied
     // since.
-    for (const Oid oid : oids) pass_pending_.erase(oid);
+    for (const Oid oid : oids) src.pass_pending.erase(oid);
     ++pass;
-    copy_caught_up_ = migration_dirty_.size() + pass_pending_.size() <=
-                      kSealDirtyThreshold;
+    src.caught_up =
+        src.dirty.size() + src.pass_pending.size() <= kSealDirtyThreshold;
     co_await sim.sleep(kDeltaPassInterval);
   }
 }
@@ -1676,9 +1483,9 @@ sim::Task<void> Replica::inbound_watch_loop(std::uint64_t mig_epoch) {
   while (true) {
     co_await sim.sleep(kPullTimeout / 2);
     if (stale(inc)) co_return;
-    if (inbound_epoch_ != mig_epoch) co_return;    // superseded migration
-    if (copy_->sealed() >= mig_epoch) co_return;   // sealed: done
-    if (sim.now() - std::max(inbound_progress_at_, copy_->progress_at()) <=
+    if (roles_.dest.epoch != mig_epoch) co_return;  // superseded migration
+    if (copy_->sealed() >= mig_epoch) co_return;    // sealed: done
+    if (sim.now() - std::max(roles_.dest.progress_at, copy_->progress_at()) <=
         kPullTimeout) {
       continue;
     }
@@ -1687,7 +1494,7 @@ sim::Task<void> Replica::inbound_watch_loop(std::uint64_t mig_epoch) {
     const int src = static_cast<int>(
         (static_cast<std::uint64_t>(rank_) + pull_rr_++) %
         static_cast<std::uint64_t>(reps));
-    Replica& donor = system_->replica(inbound_.from, src);
+    Replica& donor = system_->replica(roles_.dest.range.from, src);
     const reconfig::PullWord pw{++pull_serial_, rank_, 0};
     system_->fabric().write_async(
         node().id(),
@@ -1695,7 +1502,7 @@ sim::Task<void> Replica::inbound_watch_loop(std::uint64_t mig_epoch) {
                     pull_offset(rank_)},
         rdma::pod_bytes(pw));
     copy_->count(StateStream::kResends);
-    inbound_progress_at_ = sim.now();
+    roles_.dest.progress_at = sim.now();
   }
 }
 
@@ -1719,29 +1526,14 @@ sim::Task<void> Replica::pull_watch_loop() {
       // stays silent; the starved destination round-robins to the next
       // source rank. (Every source crashing after the FLIP but before
       // any dest rank sealed is out of scope — see DESIGN.md.)
-      if (!outbound_flipped_ || final_image_.empty()) continue;
+      const MigrationRoles::Source& out = roles_.source;
+      if (!out.flipped || out.final_image.empty()) continue;
       copy_->count(StateStream::kResendsServed);
-      co_await copy_send(final_image_, outbound_epoch_, outbound_.to, q,
+      co_await copy_send(out.final_image, out.epoch, out.range.to, q,
                          /*seal=*/true, /*throttle=*/false);
       if (stale(inc)) co_return;
     }
   }
-}
-
-// Union-merge: both sides may have executed disjoint command sets (the
-// source pre-flip, this group post-flip). The cached reply follows the
-// higher cached_seq; a paged-out incoming payload stays paged out and
-// degrades to kStatusStaleSession on retry (this group's device never
-// persisted it).
-void Replica::Session::merge(Session&& incoming) {
-  if (incoming.cached_seq > cached_seq) {
-    cached_seq = incoming.cached_seq;
-    cached_reply = std::move(incoming.cached_reply);
-    reply_paged_out = incoming.reply_paged_out;
-  }
-  last_tmp = std::max(last_tmp, incoming.last_tmp);
-  last_active = incoming.last_active;
-  seqs.merge(incoming.seqs);
 }
 
 void Replica::adopt_layout_record(std::span<const std::byte> payload) {
@@ -1763,30 +1555,25 @@ void Replica::adopt_layout_record(std::span<const std::byte> payload) {
   copy_->note_sealed(donor_seal);
 }
 
-void Replica::resume_migration_roles() {
-  if (!layout_.enabled() || !layout_.migration.active()) return;
+void Replica::arm_migration_roles(bool rejoining) {
   const reconfig::Migration mig = layout_.migration;
+  if (!mig.active()) return;
   auto& sim = system_->simulator();
-
   if (mig.from == group_) {
-    // Source crashed mid-copy: restart the copier from a full pass. Its
-    // first chunk to each dest recovers the send cursor (copy_ restarted).
-    outbound_active_ = true;
-    outbound_flipped_ = false;
-    outbound_ = mig;
-    outbound_epoch_ = layout_.epoch;
-    migration_dirty_.clear();
-    pass_pending_.clear();
-    copy_caught_up_ = false;
+    // The copier starts from a full pass; after a restart its first chunk
+    // to each dest recovers the send cursor.
+    roles_.arm_source(mig, layout_.epoch);
+    // kLeaseFastWriteDisarmedBit stops fast writes, which bypass the dirty
+    // set, before the first pass (a rejoining lease word reads "no lease").
+    if (!rejoining && leases_enabled()) publish_lease_word();
     sim.spawn(copy_machine(layout_.epoch));
   }
-  if (mig.to == group_ && copy_->sealed() < layout_.epoch) {
-    inbound_epoch_ = layout_.epoch;
-    inbound_ = mig;
-    // Chunks streamed while this rank was down are gone; force the first
-    // SEAL attempt to fail so a pull resend re-ships the whole range.
-    copy_->taint();
-    inbound_progress_at_ = sim.now();
+  if (mig.to == group_ && (!rejoining || copy_->sealed() < layout_.epoch)) {
+    roles_.arm_dest(mig, layout_.epoch, sim.now());
+    // At rejoin the chunks streamed while this rank was down are gone: the
+    // taint fails the first SEAL so a pull resend re-ships the range.
+    // PREPARE keeps any taint (a torn early chunk costs one pull resend).
+    if (rejoining) copy_->taint();
     sim.spawn(inbound_watch_loop(layout_.epoch));
   }
 }
@@ -1794,55 +1581,6 @@ void Replica::resume_migration_roles() {
 // ---------------------------------------------------------------------
 // Algorithm 3: state transfer.
 // ---------------------------------------------------------------------
-
-void Replica::log_update(Tmp tmp, Oid oid) {
-  // Copy-machine dirty tracking: a foreground write into the outbound
-  // range re-marks the object for the next delta pass (or the FLIP's
-  // final delta).
-  if (outbound_active_ && !outbound_flipped_ && outbound_.contains(oid)) {
-    migration_dirty_.insert(oid);
-  }
-  update_log_.push_back(LogEntry{tmp, oid});
-  if (update_log_.size() > system_->config().update_log_capacity) {
-    // A capacity pop loses dirty-tracking: remember the highest tmp ever
-    // dropped this way, so a delta checkpoint whose base is older is
-    // forced full. Checkpoint truncation (entries the checkpoint covers)
-    // does NOT update this — those entries are durably recorded.
-    log_dropped_max_ = std::max(log_dropped_max_, update_log_.front().tmp);
-    log_floor_ = std::max(log_floor_, update_log_.front().tmp);
-    update_log_.pop_front();
-    log_truncated_ = true;
-  }
-}
-
-std::vector<Oid> Replica::log_objects_since(Tmp from_tmp, bool held_through,
-                                            bool& full_transfer) const {
-  // from_tmp == 0 is a from-scratch restart (no checkpoint, volatile
-  // memory lost): by definition a full transfer, whatever the log holds.
-  //
-  // Otherwise the requester needs every update at/above from_tmp
-  // (failed-request semantics) or strictly above it (held_through: a
-  // delta request certifies from_tmp itself is applied). A delta
-  // suffices exactly when no entry the requester needs was ever dropped:
-  // log_floor_ is the highest tmp dropped by any path (capacity pops,
-  // checkpoint truncation, restart wipe).
-  full_transfer = from_tmp == 0 || (held_through ? log_floor_ > from_tmp
-                                                 : log_floor_ >= from_tmp);
-  std::vector<Oid> out;
-  std::set<Oid> seen;
-  if (full_transfer) return out;
-  // Entries are appended in execution order => sorted by tmp.
-  auto it =
-      held_through
-          ? std::upper_bound(update_log_.begin(), update_log_.end(), from_tmp,
-                             [](Tmp t, const LogEntry& e) { return t < e.tmp; })
-          : std::lower_bound(update_log_.begin(), update_log_.end(), from_tmp,
-                             [](const LogEntry& e, Tmp t) { return e.tmp < t; });
-  for (; it != update_log_.end(); ++it) {
-    if (seen.insert(it->oid).second) out.push_back(it->oid);
-  }
-  return out;
-}
 
 sim::Task<void> Replica::request_state_transfer(Tmp failed_tmp,
                                                 bool have_sessions) {
@@ -1967,13 +1705,13 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
   // (real tmps are pack_ts(clock >= 1, group), i.e. >= 64).
   const Tmp rid = std::max<Tmp>(last_executed_, 1);
 
-  bool full = false;
-  std::vector<Oid> oids = log_objects_since(from_tmp, sessions_delta, full);
-  if (full) {
-    oids.clear();
-    oids.reserve(store_->object_count());
-    store_->for_each_oid([&oids](Oid oid) { oids.push_back(oid); });
-  }
+  // The lagger needs every update at/above from_tmp (failed-request
+  // semantics) or strictly above it (sessions_delta: from_tmp itself is
+  // applied). A delta suffices exactly when the log still holds all of
+  // them; from_tmp == 0 is a from-scratch restart, by definition full.
+  const Tmp after = sessions_delta ? from_tmp : from_tmp - 1;
+  const bool full = from_tmp == 0 || !log_.complete_after(after);
+  const std::vector<Oid> oids = full ? store_->oids() : log_.oids_after(after);
 
   // Session table: the dedup state must travel with the store — the
   // receiver replaces whole entries, which is safe because this snapshot
@@ -2053,25 +1791,12 @@ durable::RecordBuffer Replica::collect_records(
         store_->is_serialized(oid) ? durable::kRecordFlagSerialized : 0u, oid,
         tmp, value});
   }
-  if (!sessions) return out;
-  for (const auto& [client, s] : sessions_) {
-    if (sessions_after != 0 && s.last_tmp <= sessions_after) continue;
-    const Reply* reply = nullptr;
-    if (paged_in != nullptr && s.reply_paged_out) {
-      const auto it = paged_in->find(client);
-      if (it != paged_in->end()) reply = &it->second;
-    }
-    append_session(out, client, s, reply);
-  }
-  for (const auto& [client, floor] : evicted_sessions_) {
-    out.append(durable::kRecordTombstone, 0, client, floor, 0);
-  }
+  if (sessions) sessions_.append_records(out, sessions_after, paged_in);
   return out;
 }
 
 bool Replica::apply_state_record(const durable::RecordView& rec,
                                  ApplyRule rule) {
-  const auto client = static_cast<std::uint32_t>(rec.id);
   switch (rec.kind) {
     case durable::kRecordObject:
       if (rule == ApplyRule::kNewestWins) {
@@ -2085,22 +1810,11 @@ bool Replica::apply_state_record(const durable::RecordView& rec,
       }
       store_->install_version(rec.id, rec.value, rec.tmp, rec.serialized());
       break;
-    case durable::kRecordSession: {
-      Session s = decode_session(rec.value);
-      s.last_active = system_->simulator().now();
-      const auto [it, fresh] = sessions_.try_emplace(client);
-      if (fresh || rule == ApplyRule::kReplace) {
-        it->second = std::move(s);
-      } else {
-        it->second.merge(std::move(s));
-      }
+    case durable::kRecordSession:
+    case durable::kRecordTombstone:
+      sessions_.install(rec, rule == ApplyRule::kNewestWins,
+                        system_->simulator().now());
       break;
-    }
-    case durable::kRecordTombstone: {
-      auto& floor = evicted_sessions_[client];
-      floor = std::max(floor, rec.tmp);
-      break;
-    }
     case durable::kRecordLayout:
       adopt_layout_record(rec.value);
       break;
@@ -2136,9 +1850,8 @@ sim::Task<void> Replica::checkpoint_loop() {
 
 sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
   const HeronConfig& cfg = system_->config();
-  const durable::DurableConfig& dcfg = cfg.durable;
   const bool full = !ckpt_->has_checkpoint() || ckpt_->should_compact() ||
-                    ckpt_watermark_ < log_dropped_max_;
+                    ckpt_watermark_ < log_.capacity_dropped();
 
   // Paged-out reply payloads live only on the device, so any session
   // about to be re-encoded — every session on a full checkpoint, dirty
@@ -2148,26 +1861,12 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
   // without the payload would persist an empty reply in its place.
   // Awaits here are fine — the snapshot below re-reads live state.
   std::map<std::uint32_t, Reply> paged_replies;
-  {
-    std::vector<std::uint32_t> paged_clients;
-    for (const auto& [client, s] : sessions_) {
-      if (s.reply_paged_out && (full || s.last_tmp > ckpt_watermark_)) {
-        paged_clients.push_back(client);
-      }
-    }
-    for (const std::uint32_t client : paged_clients) {
-      const auto rec =
-          co_await ckpt_->fetch_record(durable::kRecordSession, client);
-      if (stale(inc)) co_return;
-      if (rec.has_value()) {
-        Session persisted = decode_session(rec->bytes);
-        // A record that is itself paged-out holds no payload; using it
-        // would launder an empty reply into a paged_out=0 record.
-        if (!persisted.reply_paged_out) {
-          paged_replies[client] = std::move(persisted.cached_reply);
-        }
-      }
-    }
+  for (const std::uint32_t client :
+       sessions_.paged_clients(full, ckpt_watermark_)) {
+    std::optional<Session> persisted = decode_paged(
+        co_await ckpt_->fetch_record(durable::kRecordSession, client));
+    if (stale(inc)) co_return;
+    if (persisted) paged_replies[client] = std::move(persisted->cached_reply);
   }
 
   // Synchronous snapshot (no suspension between reading the watermark and
@@ -2184,18 +1883,9 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
   // checkpoint — log entries are tmp-sorted, and capacity pops above
   // ckpt_watermark_ force `full`, so the log is complete over
   // (ckpt_watermark_, w].
-  std::vector<Oid> oids;
-  if (full) {
-    oids.reserve(store_->object_count());
-    store_->for_each_oid([&oids](Oid oid) { oids.push_back(oid); });
-  } else {
-    auto it = std::lower_bound(
-        update_log_.begin(), update_log_.end(), ckpt_watermark_ + 1,
-        [](const LogEntry& e, Tmp t) { return e.tmp < t; });
-    for (; it != update_log_.end(); ++it) oids.push_back(it->oid);
-    std::sort(oids.begin(), oids.end());
-    oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
-  }
+  std::vector<Oid> oids =
+      full ? store_->oids() : log_.oids_after(ckpt_watermark_);
+  if (!full) std::sort(oids.begin(), oids.end());
   const durable::RecordBuffer records = collect_records(
       oids, /*sessions=*/true, full ? 0 : ckpt_watermark_, &paged_replies);
 
@@ -2221,46 +1911,13 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
   // dropped (bounding memory). Truncation lags one checkpoint so a peer
   // that restored a checkpoint as recent as our previous one can still
   // be served an O(delta) transfer from the log; anything older falls
-  // back to a full snapshot via log_floor_.
-  while (!update_log_.empty() && update_log_.front().tmp <= prev_w) {
-    log_floor_ = std::max(log_floor_, update_log_.front().tmp);
-    update_log_.pop_front();
-    log_truncated_ = true;
-  }
+  // back to a full snapshot via the log floor.
+  log_.drop_through(prev_w);
 
-  // Session TTL: evict idle sessions now durably covered by this commit,
-  // leaving a tombstone floor ("everything <= floor was executed before
-  // eviction"; safe for sequential clients, which never resubmit an
-  // abandoned seq).
-  const sim::Nanos now = system_->simulator().now();
-  if (dcfg.session_ttl > 0) {
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      const Session& s = it->second;
-      if (s.last_tmp <= w && now - s.last_active > dcfg.session_ttl) {
-        // Highest executed seq (or cached one), whichever is larger.
-        const std::uint64_t floor = std::max(s.seqs.end() - 1, s.cached_seq);
-        auto& tomb = evicted_sessions_[it->first];
-        tomb = std::max(tomb, floor);
-        count(kSessionsEvicted);
-        it = sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  // Reply page-out: cached payloads now persisted in the chain can be
-  // dropped from memory; a late retry pages them back in. This bounds
-  // reply-cache memory at the cost of a device read on a (rare) late
-  // retry.
-  for (auto& [client, s] : sessions_) {
-    if (s.last_tmp <= w && !s.reply_paged_out &&
-        !s.cached_reply.payload.empty()) {
-      s.cached_reply.payload.clear();
-      s.cached_reply.payload.shrink_to_fit();
-      s.reply_paged_out = true;
-    }
-  }
+  // Session TTL and reply page-out bound the session table's memory, at
+  // the cost of a device read on a (rare) late retry.
+  count(kSessionsEvicted, sessions_.compact(w, system_->simulator().now(),
+                                            cfg.durable.session_ttl));
 }
 
 sim::Task<void> Replica::apply_checkpoint_image(const durable::Image& img) {
@@ -2306,11 +1963,6 @@ void Replica::restart() {
   inflight_ = 0;
   slot_busy_.assign(exec_cpus_.size(), false);
 
-  // The session table is volatile; the rejoin state transfer reinstalls
-  // it from the donor (which, having executed at least as far, holds a
-  // superset for every covered command).
-  sessions_.clear();
-
   // With the durable subsystem on (or volatile_restart modeling), losing
   // power means losing the volatile watermarks too: rejoin() restarts
   // from the newest checkpoint (or zero) and pays the recovery honestly —
@@ -2320,16 +1972,20 @@ void Replica::restart() {
   // never observable (see DESIGN.md: a restarted replica is only a remote
   // -read candidate for requests it coordinated, whose slots it wrote).
   const durable::DurableConfig& dcfg0 = system_->config().durable;
-  // Everything we had applied is gone from the log (cleared below): any
-  // peer asking for a delta older than our pre-crash watermark must get a
-  // full snapshot. Capture before the watermark reset.
-  log_floor_ = std::max(log_floor_, last_executed_);
-  if (dcfg0.enabled() || dcfg0.volatile_restart) {
+  const bool lose_watermarks = dcfg0.enabled() || dcfg0.volatile_restart;
+  // The session table is volatile; the rejoin state transfer reinstalls
+  // it from the donor (which, having executed at least as far, holds a
+  // superset for every covered command). Tombstones go with the
+  // watermarks.
+  sessions_.clear(/*tombstones=*/lose_watermarks);
+  // The in-memory update log is gone: any peer asking for a delta older
+  // than our pre-crash watermark must get a full snapshot. Capture before
+  // the watermark reset.
+  log_.wipe(last_executed_);
+  if (lose_watermarks) {
     last_req_ = 0;
     last_executed_ = 0;
     ckpt_watermark_ = 0;
-    log_dropped_max_ = 0;
-    evicted_sessions_.clear();
   }
   restored_from_checkpoint_ = false;
   restart_catchup_bytes_ = 0;
@@ -2341,15 +1997,7 @@ void Replica::restart() {
   // with the registered region they describe. A flipped source loses its
   // retained final image and can no longer serve pulls — destinations
   // round-robin to a surviving source rank instead.
-  outbound_active_ = false;
-  outbound_flipped_ = false;
-  outbound_epoch_ = 0;
-  outbound_ = {};
-  migration_dirty_.clear();
-  pass_pending_.clear();
-  copy_caught_up_ = false;
-  final_image_ = {};
-  inbound_epoch_ = 0;
+  roles_ = {};
 
   // State streams: the receive cursors live in the registered regions and
   // survive; send cursors are recovered lazily (one READ per receiver).
@@ -2382,12 +2030,6 @@ void Replica::restart() {
     }
     if (store_->seqlock(oid) & 1) store_->end_write(oid);
   });
-
-  // The in-memory update log is gone; mark it truncated so a later
-  // transfer served *by* this replica correctly falls back to a full
-  // snapshot instead of claiming an empty delta.
-  update_log_.clear();
-  log_truncated_ = true;
 
   // Rebuild consumer cursors from the surviving rings: resume at the
   // highest sequence number actually stored. Writes dropped while dead
@@ -2544,12 +2186,8 @@ sim::Task<void> Replica::rejoin() {
       }
       foreign.push_back(oid);
     });
-    for (const Oid oid : foreign) {
-      if (store_->fast_pending(oid)) store_->discard_pending(oid);
-      if (store_->seqlock(oid) & 1) store_->end_write(oid);
-      store_->retire(oid);
-    }
-    resume_migration_roles();
+    retire_oids(foreign);
+    arm_migration_roles(/*rejoining=*/true);
   }
 
   // Resolve fast writes left pending at crash time against the surviving

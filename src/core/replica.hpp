@@ -5,36 +5,30 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <set>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "amcast/endpoint.hpp"
 #include "core/app.hpp"
+#include "core/migration_roles.hpp"
 #include "core/object_store.hpp"
+#include "core/session_table.hpp"
 #include "core/state_stream.hpp"
 #include "core/types.hpp"
+#include "core/update_log.hpp"
 #include "durable/checkpoint.hpp"
 #include "reconfig/layout.hpp"
-#include "sim/seq_window.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/hub.hpp"
 
 namespace heron::core {
 
 class System;
-
-/// Update-log entry: object `oid` was modified by the request with
-/// timestamp `tmp` (Algorithm 1 "Variables": log).
-struct LogEntry {
-  Tmp tmp;
-  Oid oid;
-};
 
 class Replica {
  public:
@@ -89,49 +83,23 @@ class Replica {
     return stat(kShedReplies);
   }
 
-  /// Per-client session: at-most-once execution bookkeeping plus the last
-  /// reply, answered from cache on retries. Exposed for tests and for the
-  /// Algorithm 3 transfer of session state.
-  struct Session {
-    /// Executed seqs. The floor starts at 1, so seq 0 (sessionless) never
-    /// counts and watermark() is inclusive.
-    sim::SeqWindow seqs{1};
-    std::uint64_t cached_seq = 0;        // seq the cached reply answers
-    Reply cached_reply;                  // payload truncated to slot size
-    Tmp last_tmp = 0;                    // tmp of the last executed command
-    sim::Nanos last_active = 0;          // for session-TTL eviction
-    /// Cached-reply payload dropped after a covering checkpoint committed;
-    /// a retry pages it back in from the device (answer_paged_reply).
-    bool reply_paged_out = false;
-
-    /// All seqs <= watermark() executed.
-    [[nodiscard]] std::uint64_t watermark() const { return seqs.floor() - 1; }
-    [[nodiscard]] bool executed(std::uint64_t seq) const {
-      return seq != 0 && seqs.contains(seq);
-    }
-    void mark(std::uint64_t seq) {
-      if (seq != 0) seqs.insert(seq);
-    }
-    /// Union-merge of another replica's copy of this session (migration).
-    void merge(Session&& incoming);
-  };
-  [[nodiscard]] const std::map<std::uint32_t, Session>& sessions() const {
-    return sessions_;
+  /// Per-client sessions (session_table.hpp), in client-id order.
+  using Session = core::Session;
+  [[nodiscard]] const SessionTable::Map& sessions() const {
+    return sessions_.entries();
   }
-  [[nodiscard]] std::size_t session_count() const { return sessions_.size(); }
+  [[nodiscard]] std::size_t session_count() const { return sessions().size(); }
 
   // Durable subsystem state (tests / bench / diagnostics).
   [[nodiscard]] std::size_t update_log_size() const {
-    return update_log_.size();
+    return update_log().size();
   }
   [[nodiscard]] const std::deque<LogEntry>& update_log() const {
-    return update_log_;
+    return log_.entries();
   }
-  [[nodiscard]] bool log_truncated() const { return log_truncated_; }
-  /// Highest tmp ever dropped from the update log (capacity pops,
-  /// checkpoint truncation, restart wipe); delta transfers are only
-  /// served from at or above it.
-  [[nodiscard]] Tmp log_floor() const { return log_floor_; }
+  /// Highest tmp ever dropped from the update log; delta transfers are
+  /// only served from at or above it.
+  [[nodiscard]] Tmp log_floor() const { return log_.floor(); }
   [[nodiscard]] Tmp last_executed() const { return last_executed_; }
   /// True from restart() until the rejoin path (checkpoint restore +
   /// catch-up transfer) has completed and execution resumed.
@@ -182,10 +150,7 @@ class Replica {
   /// client being mid-execution (marked, reply not yet cached) when the
   /// checkpoint writer snapshots the session table.
   void test_touch_session(std::uint32_t client, Tmp tmp) {
-    const auto it = sessions_.find(client);
-    if (it != sessions_.end()) {
-      it->second.last_tmp = std::max(it->second.last_tmp, tmp);
-    }
+    sessions_.touch(client, tmp);
   }
 
   // Measurement hooks (read directly by the harness).
@@ -233,11 +198,11 @@ class Replica {
   /// Source role: the background copier has drained the range down to the
   /// seal threshold (kSealDirtyThreshold) — the controller may order the
   /// FLIP marker.
-  [[nodiscard]] bool copy_caught_up() const { return copy_caught_up_; }
+  [[nodiscard]] bool copy_caught_up() const { return roles_.source.caught_up; }
   /// Destination role: no unsealed inbound copy stream (either none was
   /// ever inbound, or the SEAL for the current migration epoch landed).
   [[nodiscard]] bool inbound_sealed() const {
-    return inbound_epoch_ == 0 || copy_->sealed() >= inbound_epoch_;
+    return roles_.dest.epoch == 0 || copy_->sealed() >= roles_.dest.epoch;
   }
   [[nodiscard]] std::uint64_t copy_chunks_sent() const {
     return copy_->stat(StateStream::kChunksSent);
@@ -383,11 +348,9 @@ class Replica {
 
   // --- state records (shared by transfer, migration and checkpoints) ----
   /// The one record collector: the objects in `oids` that still exist
-  /// (retired ones migrated away), then — with `sessions` — every session
-  /// except those idle at or below `sessions_after` (when non-zero), and
-  /// every tombstone. Encodes everything before returning, so the
-  /// snapshot is consistent as of the call. `paged_in` supplies the
-  /// cached replies of paged-out sessions, fetched back from the device.
+  /// (retired ones migrated away), then — with `sessions` — the session
+  /// table's records (SessionTable::append_records). Encodes everything
+  /// before returning, so the snapshot is consistent as of the call.
   [[nodiscard]] durable::RecordBuffer collect_records(
       const std::vector<Oid>& oids, bool sessions, Tmp sessions_after = 0,
       const std::map<std::uint32_t, Reply>* paged_in = nullptr);
@@ -411,7 +374,6 @@ class Replica {
   /// Retry of a session whose cached reply payload was paged out: fetch
   /// the persisted session record and answer from it.
   sim::Task<void> answer_paged_reply(const Request& r);
-  [[nodiscard]] bool session_reply_paged_out(const Request& r) const;
 
   // --- reconfiguration (heron::reconfig) --------------------------------
   [[nodiscard]] bool reconfig_enabled() const;
@@ -455,23 +417,22 @@ class Replica {
   /// State-transfer kRecordLayout payload: adopts the donor's layout when
   /// newer and max-merges its seal knowledge.
   void adopt_layout_record(std::span<const std::byte> payload);
-  /// Rejoin tail: re-arms the copy machine (source) or inbound tracking
-  /// (dest) for a migration still active in the adopted layout.
-  void resume_migration_roles();
+  /// Arms this replica's source and destination roles in the installed
+  /// layout's active migration and spawns their coroutines: at PREPARE,
+  /// or at the rejoin tail (`rejoining`) for a migration still active in
+  /// the adopted layout.
+  void arm_migration_roles(bool rejoining);
+  /// The stored oids of `mig`'s range, ascending.
+  [[nodiscard]] std::vector<Oid> oids_in(const reconfig::Migration& mig) const;
+  /// Retires the stored ones of `oids`: a pending fast write is discarded
+  /// and an odd seqlock evened first. Returns how many were retired.
+  std::size_t retire_oids(const std::vector<Oid>& oids);
 
   /// True when a coroutine spawned under incarnation `inc` must exit (the
   /// node crashed, or restarted and fresh loops took over).
   [[nodiscard]] bool stale(std::uint64_t inc) {
     return !node().alive() || inc != incarnation_;
   }
-  /// Oids touched by logged updates the requester still needs: at/above
-  /// from_tmp (failed-request semantics) or strictly above it when
-  /// `held_through` (delta request: from_tmp itself is already applied).
-  /// Sets full_transfer when the log cannot cover the range.
-  [[nodiscard]] std::vector<Oid> log_objects_since(Tmp from_tmp,
-                                                   bool held_through,
-                                                   bool& full_transfer) const;
-  void log_update(Tmp tmp, Oid oid);
 
   System* system_;
   GroupId group_;
@@ -483,15 +444,7 @@ class Replica {
       staging_mr_{};
 
   // --- sessions (at-most-once execution) -------------------------------
-  std::map<std::uint32_t, Session> sessions_;  // client id -> session
-  /// Records that `r` is being executed (called at dispatch, before the
-  /// execution completes, so a duplicate arriving mid-execution is caught).
-  void session_mark(const Request& r);
-  [[nodiscard]] bool session_executed(const Request& r) const;
-  void session_cache_reply(const Request& r, const Reply& reply);
-  /// Cached reply only when `seq` is exactly the cached one; in-flight or
-  /// stale duplicates stay silent (the live attempt owns the reply slot).
-  [[nodiscard]] const Reply* session_cached(const Request& r) const;
+  SessionTable sessions_;
   /// Post-execution bookkeeping: caches the reply and fires the system's
   /// exec observer (the exactly-once oracle's evidence stream).
   void note_executed(const Request& r, const Reply& reply);
@@ -541,23 +494,12 @@ class Replica {
   std::vector<Oid> apply_oids_;
   std::vector<ObjectStore::Ref> apply_refs_;
 
-  // Update log (ring semantics with truncation flag).
-  std::deque<LogEntry> update_log_;
-  bool log_truncated_ = false;
-  /// Highest tmp evicted by a *capacity* pop (not checkpoint truncation).
-  /// A delta checkpoint is unsound once this passes ckpt_watermark_ —
-  /// dirty entries were lost — so the next checkpoint is forced full.
-  Tmp log_dropped_max_ = 0;
-  /// Highest tmp dropped from the log by *any* path; see log_floor().
-  Tmp log_floor_ = 0;
+  UpdateLog log_;
   bool rejoining_ = false;
 
   // --- durable subsystem state ------------------------------------------
   std::unique_ptr<durable::CheckpointStore> ckpt_;  // null when disabled
   Tmp ckpt_watermark_ = 0;          // watermark of the last committed ckpt
-  /// Session-TTL tombstones: client id -> evicted floor (all seqs <= floor
-  /// were executed before eviction). Persisted and transferred.
-  std::map<std::uint32_t, std::uint64_t> evicted_sessions_;
   bool restored_from_checkpoint_ = false;
   std::uint64_t restart_catchup_bytes_ = 0;  // applied during last rejoin
 
@@ -569,25 +511,9 @@ class Replica {
   // --- reconfiguration state (heron::reconfig) ---------------------------
   reconfig::Layout layout_;      // installed layout; epoch 0 = disabled
   rdma::MrId reconfig_mr_{};     // copy rings + pull words (when enabled)
-  // Source role (outbound migration). outbound_epoch_/outbound_ survive
-  // the FLIP so the pull server knows which stream it re-seals.
-  bool outbound_active_ = false;   // PREPARE seen, FLIP not yet processed
-  bool outbound_flipped_ = false;  // FLIP processed; serving pulls only
-  std::uint64_t outbound_epoch_ = 0;  // PREPARE epoch of the migration
-  reconfig::Migration outbound_;
-  std::set<Oid> migration_dirty_;  // written since last drained pass
-  std::set<Oid> pass_pending_;     // collected for a pass, not yet on wire
-  bool copy_caught_up_ = false;
-  /// Snapshot of the handed-off range (+ all sessions/tombstones) taken
-  /// at FLIP, kept in memory to serve idempotent pull resends after the
-  /// live objects were retired.
-  durable::RecordBuffer final_image_;
+  MigrationRoles roles_;
+  // Pull state survives restarts with the registered region it describes.
   std::vector<std::uint64_t> pull_seen_;  // handled pull serial per rank
-  // Destination role (inbound migration). Seal knowledge and stream taint
-  // live in copy_.
-  std::uint64_t inbound_epoch_ = 0;  // PREPARE epoch; 0 = none inbound
-  reconfig::Migration inbound_;
-  sim::Nanos inbound_progress_at_ = 0;
   std::uint64_t pull_serial_ = 0;  // our outgoing pull-word serial
   std::uint64_t pull_rr_ = 0;      // round-robin source pick for pulls
 
@@ -615,17 +541,5 @@ class Replica {
 
   sim::Rng rng_;
 };
-
-/// Session <-> record value (kRecordSession), shared by state transfer,
-/// migration and the checkpoint writer. `last_active` is a
-/// local clock and stays off the wire; installers re-stamp it. A
-/// truncated or corrupt blob decodes to an empty session.
-/// append_session encodes `s` as client `client`'s record; `paged_in`,
-/// when set, stands in for a paged-out cached reply (the record then
-/// says the reply is in memory).
-void append_session(durable::RecordBuffer& out, std::uint32_t client,
-                    const Replica::Session& s,
-                    const Reply* paged_in = nullptr);
-Replica::Session decode_session(std::span<const std::byte> bytes);
 
 }  // namespace heron::core

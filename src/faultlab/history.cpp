@@ -23,6 +23,42 @@ std::string cmd_str(std::uint32_t client, std::uint64_t seq) {
   return str("c", client, "/s", seq);
 }
 
+/// Continues an FNV-1a hash `h` over `len` bytes at `data`.
+void fnv_mix(std::uint64_t& h, const void* data, std::size_t len) {
+  const auto* p = static_cast<const std::byte*>(data);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= static_cast<std::uint64_t>(p[i]);
+    h *= 1099511628211ull;
+  }
+}
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+
+/// Appends a `kind` violation for every live replica whose `digest`
+/// differs from its group's first live replica's.
+void check_convergence(core::System& sys, std::vector<Violation>& violations,
+                       std::uint64_t (*digest)(core::Replica&),
+                       const char* kind, const char* what) {
+  for (core::GroupId g = 0; g < sys.partitions(); ++g) {
+    std::uint64_t want = 0;
+    int want_rank = -1;
+    for (int r = 0; r < sys.replicas_per_partition(); ++r) {
+      core::Replica& rep = sys.replica(g, r);
+      if (!rep.node().alive()) continue;
+      const std::uint64_t d = digest(rep);
+      if (want_rank < 0) {
+        want = d;
+        want_rank = r;
+        continue;
+      }
+      if (d != want) {
+        violations.push_back(Violation{
+            kind, str("g", g, ".r", r, " ", what, " digest differs from r",
+                      want_rank)});
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void HistoryRecorder::attach(core::System& sys) {
@@ -251,39 +287,25 @@ void check_tail_latency(const HistoryRecorder& history, sim::Nanos p99_bound,
 
 std::uint64_t store_digest(core::Replica& replica) {
   auto& store = replica.store();
-  std::vector<core::Oid> oids;
-  oids.reserve(store.object_count());
-  store.for_each_oid([&oids](core::Oid oid) { oids.push_back(oid); });
+  std::vector<core::Oid> oids = store.oids();
   std::sort(oids.begin(), oids.end());
 
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  auto mix = [&h](const std::byte* data, std::size_t len) {
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= static_cast<std::uint64_t>(data[i]);
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = kFnvBasis;
   for (const core::Oid oid : oids) {
-    mix(reinterpret_cast<const std::byte*>(&oid), sizeof(oid));
+    fnv_mix(h, &oid, sizeof(oid));
     // Digest the *current* version only: a restarted replica received it
     // via install_version (which fills both slots), while survivors still
     // hold a stale older version in the second slot.
     const auto [tmp, value] = store.get(oid);
-    mix(reinterpret_cast<const std::byte*>(&tmp), sizeof(tmp));
-    mix(value.data(), value.size());
+    fnv_mix(h, &tmp, sizeof(tmp));
+    fnv_mix(h, value.data(), value.size());
   }
   return h;
 }
 
 std::uint64_t session_digest(core::Replica& replica) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  auto mix = [&h](const void* data, std::size_t len) {
-    const auto* p = static_cast<const std::byte*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= static_cast<std::uint64_t>(p[i]);
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = kFnvBasis;
+  auto mix = [&h](const void* data, std::size_t len) { fnv_mix(h, data, len); };
   for (const auto& [client, s] : replica.sessions()) {
     mix(&client, sizeof(client));
     const std::uint64_t watermark = s.watermark();
@@ -298,50 +320,13 @@ std::uint64_t session_digest(core::Replica& replica) {
 
 void check_session_convergence(core::System& sys,
                                std::vector<Violation>& violations) {
-  for (core::GroupId g = 0; g < sys.partitions(); ++g) {
-    std::uint64_t want = 0;
-    int want_rank = -1;
-    for (int r = 0; r < sys.replicas_per_partition(); ++r) {
-      core::Replica& rep = sys.replica(g, r);
-      if (!rep.node().alive()) continue;
-      const std::uint64_t d = session_digest(rep);
-      if (want_rank < 0) {
-        want = d;
-        want_rank = r;
-        continue;
-      }
-      if (d != want) {
-        violations.push_back(Violation{
-            "session-convergence",
-            str("g", g, ".r", r, " session digest differs from r",
-                want_rank)});
-      }
-    }
-  }
+  check_convergence(sys, violations, session_digest, "session-convergence",
+                    "session");
 }
 
 void check_store_convergence(core::System& sys,
                              std::vector<Violation>& violations) {
-  for (core::GroupId g = 0; g < sys.partitions(); ++g) {
-    std::uint64_t want = 0;
-    int want_rank = -1;
-    for (int r = 0; r < sys.replicas_per_partition(); ++r) {
-      core::Replica& rep = sys.replica(g, r);
-      if (!rep.node().alive()) continue;
-      const std::uint64_t d = store_digest(rep);
-      if (want_rank < 0) {
-        want = d;
-        want_rank = r;
-        continue;
-      }
-      if (d != want) {
-        violations.push_back(Violation{
-            "convergence",
-            str("g", g, ".r", r, " store digest differs from r",
-                want_rank)});
-      }
-    }
-  }
+  check_convergence(sys, violations, store_digest, "convergence", "store");
 }
 
 }  // namespace heron::faultlab

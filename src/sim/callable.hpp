@@ -105,7 +105,12 @@ class EventFn {
     if (ops_->relocate != nullptr) {
       ops_->relocate(storage_, other.storage_);
     } else {
+      // A fixed-size copy is a few moves; copying the bytes a small target
+      // never wrote is well-defined for unsigned char, whatever GCC thinks.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
       std::memcpy(storage_, other.storage_, kInlineBytes);
+#pragma GCC diagnostic pop
     }
   }
 

@@ -37,8 +37,8 @@ struct DeliveryLog {
 
   static Task<void> consume(Endpoint& ep, std::vector<Delivery>& out) {
     while (true) {
-      Delivery d = co_await ep.next_delivery();
-      out.push_back(d);
+      const std::vector<Delivery> span = co_await ep.next_deliveries();
+      out.insert(out.end(), span.begin(), span.end());
     }
   }
 
@@ -573,6 +573,48 @@ TEST(AmcastInbox, RestartedEndpointReadsPastTheRingGap) {
     EXPECT_EQ(uids.size(), sent) << "rank " << r;
     ASSERT_FALSE(uids.empty());
     EXPECT_EQ(uids.back(), last) << "rank " << r;
+  }
+}
+
+TEST(AmcastRestart, LeaderRedrivesAnAckedProposalItNeverCommitted) {
+  // The leader crashes after a follower's ack of its PROPOSE landed but
+  // before it committed the message; with failover off it restarts as the
+  // leader. Its rejoin finds the acked proposal in its replayed log, and
+  // the re-drive commits and delivers it at once, which erases the entry
+  // from the pending table the re-drive was iterating. The message must
+  // still be delivered exactly once everywhere.
+  Config cfg;
+  cfg.enable_failover = false;
+  Cluster c(1, 3, cfg);
+  auto& client = c.sys.add_client();
+  Endpoint& leader = c.sys.endpoint(0, 0);
+  // Parked before the leader's ack wait, so this wakes first on the ack
+  // and crashes the leader before it can commit (the acks region holds
+  // rank r's applied seq at offset 8 * r).
+  c.sim.spawn([](Endpoint& ep) -> Task<void> {
+    auto& acks = ep.node().region(ep.acks_mr());
+    co_await sim::wait_until(acks.on_write(), [&acks] {
+      return rdma::load_pod<std::uint64_t>(acks.bytes(), 8) >= 1 ||
+             rdma::load_pod<std::uint64_t>(acks.bytes(), 16) >= 1;
+    });
+    ep.node().crash();
+  }(leader));
+  MsgUid uid = 0;
+  c.sim.spawn([](Simulator& sim, ClientEndpoint& cl, Endpoint& ep,
+                 MsgUid& out) -> Task<void> {
+    std::uint32_t v = 7;
+    out = co_await cl.multicast(dst_of(0), std::as_bytes(std::span(&v, 1)));
+    co_await sim.sleep(sim::ms(1));
+    EXPECT_FALSE(ep.node().alive());
+    ep.restart();
+  }(c.sim, client, leader, uid));
+  c.sim.run_for(sim::ms(10));
+
+  ASSERT_NE(uid, 0u);
+  EXPECT_TRUE(leader.is_leader());
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(delivered_uids(c.log, 0, r), std::vector<MsgUid>{uid})
+        << "rank " << r;
   }
 }
 

@@ -375,7 +375,7 @@ TEST(CheckpointRecovery, SoakKeepsLogSessionsAndDeviceBounded) {
     // tail since the previous checkpoint in memory.
     EXPECT_GT(rep.executed_count(), 1000u);
     EXPECT_LT(rep.update_log_size(), 300u);
-    EXPECT_TRUE(rep.log_truncated());
+    EXPECT_GT(rep.log_floor(), 0u);  // entries were dropped
     // a's idle session was TTL-evicted; b's live one survives.
     EXPECT_EQ(rep.session_count(), 1u);
     EXPECT_GE(rep.sessions_evicted(), 1u);

@@ -584,5 +584,112 @@ TEST(HeronSession, EncodeSessionBytesAreUnchanged) {
   EXPECT_EQ(bad.cached_seq, 0u);
 }
 
+/// A delivered command of `client`'s session, as the session table sees it.
+Request session_cmd(std::uint32_t client, std::uint64_t seq, Tmp tmp) {
+  Request r;
+  r.uid = amcast::make_uid(client, static_cast<std::uint32_t>(tmp));
+  r.tmp = tmp;
+  r.header.session_seq = seq;
+  return r;
+}
+
+TEST(SessionTable, PagedOutReplyAnswersOnlyItsOwnSeq) {
+  SessionTable t;
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) {
+    t.mark(session_cmd(3, seq, seq * 10), 0);
+  }
+  t.cache_reply(session_cmd(3, 5, 50), Reply{7, {std::byte{1}}});
+  t.compact(/*w=*/50, /*now=*/0, /*ttl=*/0);  // pages the reply out
+
+  const Request retry = session_cmd(3, 5, 60);
+  const Request stale = session_cmd(3, 4, 61);  // executed, not cached
+  EXPECT_TRUE(t.executed(retry));
+  EXPECT_TRUE(t.executed(stale));
+  EXPECT_TRUE(t.paged_out(retry));
+  EXPECT_EQ(t.cached(retry), nullptr);
+  EXPECT_FALSE(t.paged_out(stale));
+  EXPECT_EQ(t.cached(stale), nullptr);
+
+  // Re-caching the reply paged back in answers the retry from memory.
+  t.cache_reply(retry, Reply{7, {std::byte{1}}});
+  ASSERT_NE(t.cached(retry), nullptr);
+  EXPECT_EQ(t.cached(retry)->status, 7u);
+  EXPECT_FALSE(t.paged_out(retry));
+  EXPECT_EQ(t.cached(stale), nullptr);
+}
+
+TEST(SessionTable, TtlTombstoneFloorIsHighestExecutedOrCachedSeq) {
+  SessionTable t;
+  // Client 1 executed up to seq 7 and caches seq 5; client 2's cached seq
+  // 9 lies above everything its window holds (a merged session).
+  for (const std::uint64_t seq : {1u, 2u, 5u, 7u}) {
+    t.mark(session_cmd(1, seq, 10), 0);
+  }
+  t.cache_reply(session_cmd(1, 5, 10), Reply{});
+  t.mark(session_cmd(2, 1, 10), 0);
+  t.cache_reply(session_cmd(2, 9, 10), Reply{});
+  // Client 3 is idle but not covered by the checkpoint watermark.
+  t.mark(session_cmd(3, 1, 99), 0);
+
+  EXPECT_EQ(t.compact(/*w=*/50, /*now=*/1000, /*ttl=*/100), 2u);
+  EXPECT_EQ(t.entries().size(), 1u);
+  EXPECT_TRUE(t.tombstoned(session_cmd(1, 7, 200)));
+  EXPECT_FALSE(t.tombstoned(session_cmd(1, 8, 200)));
+  EXPECT_TRUE(t.tombstoned(session_cmd(2, 9, 200)));
+  EXPECT_FALSE(t.tombstoned(session_cmd(2, 10, 200)));
+  EXPECT_FALSE(t.tombstoned(session_cmd(1, 0, 200)));  // sessionless
+  EXPECT_FALSE(t.tombstoned(session_cmd(3, 1, 200)));
+
+  // A tombstone record below the floor does not lower it.
+  durable::RecordBuffer buf;
+  buf.append(durable::kRecordTombstone, 0, 1, 3, 0);
+  t.install(buf[0], /*merge=*/false, 0);
+  EXPECT_TRUE(t.tombstoned(session_cmd(1, 7, 200)));
+}
+
+TEST(UpdateLog, EachDropPathRaisesTheFloor) {
+  UpdateLog log(/*capacity=*/3);
+  log.append(10, 1);
+  log.append(20, 2);
+  log.append(20, 3);
+  EXPECT_EQ(log.floor(), 0u);
+  log.append(30, 4);  // capacity pop of (10, 1)
+  EXPECT_EQ(log.floor(), 10u);
+  EXPECT_EQ(log.capacity_dropped(), 10u);
+  ASSERT_EQ(log.entries().size(), 3u);
+  EXPECT_EQ(log.entries().front().oid, 2u);
+
+  log.drop_through(25);  // checkpoint truncation: drops both tmp-20s
+  EXPECT_EQ(log.floor(), 20u);  // the highest dropped tmp, not 25
+  EXPECT_EQ(log.capacity_dropped(), 10u);
+  ASSERT_EQ(log.entries().size(), 1u);
+
+  log.wipe(50);  // restart: the floor rises to the watermark
+  EXPECT_EQ(log.floor(), 50u);
+  EXPECT_EQ(log.capacity_dropped(), 0u);
+  EXPECT_TRUE(log.entries().empty());
+  log.wipe(40);
+  EXPECT_EQ(log.floor(), 50u);
+}
+
+TEST(UpdateLog, OidsAfterKeepFirstOccurrenceOrderAboveTheBoundary) {
+  UpdateLog log(/*capacity=*/16);
+  log.append(10, 7);
+  log.append(10, 8);
+  log.append(20, 7);
+  log.append(30, 9);
+  log.append(30, 8);
+  EXPECT_EQ(log.oids_after(5), (std::vector<Oid>{7, 8, 9}));
+  EXPECT_EQ(log.oids_after(10), (std::vector<Oid>{7, 9, 8}));
+  EXPECT_EQ(log.oids_after(30), std::vector<Oid>{});
+
+  // held_through boundary: a delta that already holds tmp 20 needs only
+  // what lies above it; one that failed at 20 needs 20 itself (after 19).
+  log.drop_through(20);
+  EXPECT_TRUE(log.complete_after(20));
+  EXPECT_FALSE(log.complete_after(19));
+  EXPECT_EQ(log.oids_after(20), (std::vector<Oid>{9, 8}));
+}
+
 }  // namespace
 }  // namespace heron::core

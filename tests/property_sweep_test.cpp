@@ -142,7 +142,11 @@ TEST_P(AmcastPropertySweep, OrderAgreementIntegrityHold) {
     for (int r = 0; r < replicas; ++r) {
       sim.spawn([](amcast::Endpoint& ep,
                    std::vector<amcast::Delivery>& out) -> Task<void> {
-        while (true) out.push_back(co_await ep.next_delivery());
+        while (true) {
+          const std::vector<amcast::Delivery> span =
+              co_await ep.next_deliveries();
+          out.insert(out.end(), span.begin(), span.end());
+        }
       }(sys.endpoint(g, r), log[{g, r}]));
     }
   }
