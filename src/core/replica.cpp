@@ -1634,11 +1634,13 @@ sim::Task<void> Replica::request_state_transfer(Tmp failed_tmp,
   }
   if (xfer_expect_ == serial) xfer_expect_ = 0;  // unless a newer request
 
-  // Line 6.
+  // Line 6. The installed records were never logged: deltas (transfers
+  // served and checkpoints) over a base at or below rid go full.
   const auto done = rdma::load_pod<StateSyncEntry>(region.bytes(),
                                                    statesync_offset(rank_));
   last_req_ = std::max(last_req_, done.rid);
   last_executed_ = std::max(last_executed_, done.rid);
+  log_.skip_through(done.rid);
 }
 
 sim::Task<void> Replica::statesync_watch_loop() {
@@ -1783,13 +1785,20 @@ durable::RecordBuffer Replica::collect_records(
     const std::vector<Oid>& oids, bool sessions, Tmp sessions_after,
     const std::map<std::uint32_t, Reply>* paged_in) {
   durable::RecordBuffer out;
-  for (const Oid oid : oids) {
-    if (!store_->exists(oid)) continue;  // retired (migrated away)
-    const auto [tmp, value] = store_->get(oid);
-    out.append(durable::RecordView{
-        durable::kRecordObject,
-        store_->is_serialized(oid) ? durable::kRecordFlagSerialized : 0u, oid,
-        tmp, value});
+  std::array<ObjectStore::Ref, ObjectStore::kResolveGroup> refs;
+  for (std::size_t i = 0; i < oids.size(); i += refs.size()) {
+    const auto group =
+        std::span(oids).subspan(i, std::min(refs.size(), oids.size() - i));
+    store_->resolve(group, std::span(refs).first(group.size()));
+    for (std::size_t j = 0; j < group.size(); ++j) {
+      if (!refs[j].found()) continue;  // retired (migrated away)
+      const auto [tmp, value] = store_->get(refs[j]);
+      out.append(durable::RecordView{
+          durable::kRecordObject,
+          store_->is_serialized(refs[j]) ? durable::kRecordFlagSerialized
+                                         : 0u,
+          group[j], tmp, value});
+    }
   }
   if (sessions) sessions_.append_records(out, sessions_after, paged_in);
   return out;
@@ -1850,8 +1859,11 @@ sim::Task<void> Replica::checkpoint_loop() {
 
 sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
   const HeronConfig& cfg = system_->config();
+  // A delta needs every update above the last checkpoint in the log: a
+  // capacity pop, a restart's wipe or a transfer's unlogged installs since
+  // then force a full checkpoint.
   const bool full = !ckpt_->has_checkpoint() || ckpt_->should_compact() ||
-                    ckpt_watermark_ < log_.capacity_dropped();
+                    !log_.complete_after(ckpt_watermark_);
 
   // Paged-out reply payloads live only on the device, so any session
   // about to be re-encoded — every session on a full checkpoint, dirty
@@ -1880,8 +1892,7 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
   span.arg("full", full ? 1u : 0u);
 
   // Full: every object. Delta: objects written since the previous
-  // checkpoint — log entries are tmp-sorted, and capacity pops above
-  // ckpt_watermark_ force `full`, so the log is complete over
+  // checkpoint — log entries are tmp-sorted, and the log is complete over
   // (ckpt_watermark_, w].
   std::vector<Oid> oids =
       full ? store_->oids() : log_.oids_after(ckpt_watermark_);

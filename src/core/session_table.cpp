@@ -8,14 +8,17 @@ namespace heron::core {
 namespace {
 
 /// Wire form of a Session: fixed header, then `cached_len` reply payload
-/// bytes, then `extra_count` u64 executed-seqs above the watermark.
+/// bytes, then `extra_count` u64 words of the executed-seq window above
+/// the watermark (SeqWindow::words(): bit i of word w is seq
+/// ((watermark + 1) & ~63) + 64w + i). A session with nothing executed
+/// above its watermark has no words.
 struct SessionWire {
   std::uint64_t watermark = 0;
   std::uint64_t cached_seq = 0;
   std::uint64_t last_tmp = 0;    // tmp of the session's last executed cmd
   std::uint32_t cached_status = 0;
   std::uint32_t cached_len = 0;
-  std::uint32_t extra_count = 0;
+  std::uint32_t extra_count = 0;  // window words
   std::uint32_t paged_out = 0;   // cached payload lives on the device
 };
 static_assert(std::is_trivially_copyable_v<SessionWire>);
@@ -41,18 +44,18 @@ void Session::merge(Session&& incoming) {
 void append_session(durable::RecordBuffer& out, std::uint32_t client,
                     const Session& s, const Reply* paged_in) {
   const Reply& reply = paged_in != nullptr ? *paged_in : s.cached_reply;
-  const std::size_t extra = s.seqs.above_count();
+  const std::span<const std::uint64_t> words = s.seqs.words();
   const SessionWire wire{
       s.watermark(),
       s.cached_seq,
       s.last_tmp,
       reply.status,
       static_cast<std::uint32_t>(reply.payload.size()),
-      static_cast<std::uint32_t>(extra),
+      static_cast<std::uint32_t>(words.size()),
       s.reply_paged_out && paged_in == nullptr ? 1u : 0u};
   const auto value =
       out.append(durable::kRecordSession, 0, client, s.last_tmp,
-                 sizeof(wire) + reply.payload.size() + extra * sizeof(Tmp));
+                 sizeof(wire) + reply.payload.size() + words.size_bytes());
   std::byte* at = value.data();
   std::memcpy(at, &wire, sizeof(wire));
   at += sizeof(wire);
@@ -60,10 +63,7 @@ void append_session(durable::RecordBuffer& out, std::uint32_t client,
     std::memcpy(at, reply.payload.data(), reply.payload.size());
     at += reply.payload.size();
   }
-  s.seqs.for_each_above([&at](std::uint64_t e) {
-    std::memcpy(at, &e, sizeof(e));
-    at += sizeof(e);
-  });
+  if (!words.empty()) std::memcpy(at, words.data(), words.size_bytes());
 }
 
 Session decode_session(std::span<const std::byte> bytes) {
@@ -84,19 +84,16 @@ Session decode_session(std::span<const std::byte> bytes) {
   auto rest = bytes.subspan(sizeof(SessionWire));
   s.cached_reply.payload.assign(rest.begin(), rest.begin() + wire.cached_len);
   rest = rest.subspan(wire.cached_len);
-  // The encoder writes the seqs above the watermark in ascending order;
-  // anything else is a corrupt blob.
-  sim::SeqWindow seqs(wire.watermark + 1);
-  std::uint64_t prev = wire.watermark;
-  for (std::uint32_t e = 0; e < wire.extra_count; ++e) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, rest.data() + static_cast<std::size_t>(e) * sizeof(v),
-                sizeof(v));
-    if (v <= prev) return Session{};
-    seqs.insert(v);
-    prev = v;
+  // Words the encoder cannot have written (the floor's bit set, or a bit
+  // below it clear) mark a corrupt blob.
+  std::vector<std::uint64_t> words(wire.extra_count);
+  if (!words.empty()) {
+    std::memcpy(words.data(), rest.data(), words.size() * sizeof(words[0]));
   }
-  s.seqs = std::move(seqs);
+  std::optional<sim::SeqWindow> seqs =
+      sim::SeqWindow::from_words(wire.watermark + 1, std::move(words));
+  if (!seqs.has_value()) return Session{};
+  s.seqs = std::move(*seqs);
   return s;
 }
 

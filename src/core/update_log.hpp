@@ -25,13 +25,10 @@ class UpdateLog {
  public:
   explicit UpdateLog(std::size_t capacity) : capacity_(capacity) {}
 
-  /// Past capacity the oldest entry is dropped (see capacity_dropped()).
+  /// Past capacity the oldest entry is dropped.
   void append(Tmp tmp, Oid oid) {
     entries_.push_back(LogEntry{tmp, oid});
-    if (entries_.size() > capacity_) {
-      capacity_dropped_ = std::max(capacity_dropped_, entries_.front().tmp);
-      drop_through(entries_.front().tmp, 1);
-    }
+    if (entries_.size() > capacity_) drop_through(entries_.front().tmp, 1);
   }
   /// The drop path of capacity pops and checkpoint truncation: pops up to
   /// `limit` entries at or below `t`, raising the floor past them.
@@ -44,13 +41,14 @@ class UpdateLog {
   }
   /// Restart: the log is gone and the floor rises to `t`, the pre-crash
   /// watermark (not to the entries' tmps: a multi-partition request in
-  /// Phase 4 has logged writes above it). Capacity drops of the previous
-  /// incarnation no longer concern its checkpoints.
+  /// Phase 4 has logged writes above it).
   void wipe(Tmp t) {
-    floor_ = std::max(floor_, t);
+    skip_through(t);
     entries_.clear();
-    capacity_dropped_ = 0;
   }
+  /// Updates at or below `t` were installed without being logged (a state
+  /// transfer): the floor rises to `t`.
+  void skip_through(Tmp t) { floor_ = std::max(floor_, t); }
   /// Forgets the updates of objects that left this replica.
   template <typename Pred>
   void erase_if(Pred&& gone) {
@@ -71,18 +69,14 @@ class UpdateLog {
     }
     return out;
   }
-  /// Highest tmp ever dropped, by any path.
+  /// Highest tmp dropped or skipped, by any path.
   [[nodiscard]] Tmp floor() const { return floor_; }
-  /// Highest tmp dropped by a capacity pop: a delta checkpoint over an
-  /// older base would miss it, so it is forced full.
-  [[nodiscard]] Tmp capacity_dropped() const { return capacity_dropped_; }
   [[nodiscard]] const std::deque<LogEntry>& entries() const { return entries_; }
 
  private:
   std::deque<LogEntry> entries_;
   std::size_t capacity_;
   Tmp floor_ = 0;
-  Tmp capacity_dropped_ = 0;
 };
 
 }  // namespace heron::core

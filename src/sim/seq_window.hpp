@@ -17,6 +17,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace heron::sim {
@@ -66,14 +69,6 @@ class SeqWindow {
     other.for_each_above([this](std::uint64_t seq) { insert(seq); });
   }
 
-  /// Number of members at or above the floor.
-  [[nodiscard]] std::size_t above_count() const {
-    std::size_t n = 0;
-    for (const std::uint64_t word : bits_) n += std::popcount(word);
-    // Word 0 also holds the members below the floor.
-    return n - static_cast<std::size_t>(floor_ - base_);
-  }
-
   /// Calls f(seq) for every member at or above the floor, ascending.
   template <typename F>
   void for_each_above(F&& f) const {
@@ -86,6 +81,31 @@ class SeqWindow {
         word &= word - 1;
       }
     }
+  }
+
+  /// The bitmap words holding the members at or above the floor, empty
+  /// when there are none: bit i of word w is seq (floor() & ~63) + 64w + i,
+  /// and word 0's bits below the floor are set (a compact wire form).
+  [[nodiscard]] std::span<const std::uint64_t> words() const {
+    std::size_t n = bits_.size();
+    while (n > 0 && bits_[n - 1] == 0) --n;
+    if (n == 1 && bits_[0] == below_floor()) n = 0;
+    return {bits_.data(), n};
+  }
+  /// The window with `floor` whose words() are `words`, taken over without
+  /// a per-seq insert; none when `words` is not such a form (a bit below
+  /// the floor clear in word 0, or the floor's own bit set).
+  static std::optional<SeqWindow> from_words(std::uint64_t floor,
+                                             std::vector<std::uint64_t> words) {
+    SeqWindow w(floor);
+    if (words.empty()) return w;
+    const std::uint64_t below = w.below_floor();
+    if ((words[0] & below) != below ||
+        ((words[0] >> (floor - w.base_)) & 1u) != 0) {
+      return std::nullopt;
+    }
+    w.bits_ = std::move(words);
+    return w;
   }
 
   /// One past the highest member (the floor when none is above it).
@@ -123,6 +143,11 @@ class SeqWindow {
     if (!bits_.empty()) {
       floor_ += static_cast<unsigned>(std::countr_one(bits_[0]));
     }
+  }
+
+  // Word 0's bits below the floor.
+  [[nodiscard]] std::uint64_t below_floor() const {
+    return (std::uint64_t{1} << (floor_ - base_)) - 1;
   }
 
   // Drops the first `words` words (all below the new floor).

@@ -199,6 +199,60 @@ TEST(CheckpointRecovery, CorruptCheckpointFallsBackToFullTransfer) {
   expect_stores_converged(*env.sys);
 }
 
+// Regression: objects an Algorithm 3 transfer installs are never logged.
+// After a checkpoint-restored rejoin whose catch-up installed an update
+// the replica missed (oid 5), its next delta checkpoints must not leave
+// that object out: a second restart restores the chain, catches up only
+// above its watermark, and would keep the stale oid 5 for good.
+TEST(CheckpointRecovery, DeltaAfterRestoredRejoinKeepsTransferredObjects) {
+  HeronConfig cfg;
+  cfg.durable.checkpoint_interval = sim::ms(5);
+  Env env(32, 4 << 10, cfg);
+  auto& client = env.sys->add_client();
+
+  bool done = false;
+  env.sim.spawn([](Env& e, Client& cl, bool& flag) -> Task<void> {
+    auto& s = e.sim;
+    auto& victim = e.sys->replica(0, 2);
+    auto& survivor = e.sys->replica(0, 0);
+    // Until the victim's checkpoint covers all the survivor executed.
+    auto await_covered = [&s, &victim, &survivor]() -> Task<void> {
+      for (int i = 0; i < 60000 && victim.checkpoint_watermark() <
+                                       survivor.last_executed();
+           ++i) {
+        co_await s.sleep(sim::ms(1));
+      }
+    };
+    co_await submit_put(cl, 1);
+    co_await await_covered();
+    EXPECT_GT(victim.checkpoint_watermark(), 0u);
+
+    e.sys->amcast().endpoint(0, 2).node().crash();
+    for (int k = 0; k < 5; ++k) co_await submit_put(cl, 5);
+    co_await s.sleep(sim::ms(1));
+    e.sys->restart_replica(0, 2);
+    co_await await_caught_up(*e.sys);
+    EXPECT_TRUE(victim.restored_from_checkpoint());
+
+    const std::uint64_t before = victim.checkpoints_completed();
+    for (int k = 0; k < 200 && victim.checkpoints_completed() < before + 3;
+         ++k) {
+      co_await submit_put(cl, 7);
+      co_await await_covered();
+    }
+    EXPECT_GE(victim.checkpoints_completed(), before + 3);
+
+    e.sys->amcast().endpoint(0, 2).node().crash();
+    co_await s.sleep(sim::ms(1));
+    e.sys->restart_replica(0, 2);
+    co_await await_caught_up(*e.sys);
+    EXPECT_TRUE(victim.restored_from_checkpoint());
+    flag = true;
+  }(env, client, done));
+  env.drive(done);
+  expect_stores_converged(*env.sys);
+}
+
 TEST(CheckpointRecovery, EvictedSessionRetryGetsStaleReplyNotReexecution) {
   HeronConfig cfg;
   cfg.durable.checkpoint_interval = sim::us(500);

@@ -470,6 +470,13 @@ TEST(HeronCoreLagger, WaitForAllStatsAreCollected) {
 
 // --- sessions ------------------------------------------------------------
 
+/// The members of `w` at or above its floor, ascending.
+std::vector<std::uint64_t> above_seqs(const sim::SeqWindow& w) {
+  std::vector<std::uint64_t> out;
+  w.for_each_above([&out](std::uint64_t seq) { out.push_back(seq); });
+  return out;
+}
+
 TEST(HeronSession, InclusiveWatermarkIgnoresSeqZero) {
   Replica::Session s;
   EXPECT_EQ(s.watermark(), 0u);
@@ -485,7 +492,7 @@ TEST(HeronSession, InclusiveWatermarkIgnoresSeqZero) {
   EXPECT_FALSE(s.executed(2));
   s.mark(2);
   EXPECT_EQ(s.watermark(), 3u);
-  EXPECT_EQ(s.seqs.above_count(), 0u);
+  EXPECT_EQ(above_seqs(s.seqs).size(), 0u);
 }
 
 TEST(HeronSession, MergeIsAUnionAndKeepsTheNewerReply) {
@@ -529,10 +536,12 @@ std::vector<std::byte> encode_session(const Replica::Session& s,
 }
 
 TEST(HeronSession, EncodeSessionBytesAreUnchanged) {
-  // Golden bytes of the session wire form shared by state transfer and
-  // checkpoints: {u64 watermark, u64 cached_seq, u64 last_tmp, u32 status,
-  // u32 cached_len, u32 extra_count, u32 paged_out}, the cached payload,
-  // then the executed seqs above the watermark ascending, little-endian.
+  // Golden bytes of the session wire form shared by state transfer,
+  // migration copy and checkpoints: {u64 watermark, u64 cached_seq, u64
+  // last_tmp, u32 status, u32 cached_len, u32 extra_count, u32 paged_out},
+  // the cached payload, then extra_count u64 words of the executed-seq
+  // window (bit i of word w is seq ((watermark + 1) & ~63) + 64w + i, the
+  // bits below the floor set), little-endian.
   Replica::Session s;
   for (const std::uint64_t seq : {1u, 2u, 70u, 5u, 200u}) s.mark(seq);
   s.cached_seq = 200;
@@ -547,12 +556,13 @@ TEST(HeronSession, EncodeSessionBytesAreUnchanged) {
       99,   0,    0,    0,    0, 0, 0, 0,  // last_tmp
       7,    0,    0,    0,                 // cached status
       3,    0,    0,    0,                 // cached_len
-      3,    0,    0,    0,                 // extra_count
+      4,    0,    0,    0,                 // extra_count: window words
       0,    0,    0,    0,                 // paged_out
       0xaa, 0xbb, 0xcc,                    // cached payload
-      5,    0,    0,    0,    0, 0, 0, 0,  // executed seqs above
-      70,   0,    0,    0,    0, 0, 0, 0,
-      200,  0,    0,    0,    0, 0, 0, 0};
+      0x27, 0,    0,    0,    0, 0, 0, 0,  // seqs 0-2 (below floor), 5
+      0x40, 0,    0,    0,    0, 0, 0, 0,  // seq 70
+      0,    0,    0,    0,    0, 0, 0, 0,  // seqs 128-191: none
+      0,    1,    0,    0,    0, 0, 0, 0};  // seq 200
   const std::vector<std::byte> bytes = encode_session(s);
   ASSERT_EQ(bytes.size(), golden.size());
   for (std::size_t i = 0; i < golden.size(); ++i) {
@@ -575,13 +585,114 @@ TEST(HeronSession, EncodeSessionBytesAreUnchanged) {
   EXPECT_EQ(encode_session(paged)[36], std::byte{1});  // paged_out
   EXPECT_EQ(encode_session(paged, &s.cached_reply), bytes);
 
-  // Seqs out of ascending order mark a corrupt blob: empty session.
+  // The floor's own bit set marks a corrupt blob: empty session.
   std::vector<std::byte> corrupt = bytes;
-  std::swap(corrupt[golden.size() - 16], corrupt[golden.size() - 8]);
+  corrupt[43] |= std::byte{0x08};  // seq 3 = the floor
   const Replica::Session bad = decode_session(corrupt);
   EXPECT_EQ(bad.watermark(), 0u);
-  EXPECT_EQ(bad.seqs.above_count(), 0u);
+  EXPECT_EQ(above_seqs(bad.seqs).size(), 0u);
   EXPECT_EQ(bad.cached_seq, 0u);
+
+  // Nothing executed above the watermark: no words at all.
+  Replica::Session dense;
+  for (std::uint64_t seq = 1; seq <= 100; ++seq) dense.mark(seq);
+  const std::vector<std::byte> dense_bytes = encode_session(dense);
+  EXPECT_EQ(dense_bytes.size(), 40u);
+  EXPECT_EQ(dense_bytes[32], std::byte{0});  // extra_count
+  EXPECT_EQ(decode_session(dense_bytes).watermark(), 100u);
+}
+
+/// decode_session(encode(s)) holds exactly s's window, and re-encodes to
+/// the same bytes.
+void expect_round_trip(const Replica::Session& s) {
+  const std::vector<std::byte> bytes = encode_session(s);
+  const Replica::Session back = decode_session(bytes);
+  EXPECT_TRUE(back.seqs == s.seqs);
+  EXPECT_EQ(back.watermark(), s.watermark());
+  EXPECT_EQ(above_seqs(back.seqs), above_seqs(s.seqs));
+  EXPECT_EQ(back.seqs.end(), s.seqs.end());
+  for (std::uint64_t seq = 0; seq < s.seqs.end() + 70; ++seq) {
+    ASSERT_EQ(back.executed(seq), s.executed(seq)) << "seq " << seq;
+  }
+  EXPECT_EQ(encode_session(back), bytes);
+}
+
+TEST(HeronSession, WindowWordsRoundTripAgainstSeqWindow) {
+  // Floors either side of a word boundary, with and without members
+  // above them.
+  for (const std::uint64_t floor : {63u, 64u, 65u}) {
+    Replica::Session s;
+    s.seqs = sim::SeqWindow(floor);
+    expect_round_trip(s);  // empty above-set
+    EXPECT_EQ(encode_session(s).size(), 40u);
+    s.mark(floor + 1);
+    expect_round_trip(s);
+    s.mark(floor + 64 * 70);  // a gap of more than 64 words
+    s.mark(floor + 64 * 70 + 63);
+    expect_round_trip(s);
+    s.mark(floor);  // closes the floor: the window slides
+    expect_round_trip(s);
+  }
+
+  // Random windows: a stalled floor with a random member density above it.
+  sim::Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    Replica::Session s;
+    const std::uint64_t start = 1 + rng.next() % 300;
+    for (std::uint64_t seq = 1; seq < start; ++seq) s.mark(seq);
+    const std::uint64_t span = 1 + rng.next() % 2000;
+    const std::uint64_t density = 1 + rng.next() % 8;
+    for (std::uint64_t k = 0; k < span; ++k) {
+      const std::uint64_t seq = start + 1 + rng.next() % span;
+      if (rng.next() % density == 0) s.mark(seq);
+    }
+    expect_round_trip(s);
+  }
+}
+
+TEST(HeronSession, MalformedWindowWordsDecodeToAnEmptySession) {
+  Replica::Session s;
+  for (const std::uint64_t seq : {1u, 2u, 3u, 9u, 80u}) s.mark(seq);
+  const std::vector<std::byte> bytes = encode_session(s);  // floor 4
+  ASSERT_EQ(bytes.size(), 40u + 16u);
+  ASSERT_EQ(decode_session(bytes).watermark(), 3u);
+
+  auto expect_empty = [](std::span<const std::byte> blob) {
+    const Replica::Session bad = decode_session(blob);
+    EXPECT_EQ(bad.watermark(), 0u);
+    EXPECT_EQ(above_seqs(bad.seqs).size(), 0u);
+    EXPECT_EQ(bad.cached_seq, 0u);
+    EXPECT_FALSE(bad.executed(1));
+  };
+  std::vector<std::byte> floor_bit = bytes;
+  floor_bit[40] |= std::byte{0x10};  // seq 4, the floor
+  expect_empty(floor_bit);
+  std::vector<std::byte> hole_below = bytes;
+  hole_below[40] &= ~std::byte{0x04};  // seq 2, below the floor
+  expect_empty(hole_below);
+  expect_empty(std::span(bytes).first(bytes.size() - 1));  // truncated word
+  std::vector<std::byte> extra_word = bytes;
+  extra_word[32] = std::byte{3};  // declares a word the blob lacks
+  expect_empty(extra_word);
+}
+
+TEST(HeronSession, RotatingSessionEncodesInWindowWordsNotSeqs) {
+  // A client's seqs rotate over 4 partitions; this one executes every
+  // fourth, so its floor stalls at the first seq sent elsewhere.
+  constexpr std::uint64_t kCommands = 4000;
+  Replica::Session s;
+  s.cached_reply = Reply{0, std::vector<std::byte>(24, std::byte{1})};
+  for (std::uint64_t seq = 2; seq <= kCommands; seq += 4) s.mark(seq);
+  ASSERT_EQ(s.watermark(), 0u);
+  ASSERT_EQ(above_seqs(s.seqs).size(), kCommands / 4);
+
+  const std::size_t header = encode_session(Replica::Session{}).size();
+  const std::uint64_t span = s.seqs.end() - (s.seqs.floor() & ~63ull);
+  const std::size_t bound =
+      header + s.cached_reply.payload.size() + 8 * ((span + 63) / 64);
+  const std::vector<std::byte> bytes = encode_session(s);
+  EXPECT_LE(bytes.size(), bound);
+  expect_round_trip(s);
 }
 
 /// A delivered command of `client`'s session, as the session table sees it.
@@ -655,18 +766,21 @@ TEST(UpdateLog, EachDropPathRaisesTheFloor) {
   EXPECT_EQ(log.floor(), 0u);
   log.append(30, 4);  // capacity pop of (10, 1)
   EXPECT_EQ(log.floor(), 10u);
-  EXPECT_EQ(log.capacity_dropped(), 10u);
+  EXPECT_FALSE(log.complete_after(9));
   ASSERT_EQ(log.entries().size(), 3u);
   EXPECT_EQ(log.entries().front().oid, 2u);
 
   log.drop_through(25);  // checkpoint truncation: drops both tmp-20s
   EXPECT_EQ(log.floor(), 20u);  // the highest dropped tmp, not 25
-  EXPECT_EQ(log.capacity_dropped(), 10u);
+  ASSERT_EQ(log.entries().size(), 1u);
+
+  log.skip_through(35);  // a transfer installed updates through 35
+  EXPECT_EQ(log.floor(), 35u);
+  EXPECT_FALSE(log.complete_after(30));
   ASSERT_EQ(log.entries().size(), 1u);
 
   log.wipe(50);  // restart: the floor rises to the watermark
   EXPECT_EQ(log.floor(), 50u);
-  EXPECT_EQ(log.capacity_dropped(), 0u);
   EXPECT_TRUE(log.entries().empty());
   log.wipe(40);
   EXPECT_EQ(log.floor(), 50u);

@@ -1121,7 +1121,7 @@ TEST(SeqWindow, SeqZeroStartsBelowTheExclusiveFloor) {
   w.insert(0);
   EXPECT_TRUE(w.contains(0));
   EXPECT_EQ(w.floor(), 1u);
-  EXPECT_EQ(w.above_count(), 0u);
+  EXPECT_EQ(above_of(w).size(), 0u);
   EXPECT_EQ(w.end(), 1u);
 }
 
@@ -1148,7 +1148,7 @@ TEST(SeqWindow, OutOfOrderInsertsCloseTheFloor) {
   }
   EXPECT_EQ(w.floor(), 6u);
   EXPECT_EQ(above_of(w), (std::vector<std::uint64_t>{64, 70}));
-  EXPECT_EQ(w.above_count(), 2u);
+  EXPECT_EQ(above_of(w).size(), 2u);
   EXPECT_EQ(w.end(), 71u);
   for (std::uint64_t seq = 6; seq < 64; ++seq) w.insert(seq);
   EXPECT_EQ(w.floor(), 65u);
@@ -1161,7 +1161,7 @@ TEST(SeqWindow, PermanentHoleKeepsTenThousandSeqsAbove) {
   SeqWindow w;
   for (std::uint64_t seq = 1; seq <= 10'000; ++seq) w.insert(seq);
   EXPECT_EQ(w.floor(), 0u);
-  EXPECT_EQ(w.above_count(), 10'000u);
+  EXPECT_EQ(above_of(w).size(), 10'000u);
   EXPECT_EQ(w.end(), 10'001u);
   EXPECT_FALSE(w.contains(0));
   EXPECT_TRUE(w.contains(1));
@@ -1174,7 +1174,7 @@ TEST(SeqWindow, PermanentHoleKeepsTenThousandSeqsAbove) {
   EXPECT_EQ(above.back(), 10'000u);
   w.insert(0);  // the hole closes: everything collapses into the floor
   EXPECT_EQ(w.floor(), 10'001u);
-  EXPECT_EQ(w.above_count(), 0u);
+  EXPECT_EQ(above_of(w).size(), 0u);
 }
 
 TEST(SeqWindow, RaiseFloorAndMergeAreUnions) {
