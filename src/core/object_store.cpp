@@ -377,6 +377,8 @@ std::uint32_t ObjectStore::size_of(Oid oid) const {
   return at(oid).size;
 }
 
+std::uint32_t ObjectStore::size_of(Ref ref) const { return at(ref).size; }
+
 bool ObjectStore::is_serialized(Oid oid) const {
   return at(oid).serialized;
 }

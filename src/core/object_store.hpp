@@ -253,6 +253,7 @@ class ObjectStore {
   /// Slot offset / size for the address-query protocol.
   [[nodiscard]] std::uint64_t offset_of(Oid oid) const;
   [[nodiscard]] std::uint32_t size_of(Oid oid) const;
+  [[nodiscard]] std::uint32_t size_of(Ref ref) const;
   [[nodiscard]] bool is_serialized(Oid oid) const;
   [[nodiscard]] bool is_serialized(Ref ref) const;
   [[nodiscard]] std::span<const std::byte> raw_slot(Oid oid) const;

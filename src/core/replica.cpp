@@ -437,8 +437,7 @@ sim::Task<void> Replica::answer_paged_reply(const Request& r) {
   Reply reply{kStatusStaleSession, {}};
   if (ckpt_ != nullptr) {
     const std::optional<Session> persisted =
-        decode_paged(co_await ckpt_->fetch_record(durable::kRecordSession,
-                                                  amcast::uid_client(r.uid)));
+        decode_paged(co_await ckpt_->fetch_session(amcast::uid_client(r.uid)));
     if (persisted && persisted->cached_seq == r.header.session_seq) {
       reply = persisted->cached_reply;
       // Re-cache (unless a racing retry did): later retries hit memory.
@@ -1161,8 +1160,14 @@ sim::Task<bool> Replica::resolve_addr(Oid oid, GroupId h) {
         if (ans.seq < addra_next_[s] + 1) break;
         addra_next_[s] = ans.seq;
         if (ans.found == 0) continue;
-        auto [it, inserted] = object_map_.try_emplace(
-            ans.oid, std::vector<RemoteLoc>(static_cast<std::size_t>(reps2)));
+        // Only an oid not mapped yet gets a per-replica vector.
+        auto it = object_map_.find(ans.oid);
+        if (it == object_map_.end()) {
+          it = object_map_
+                   .emplace(ans.oid, std::vector<RemoteLoc>(
+                                         static_cast<std::size_t>(reps2)))
+                   .first;
+        }
         const int q = static_cast<int>(s) % reps2;
         it->second[static_cast<std::size_t>(q)] =
             RemoteLoc{ans.offset, ans.size, true};
@@ -1784,21 +1789,31 @@ sim::Task<void> Replica::perform_transfer(int lagger_rank, Tmp from_tmp,
 durable::RecordBuffer Replica::collect_records(
     const std::vector<Oid>& oids, bool sessions, Tmp sessions_after,
     const std::map<std::uint32_t, Reply>* paged_in) {
+  // Size the whole snapshot first and reserve it exactly: a buffer grown
+  // by doubling would hold up to twice the snapshot while it copies.
+  std::vector<ObjectStore::Ref> refs(oids.size());
+  store_->resolve(oids, refs);
+  std::size_t records = 0;
+  std::size_t value_bytes = 0;
+  for (const ObjectStore::Ref ref : refs) {
+    if (!ref.found()) continue;  // retired (migrated away)
+    ++records;
+    value_bytes += store_->size_of(ref);
+  }
+  if (sessions) {
+    const auto [n, bytes] = sessions_.records_size(sessions_after, paged_in);
+    records += n;
+    value_bytes += bytes;
+  }
   durable::RecordBuffer out;
-  std::array<ObjectStore::Ref, ObjectStore::kResolveGroup> refs;
-  for (std::size_t i = 0; i < oids.size(); i += refs.size()) {
-    const auto group =
-        std::span(oids).subspan(i, std::min(refs.size(), oids.size() - i));
-    store_->resolve(group, std::span(refs).first(group.size()));
-    for (std::size_t j = 0; j < group.size(); ++j) {
-      if (!refs[j].found()) continue;  // retired (migrated away)
-      const auto [tmp, value] = store_->get(refs[j]);
-      out.append(durable::RecordView{
-          durable::kRecordObject,
-          store_->is_serialized(refs[j]) ? durable::kRecordFlagSerialized
-                                         : 0u,
-          group[j], tmp, value});
-    }
+  out.reserve(records, value_bytes);
+  for (std::size_t i = 0; i < oids.size(); ++i) {
+    if (!refs[i].found()) continue;
+    const auto [tmp, value] = store_->get(refs[i]);
+    out.append(durable::RecordView{
+        durable::kRecordObject,
+        store_->is_serialized(refs[i]) ? durable::kRecordFlagSerialized : 0u,
+        oids[i], tmp, value});
   }
   if (sessions) sessions_.append_records(out, sessions_after, paged_in);
   return out;
@@ -1875,8 +1890,8 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
   std::map<std::uint32_t, Reply> paged_replies;
   for (const std::uint32_t client :
        sessions_.paged_clients(full, ckpt_watermark_)) {
-    std::optional<Session> persisted = decode_paged(
-        co_await ckpt_->fetch_record(durable::kRecordSession, client));
+    std::optional<Session> persisted =
+        decode_paged(co_await ckpt_->fetch_session(client));
     if (stale(inc)) co_return;
     if (persisted) paged_replies[client] = std::move(persisted->cached_reply);
   }
@@ -1931,12 +1946,17 @@ sim::Task<void> Replica::write_checkpoint_once(std::uint64_t inc) {
                                             cfg.durable.session_ttl));
 }
 
+// Per-record cost of installing a restored image, in memcpy-equivalent
+// bytes on top of the record's value bytes (decode and install overhead).
+constexpr std::uint64_t kRestoreBytesPerRecord = 48;
+
 sim::Task<void> Replica::apply_checkpoint_image(const durable::Image& img) {
   const HeronConfig& cfg = system_->config();
   std::uint64_t bytes = 0;
-  for (const durable::Record& rec : img.records) {
-    bytes += rec.bytes.size() + sizeof(durable::Record);
-    apply_state_record(rec.view(), ApplyRule::kReplace);
+  for (std::size_t i = 0; i < img.records.size(); ++i) {
+    const durable::RecordView rec = img.records[i];
+    bytes += rec.value.size() + kRestoreBytesPerRecord;
+    apply_state_record(rec, ApplyRule::kReplace);
   }
   // Installing the image is memcpy-class work (whatever the objects'
   // form: the image holds them as persisted); the device read itself was

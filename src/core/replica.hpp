@@ -350,7 +350,8 @@ class Replica {
   /// The one record collector: the objects in `oids` that still exist
   /// (retired ones migrated away), then — with `sessions` — the session
   /// table's records (SessionTable::append_records). Encodes everything
-  /// before returning, so the snapshot is consistent as of the call.
+  /// before returning, so the snapshot is consistent as of the call, into
+  /// a buffer reserved for exactly its size.
   [[nodiscard]] durable::RecordBuffer collect_records(
       const std::vector<Oid>& oids, bool sessions, Tmp sessions_after = 0,
       const std::map<std::uint32_t, Reply>* paged_in = nullptr);

@@ -23,6 +23,17 @@ struct SessionWire {
 };
 static_assert(std::is_trivially_copyable_v<SessionWire>);
 
+/// The reply a session's record carries: `paged_in` when given.
+const Reply& encoded_reply(const Session& s, const Reply* paged_in) {
+  return paged_in != nullptr ? *paged_in : s.cached_reply;
+}
+
+/// Value bytes of the record append_session() writes.
+std::size_t session_value_size(const Session& s, const Reply* paged_in) {
+  return sizeof(SessionWire) + encoded_reply(s, paged_in).payload.size() +
+         s.seqs.words().size_bytes();
+}
+
 }  // namespace
 
 // Union-merge: both sides may have executed disjoint command sets (the
@@ -43,7 +54,7 @@ void Session::merge(Session&& incoming) {
 
 void append_session(durable::RecordBuffer& out, std::uint32_t client,
                     const Session& s, const Reply* paged_in) {
-  const Reply& reply = paged_in != nullptr ? *paged_in : s.cached_reply;
+  const Reply& reply = encoded_reply(s, paged_in);
   const std::span<const std::uint64_t> words = s.seqs.words();
   const SessionWire wire{
       s.watermark(),
@@ -53,9 +64,8 @@ void append_session(durable::RecordBuffer& out, std::uint32_t client,
       static_cast<std::uint32_t>(reply.payload.size()),
       static_cast<std::uint32_t>(words.size()),
       s.reply_paged_out && paged_in == nullptr ? 1u : 0u};
-  const auto value =
-      out.append(durable::kRecordSession, 0, client, s.last_tmp,
-                 sizeof(wire) + reply.payload.size() + words.size_bytes());
+  const auto value = out.append(durable::kRecordSession, 0, client,
+                                s.last_tmp, session_value_size(s, paged_in));
   std::byte* at = value.data();
   std::memcpy(at, &wire, sizeof(wire));
   at += sizeof(wire);
@@ -143,9 +153,10 @@ std::size_t SessionTable::compact(Tmp w, sim::Nanos now, sim::Nanos ttl) {
   return before - sessions_.size();
 }
 
-void SessionTable::append_records(
-    durable::RecordBuffer& out, Tmp after,
-    const std::map<std::uint32_t, Reply>* paged_in) const {
+template <typename Fn>
+void SessionTable::for_each_selected(
+    Tmp after, const std::map<std::uint32_t, Reply>* paged_in,
+    Fn&& fn) const {
   for (const auto& [client, s] : sessions_) {
     if (after != 0 && s.last_tmp <= after) continue;
     const Reply* reply = nullptr;
@@ -153,11 +164,33 @@ void SessionTable::append_records(
       const auto it = paged_in->find(client);
       if (it != paged_in->end()) reply = &it->second;
     }
-    append_session(out, client, s, reply);
+    fn(client, s, reply);
   }
+}
+
+void SessionTable::append_records(
+    durable::RecordBuffer& out, Tmp after,
+    const std::map<std::uint32_t, Reply>* paged_in) const {
+  for_each_selected(after, paged_in,
+                    [&out](std::uint32_t client, const Session& s,
+                           const Reply* reply) {
+                      append_session(out, client, s, reply);
+                    });
   for (const auto& [client, floor] : evicted_) {
     out.append(durable::kRecordTombstone, 0, client, floor, 0);
   }
+}
+
+std::pair<std::size_t, std::size_t> SessionTable::records_size(
+    Tmp after, const std::map<std::uint32_t, Reply>* paged_in) const {
+  std::size_t records = evicted_.size();  // tombstones carry no value
+  std::size_t value_bytes = 0;
+  for_each_selected(after, paged_in,
+                    [&](std::uint32_t, const Session& s, const Reply* reply) {
+                      ++records;
+                      value_bytes += session_value_size(s, reply);
+                    });
+  return {records, value_bytes};
 }
 
 void SessionTable::install(const durable::RecordView& rec, bool merge,

@@ -8,6 +8,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -111,6 +112,10 @@ class SessionTable {
   /// paged-out sessions.
   void append_records(durable::RecordBuffer& out, Tmp after,
                       const std::map<std::uint32_t, Reply>* paged_in) const;
+  /// The records and value bytes append_records() would append, for
+  /// RecordBuffer::reserve().
+  [[nodiscard]] std::pair<std::size_t, std::size_t> records_size(
+      Tmp after, const std::map<std::uint32_t, Reply>* paged_in) const;
   /// Installs a session record (replacing, or union-merging when `merge`)
   /// or a tombstone record (max floor).
   void install(const durable::RecordView& rec, bool merge, sim::Nanos now);
@@ -135,6 +140,13 @@ class SessionTable {
     const auto it = sessions_.find(amcast::uid_client(r.uid));
     return it != sessions_.end() ? &it->second : nullptr;
   }
+  /// Visits fn(client, session, paged-in reply or null) for each session
+  /// append_records() encodes: the one selection rule of the encoder and
+  /// records_size().
+  template <typename Fn>
+  void for_each_selected(Tmp after,
+                         const std::map<std::uint32_t, Reply>* paged_in,
+                         Fn&& fn) const;
   /// The session whose cached reply answers exactly `r`.
   [[nodiscard]] const Session* answering(const Request& r) const {
     const Session* s = find(r);

@@ -322,12 +322,16 @@ sim::Task<bool> CheckpointStore::write_checkpoint(
     index_.clear();
   }
   chain_pages_.insert(chain_pages_.end(), fresh.begin(), fresh.end());
-  // Each record's location follows from the cut that packed it.
+  // Each session's location follows from the cut that packed it; no
+  // other kind is ever paged back.
   for (std::size_t k = 0; k < entries.size(); ++k) {
     auto offset = static_cast<std::uint32_t>(sizeof(DPageHeader));
     for (std::size_t i = cuts[k]; i < cuts[k + 1]; ++i) {
       const RecordView r = records[i];
-      index_.insert_or_assign(r.kind, r.id, RecordLoc{entries[k].page, offset});
+      if (r.kind == kRecordSession) {
+        index_.insert_or_assign(r.kind, r.id,
+                                RecordLoc{entries[k].page, offset});
+      }
       offset += static_cast<std::uint32_t>(records.encoded_size(i));
     }
   }
@@ -354,6 +358,7 @@ sim::Task<std::optional<Image>> CheckpointStore::load_latest() {
   for (const Superblock& sb : cands) {
     Image img;
     img.pages_read = 2;
+    RecordIndex newest;  // every key seen so far: the newest-wins test
     RecordIndex new_index;
     std::set<std::uint64_t> seen_set;  // cycle guard + live-page collector
     bool ok = true;
@@ -428,11 +433,11 @@ sim::Task<std::optional<Image>> CheckpointStore::load_latest() {
         }
         ok = for_each_page_record(buf, [&](const RecordView& rec,
                                            std::uint32_t offset) {
-          if (new_index.insert(rec.kind, rec.id,
-                               RecordLoc{entry.page, offset})) {
-            img.records.push_back(Record{
-                rec.kind, rec.flags, rec.id, rec.tmp,
-                std::vector<std::byte>(rec.value.begin(), rec.value.end())});
+          const RecordLoc loc{entry.page, offset};
+          if (!newest.insert(rec.kind, rec.id, loc)) return;
+          img.records.append(rec);
+          if (rec.kind == kRecordSession) {
+            new_index.insert(rec.kind, rec.id, loc);
           }
         });
         if (!ok) break;
@@ -475,9 +480,9 @@ sim::Task<std::optional<Image>> CheckpointStore::load_latest() {
   co_return std::nullopt;
 }
 
-sim::Task<std::optional<Record>> CheckpointStore::fetch_record(
-    std::uint32_t kind, std::uint64_t id) {
-  const auto loc = index_.find(kind, id);
+sim::Task<std::optional<Record>> CheckpointStore::fetch_session(
+    std::uint64_t client) {
+  const auto loc = index_.find(kRecordSession, client);
   if (!loc.has_value()) co_return std::nullopt;
   std::vector<std::byte> buf;
   const bool ok = co_await dev_.read_page(loc->page, buf);
@@ -486,7 +491,8 @@ sim::Task<std::optional<Record>> CheckpointStore::fetch_record(
   if (dh.magic != kDataMagic) co_return std::nullopt;
   std::size_t off = loc->offset;
   RecordView rec;
-  if (!decode_record(buf, &off, &rec) || rec.kind != kind || rec.id != id) {
+  if (!decode_record(buf, &off, &rec) || rec.kind != kRecordSession ||
+      rec.id != client) {
     co_return std::nullopt;
   }
   co_return Record{rec.kind, rec.flags, rec.id, rec.tmp,

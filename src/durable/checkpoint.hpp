@@ -42,7 +42,7 @@ struct Image {
   /// when the checkpoint committed; a rejoining replica rejects images
   /// from a superseded layout (objects may have migrated away since).
   std::uint64_t layout_epoch = 0;
-  std::vector<Record> records;  // deduped by (kind, id), newest wins
+  RecordBuffer records;  // deduped by (kind, id), newest wins
   std::uint64_t chain_length = 0;  // checkpoints walked (incl. the base)
   std::uint64_t pages_read = 0;
 };
@@ -71,11 +71,11 @@ class CheckpointStore {
   /// chain validates end-to-end.
   sim::Task<std::optional<Image>> load_latest();
 
-  /// Reads back the newest persisted record for (kind, id) — the paging
-  /// path for evicted session replies. nullopt when absent or the page
-  /// fails its CRC.
-  sim::Task<std::optional<Record>> fetch_record(std::uint32_t kind,
-                                                std::uint64_t id);
+  /// Reads back `client`'s newest persisted session record — the paging
+  /// path for evicted session replies. Only sessions are indexed, so no
+  /// other kind is ever paged back. nullopt when absent or the page fails
+  /// its CRC.
+  sim::Task<std::optional<Record>> fetch_session(std::uint64_t client);
 
   [[nodiscard]] bool has_checkpoint() const { return head_page_ != kNoPage; }
   [[nodiscard]] std::uint64_t watermark() const { return watermark_; }
@@ -93,6 +93,8 @@ class CheckpointStore {
   }
   /// Pages on the allocator's free list (tests / diagnostics).
   [[nodiscard]] std::size_t free_pages() const { return free_.size(); }
+  /// Records fetch_session() can page in (tests / diagnostics).
+  [[nodiscard]] std::size_t indexed_records() const { return index_.size(); }
   /// Fraction of device pages held by the committed chain.
   [[nodiscard]] double utilization() const;
   /// Device utilization above which the next checkpoint is written as a
@@ -116,8 +118,11 @@ class CheckpointStore {
   /// (kind, id) -> where its newest record sits. Open addressing with
   /// linear probing at load <= 3/4. Keys are only added or overwritten
   /// and clear() drops them all, so probe chains need no tombstones.
+  /// The kept index holds session records only; load_latest() also uses
+  /// one, transiently, as its newest-wins set over every key.
   class RecordIndex {
    public:
+    [[nodiscard]] std::size_t size() const { return used_; }
     [[nodiscard]] std::optional<RecordLoc> find(std::uint32_t kind,
                                                 std::uint64_t id) const;
     /// Adds (kind, id) unless present; true when it was added.
@@ -157,7 +162,7 @@ class CheckpointStore {
   std::uint32_t head_crc_ = 0;
   std::uint64_t watermark_ = 0;
   std::vector<std::uint64_t> chain_pages_;  // every live page of the chain
-  RecordIndex index_;
+  RecordIndex index_;  // the chain's session records, newest wins
 
   // Page allocator: bump + free list; pages 0/1 are the superblocks.
   std::uint64_t next_page_ = 2;

@@ -47,8 +47,8 @@ struct RecordView {
   }
 };
 
-/// A decoded record that owns its value bytes (checkpoint loads and
-/// record fetches, which outlive the page they were read from).
+/// A decoded record that owns its value bytes (a session fetched back,
+/// which outlives the page it was read from).
 struct Record {
   std::uint32_t kind = kRecordObject;
   std::uint32_t flags = 0;
@@ -79,6 +79,14 @@ class RecordBuffer {
   void append(const RecordView& r) {
     append_header(r.kind, r.flags, r.id, r.tmp, r.value.size());
     bytes_.insert(bytes_.end(), r.value.begin(), r.value.end());
+  }
+
+  /// Makes room for `records` more records carrying `value_bytes` value
+  /// bytes in all, so appending exactly that much never reallocates.
+  void reserve(std::size_t records, std::size_t value_bytes) {
+    offsets_.reserve(offsets_.size() + records);
+    bytes_.reserve(bytes_.size() + records * sizeof(RecordHeader) +
+                   value_bytes);
   }
 
   [[nodiscard]] std::size_t size() const { return offsets_.size(); }

@@ -758,6 +758,45 @@ TEST(SessionTable, TtlTombstoneFloorIsHighestExecutedOrCachedSeq) {
   EXPECT_TRUE(t.tombstoned(session_cmd(1, 7, 200)));
 }
 
+TEST(SessionTable, RecordsSizeIsWhatAppendRecordsAppends) {
+  SessionTable t;
+  // Clients 1-4 with replies of different lengths; 2 and 3 stall their
+  // floors (window words); 1 and 2 go idle below the checkpoint at 50
+  // and have their replies paged out; client 9 leaves a tombstone.
+  for (std::uint32_t c = 1; c <= 4; ++c) {
+    const Tmp tmp = c <= 2 ? 10 * c : 100 * c;
+    for (std::uint64_t seq = 1; seq <= 3 * c; seq += c % 2 == 0 ? 2 : 1) {
+      t.mark(session_cmd(c, seq, tmp), 0);
+    }
+    t.cache_reply(session_cmd(c, 3 * c, tmp),
+                  Reply{c, std::vector<std::byte>(7 * c, std::byte{1})});
+  }
+  t.mark(session_cmd(9, 1, 5), 0);
+  t.compact(/*w=*/50, /*now=*/1000, /*ttl=*/0);
+  t.compact(/*w=*/9, /*now=*/1000, /*ttl=*/1);  // evicts client 9
+  const std::map<std::uint32_t, Reply> paged_in{
+      {1, Reply{1, std::vector<std::byte>(33, std::byte{2})}}};
+
+  for (const Tmp after : {Tmp{0}, Tmp{15}, Tmp{50}}) {
+    for (const auto* paged : {&paged_in, static_cast<decltype(&paged_in)>(
+                                              nullptr)}) {
+      durable::RecordBuffer out;
+      t.append_records(out, after, paged);
+      const auto [records, value_bytes] = t.records_size(after, paged);
+      EXPECT_EQ(records, out.size()) << after;
+      EXPECT_EQ(value_bytes, out.value_bytes()) << after;
+
+      // Reserved exactly, the encoder never reallocates.
+      durable::RecordBuffer reserved;
+      reserved.append(durable::kRecordObject, 0, 1, 1, 5);
+      reserved.reserve(records, value_bytes);
+      const std::byte* data = reserved.encoded(0, 1).data();
+      t.append_records(reserved, after, paged);
+      EXPECT_EQ(reserved.encoded(0, 1).data(), data) << after;
+    }
+  }
+}
+
 TEST(UpdateLog, EachDropPathRaisesTheFloor) {
   UpdateLog log(/*capacity=*/3);
   log.append(10, 1);

@@ -4,10 +4,12 @@
 // corruption fallback, compaction, record paging).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -46,6 +48,17 @@ Record object_record(std::uint64_t id, std::uint64_t tmp,
   r.tmp = tmp;
   r.bytes = bytes_of(value);
   return r;
+}
+
+Record session_record(std::uint64_t client, std::uint64_t tmp,
+                      const std::string& value) {
+  Record r = object_record(client, tmp, value);
+  r.kind = kRecordSession;
+  return r;
+}
+
+std::vector<std::byte> value_of(const RecordView& r) {
+  return {r.value.begin(), r.value.end()};
 }
 
 std::vector<std::byte> from_hex(const std::string& hex) {
@@ -125,6 +138,26 @@ TEST(Crc32, SlicingMatchesBitwise) {
       ASSERT_EQ(crc32(s), crc32_bitwise(s)) << start << "+" << s.size();
     }
   }
+}
+
+TEST(RecordCodec, ReserveThenExactAppendsNeverReallocate) {
+  RecordBuffer buf;
+  buf.append(object_record(1, 10, "first").view());
+  // reserve() adds to what the buffer holds: room for a session, an
+  // empty tombstone and a filled-in object, 11 + 0 + 300 value bytes.
+  buf.reserve(3, 311);
+  const std::byte* data = buf.encoded(0, 1).data();
+  buf.append(session_record(2, 20, "sessiondata").view());
+  buf.append(kRecordTombstone, 0, 3, 30, 0);
+  const auto value = buf.append(kRecordObject, 0, 4, 40, 300);
+  std::memset(value.data(), 0x5a, value.size());
+  EXPECT_EQ(buf.encoded(0, 1).data(), data);
+  EXPECT_EQ(buf.size(), 4u);
+  EXPECT_EQ(buf.value_bytes(), 5u + 311u);
+  EXPECT_EQ(value_of(buf[0]), bytes_of("first"));
+  EXPECT_EQ(value_of(buf[1]), bytes_of("sessiondata"));
+  EXPECT_EQ(buf[2].kind, kRecordTombstone);
+  EXPECT_EQ(buf[3].value.data(), value.data());
 }
 
 TEST(RecordCodec, RoundtripAndTruncation) {
@@ -284,12 +317,13 @@ TEST(CheckpointStore, CommitAndLoadRoundtrip) {
                         "64000000000000000b0000000000000073657373696f6e646174"
                         "61"));
 
-    const auto fetched = co_await store.fetch_record(kRecordSession, 42);
+    const auto fetched = co_await store.fetch_session(42);
     EXPECT_TRUE(fetched.has_value());
     if (!fetched.has_value()) co_return;
     EXPECT_EQ(fetched->tmp, 100u);
     EXPECT_EQ(fetched->bytes, bytes_of("sessiondata"));
-    EXPECT_FALSE((co_await store.fetch_record(kRecordObject, 99)).has_value());
+    EXPECT_FALSE((co_await store.fetch_session(99)).has_value());
+    EXPECT_FALSE((co_await store.fetch_session(1)).has_value());  // object
   });
   EXPECT_EQ(store.checkpoints_written(), 1u);
   EXPECT_EQ(store.full_checkpoints(), 1u);
@@ -305,30 +339,40 @@ TEST(CheckpointStore, DeltaChainNewestWins) {
   drive(sim, [&]() -> sim::Task<void> {
     co_await store.write_checkpoint(
         100, 0, 0, true,
-        recs(object_record(1, 100, "old-1"), object_record(2, 100, "old-2")));
-    co_await store.write_checkpoint(200, 0, 0, false,
-                                    recs(object_record(1, 200, "new-1")));
+        recs(object_record(1, 100, "old-1"), object_record(2, 100, "old-2"),
+             session_record(7, 100, "old-s")));
+    co_await store.write_checkpoint(
+        200, 0, 0, false,
+        recs(object_record(1, 200, "new-1"), session_record(7, 200, "new-s")));
 
     const auto img = co_await store.load_latest();
     EXPECT_TRUE(img.has_value());
     if (!img.has_value()) co_return;  // ASSERT returns; coroutines can't
     EXPECT_EQ(img->watermark, 200u);
     EXPECT_EQ(img->chain_length, 2u);
-    EXPECT_EQ(img->records.size(), 2u);
-    for (const Record& r : img->records) {
-      if (r.id == 1) {
+    EXPECT_EQ(img->records.size(), 3u);
+    for (std::size_t i = 0; i < img->records.size(); ++i) {
+      const RecordView r = img->records[i];
+      if (r.kind == kRecordSession) {
+        EXPECT_EQ(r.id, 7u);
         EXPECT_EQ(r.tmp, 200u);
-        EXPECT_EQ(r.bytes, bytes_of("new-1"));
+        EXPECT_EQ(value_of(r), bytes_of("new-s"));
+      } else if (r.id == 1) {
+        EXPECT_EQ(r.tmp, 200u);
+        EXPECT_EQ(value_of(r), bytes_of("new-1"));
       } else {
         EXPECT_EQ(r.id, 2u);
-        EXPECT_EQ(r.bytes, bytes_of("old-2"));
+        EXPECT_EQ(value_of(r), bytes_of("old-2"));
       }
     }
-    // fetch_record pages in the newest version too.
-    const auto one = co_await store.fetch_record(kRecordObject, 1);
-    EXPECT_TRUE(one.has_value());
-    if (!one.has_value()) co_return;
-    EXPECT_EQ(one->bytes, bytes_of("new-1"));
+    // fetch_session pages in the newest version too, and serves no
+    // object.
+    const auto seven = co_await store.fetch_session(7);
+    EXPECT_TRUE(seven.has_value());
+    if (!seven.has_value()) co_return;
+    EXPECT_EQ(seven->tmp, 200u);
+    EXPECT_EQ(seven->bytes, bytes_of("new-s"));
+    EXPECT_FALSE((co_await store.fetch_session(1)).has_value());
   });
 }
 
@@ -356,7 +400,7 @@ TEST(CheckpointStore, AbortedCheckpointKeepsPreviousCommit) {
     EXPECT_EQ(img->watermark, 100u);
     EXPECT_EQ(img->records.size(), 1u);
     if (img->records.empty()) co_return;
-    EXPECT_EQ(img->records[0].bytes, bytes_of("stable"));
+    EXPECT_EQ(value_of(img->records[0]), bytes_of("stable"));
   });
 }
 
@@ -382,7 +426,7 @@ TEST(CheckpointStore, CorruptHeadFallsBackToPreviousSuperblock) {
     EXPECT_EQ(img->watermark, 100u);
     EXPECT_EQ(img->records.size(), 1u);
     if (img->records.empty()) co_return;
-    EXPECT_EQ(img->records[0].bytes, bytes_of("good"));
+    EXPECT_EQ(value_of(img->records[0]), bytes_of("good"));
   });
 }
 
@@ -607,8 +651,8 @@ TEST(CheckpointStore, GoldenPageBytes) {
   EXPECT_EQ(digest.h, 0xa83b8f0506e0692full);
 }
 
-// fetch_record finds the newest version of every key ever written, and
-// nothing for keys never written: after full -> deltas -> compaction ->
+// fetch_session finds the newest version of every session ever written,
+// and nothing for any other key: after full -> deltas -> compaction ->
 // delta on the writing store, and again after load_latest on a fresh
 // store over a copy of the device.
 TEST(CheckpointStore, IndexServesNewestVersionOfEveryKey) {
@@ -621,24 +665,33 @@ TEST(CheckpointStore, IndexServesNewestVersionOfEveryKey) {
   CheckpointStore fresh(sim, metrics, cfg, "fresh");
 
   // As many sessions as objects: every object id is also a session id,
-  // so the index must tell keys apart by kind as well as id.
+  // so a fetch must serve the session and never the object.
   Workload wl;
   wl.sessions = Workload::kObjects;
   const auto check = [&](CheckpointStore& s) -> sim::Task<void> {
+    EXPECT_EQ(s.indexed_records(), wl.sessions);
     for (const auto& [key, want] : wl.newest) {
-      const auto got = co_await s.fetch_record(key.first, key.second);
-      EXPECT_TRUE(got.has_value()) << key.first << "/" << key.second;
+      const auto got = co_await s.fetch_session(key.second);
+      if (key.first != kRecordSession) {
+        // Objects, tombstones and layout records are never paged back.
+        if (!wl.newest.contains({kRecordSession, key.second})) {
+          EXPECT_FALSE(got.has_value()) << key.first << "/" << key.second;
+        }
+        continue;
+      }
+      EXPECT_TRUE(got.has_value()) << key.second;
       if (!got.has_value()) continue;
-      EXPECT_EQ(got->kind, want.kind);
+      EXPECT_EQ(got->kind, kRecordSession);
       EXPECT_EQ(got->flags, want.flags);
-      EXPECT_EQ(got->tmp, want.tmp) << key.first << "/" << key.second;
-      EXPECT_EQ(got->bytes, want.bytes) << key.first << "/" << key.second;
+      EXPECT_EQ(got->tmp, want.tmp) << key.second;
+      EXPECT_EQ(got->bytes, want.bytes) << key.second;
     }
-    // Never written: an unknown object, and known ids under another kind.
-    EXPECT_FALSE((co_await s.fetch_record(kRecordObject, 9999)).has_value());
-    EXPECT_FALSE((co_await s.fetch_record(kRecordObject, 1001)).has_value());
-    EXPECT_FALSE((co_await s.fetch_record(kRecordTombstone, 1)).has_value());
-    EXPECT_FALSE((co_await s.fetch_record(kRecordLayout, 0)).has_value());
+    // Never written as sessions: an unknown id, an object id above the
+    // sessions (written from round 3), a tombstone id and the layout id.
+    EXPECT_FALSE((co_await s.fetch_session(9999)).has_value());
+    EXPECT_FALSE((co_await s.fetch_session(Workload::kObjects + 1)).has_value());
+    EXPECT_FALSE((co_await s.fetch_session(1001)).has_value());
+    EXPECT_FALSE((co_await s.fetch_session(0)).has_value());
   };
 
   drive(sim, [&]() -> sim::Task<void> {
@@ -663,6 +716,111 @@ TEST(CheckpointStore, IndexServesNewestVersionOfEveryKey) {
     EXPECT_EQ(img->watermark, 500u);
     EXPECT_EQ(img->records.size(), wl.newest.size());
     co_await check(fresh);
+  });
+}
+
+// Only session records are paged back, so only they are indexed: after
+// a full checkpoint and a delta that mix objects, sessions, tombstones and
+// a layout record, and again after load_latest on a fresh store.
+TEST(CheckpointStore, IndexHoldsOnlySessionRecords) {
+  sim::Simulator sim;
+  DurableConfig cfg;
+  cfg.checkpoint_interval = sim::ms(1);
+  telemetry::MetricsRegistry metrics;
+  CheckpointStore store(sim, metrics, cfg, "t");
+  CheckpointStore fresh(sim, metrics, cfg, "fresh");
+
+  const auto records = [](std::uint64_t tmp, std::uint64_t first_object,
+                          std::uint64_t objects, std::uint64_t first_client,
+                          std::uint64_t clients) {
+    RecordBuffer out;
+    for (std::uint64_t id = first_object; id < first_object + objects; ++id) {
+      out.append(object_record(id, tmp, "object").view());
+    }
+    for (std::uint64_t c = first_client; c < first_client + clients; ++c) {
+      out.append(session_record(c, tmp, "session").view());
+      out.append(kRecordTombstone, 0, 1000 + c, tmp, 0);
+    }
+    out.append(kRecordLayout, 0, 0, tmp, 8);
+    return out;
+  };
+  drive(sim, [&]() -> sim::Task<void> {
+    // Sessions 1-5 among 200 objects, then a delta rewriting sessions 4-5,
+    // adding 6-7 and rewriting objects 1-50.
+    co_await store.write_checkpoint(100, 0, 0, true,
+                                    records(100, 1, 200, 1, 5));
+    EXPECT_EQ(store.indexed_records(), 5u);
+    co_await store.write_checkpoint(200, 0, 0, false,
+                                    records(200, 1, 50, 4, 4));
+    EXPECT_EQ(store.indexed_records(), 7u);
+
+    std::vector<std::byte> page;
+    for (std::uint64_t p = 0; p < cfg.device.page_count; ++p) {
+      if (co_await store.device().read_page(p, page)) {
+        co_await fresh.device().write_page(p, page);
+      }
+    }
+    const auto img = co_await fresh.load_latest();
+    EXPECT_TRUE(img.has_value());
+    if (!img.has_value()) co_return;  // ASSERT returns; coroutines can't
+    EXPECT_EQ(img->records.size(), 200u + 2 * 7 + 1);  // every key, once
+    EXPECT_EQ(fresh.indexed_records(), 7u);
+    for (std::uint64_t c = 1; c <= 7; ++c) {
+      const auto got = co_await fresh.fetch_session(c);
+      EXPECT_TRUE(got.has_value()) << c;
+      if (!got.has_value()) continue;
+      EXPECT_EQ(got->tmp, c >= 4 ? 200u : 100u) << c;
+    }
+    EXPECT_FALSE((co_await fresh.fetch_session(8)).has_value());    // object
+    EXPECT_FALSE((co_await fresh.fetch_session(1001)).has_value());  // tomb
+  });
+}
+
+// A loaded image is the newest written encoding of every key, once: a
+// full checkpoint loads back as the very bytes that were written, and
+// after deltas each (kind, id) appears at its newest encoding.
+TEST(CheckpointStore, ImageRecordsAreTheNewestWrittenBytes) {
+  sim::Simulator sim;
+  DurableConfig cfg;
+  cfg.checkpoint_interval = sim::ms(1);
+  cfg.device.page_count = 64;
+  telemetry::MetricsRegistry metrics;
+  CheckpointStore store(sim, metrics, cfg, "t");
+
+  Workload wl;
+  drive(sim, [&]() -> sim::Task<void> {
+    const RecordBuffer base = pack(wl.round(1, 1));
+    co_await store.write_checkpoint(100, 0, 0, true, base);
+    const auto img = co_await store.load_latest();
+    EXPECT_TRUE(img.has_value());
+    if (!img.has_value()) co_return;  // ASSERT returns; coroutines can't
+    EXPECT_EQ(img->records.size(), base.size());
+    const auto got = img->records.encoded(0, img->records.size());
+    const auto want = base.encoded(0, base.size());
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+
+    for (std::uint64_t r = 2; r <= 4; ++r) {
+      co_await store.write_checkpoint(100 * r, 0, 0, false,
+                                      pack(wl.round(r, 1 + r)));
+    }
+    const auto after = co_await store.load_latest();
+    EXPECT_TRUE(after.has_value());
+    if (!after.has_value()) co_return;
+    EXPECT_EQ(after->chain_length, 4u);
+    EXPECT_EQ(after->records.size(), wl.newest.size());
+    std::set<std::pair<std::uint32_t, std::uint64_t>> seen;
+    for (std::size_t i = 0; i < after->records.size(); ++i) {
+      const RecordView r = after->records[i];
+      EXPECT_TRUE(seen.insert({r.kind, r.id}).second) << r.kind << "/" << r.id;
+      const auto it = wl.newest.find({r.kind, r.id});
+      EXPECT_NE(it, wl.newest.end());
+      if (it == wl.newest.end()) continue;
+      const RecordBuffer newest = recs(it->second);
+      const auto enc = after->records.encoded(i, i + 1);
+      const auto exp = newest.encoded(0, 1);
+      EXPECT_TRUE(std::equal(enc.begin(), enc.end(), exp.begin(), exp.end()))
+          << r.kind << "/" << r.id;
+    }
   });
 }
 
