@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,15 @@
 namespace heron::core {
 
 namespace {
+
+/// The oid a core-level ordered read (kReqFlagRead) names, if its payload
+/// carries one.
+std::optional<Oid> read_oid(const Request& r) {
+  if (r.payload.size() < sizeof(Oid)) return std::nullopt;
+  Oid oid = 0;
+  std::memcpy(&oid, r.payload.data(), sizeof(oid));
+  return oid;
+}
 
 constexpr std::uint64_t kCoordSlot = sizeof(CoordEntry);
 constexpr std::uint64_t kSyncSlot = sizeof(StateSyncEntry);
@@ -67,6 +77,7 @@ Replica::Replica(System& system, GroupId group, int rank)
     : system_(&system),
       group_(group),
       rank_(rank),
+      node_(&system.amcast().endpoint(group, rank).node()),
       log_(system.config().update_log_capacity),
       rng_(0x9e3779b9u ^ (static_cast<std::uint64_t>(group) << 16) ^
            static_cast<std::uint64_t>(rank)) {
@@ -136,10 +147,6 @@ Replica::Replica(System& system, GroupId group, int rank)
     ckpt_ = std::make_unique<durable::CheckpointStore>(
         system.simulator(), hub_->metrics, cfg.durable, label);
   }
-}
-
-rdma::Node& Replica::node() {
-  return system_->amcast().endpoint(group_, rank_).node();
 }
 
 void Replica::start() {
@@ -505,8 +512,11 @@ sim::Task<void> Replica::handle_request(Request r) {
       // Resolve any pending one-sided INVALIDATE before answering: an
       // ordered read must never serve the pre-image of a fast write that
       // some fast reader elsewhere has already observed committed.
-      co_await fast_write_fence(r);
-      if (stale(inc)) co_return;
+      const std::optional<Oid> oid = read_oid(r);
+      if (oid && store_->exists(*oid) && store_->fast_pending(*oid)) {
+        co_await fence_slot(*oid);
+        if (stale(inc)) co_return;
+      }
     }
     Reply reply = make_read_reply(r);
     count(kExecuted);
@@ -596,8 +606,7 @@ void Replica::write_coord(const Request& r, std::uint32_t phase) {
 
 bool Replica::coord_satisfied(const Request& r, std::uint32_t phase,
                               bool require_all) const {
-  const auto region =
-      const_cast<Replica*>(this)->node().region(coord_mr_).bytes();
+  const auto region = node_->region(coord_mr_).bytes();
   const int reps = system_->replicas_per_partition();
   const int needed = require_all ? reps : reps / 2 + 1;
   for (GroupId h = 0; h < system_->partitions(); ++h) {
@@ -999,14 +1008,6 @@ bool Replica::fast_writes_enabled() const {
   return leases_enabled() && system_->config().fast_writes;
 }
 
-sim::Task<void> Replica::fast_write_fence(const Request& r) {
-  for (const Oid oid : request_oids(r)) {
-    if (!store_->exists(oid) || !store_->fast_pending(oid)) continue;
-    co_await fence_slot(oid);
-    if (stale(incarnation_)) co_return;
-  }
-}
-
 sim::Task<void> Replica::fence_slot(Oid oid) {
   const std::uint64_t inc = incarnation_;
   count(kFastFenceWaits);
@@ -1037,10 +1038,9 @@ sim::Task<void> Replica::fence_slot(Oid oid) {
 
 Reply Replica::make_read_reply(const Request& r) const {
   count(kOrderedReads);
-  if (r.payload.size() < sizeof(Oid)) return Reply{kStatusReadNotFound, {}};
-  Oid oid = 0;
-  std::memcpy(&oid, r.payload.data(), sizeof(oid));
-  if (!store_->exists(oid)) return Reply{kStatusReadNotFound, {}};
+  const std::optional<Oid> read = read_oid(r);
+  if (!read || !store_->exists(*read)) return Reply{kStatusReadNotFound, {}};
+  const Oid oid = *read;
   const auto [tmp, value] = store_->get(oid);
   // The rank field's high bit flags serialized rows: fast writers must
   // skip them (a one-sided value write cannot re-serialize), and the
@@ -1275,10 +1275,9 @@ void Replica::publish_epoch_word() {
 
 std::vector<Oid> Replica::request_oids(const Request& r) const {
   if ((r.header.flags & kReqFlagRead) != 0) {
-    if (r.payload.size() < sizeof(Oid)) return {};
-    Oid oid = 0;
-    std::memcpy(&oid, r.payload.data(), sizeof(oid));
-    return {oid};
+    const std::optional<Oid> oid = read_oid(r);
+    if (!oid) return {};
+    return {*oid};
   }
   if (system_->config().mode == Mode::kApp) return app_->read_set(r, group_);
   return {};  // order-only payloads carry no parseable keys

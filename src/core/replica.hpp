@@ -48,7 +48,7 @@ class Replica {
 
   [[nodiscard]] GroupId group() const { return group_; }
   [[nodiscard]] int rank() const { return rank_; }
-  [[nodiscard]] rdma::Node& node();
+  [[nodiscard]] rdma::Node& node() { return *node_; }
   [[nodiscard]] ObjectStore& store() { return *store_; }
   [[nodiscard]] Application& app() { return *app_; }
   [[nodiscard]] Tmp last_req() const { return last_req_; }
@@ -311,17 +311,14 @@ class Replica {
 
   // --- fast writes (leased one-sided invalidate/validate) ---------------
   [[nodiscard]] bool fast_writes_enabled() const;
-  /// Hermes-style reader fence: before an ordered request touches an oid
-  /// whose slot carries a pending INVALIDATE, wait for the writer's
-  /// VALIDATE (a one-sided write into the object region), bounded by the
-  /// lease expiry; a still-pending slot at expiry is discarded. The
-  /// validate-margin rule (kFastWriteValMargin, system.cpp) makes the
-  /// outcome identical at every replica.
-  sim::Task<void> fast_write_fence(const Request& r);
-  /// Single-slot fence, called immediately before each local store read so
-  /// no suspension point separates the pending check from the read (the
-  /// whole-request fence alone would leave a window where an INVALIDATE
-  /// lands and validates elsewhere mid-execution — read inversion).
+  /// Hermes-style reader fence on one slot: while the oid's slot carries
+  /// a pending INVALIDATE, wait for the writer's VALIDATE (a one-sided
+  /// write into the object region), bounded by the lease expiry; a
+  /// still-pending slot at expiry is discarded. The validate-margin rule
+  /// (kFastWriteValMargin, system.cpp) makes the outcome identical at
+  /// every replica. Called immediately before each local store read (and
+  /// before an ordered read's answer) so no suspension point separates
+  /// the pending check from the read — read inversion otherwise.
   sim::Task<void> fence_slot(Oid oid);
   /// Rejoin step: resolves slots left fast-pending across a restart by
   /// sampling live peers — a peer whose lock equals the pending tmp proves
@@ -438,6 +435,7 @@ class Replica {
   System* system_;
   GroupId group_;
   int rank_;
+  rdma::Node* node_;  // the amcast endpoint's node, fixed for life
   std::unique_ptr<Application> app_;
   std::unique_ptr<ObjectStore> store_;
 

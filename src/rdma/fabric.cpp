@@ -229,21 +229,6 @@ void Fabric::note_credit_stall(std::int32_t initiator) {
   ++credit_stalls_by_node_[i];
 }
 
-void Fabric::with_credit(Qp& qp, bool gated, std::int32_t initiator,
-                         sim::EventFn post) {
-  if (!gated) {
-    post();
-    return;
-  }
-  if (qp.waiters.empty() && qp.outstanding < model_.credit_window) {
-    ++qp.outstanding;
-    post();
-    return;
-  }
-  note_credit_stall(initiator);
-  qp.waiters.emplace_back(sim_->now(), std::move(post));
-}
-
 void Fabric::release_credit(Qp& qp, bool gated) {
   if (!gated) return;
   if (!qp.waiters.empty()) {
@@ -258,122 +243,6 @@ void Fabric::release_credit(Qp& qp, bool gated) {
   }
   assert(qp.outstanding > 0);
   if (qp.outstanding > 0) --qp.outstanding;
-}
-
-sim::Task<Completion> Fabric::read(std::int32_t initiator, RAddr addr,
-                                   std::span<std::byte> out, Lane lane) {
-  ctr_reads_->inc();
-  ctr_read_bytes_->inc(out.size());
-  auto span = hub_->tracer.span("rdma", "read", initiator);
-  span.arg("target", static_cast<std::uint64_t>(addr.node));
-  span.arg("bytes", out.size());
-
-  Node& target = node(addr.node);
-  if (!in_bounds(target.region(addr.mr), addr.offset, out.size())) {
-    ctr_bad_addr_->inc();
-    span.arg("bad_address", 1);
-    co_return Completion{Status::kBadAddress};
-  }
-
-  const bool gated = credit_gated(lane);
-  co_await CreditGate{this, &qp_for(initiator, addr.node, lane), initiator,
-                      gated};
-
-  const sim::Nanos departed = depart(initiator);
-  nic_free_at(initiator) = departed;  // read request itself is tiny
-  if (departed > sim_->now()) co_await sim_->sleep(departed - sim_->now());
-
-  // Request propagates to the remote NIC; value is sampled there.
-  const sim::Nanos arrive = arrival_on_channel(
-      initiator, addr.node, lane,
-      link_transit(initiator, addr.node, kVerbHeaderBytes,
-                   departed + jitter(model_.read_base / 2), lane));
-  if (arrive > sim_->now()) co_await sim_->sleep(arrive - sim_->now());
-
-  if (!target.alive()) {
-    ctr_errors_->inc();
-    span.arg("wc_error", 1);
-    const sim::Nanos err_at = departed + model_.failure_detect;
-    if (err_at > sim_->now()) co_await sim_->sleep(err_at - sim_->now());
-    release_credit(qp_for(initiator, addr.node, lane), gated);
-    co_return Completion{Status::kRemoteFailure};
-  }
-
-  // Atomic sample at arrival time (one event = one atomic step).
-  const auto src = target.region(addr.mr).bytes().subspan(addr.offset, out.size());
-  std::memcpy(out.data(), src.data(), out.size());
-
-  // Response carries the payload back to the initiator.
-  const sim::Nanos done_at = link_transit(
-      addr.node, initiator, out.size(),
-      arrive + jitter(model_.read_base / 2) + xfer_time(out.size()), lane);
-  if (done_at > sim_->now()) co_await sim_->sleep(done_at - sim_->now());
-  release_credit(qp_for(initiator, addr.node, lane), gated);
-  co_return Completion{Status::kOk};
-}
-
-sim::Task<Completion> Fabric::cas(std::int32_t initiator, RAddr addr,
-                                  std::uint64_t expected,
-                                  std::uint64_t desired,
-                                  std::uint64_t* observed, Lane lane) {
-  // Atomics ride the READ timing path: tiny request out, old value back.
-  ctr_reads_->inc();
-  ctr_read_bytes_->inc(sizeof(std::uint64_t));
-  auto span = hub_->tracer.span("rdma", "cas", initiator);
-  span.arg("target", static_cast<std::uint64_t>(addr.node));
-
-  Node& target = node(addr.node);
-  if (!in_bounds(target.region(addr.mr), addr.offset,
-                 sizeof(std::uint64_t))) {
-    ctr_bad_addr_->inc();
-    span.arg("bad_address", 1);
-    co_return Completion{Status::kBadAddress};
-  }
-
-  const bool gated = credit_gated(lane);
-  co_await CreditGate{this, &qp_for(initiator, addr.node, lane), initiator,
-                      gated};
-
-  const sim::Nanos departed = depart(initiator);
-  nic_free_at(initiator) = departed;  // atomic request is tiny
-  if (departed > sim_->now()) co_await sim_->sleep(departed - sim_->now());
-
-  const sim::Nanos arrive = arrival_on_channel(
-      initiator, addr.node, lane,
-      link_transit(initiator, addr.node, kVerbHeaderBytes,
-                   departed + jitter(model_.read_base / 2), lane));
-  if (arrive > sim_->now()) co_await sim_->sleep(arrive - sim_->now());
-
-  if (!target.alive()) {
-    ctr_errors_->inc();
-    span.arg("wc_error", 1);
-    const sim::Nanos err_at = departed + model_.failure_detect;
-    if (err_at > sim_->now()) co_await sim_->sleep(err_at - sim_->now());
-    release_credit(qp_for(initiator, addr.node, lane), gated);
-    co_return Completion{Status::kRemoteFailure};
-  }
-
-  // Compare-and-swap at arrival time (one event = one atomic step).
-  auto word = target.region(addr.mr).bytes().subspan(addr.offset,
-                                                     sizeof(std::uint64_t));
-  std::uint64_t old = 0;
-  std::memcpy(&old, word.data(), sizeof(old));
-  if (observed != nullptr) *observed = old;
-  if (old == expected) {
-    std::memcpy(word.data(), &desired, sizeof(desired));
-    target.region(addr.mr).landed(addr.offset, sizeof(desired));
-  } else {
-    span.arg("cas_miss", 1);
-  }
-
-  // Response carries the pre-op value back to the initiator.
-  const sim::Nanos done_at = link_transit(
-      addr.node, initiator, sizeof(std::uint64_t),
-      arrive + jitter(model_.read_base / 2) + xfer_time(sizeof(std::uint64_t)),
-      lane);
-  if (done_at > sim_->now()) co_await sim_->sleep(done_at - sim_->now());
-  release_credit(qp_for(initiator, addr.node, lane), gated);
-  co_return Completion{Status::kOk};
 }
 
 std::uint32_t Fabric::stash_payload(std::span<const std::byte> data) {
@@ -403,54 +272,6 @@ void Fabric::deliver_write(RAddr addr, std::span<const std::byte> data) {
   auto dst = region.bytes().subspan(addr.offset, data.size());
   std::memcpy(dst.data(), data.data(), data.size());
   region.landed(addr.offset, data.size());
-}
-
-sim::Task<Completion> Fabric::write(std::int32_t initiator, RAddr addr,
-                                    std::span<const std::byte> data,
-                                    Lane lane) {
-  ctr_writes_->inc();
-  ctr_write_bytes_->inc(data.size());
-  auto span = hub_->tracer.span("rdma", "write", initiator);
-  span.arg("target", static_cast<std::uint64_t>(addr.node));
-  span.arg("bytes", data.size());
-
-  Node& target = node(addr.node);
-  if (!in_bounds(target.region(addr.mr), addr.offset, data.size())) {
-    ctr_bad_addr_->inc();
-    span.arg("bad_address", 1);
-    co_return Completion{Status::kBadAddress};
-  }
-
-  const bool gated = credit_gated(lane);
-  co_await CreditGate{this, &qp_for(initiator, addr.node, lane), initiator,
-                      gated};
-
-  const sim::Nanos departed = depart(initiator);
-  // Large payloads occupy the send NIC for their transfer duration.
-  nic_free_at(initiator) = departed + xfer_time(data.size());
-  if (departed > sim_->now()) co_await sim_->sleep(departed - sim_->now());
-
-  const sim::Nanos arrive = arrival_on_channel(
-      initiator, addr.node, lane,
-      link_transit(initiator, addr.node, data.size(),
-                   departed + jitter(model_.write_base) +
-                       xfer_time(data.size()),
-                   lane));
-  if (arrive > sim_->now()) co_await sim_->sleep(arrive - sim_->now());
-  release_credit(qp_for(initiator, addr.node, lane), gated);
-
-  if (!target.alive()) {
-    ctr_errors_->inc();
-    span.arg("wc_error", 1);
-    const sim::Nanos err_at = departed + model_.failure_detect;
-    if (err_at > sim_->now()) co_await sim_->sleep(err_at - sim_->now());
-    co_return Completion{Status::kRemoteFailure};
-  }
-
-  auto dst = target.region(addr.mr).bytes().subspan(addr.offset, data.size());
-  std::memcpy(dst.data(), data.data(), data.size());
-  target.region(addr.mr).landed(addr.offset, data.size());
-  co_return Completion{Status::kOk};
 }
 
 void Fabric::write_async(std::int32_t initiator, RAddr addr,
@@ -529,5 +350,144 @@ void Fabric::post_flow(std::int32_t initiator, std::int32_t target,
     release_credit(qp_for(initiator, target, lane), gated);
   });
 }
+
+template <VerbKind K>
+void Verb<K>::start() {
+  Fabric& f = *fabric_;
+  if constexpr (K == VerbKind::kWrite) {
+    f.ctr_writes_->inc();
+    f.ctr_write_bytes_->inc(bytes());
+    span_ = f.hub_->tracer.span("rdma", "write", initiator_);
+  } else {
+    // Atomics ride the READ timing path: tiny request out, old value back.
+    f.ctr_reads_->inc();
+    f.ctr_read_bytes_->inc(bytes());
+    span_ = f.hub_->tracer.span(
+        "rdma", K == VerbKind::kRead ? "read" : "cas", initiator_);
+  }
+  span_.arg("target", static_cast<std::uint64_t>(addr_.node));
+  if constexpr (K != VerbKind::kCas) span_.arg("bytes", bytes());
+
+  if (!in_bounds(f.node(addr_.node).region(addr_.mr), addr_.offset,
+                 bytes())) {
+    f.ctr_bad_addr_->inc();
+    span_.arg("bad_address", 1);
+    finish(Status::kBadAddress);
+    return;
+  }
+  gated_ = f.credit_gated(lane_);
+  qp_ = &f.qp_for(initiator_, addr_.node, lane_);
+  f.with_credit(*qp_, gated_, initiator_, [this] { post(); });
+}
+
+template <VerbKind K>
+void Verb<K>::post() {
+  Fabric& f = *fabric_;
+  departed_ = f.depart(initiator_);
+  if constexpr (K == VerbKind::kWrite) {
+    // Large payloads occupy the send NIC for their transfer duration.
+    f.nic_free_at(initiator_) = departed_ + f.xfer_time(bytes());
+  } else {
+    f.nic_free_at(initiator_) = departed_;  // the request itself is tiny
+  }
+  at<&Verb::leave>(departed_);
+}
+
+template <VerbKind K>
+void Verb<K>::leave() {
+  Fabric& f = *fabric_;
+  sim::Nanos ready;
+  std::uint64_t wire;
+  if constexpr (K == VerbKind::kWrite) {
+    ready = departed_ + f.jitter(f.model_.write_base) + f.xfer_time(bytes());
+    wire = bytes();
+  } else {
+    ready = departed_ + f.jitter(f.model_.read_base / 2);
+    wire = kVerbHeaderBytes;
+  }
+  at<&Verb::land>(f.arrival_on_channel(
+      initiator_, addr_.node, lane_,
+      f.link_transit(initiator_, addr_.node, wire, ready, lane_)));
+}
+
+template <VerbKind K>
+void Verb<K>::land() {
+  Fabric& f = *fabric_;
+  Node& target = f.node(addr_.node);
+  // A WRITE's credit returns when the write reaches the target NIC.
+  if constexpr (K == VerbKind::kWrite) f.release_credit(*qp_, gated_);
+  if (!target.alive()) {
+    f.ctr_errors_->inc();
+    span_.arg("wc_error", 1);
+    at<&Verb::fail>(departed_ + f.model_.failure_detect);
+    return;
+  }
+
+  // One event = one atomic step: the sample, swap or store happens at
+  // arrival time.
+  MemoryRegion& region = target.region(addr_.mr);
+  auto remote = region.bytes().subspan(addr_.offset, bytes());
+  if constexpr (K == VerbKind::kRead) {
+    std::memcpy(operand_.out.data(), remote.data(), remote.size());
+  } else if constexpr (K == VerbKind::kCas) {
+    std::uint64_t old = 0;
+    std::memcpy(&old, remote.data(), sizeof(old));
+    if (operand_.observed != nullptr) *operand_.observed = old;
+    if (old == operand_.expected) {
+      std::memcpy(remote.data(), &operand_.desired, sizeof(old));
+      region.landed(addr_.offset, sizeof(old));
+    } else {
+      span_.arg("cas_miss", 1);
+    }
+  } else {
+    std::memcpy(remote.data(), operand_.data.data(), remote.size());
+    region.landed(addr_.offset, remote.size());
+    finish(Status::kOk);
+    return;
+  }
+
+  // The response carries the sampled (or pre-op) value back; this step
+  // runs at the arrival instant.
+  at<&Verb::respond>(f.link_transit(
+      addr_.node, initiator_, bytes(),
+      f.sim_->now() + f.jitter(f.model_.read_base / 2) + f.xfer_time(bytes()),
+      lane_));
+}
+
+template <VerbKind K>
+void Verb<K>::respond() {
+  fabric_->release_credit(*qp_, gated_);
+  finish(Status::kOk);
+}
+
+template <VerbKind K>
+void Verb<K>::fail() {
+  if constexpr (K != VerbKind::kWrite) fabric_->release_credit(*qp_, gated_);
+  finish(Status::kRemoteFailure);
+}
+
+template <VerbKind K>
+void Verb<K>::finish(Status status) {
+  status_ = status;
+  done_ = true;
+  span_.finish();
+  // Last: the caller may end this op's lifetime when it resumes.
+  if (caller_) caller_.resume();
+}
+
+template <VerbKind K>
+template <void (Verb<K>::*Step)()>
+void Verb<K>::at(sim::Nanos when) {
+  sim::Simulator& sim = *fabric_->sim_;
+  if (when > sim.now()) {
+    sim.schedule_at(when, [this] { (this->*Step)(); });
+  } else {
+    (this->*Step)();
+  }
+}
+
+template class Verb<VerbKind::kRead>;
+template class Verb<VerbKind::kCas>;
+template class Verb<VerbKind::kWrite>;
 
 }  // namespace heron::rdma

@@ -36,13 +36,13 @@
 #include <deque>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "rdma/memory.hpp"
 #include "rdma/node.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "telemetry/hub.hpp"
 
@@ -67,6 +67,13 @@ struct Completion {
 
   [[nodiscard]] bool ok() const { return status == Status::kOk; }
 };
+
+/// What a blocking verb does at its target: READ and CAS share the READ
+/// timing path (request out, value back); WRITE carries its payload out.
+enum class VerbKind : std::uint8_t { kRead, kCas, kWrite };
+
+template <VerbKind K>
+class Verb;
 
 /// Latency knobs; defaults approximate the paper's XL170 testbed.
 struct LatencyModel {
@@ -178,17 +185,18 @@ class Fabric {
   /// One-sided RDMA READ: copies `out.size()` bytes from (addr) on the
   /// remote node into `out`. The value is sampled at the instant the read
   /// reaches the remote NIC. Initiator blocks until the completion (which
-  /// includes any credit-queue wait when flow control is enabled).
-  sim::Task<Completion> read(std::int32_t initiator, RAddr addr,
+  /// includes any credit-queue wait when flow control is enabled). The
+  /// blocking verbs return a Verb to `co_await` at once.
+  Verb<VerbKind::kRead> read(std::int32_t initiator, RAddr addr,
                              std::span<std::byte> out,
                              Lane lane = Lane::kData);
 
   /// One-sided RDMA WRITE: copies `data` into (addr) on the remote node.
   /// Data becomes remotely visible at arrival time; the region's on_write
   /// notifier fires then. Initiator blocks until the completion.
-  sim::Task<Completion> write(std::int32_t initiator, RAddr addr,
-                              std::span<const std::byte> data,
-                              Lane lane = Lane::kData);
+  Verb<VerbKind::kWrite> write(std::int32_t initiator, RAddr addr,
+                               std::span<const std::byte> data,
+                               Lane lane = Lane::kData);
 
   /// Fire-and-forget WRITE: posts the verb and returns after the post
   /// overhead only. Used where Heron does not wait for the WC (e.g.
@@ -208,10 +216,9 @@ class Fabric {
   /// trip (request out, old value back). Used by the fast-write path to
   /// take a slot's INVALIDATE lock without clobbering a replica-side
   /// write-phase bracket that opened after the client sampled the word.
-  sim::Task<Completion> cas(std::int32_t initiator, RAddr addr,
-                            std::uint64_t expected, std::uint64_t desired,
-                            std::uint64_t* observed,
-                            Lane lane = Lane::kData);
+  Verb<VerbKind::kCas> cas(std::int32_t initiator, RAddr addr,
+                           std::uint64_t expected, std::uint64_t desired,
+                           std::uint64_t* observed, Lane lane = Lane::kData);
 
   /// Injects a phantom transfer (heron::faultlab congestion scenarios):
   /// charges the initiator NIC, credit window, uplink FIFO and channel
@@ -287,27 +294,8 @@ class Fabric {
     std::uint64_t busy_ns = 0;  // cumulative occupancy
   };
 
-  // Awaitable credit acquisition for the blocking verbs. Members are kept
-  // trivial (see the GCC 12 note in sim/notifier.hpp).
-  struct CreditGate {
-    Fabric* f;
-    Qp* qp;
-    std::int32_t initiator;
-    bool gated;
-    bool await_ready() const noexcept {
-      if (!gated) return true;
-      if (qp->waiters.empty() && qp->outstanding < f->model_.credit_window) {
-        ++qp->outstanding;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      f->note_credit_stall(initiator);
-      qp->waiters.emplace_back(f->sim_->now(), sim::EventFn(h));
-    }
-    void await_resume() const noexcept {}
-  };
+  template <VerbKind>
+  friend class Verb;
 
   [[nodiscard]] Lane effective_lane(Lane lane) const {
     return model_.priority_lanes ? lane : Lane::kData;
@@ -329,10 +317,22 @@ class Fabric {
     return nic_free_at_[static_cast<std::size_t>(node)];
   }
   void note_credit_stall(std::int32_t initiator);
-  /// Runs `post` when a credit is available on the QP (immediately when
-  /// uncontended). Callback form used by the fire-and-forget verbs.
-  void with_credit(Qp& qp, bool gated, std::int32_t initiator,
-                   sim::EventFn post);
+  /// Runs `post` when a credit is available on the QP: at once when
+  /// uncontended, otherwise as an event when a completion hands the
+  /// credit over, in FIFO order.
+  template <typename Post>
+  void with_credit(Qp& qp, bool gated, std::int32_t initiator, Post&& post) {
+    if (gated) {
+      if (!qp.waiters.empty() || qp.outstanding >= model_.credit_window) {
+        note_credit_stall(initiator);
+        qp.waiters.emplace_back(sim_->now(),
+                                sim::EventFn(std::forward<Post>(post)));
+        return;
+      }
+      ++qp.outstanding;
+    }
+    post();
+  }
   /// Returns a credit; hands it to the head waiter if one is queued.
   void release_credit(Qp& qp, bool gated);
 
@@ -368,7 +368,7 @@ class Fabric {
   std::vector<std::unique_ptr<Node>> nodes_;
   // QP table: one row per initiator node, indexed by target * 2 + lane.
   // QPs are created on first use and heap-allocated so their addresses
-  // stay stable while a CreditGate holds one across a suspension.
+  // stay stable while a Verb in flight holds one.
   std::vector<std::vector<std::unique_ptr<Qp>>> qps_;
   std::vector<sim::Nanos> nic_free_at_;  // per node: send-side serialization
   std::vector<RackLink> racks_;          // lazily sized
@@ -400,5 +400,123 @@ class Fabric {
   telemetry::Histogram* hist_credit_wait_;
   telemetry::Histogram* hist_uplink_wait_;
 };
+
+namespace detail {
+
+/// The kind-specific operands of a blocking verb.
+template <VerbKind K>
+struct VerbOperand;
+template <>
+struct VerbOperand<VerbKind::kRead> {
+  std::span<std::byte> out;
+};
+template <>
+struct VerbOperand<VerbKind::kCas> {
+  std::uint64_t expected;
+  std::uint64_t desired;
+  std::uint64_t* observed;
+};
+template <>
+struct VerbOperand<VerbKind::kWrite> {
+  std::span<const std::byte> data;
+};
+
+}  // namespace detail
+
+/// A blocking verb in flight: what `co_await fabric.read(...)` (or cas,
+/// write) awaits. It lives in the awaiting coroutine's frame and holds the
+/// op's state, so a verb allocates nothing. Each wait is an event holding
+/// `this` that runs the op's next step at the instant a coroutine sleeping
+/// between the same steps would have resumed, and pushed in the same
+/// order; a step whose instant is now runs at once. The last step resumes
+/// the caller. An op that needs no wait (a bad address, or zero latency)
+/// completes without suspending the caller.
+template <VerbKind K>
+class [[nodiscard]] Verb {
+ public:
+  Verb(const Verb&) = delete;
+  Verb& operator=(const Verb&) = delete;
+
+  bool await_ready() {
+    start();
+    return done_;
+  }
+  void await_suspend(std::coroutine_handle<> caller) noexcept {
+    caller_ = caller;
+  }
+  Completion await_resume() const noexcept { return {status_}; }
+
+ private:
+  friend class Fabric;
+
+  Verb(Fabric& fabric, std::int32_t initiator, RAddr addr, Lane lane,
+       detail::VerbOperand<K> operand)
+      : fabric_(&fabric),
+        addr_(addr),
+        operand_(operand),
+        initiator_(initiator),
+        lane_(lane) {}
+
+  /// Bytes the verb moves: the READ buffer, the CAS word, the WRITE
+  /// payload.
+  [[nodiscard]] std::uint64_t bytes() const {
+    if constexpr (K == VerbKind::kRead) {
+      return operand_.out.size();
+    } else if constexpr (K == VerbKind::kCas) {
+      return sizeof(std::uint64_t);
+    } else {
+      return operand_.data.size();
+    }
+  }
+
+  // The steps, in order; each runs at its own instant.
+  void start();    // counters, trace span, bounds check, credit
+  void post();     // credit held: the NIC takes the request
+  void leave();    // departed: the request crosses the fabric
+  void land();     // at the target NIC: sample, swap or store
+  void respond();  // READ/CAS: the response is back
+  void fail();     // the dead target is detected
+  void finish(Status status);
+  /// Runs `Step` at `when`: now if that instant has come, else as an event.
+  template <void (Verb::*Step)()>
+  void at(sim::Nanos when);
+
+  Fabric* fabric_;
+  std::coroutine_handle<> caller_{};
+  Fabric::Qp* qp_ = nullptr;
+  RAddr addr_;
+  detail::VerbOperand<K> operand_;
+  telemetry::TraceSpan span_;
+  sim::Nanos departed_ = 0;
+  std::int32_t initiator_;
+  Lane lane_;
+  bool gated_ = false;
+  bool done_ = false;
+  Status status_ = Status::kOk;
+};
+
+extern template class Verb<VerbKind::kRead>;
+extern template class Verb<VerbKind::kCas>;
+extern template class Verb<VerbKind::kWrite>;
+
+inline Verb<VerbKind::kRead> Fabric::read(std::int32_t initiator, RAddr addr,
+                                          std::span<std::byte> out,
+                                          Lane lane) {
+  return {*this, initiator, addr, lane, {out}};
+}
+
+inline Verb<VerbKind::kCas> Fabric::cas(std::int32_t initiator, RAddr addr,
+                                        std::uint64_t expected,
+                                        std::uint64_t desired,
+                                        std::uint64_t* observed, Lane lane) {
+  return {*this, initiator, addr, lane, {expected, desired, observed}};
+}
+
+inline Verb<VerbKind::kWrite> Fabric::write(std::int32_t initiator,
+                                            RAddr addr,
+                                            std::span<const std::byte> data,
+                                            Lane lane) {
+  return {*this, initiator, addr, lane, {data}};
+}
 
 }  // namespace heron::rdma

@@ -77,6 +77,54 @@ TEST(Cpu, TwoCpusRunInParallel) {
   EXPECT_EQ(done_b, us(10));  // no serialization across distinct cores
 }
 
+// A charge on an idle CPU of zero length returns to its caller at once:
+// no event, no time.
+TEST(Cpu, ZeroLengthChargePushesNoEvent) {
+  Simulator sim;
+  Cpu cpu(sim);
+  bool done = false;
+  sim.spawn([](Cpu& c, bool& out) -> Task<void> {
+    co_await c.use(0);
+    out = true;
+  }(cpu, done));
+  EXPECT_TRUE(done);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.events_executed(), 0u);
+  EXPECT_EQ(cpu.free_at(), 0);
+}
+
+// Charges queue FIFO behind a busy CPU, each one sleeping once until its
+// turn ends; a zero-length charge behind them still waits its turn.
+TEST(Cpu, ChargeQueuedBehindBusyCpuSleepsUntilItsTurnEnds) {
+  Simulator sim;
+  Cpu cpu(sim);
+  std::vector<std::pair<int, Nanos>> done;
+  auto charge = [&](int id, Nanos cost) {
+    sim.spawn([](Simulator& s, Cpu& c, int who, Nanos d,
+                 std::vector<std::pair<int, Nanos>>& out) -> Task<void> {
+      co_await c.use(d);
+      out.emplace_back(who, s.now());
+    }(sim, cpu, id, cost, done));
+  };
+  charge(0, us(10));
+  charge(1, us(5));
+  charge(2, 0);
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_EQ(cpu.free_at(), us(15));
+
+  sim.run_until(us(4));
+  charge(3, us(1));  // queued at 4 us behind 11 us of work
+  EXPECT_EQ(sim.pending_events(), 4u);
+  sim.run();
+
+  const std::vector<std::pair<int, Nanos>> want{
+      {0, us(10)}, {1, us(15)}, {2, us(15)}, {3, us(16)}};
+  EXPECT_EQ(done, want);
+  EXPECT_EQ(sim.events_executed(), 4u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(cpu.busy_total(), us(16));
+}
+
 TEST(ExecContext, ValueAndWriteHelpers) {
   sim::Simulator sim;
   rdma::Fabric fabric(sim);

@@ -575,6 +575,211 @@ TEST(Fabric, InjectFlowNeedsNoMemoryRegion) {
   EXPECT_GT(fabric.uplink_bytes(fabric.rack_of(dst.id())), 0u);
 }
 
+// --- Verb event schedules ---------------------------------------------------
+// These pin, under the default latency model without jitter, when each
+// blocking verb completes, in what order, and how many events it costs: a
+// READ or CAS sleeps until departure, arrival and response (3 events), a
+// WRITE until departure and arrival (2), a credit hand-off is one more.
+// Default model: post 150 ns, READ legs 800 ns each, WRITE 900 ns, 8 B on
+// the wire 3 ns, 64 B 21 ns, failure detection 400 us.
+
+struct Done {
+  const char* verb;
+  Nanos at;
+  Status status;
+  bool operator==(const Done&) const = default;
+};
+
+void PrintTo(const Done& d, std::ostream* os) {
+  *os << d.verb << "@" << d.at << "/" << static_cast<int>(d.status);
+}
+
+// Each verb runs in a coroutine of its own that ends with it, so the
+// frame holding the op is freed as soon as the verb resumes its caller:
+// under ASan, an op step that touched itself after resuming the caller,
+// or an event left holding a finished op, faults by name.
+Task<Completion> read_alone(Env& e, RAddr to, std::span<std::byte> buf) {
+  co_return co_await e.fabric.read(e.a->id(), to, buf);
+}
+Task<Completion> cas_alone(Env& e, RAddr to, std::uint64_t expected,
+                           std::uint64_t desired, std::uint64_t* observed) {
+  co_return co_await e.fabric.cas(e.a->id(), to, expected, desired, observed);
+}
+Task<Completion> write_alone(Env& e, RAddr to,
+                             std::span<const std::byte> data) {
+  co_return co_await e.fabric.write(e.a->id(), to, data);
+}
+
+void spawn_read(Env& env, RAddr addr, std::span<std::byte> out,
+                std::vector<Done>& log) {
+  env.sim.spawn([](Env& e, RAddr to, std::span<std::byte> buf,
+                   std::vector<Done>& l) -> Task<void> {
+    const Completion c = co_await read_alone(e, to, buf);
+    l.push_back({"read", e.sim.now(), c.status});
+  }(env, addr, out, log));
+}
+
+void spawn_cas(Env& env, RAddr addr, std::uint64_t expected,
+               std::uint64_t desired, std::uint64_t* observed,
+               std::vector<Done>& log) {
+  env.sim.spawn([](Env& e, RAddr to, std::uint64_t exp, std::uint64_t des,
+                   std::uint64_t* obs, std::vector<Done>& l) -> Task<void> {
+    const Completion c = co_await cas_alone(e, to, exp, des, obs);
+    l.push_back({"cas", e.sim.now(), c.status});
+  }(env, addr, expected, desired, observed, log));
+}
+
+void spawn_write(Env& env, RAddr addr, std::span<const std::byte> data,
+                 std::vector<Done>& log) {
+  env.sim.spawn([](Env& e, RAddr to, std::span<const std::byte> bytes,
+                   std::vector<Done>& l) -> Task<void> {
+    const Completion c = co_await write_alone(e, to, bytes);
+    l.push_back({"write", e.sim.now(), c.status});
+  }(env, addr, data, log));
+}
+
+TEST(VerbSchedule, ContendedCreditWindowHandsOffInPostOrder) {
+  LatencyModel m;
+  m.credit_window = 1;
+  Env env(m);
+  const RAddr addr{env.b->id(), env.mr_b, 0};
+  std::vector<std::byte> buf(8);
+  std::uint64_t observed = 99;
+  const std::vector<std::uint8_t> payload(64, 0x5A);
+  std::vector<Done> log;
+
+  spawn_read(env, addr, buf, log);
+  spawn_cas(env, addr, 0, 7, &observed, log);
+  spawn_write(env, addr, as_bytes(payload), log);
+  // The read holds the one credit and sleeps until it departs; the other
+  // two wait in the QP's software queue without an event.
+  EXPECT_EQ(env.sim.pending_events(), 1u);
+  EXPECT_EQ(env.fabric.credit_queue_depth(env.a->id()), 2u);
+  EXPECT_EQ(env.fabric.stats().credit_stalls, 2u);
+
+  // The read completes at 150 + 800 + 800 + 3 = 1753 and hands its credit
+  // over as a zero-delay event: the cas departs 150 ns later and completes
+  // at 1753 + 1753; the write departs at 3506 + 150 and lands 921 ns on.
+  env.sim.run_until(1753);
+  EXPECT_EQ(env.sim.events_executed(), 4u);  // 3 for the read + hand-off
+  EXPECT_EQ(env.sim.pending_events(), 1u);   // the cas's departure
+  EXPECT_EQ(env.fabric.credit_queue_depth(env.a->id()), 1u);
+  env.sim.run();
+
+  const std::vector<Done> want{{"read", 1753, Status::kOk},
+                               {"cas", 3506, Status::kOk},
+                               {"write", 4577, Status::kOk}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(env.sim.events_executed(), 10u);
+  EXPECT_EQ(env.sim.pending_events(), 0u);
+  EXPECT_EQ(env.fabric.credit_queue_depth(env.a->id()), 0u);
+  EXPECT_EQ(observed, 0u);  // the read went first, the cas swapped 0 -> 7
+  EXPECT_EQ(env.b->region(env.mr_b).bytes()[0], std::byte{0x5A});
+}
+
+TEST(VerbSchedule, SameInstantReadCasWriteToOneTarget) {
+  Env env;
+  const RAddr addr{env.b->id(), env.mr_b, 0};
+  std::vector<std::byte> buf(8, std::byte{0xFF});
+  std::uint64_t observed = 99;
+  const std::vector<std::uint8_t> payload(64, 0x5A);
+  std::vector<Done> log;
+
+  spawn_read(env, addr, buf, log);
+  spawn_cas(env, addr, 0, 7, &observed, log);
+  spawn_write(env, addr, as_bytes(payload), log);
+  // All three depart at 150 (tiny READ/CAS requests leave the NIC free).
+  EXPECT_EQ(env.sim.pending_events(), 3u);
+
+  // READ and CAS reach the target at 950, in post order on the channel;
+  // the WRITE lands at 150 + 900 + 21 = 1071, after both sampled.
+  env.sim.run_until(1000);
+  EXPECT_EQ(env.sim.events_executed(), 5u);
+  EXPECT_EQ(env.sim.pending_events(), 3u);
+  EXPECT_EQ(observed, 0u);
+  EXPECT_EQ(env.b->region(env.mr_b).bytes()[0], std::byte{7});
+  env.sim.run();
+
+  const std::vector<Done> want{{"write", 1071, Status::kOk},
+                               {"read", 1753, Status::kOk},
+                               {"cas", 1753, Status::kOk}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(env.sim.events_executed(), 8u);
+  EXPECT_EQ(env.sim.pending_events(), 0u);
+  EXPECT_TRUE(std::all_of(buf.begin(), buf.end(),
+                          [](std::byte x) { return x == std::byte{0}; }));
+  EXPECT_EQ(env.b->region(env.mr_b).bytes()[0], std::byte{0x5A});
+}
+
+TEST(VerbSchedule, DeadTargetFailsAfterDetectionAndReturnsItsCredit) {
+  LatencyModel m;
+  m.credit_window = 1;
+  Env env(m);
+  env.b->crash();
+  const RAddr addr{env.b->id(), env.mr_b, 0};
+  std::vector<std::byte> buf(8);
+  std::uint64_t observed = 99;
+  const std::vector<std::uint8_t> payload(64, 0x5A);
+  std::vector<Done> log;
+
+  spawn_read(env, addr, buf, log);
+  spawn_cas(env, addr, 0, 7, &observed, log);
+  spawn_write(env, addr, as_bytes(payload), log);
+  env.sim.run();
+
+  // A READ or CAS finds the target dead on arrival and fails
+  // failure_detect after it departed, then returns its credit. A WRITE
+  // returns its credit on arrival (801,371) and fails at 800,450 + 400 us.
+  const std::vector<Done> want{{"read", 400150, Status::kRemoteFailure},
+                               {"cas", 800300, Status::kRemoteFailure},
+                               {"write", 1200450, Status::kRemoteFailure}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(env.sim.events_executed(), 11u);
+  EXPECT_EQ(env.sim.pending_events(), 0u);
+  EXPECT_EQ(observed, 99u);
+  EXPECT_EQ(env.fabric.stats().failures, 3u);
+  EXPECT_EQ(env.b->region(env.mr_b).bytes()[0], std::byte{0});
+
+  // Every credit came back: a verb after the restart takes one at once.
+  env.b->restart();
+  log.clear();
+  spawn_read(env, addr, buf, log);
+  EXPECT_EQ(env.fabric.credit_queue_depth(env.a->id()), 0u);
+  env.sim.run();
+  const std::vector<Done> after{{"read", 1200450 + 1753, Status::kOk}};
+  EXPECT_EQ(log, after);
+  EXPECT_EQ(env.fabric.stats().credit_stalls, 2u);
+  EXPECT_EQ(env.sim.events_executed(), 14u);
+}
+
+TEST(VerbSchedule, BadAddressCompletesWithoutSuspending) {
+  LatencyModel m;
+  m.credit_window = 1;
+  Env env(m);
+  const RAddr past_end{env.b->id(), env.mr_b, 4096 - 4};
+  std::vector<std::byte> buf(8);
+  std::uint64_t observed = 99;
+  const std::vector<std::uint8_t> payload(8, 1);
+  std::vector<Done> log;
+
+  spawn_read(env, past_end, buf, log);
+  spawn_cas(env, past_end, 0, 7, &observed, log);
+  spawn_write(env, past_end, as_bytes(payload), log);
+  // Each verb returned to its caller before spawn did: no event, no
+  // credit taken, no time passed.
+  const std::vector<Done> want{{"read", 0, Status::kBadAddress},
+                               {"cas", 0, Status::kBadAddress},
+                               {"write", 0, Status::kBadAddress}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(env.sim.pending_events(), 0u);
+  EXPECT_EQ(env.sim.events_executed(), 0u);
+  EXPECT_EQ(env.fabric.stats().credit_stalls, 0u);
+  EXPECT_EQ(env.fabric.stats().failures, 3u);
+  EXPECT_EQ(observed, 99u);
+  env.sim.run();
+  EXPECT_EQ(env.sim.events_executed(), 0u);
+}
+
 // One fabric WRITE of `payload` to `addr` from node `src`; returns its status.
 Status write_once(Simulator& sim, Fabric& fabric, std::int32_t src, RAddr addr,
                   std::span<const std::byte> payload) {
