@@ -13,33 +13,34 @@ namespace heron::amcast {
 
 namespace {
 
-constexpr std::uint64_t kInboxSlotSize = sizeof(WireMessage);
 constexpr std::uint64_t kLogSlotSize = sizeof(TaggedLogRecord);
-constexpr std::uint64_t kPropSlotSize = sizeof(ProposalRecord);
 
 }  // namespace
 
 Endpoint::Endpoint(System& system, GroupId group, int rank, rdma::Node& node)
-    : system_(&system), group_(group), rank_(rank), node_(&node) {
+    : system_(&system),
+      group_(group),
+      rank_(rank),
+      node_(&node),
+      inbox_(system.config().max_clients,
+             system.config().inbox_slots_per_client),
+      props_(static_cast<std::uint32_t>(system.total_replicas()),
+             system.config().proposal_slots) {
   const Config& cfg = system.config();
-  inbox_mr_ = node.register_region(static_cast<std::size_t>(cfg.max_clients) *
-                                   cfg.inbox_slots_per_client * kInboxSlotSize);
+  inbox_mr_ = node.register_region(inbox_.bytes());
   log_mr_ = node.register_region(cfg.log_slots * kLogSlotSize);
   acks_mr_ = node.register_region(
       static_cast<std::size_t>(system.replicas_per_group()) * sizeof(std::uint64_t));
-  props_mr_ = node.register_region(static_cast<std::size_t>(system.total_replicas()) *
-                                   cfg.proposal_slots * kPropSlotSize);
+  props_mr_ = node.register_region(props_.bytes());
   hb_mr_ = node.register_region(sizeof(std::uint64_t));
   status_mr_ = node.register_region(sizeof(StatusPage));
   control_mr_ = node.register_region(sizeof(ControlMsg));
 
-  inbox_next_.assign(cfg.max_clients, 0);
   inbox_dirty_.assign((static_cast<std::size_t>(cfg.max_clients) + 63) / 64, 0);
   node.region(inbox_mr_).set_write_watcher(
       [this](std::uint64_t offset, std::uint64_t len) {
         ring_inbox_doorbell(offset, len);
       });
-  props_next_.assign(system.total_replicas(), 0);
   delivered_.assign(cfg.max_clients, sim::SeqWindow{});
   ready_notifier_ = std::make_unique<sim::Notifier>(
       system.fabric().simulator());
@@ -136,25 +137,8 @@ void Endpoint::clear_pending() {
   open_index_.clear();
 }
 
-std::uint64_t Endpoint::inbox_slot_offset(std::uint32_t client,
-                                          std::uint64_t seq) const {
-  const Config& cfg = system_->config();
-  const std::uint64_t slot = seq % cfg.inbox_slots_per_client;
-  return (static_cast<std::uint64_t>(client) * cfg.inbox_slots_per_client +
-          slot) *
-         kInboxSlotSize;
-}
-
 std::uint64_t Endpoint::log_slot_offset(std::uint64_t seq) const {
   return (seq % system_->config().log_slots) * kLogSlotSize;
-}
-
-std::uint64_t Endpoint::props_slot_offset(std::uint32_t stripe,
-                                          std::uint64_t seq) const {
-  const Config& cfg = system_->config();
-  return (static_cast<std::uint64_t>(stripe) * cfg.proposal_slots +
-          seq % cfg.proposal_slots) *
-         kPropSlotSize;
 }
 
 void Endpoint::update_status_page() {
@@ -170,8 +154,7 @@ void Endpoint::update_status_page() {
 
 void Endpoint::ring_inbox_doorbell(std::uint64_t offset, std::uint64_t len) {
   if (len == 0) return;
-  const std::uint64_t stride =
-      system_->config().inbox_slots_per_client * kInboxSlotSize;
+  const std::uint64_t stride = inbox_.stripe_bytes();
   const std::uint64_t last = (offset + len - 1) / stride;
   for (std::uint64_t c = offset / stride; c <= last; ++c) {
     inbox_dirty_[c / 64] |= std::uint64_t{1} << (c % 64);
@@ -196,18 +179,13 @@ sim::Task<void> Endpoint::inbox_loop() {
   auto& region = node_->region(inbox_mr_);
   const Config& cfg = system_->config();
 
-  // A slot holds the next message for client c when its stored
-  // (client, ring_seq) header matches the cursor. `ring_seq > seq` is
-  // also accepted: writes addressed to a crashed node are dropped, so a
-  // restarted replica may find the ring continuing past a gap — the gap's
-  // messages were handled by the surviving majority.
+  // A slot holds the next message for client c when the ring's gap rule
+  // accepts its ring_seq and its uid is client c's.
   auto slot_ready = [this, &region](std::uint32_t c) {
-    const std::uint64_t seq = inbox_next_[c] + 1;
-    const std::uint64_t off = inbox_slot_offset(c, seq);
+    const std::uint64_t off = inbox_.next_offset(c);
     const auto uid = rdma::load_pod<MsgUid>(region.bytes(), off);
-    const auto ring_seq =
-        rdma::load_pod<std::uint64_t>(region.bytes(), off + sizeof(MsgUid));
-    return uid_client(uid) == c && ring_seq >= seq && uid != 0;
+    return uid_client(uid) == c && inbox_.ready_at(region.bytes(), c, off) &&
+           uid != 0;
   };
   auto clear_doorbell = [this](std::uint32_t c) {
     inbox_dirty_[c / 64] &= ~(std::uint64_t{1} << (c % 64));
@@ -239,10 +217,7 @@ sim::Task<void> Endpoint::inbox_loop() {
     for (std::uint32_t c = next_ready(0, end); c < end;
          c = next_ready(c + 1, end)) {
       while (slot_ready(c)) {
-        const std::uint64_t off = inbox_slot_offset(c, inbox_next_[c] + 1);
-        const auto msg = rdma::load_pod<WireMessage>(region.bytes(), off);
-        inbox_next_[c] =
-            rdma::load_pod<std::uint64_t>(region.bytes(), off + sizeof(MsgUid));
+        const auto msg = inbox_.take(region.bytes(), c);
         co_await node_->cpu().use(cfg.inbox_proc);
         if (stale(inc)) co_return;
         note_seen(msg);
@@ -486,7 +461,7 @@ void Endpoint::send_proposals(MsgUid uid) {
     for (int r = 0; r < system_->replicas_per_group(); ++r) {
       Endpoint& peer = system_->endpoint(h, r);
       ProposalRecord rec;
-      rec.seq = ++props_sent_[peer.node().id()];
+      rec.seq = props_.next_seq(system_->stripe_of(h, r));
       rec.uid = uid;
       rec.from_group = group_;
       rec.flags = dst_contains(p.shed_groups, group_) ? 1u : 0u;
@@ -495,8 +470,7 @@ void Endpoint::send_proposals(MsgUid uid) {
       system_->fabric().write_async(
           node_->id(),
           rdma::RAddr{peer.node().id(), peer.props_mr(),
-                      peer.props_slot_offset(my_stripe,
-                                             rec.seq)},
+                      peer.props_.offset(my_stripe, rec.seq)},
           rdma::pod_bytes(rec));
     }
   }
@@ -696,28 +670,15 @@ sim::Task<void> Endpoint::props_loop() {
   const std::uint64_t inc = incarnation_;
   auto& region = node_->region(props_mr_);
   const Config& cfg = system_->config();
-  const std::uint32_t stripes = system_->total_replicas();
-
-  // As in the inbox, `rec.seq > cursor + 1` is accepted so a restarted
-  // replica skips past proposals dropped while it was down.
-  auto have_new = [this, &region, stripes] {
-    for (std::uint32_t s = 0; s < stripes; ++s) {
-      const auto rec = rdma::load_pod<ProposalRecord>(
-          region.bytes(), props_slot_offset(s, props_next_[s] + 1));
-      if (rec.seq >= props_next_[s] + 1) return true;
-    }
-    return false;
-  };
 
   while (true) {
-    co_await sim::wait_until(region.on_write(), have_new);
+    co_await sim::wait_until(region.on_write(), [this, &region] {
+      return props_.any_ready(region.bytes());
+    });
     if (stale(inc)) co_return;
-    for (std::uint32_t s = 0; s < stripes; ++s) {
-      while (true) {
-        const auto rec = rdma::load_pod<ProposalRecord>(
-            region.bytes(), props_slot_offset(s, props_next_[s] + 1));
-        if (rec.seq < props_next_[s] + 1) break;
-        props_next_[s] = rec.seq;
+    for (std::uint32_t s = 0; s < props_.stripes(); ++s) {
+      while (const auto next = props_.next(region.bytes(), s)) {
+        const ProposalRecord rec = *next;
         co_await node_->cpu().use(cfg.proposal_proc);
         if (stale(inc)) co_return;
         if (already_delivered(rec.uid)) continue;
@@ -1114,43 +1075,14 @@ void Endpoint::restart() {
   admission_clean_streak_ = 0;
   admission_last_stalls_ = system_->fabric().credit_stalls(node_->id());
 
-  // Rebuild producer cursors from the surviving rings: the highest
-  // ring_seq present per producer. Gaps (writes dropped while we were
-  // down) are skipped by the `>=` cursor tolerance in the loops; the
-  // skipped messages were handled by the surviving majority.
-  {
-    const auto bytes = node_->region(inbox_mr_).bytes();
-    for (std::uint32_t c = 0; c < cfg.max_clients; ++c) {
-      std::uint64_t max_seq = 0;
-      for (std::uint32_t s = 0; s < cfg.inbox_slots_per_client; ++s) {
-        const std::uint64_t off =
-            (static_cast<std::uint64_t>(c) * cfg.inbox_slots_per_client + s) *
-            kInboxSlotSize;
-        const auto uid = rdma::load_pod<MsgUid>(bytes, off);
-        if (uid == 0 || uid_client(uid) != c) continue;
-        max_seq = std::max(max_seq, rdma::load_pod<std::uint64_t>(
-                                        bytes, off + sizeof(MsgUid)));
-      }
-      inbox_next_[c] = max_seq;
-    }
-    // Any ring may hold a message past the rebuilt cursor.
-    std::fill(inbox_dirty_.begin(), inbox_dirty_.end(), ~std::uint64_t{0});
-  }
-  {
-    const auto bytes = node_->region(props_mr_).bytes();
-    const std::uint32_t stripes =
-        static_cast<std::uint32_t>(system_->total_replicas());
-    for (std::uint32_t s = 0; s < stripes; ++s) {
-      std::uint64_t max_seq = 0;
-      for (std::uint32_t i = 0; i < cfg.proposal_slots; ++i) {
-        const auto rec = rdma::load_pod<ProposalRecord>(
-            bytes, (static_cast<std::uint64_t>(s) * cfg.proposal_slots + i) *
-                       kPropSlotSize);
-        max_seq = std::max(max_seq, rec.seq);
-      }
-      props_next_[s] = max_seq;
-    }
-  }
+  // An inbox slot counts only if it holds a message of its own client.
+  inbox_.rebuild(node_->region(inbox_mr_).bytes(),
+                 [](std::uint32_t c, const WireMessage& m) {
+                   return m.uid != 0 && uid_client(m.uid) == c;
+                 });
+  // Any ring may hold a message past the rebuilt cursor.
+  std::fill(inbox_dirty_.begin(), inbox_dirty_.end(), ~std::uint64_t{0});
+  props_.rebuild(node_->region(props_mr_).bytes());
 
   // Don't re-process a control message that predates the crash.
   control_serial_ =
@@ -1243,27 +1175,18 @@ sim::Task<void> Endpoint::rejoin() {
   //    in-flight messages, mirroring takeover() step 5.
   if (is_leader()) {
     const std::uint32_t my_stripe = system_->stripe_of(group_, rank_);
-    const Config& cfg = system_->config();
     for (GroupId h = 0; h < system_->group_count(); ++h) {
       if (h == group_) continue;
       for (int r = 0; r < system_->replicas_per_group(); ++r) {
         Endpoint& peer = system_->endpoint(h, r);
-        std::vector<std::byte> stripe(
-            static_cast<std::size_t>(cfg.proposal_slots) * kPropSlotSize);
+        std::vector<std::byte> stripe(props_.stripe_bytes());
         const auto cc = co_await fabric.read(
             node_->id(),
             rdma::RAddr{peer.node().id(), peer.props_mr(),
-                        peer.props_slot_offset(my_stripe, 0)},
+                        peer.props_.offset(my_stripe, 0)},
             stripe);
         if (stale(inc)) co_return;
-        if (!cc.ok()) continue;
-        std::uint64_t max_seq = 0;
-        for (std::uint32_t i = 0; i < cfg.proposal_slots; ++i) {
-          const auto rec = rdma::load_pod<ProposalRecord>(
-              stripe, static_cast<std::uint64_t>(i) * kPropSlotSize);
-          max_seq = std::max(max_seq, rec.seq);
-        }
-        props_sent_[peer.node().id()] = max_seq;
+        if (cc.ok()) props_.recover_sent(system_->stripe_of(h, r), stripe);
       }
     }
     redrive_pending();

@@ -11,6 +11,7 @@
 // failover argument.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -20,6 +21,7 @@
 
 #include "amcast/types.hpp"
 #include "rdma/fabric.hpp"
+#include "rdma/seq_ring.hpp"
 #include "sim/notifier.hpp"
 #include "sim/seq_window.hpp"
 #include "sim/task.hpp"
@@ -121,11 +123,10 @@ class Endpoint {
   [[nodiscard]] rdma::MrId control_mr() const { return control_mr_; }
 
   // Slot address arithmetic, shared with writers (clients, peer leaders).
-  [[nodiscard]] std::uint64_t inbox_slot_offset(std::uint32_t client,
-                                                std::uint64_t seq) const;
+  using InboxRing = rdma::SeqRing<WireMessage, offsetof(WireMessage, ring_seq)>;
+  /// One stripe per client id.
+  [[nodiscard]] const InboxRing& inbox() const { return inbox_; }
   [[nodiscard]] std::uint64_t log_slot_offset(std::uint64_t seq) const;
-  [[nodiscard]] std::uint64_t props_slot_offset(std::uint32_t stripe,
-                                                std::uint64_t seq) const;
 
  private:
   friend class System;
@@ -262,8 +263,10 @@ class Endpoint {
   void erase_pending(std::map<MsgUid, Pending>::iterator it);
   void clear_pending();
 
-  // Per-producer cursors.
-  std::vector<std::uint64_t> inbox_next_;           // per client id
+  // props_ has one stripe per sender replica (System::stripe_of) and also
+  // holds this replica's proposal counter toward every peer.
+  InboxRing inbox_;
+  rdma::SeqRing<ProposalRecord> props_;
   // Inbox doorbells, one bit per client: set by every write landing in
   // the client's ring (the region's write watcher) and by restart(),
   // cleared only once the client's next slot is found not ready. A ready
@@ -274,8 +277,6 @@ class Endpoint {
   /// First client id in [from, end) whose doorbell is set, else end.
   [[nodiscard]] std::uint32_t next_doorbell(std::uint32_t from,
                                             std::uint32_t end) const;
-  std::vector<std::uint64_t> props_next_;           // per sender stripe
-  std::map<std::int32_t, std::uint64_t> props_sent_;  // my counter per receiver node
 
   // Delivery queue to the application.
   std::deque<Delivery> ready_;

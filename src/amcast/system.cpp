@@ -85,7 +85,7 @@ sim::Task<MsgUid> ClientEndpoint::multicast(DstMask dst,
       system_->fabric().write_async(
           node_->id(),
           rdma::RAddr{ep.node().id(), ep.inbox_mr(),
-                      ep.inbox_slot_offset(client_id_, msg.ring_seq)},
+                      ep.inbox().offset(client_id_, msg.ring_seq)},
           rdma::pod_bytes(msg), lane);
     }
   }

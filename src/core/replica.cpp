@@ -28,8 +28,6 @@ std::optional<Oid> read_oid(const Request& r) {
 
 constexpr std::uint64_t kCoordSlot = sizeof(CoordEntry);
 constexpr std::uint64_t kSyncSlot = sizeof(StateSyncEntry);
-constexpr std::uint64_t kAddrQSlot = sizeof(AddrQuery);
-constexpr std::uint64_t kAddrASlot = sizeof(AddrAnswer);
 constexpr std::uint32_t kAddrSlots = 256;  // per stripe
 
 /// Registry keys of Replica::Stat, in enum order.
@@ -78,6 +76,8 @@ Replica::Replica(System& system, GroupId group, int rank)
       group_(group),
       rank_(rank),
       node_(&system.amcast().endpoint(group, rank).node()),
+      addrq_(system.amcast().total_replicas(), kAddrSlots),
+      addra_(system.amcast().total_replicas(), kAddrSlots),
       log_(system.config().update_log_capacity),
       rng_(0x9e3779b9u ^ (static_cast<std::uint64_t>(group) << 16) ^
            static_cast<std::uint64_t>(rank)) {
@@ -88,12 +88,11 @@ Replica::Replica(System& system, GroupId group, int rank)
 
   const auto parts = static_cast<std::uint64_t>(system.partitions());
   const auto reps = static_cast<std::uint64_t>(system.replicas_per_partition());
-  const auto stripes = static_cast<std::uint64_t>(system.amcast().total_replicas());
 
   coord_mr_ = n.register_region(parts * reps * kCoordSlot);
   statesync_mr_ = n.register_region(reps * kSyncSlot);
-  addrq_mr_ = n.register_region(stripes * kAddrSlots * kAddrQSlot);
-  addra_mr_ = n.register_region(stripes * kAddrSlots * kAddrASlot);
+  addrq_mr_ = n.register_region(addrq_.bytes());
+  addra_mr_ = n.register_region(addra_.bytes());
   const StateStream::Geometry xfer_geo{cfg.statesync_ring_slots,
                                        cfg.statesync_chunk_bytes,
                                        static_cast<int>(reps)};
@@ -116,10 +115,6 @@ Replica::Replica(System& system, GroupId group, int rank)
     exec_cpus_.push_back(std::make_unique<sim::Cpu>(system.simulator()));
   }
   slot_busy_.assign(exec_cpus_.size(), false);
-
-  addrq_sent_.assign(stripes, 0);
-  addrq_next_.assign(stripes, 0);
-  addra_next_.assign(stripes, 0);
 
   hub_ = &system.fabric().telemetry();
   label_ = std::string("g")
@@ -199,20 +194,6 @@ std::uint64_t Replica::coord_offset(GroupId h, int q) const {
 
 std::uint64_t Replica::statesync_offset(int q) const {
   return static_cast<std::uint64_t>(q) * kSyncSlot;
-}
-
-std::uint64_t Replica::addrq_offset(std::uint32_t stripe,
-                                    std::uint64_t seq) const {
-  return (static_cast<std::uint64_t>(stripe) * kAddrSlots +
-          seq % kAddrSlots) *
-         kAddrQSlot;
-}
-
-std::uint64_t Replica::addra_offset(std::uint32_t stripe,
-                                    std::uint64_t seq) const {
-  return (static_cast<std::uint64_t>(stripe) * kAddrSlots +
-          seq % kAddrSlots) *
-         kAddrASlot;
 }
 
 // ---------------------------------------------------------------------
@@ -757,6 +738,8 @@ sim::Task<Replica::ExecOutcome> Replica::execute_on(const Request& r,
     }
     // Lines 8-28: remote read.
     RemoteRead rr = co_await read_remote(r, oid, h);
+    // An empty value that is not `lagging` only reaches a stale execution,
+    // which ends here: the application never runs on a missing read.
     if (stale(inc)) co_return ExecOutcome{};
     if (rr.lagging) co_return ExecOutcome{.lagging = true};
     ctx.set_value(oid, rr.value);
@@ -1067,7 +1050,7 @@ sim::Task<Replica::RemoteRead> Replica::read_remote(const Request& r, Oid oid,
   span.arg("oid", oid);
   span.arg("home", static_cast<std::uint64_t>(h));
   const bool resolved = co_await resolve_addr(oid, h);
-  if (!resolved) co_return RemoteRead{};  // unreachable partition
+  if (!resolved) co_return RemoteRead{};  // this replica went stale
 
   auto& locs = object_map_.at(oid);
   const int reps = system_->replicas_per_partition();
@@ -1119,7 +1102,6 @@ sim::Task<Replica::RemoteRead> Replica::read_remote(const Request& r, Oid oid,
       co_return RemoteRead{.lagging = true};
     }
     RemoteRead out;
-    out.ok = true;
     out.value.assign(version->second.begin(), version->second.end());
     if (view.is_serialized_slot()) {
       co_await node().cpu().use(static_cast<sim::Nanos>(
@@ -1147,28 +1129,16 @@ sim::Task<bool> Replica::resolve_addr(Oid oid, GroupId h) {
 
   // Consume any answers that already arrived (including strays from
   // earlier queries).
-  auto drain = [this] {
+  auto drain = [this, reps] {
     const auto region = node().region(addra_mr_).bytes();
-    const auto stripes = system_->amcast().total_replicas();
-    const int reps2 = system_->replicas_per_partition();
-    for (std::uint32_t s = 0; s < stripes; ++s) {
-      while (true) {
-        // `>` tolerated: answers dropped across a crash+restart leave a
-        // gap; the ring continues at the producer's counter.
-        const auto ans = rdma::load_pod<AddrAnswer>(
-            region, addra_offset(s, addra_next_[s] + 1));
-        if (ans.seq < addra_next_[s] + 1) break;
-        addra_next_[s] = ans.seq;
+    for (std::uint32_t s = 0; s < addra_.stripes(); ++s) {
+      while (const auto next = addra_.next(region, s)) {
+        const AddrAnswer& ans = *next;
         if (ans.found == 0) continue;
         // Only an oid not mapped yet gets a per-replica vector.
-        auto it = object_map_.find(ans.oid);
-        if (it == object_map_.end()) {
-          it = object_map_
-                   .emplace(ans.oid, std::vector<RemoteLoc>(
-                                         static_cast<std::size_t>(reps2)))
-                   .first;
-        }
-        const int q = static_cast<int>(s) % reps2;
+        auto [it, fresh] = object_map_.try_emplace(ans.oid);
+        if (fresh) it->second.resize(static_cast<std::size_t>(reps));
+        const int q = static_cast<int>(s) % reps;
         it->second[static_cast<std::size_t>(q)] =
             RemoteLoc{ans.offset, ans.size, true};
       }
@@ -1187,11 +1157,11 @@ sim::Task<bool> Replica::resolve_addr(Oid oid, GroupId h) {
     Replica& peer = system_->replica(h, q);
     const auto stripe = system_->amcast().stripe_of(h, q);
     const auto my_stripe = system_->amcast().stripe_of(group_, rank_);
-    AddrQuery query{++addrq_sent_[stripe], oid};
+    AddrQuery query{addrq_.next_seq(stripe), oid};
     system_->fabric().write_async(
         node().id(),
         rdma::RAddr{peer.node().id(), peer.addrq_mr(),
-                    peer.addrq_offset(my_stripe, query.seq)},
+                    peer.addrq_.offset(my_stripe, query.seq)},
         rdma::pod_bytes(query));
   }
   co_await sim::wait_until(node().region(addra_mr_).on_write(),
@@ -1199,36 +1169,22 @@ sim::Task<bool> Replica::resolve_addr(Oid oid, GroupId h) {
                              drain();
                              return known_count() >= majority;
                            });
-  if (stale(inc)) co_return false;
-  co_return true;
+  co_return !stale(inc);
 }
 
 sim::Task<void> Replica::addr_query_loop() {
   const std::uint64_t inc = incarnation_;
   auto& region = node().region(addrq_mr_);
-  const auto stripes = system_->amcast().total_replicas();
   const HeronConfig& cfg = system_->config();
 
-  // `>` tolerated (see resolve_addr's drain): gaps appear when queries
-  // were dropped while this replica was down.
-  auto have_new = [this, &region, stripes] {
-    for (std::uint32_t s = 0; s < stripes; ++s) {
-      const auto q = rdma::load_pod<AddrQuery>(
-          region.bytes(), addrq_offset(s, addrq_next_[s] + 1));
-      if (q.seq >= addrq_next_[s] + 1) return true;
-    }
-    return false;
-  };
-
   while (true) {
-    co_await sim::wait_until(region.on_write(), have_new);
+    co_await sim::wait_until(region.on_write(), [this, &region] {
+      return addrq_.any_ready(region.bytes());
+    });
     if (stale(inc)) co_return;
-    for (std::uint32_t s = 0; s < stripes; ++s) {
-      while (true) {
-        const auto q = rdma::load_pod<AddrQuery>(
-            region.bytes(), addrq_offset(s, addrq_next_[s] + 1));
-        if (q.seq < addrq_next_[s] + 1) break;
-        addrq_next_[s] = q.seq;
+    for (std::uint32_t s = 0; s < addrq_.stripes(); ++s) {
+      while (const auto next = addrq_.next(region.bytes(), s)) {
+        const AddrQuery q = *next;
         co_await node().cpu().use(cfg.coord_check_proc);
         if (stale(inc)) co_return;
 
@@ -1250,7 +1206,7 @@ sim::Task<void> Replica::addr_query_loop() {
         system_->fabric().write_async(
             node().id(),
             rdma::RAddr{asker.node().id(), asker.addra_mr(),
-                        asker.addra_offset(my_stripe, ans.seq)},
+                        asker.addra_.offset(my_stripe, ans.seq)},
             rdma::pod_bytes(ans));
       }
     }
@@ -1392,7 +1348,11 @@ std::size_t Replica::retire_oids(const std::vector<Oid>& oids) {
 // the migration copier: the replica is busy while its ordering propose
 // queue holds more than kBusyProposeBacklog uids or its CPU has more than
 // kBusyCpuBacklog of queued work. A deferred writer re-checks after
-// kBusyBackoff.
+// kBusyBackoff. Neither signal sees a burst that waits in the amcast
+// inbox rings, and with max_batch = 1 that is where a burst waits: the
+// inbox drain and the batch loop take turns on the CPU one message each,
+// so the propose queue stays short and the throttle does not fire. It
+// covers batched leaders only.
 constexpr std::size_t kBusyProposeBacklog = 16;
 constexpr sim::Nanos kBusyCpuBacklog = sim::us(50);
 constexpr sim::Nanos kBusyBackoff = sim::us(200);
@@ -2061,24 +2021,8 @@ void Replica::restart() {
     if (store_->seqlock(oid) & 1) store_->end_write(oid);
   });
 
-  // Rebuild consumer cursors from the surviving rings: resume at the
-  // highest sequence number actually stored. Writes dropped while dead
-  // leave gaps the `>=` drain tolerance heals.
-  const auto stripes = system_->amcast().total_replicas();
-  const auto addrq = node().region(addrq_mr_).bytes();
-  const auto addra = node().region(addra_mr_).bytes();
-  for (std::uint32_t s = 0; s < stripes; ++s) {
-    addrq_next_[s] = 0;
-    addra_next_[s] = 0;
-    for (std::uint32_t i = 0; i < kAddrSlots; ++i) {
-      const auto q = rdma::load_pod<AddrQuery>(
-          addrq, (static_cast<std::uint64_t>(s) * kAddrSlots + i) * kAddrQSlot);
-      addrq_next_[s] = std::max(addrq_next_[s], q.seq);
-      const auto a = rdma::load_pod<AddrAnswer>(
-          addra, (static_cast<std::uint64_t>(s) * kAddrSlots + i) * kAddrASlot);
-      addra_next_[s] = std::max(addra_next_[s], a.seq);
-    }
-  }
+  // The answer ring's cursors follow the query counters rejoin() recovers.
+  addrq_.rebuild(node().region(addrq_mr_).bytes());
 
   system_->simulator().spawn(rejoin());
 }
@@ -2101,28 +2045,27 @@ sim::Task<void> Replica::rejoin() {
   spawn_stream_receivers();
   if (reconfig_enabled()) sim.spawn(pull_watch_loop());
 
-  // Recover the address-query send counters by reading back the rings our
-  // past writes landed in, so fresh sends continue the surviving sequence
-  // instead of overwriting live slots with duplicate numbers. (The state
-  // streams recover theirs lazily: one cursor-word READ per receiver.)
+  // Recover the address-query counters from the rings our past writes
+  // landed in. An answer carries its query's seq and none owed to the
+  // previous incarnation is awaited, so each answer cursor resumes at its
+  // query counter. (The state streams recover their counters lazily: one
+  // cursor-word READ per receiver.)
   const auto my_stripe = system_->amcast().stripe_of(group_, rank_);
   for (GroupId h = 0; h < system_->partitions(); ++h) {
     if (h == group_) continue;  // address queries only target remote homes
     for (int q = 0; q < system_->replicas_per_partition(); ++q) {
       Replica& peer = system_->replica(h, q);
       const auto stripe = system_->amcast().stripe_of(h, q);
-      std::vector<std::byte> buf(kAddrSlots * kAddrQSlot);
+      std::vector<std::byte> buf(addrq_.stripe_bytes());
       const auto cc = co_await system_->fabric().read(
           node().id(),
           rdma::RAddr{peer.node().id(), peer.addrq_mr(),
-                      peer.addrq_offset(my_stripe, 0)},
+                      peer.addrq_.offset(my_stripe, 0)},
           buf);
       if (stale(inc)) co_return;
-      if (!cc.ok()) continue;  // peer down; counter stays 0, ring restarts
-      for (std::uint32_t i = 0; i < kAddrSlots; ++i) {
-        const auto qr = rdma::load_pod<AddrQuery>(std::span(buf), i * kAddrQSlot);
-        addrq_sent_[stripe] = std::max(addrq_sent_[stripe], qr.seq);
-      }
+      // A peer that is down keeps the counter this replica had.
+      if (cc.ok()) addrq_.recover_sent(stripe, buf);
+      addra_.resume_at(stripe, addrq_.sent(stripe));
     }
   }
 

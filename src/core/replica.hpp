@@ -22,6 +22,7 @@
 #include "core/types.hpp"
 #include "core/update_log.hpp"
 #include "durable/checkpoint.hpp"
+#include "rdma/seq_ring.hpp"
 #include "reconfig/layout.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/hub.hpp"
@@ -239,10 +240,6 @@ class Replica {
   // Offset helpers shared with peer writers.
   [[nodiscard]] std::uint64_t coord_offset(GroupId h, int q) const;
   [[nodiscard]] std::uint64_t statesync_offset(int q) const;
-  [[nodiscard]] std::uint64_t addrq_offset(std::uint32_t stripe,
-                                           std::uint64_t seq) const;
-  [[nodiscard]] std::uint64_t addra_offset(std::uint32_t stripe,
-                                           std::uint64_t seq) const;
 
  private:
   friend class System;
@@ -272,10 +269,14 @@ class Replica {
   sim::Task<ExecOutcome> execute_on(const Request& r, sim::Cpu& cpu);
   struct RemoteRead {
     bool lagging = false;
-    bool ok = false;
     std::vector<std::byte> value{};
   };
+  /// Lines 8-28. The value is empty only when `lagging` is set or this
+  /// replica went stale while reading.
   sim::Task<RemoteRead> read_remote(const Request& r, Oid oid, GroupId h);
+  /// Lines 8-13: learns the addresses of `oid` at a majority of h. Waits
+  /// for a majority's answers with no timeout, so it returns false only
+  /// when this replica went stale.
   sim::Task<bool> resolve_addr(Oid oid, GroupId h);
   sim::Task<void> addr_query_loop();  // answers peers' address queries
   /// Applies the request's writes. With leases enabled, the written oids
@@ -484,9 +485,11 @@ class Replica {
     bool known = false;
   };
   std::unordered_map<Oid, std::vector<RemoteLoc>> object_map_;
-  std::vector<std::uint64_t> addrq_sent_;   // per target stripe
-  std::vector<std::uint64_t> addrq_next_;   // consumer cursor per stripe
-  std::vector<std::uint64_t> addra_next_;   // consumer cursor per stripe
+  // One stripe per replica (amcast::System::stripe_of). addrq_ also holds
+  // this replica's query counter toward every peer; an answer carries its
+  // query's seq.
+  rdma::SeqRing<AddrQuery> addrq_;
+  rdma::SeqRing<AddrAnswer> addra_;
 
   // Reused by apply_writes.
   std::vector<QueuedWrite> apply_scratch_;

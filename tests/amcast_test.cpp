@@ -132,7 +132,7 @@ TEST(Amcast, ClientZeroFirstSequenceIsDeliverable) {
       cl.fabric.write_async(
           from.node().id(),
           rdma::RAddr{ep.node().id(), ep.inbox_mr(),
-                      ep.inbox_slot_offset(0, m.ring_seq)},
+                      ep.inbox().offset(0, m.ring_seq)},
           rdma::pod_bytes(m));
     }
     co_return;
@@ -615,6 +615,50 @@ TEST(AmcastRestart, LeaderRedrivesAnAckedProposalItNeverCommitted) {
   for (int r = 0; r < 3; ++r) {
     EXPECT_EQ(delivered_uids(c.log, 0, r), std::vector<MsgUid>{uid})
         << "rank " << r;
+  }
+}
+
+TEST(AmcastRestart, RestartedLeaderContinuesAReceiversProposalRing) {
+  // g1.r1 misses two of g0's proposals while it is down, so after its
+  // restart its cursor for g0.r0's stripe sits two below g0.r0's counter.
+  // g0.r0 then restarts before any follower suspects it, so it rejoins as
+  // the leader and must take its counter back from g1.r1's ring. Once
+  // g1.r0 crashes, g1.r1 leads group 1 and needs g0.r0's next proposal.
+  Cluster c(2, 3);
+  auto& early = c.sys.add_client();
+  auto& late = c.sys.add_client();
+  MsgUid last = 0;
+  c.sim.spawn([](Simulator& sim, Cluster& cl, ClientEndpoint& a,
+                 ClientEndpoint& b, MsgUid& out) -> Task<void> {
+    const DstMask both = dst_of(0) | dst_of(1);
+    std::uint32_t v = 0;
+    for (int i = 0; i < 3; ++i) {
+      if (i == 1) cl.sys.endpoint(1, 1).node().crash();
+      co_await a.multicast(both, std::as_bytes(std::span(&v, 1)));
+      ++v;
+      co_await sim.sleep(sim::ms(1));
+    }
+    cl.sys.endpoint(1, 1).restart();
+    co_await sim.sleep(sim::ms(1));
+    cl.sys.endpoint(0, 0).node().crash();
+    co_await sim.sleep(us(5));
+    cl.sys.endpoint(0, 0).restart();
+    co_await sim.sleep(sim::ms(1));
+    cl.sys.endpoint(1, 0).node().crash();
+    co_await sim.sleep(sim::ms(5));  // suspicion + takeover by g1.r1
+    out = co_await b.multicast(both, std::as_bytes(std::span(&v, 1)));
+  }(c.sim, c, early, late, last));
+  c.sim.run_for(sim::ms(30));
+
+  ASSERT_TRUE(c.sys.endpoint(0, 0).is_leader());
+  ASSERT_EQ(c.sys.endpoint(0, 0).epoch(), 0u);  // no takeover in group 0
+  ASSERT_TRUE(c.sys.endpoint(1, 1).is_leader());
+  ASSERT_NE(last, 0u);
+  for (const auto& [g, r] : {std::pair{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}}) {
+    const auto uids = delivered_uids(c.log, g, r);
+    EXPECT_EQ(uids.size(), 4u) << "g" << g << ".r" << r;
+    ASSERT_FALSE(uids.empty());
+    EXPECT_EQ(uids.back(), last) << "g" << g << ".r" << r;
   }
 }
 

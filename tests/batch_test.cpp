@@ -273,7 +273,7 @@ TEST(Batch, DuplicateInboxWriteDeliveredOnce) {
         cl.fabric.write_async(
             from.node().id(),
             rdma::RAddr{ep.node().id(), ep.inbox_mr(),
-                        ep.inbox_slot_offset(0, ring_seq)},
+                        ep.inbox().offset(0, ring_seq)},
             rdma::pod_bytes(m));
       }
       co_await cl.sim.sleep(us(500));

@@ -410,6 +410,119 @@ TEST(HeronCoreFailure, RestartDuringRemoteReadAbandonsStaleExecution) {
   }
 }
 
+// --- address rings ----------------------------------------------------------
+
+/// Replica (g, r)'s registry counter core/<name>.
+std::uint64_t core_counter(Cluster& c, GroupId g, int r, const char* name) {
+  std::string label = "g";
+  label.append(std::to_string(g)).append(".r").append(std::to_string(r));
+  return c.fabric.telemetry().metrics.counter("core", name, label).value();
+}
+
+TEST(AddrRings, RestartedAskerResolvesAfterItsAnswersWereDropped) {
+  // Replica (0, 2) crashes the instant it posts its address queries for
+  // account 3: the queries land at every partition-1 replica and every
+  // answer to them is dropped. After its restart, (0, 2) must still
+  // resolve a new remote account, and so execute what its group executes.
+  Cluster c(2, 3);
+  auto& client = c.sys.add_client();
+  Replica& asker = c.sys.replica(0, 2);
+  bool crashed_mid_query = false;
+  c.sim.spawn([](Cluster& cl, Client& cli, Replica& v,
+                 bool& mid_query) -> Task<void> {
+    co_await run_transfer(cl, cli, 0, 1, 10);
+    const auto misses = core_counter(cl, 0, 2, "addr_cache_misses");
+    cl.sim.spawn(run_transfer(cl, cli, 0, 3, 10));
+    while (core_counter(cl, 0, 2, "addr_cache_misses") == misses) {
+      co_await cl.sim.sleep(20);
+    }
+    mid_query = true;
+    v.node().crash();
+    co_await cl.sim.sleep(us(200));
+    cl.sys.restart_replica(0, 2);
+    while (v.rejoining()) co_await cl.sim.sleep(us(10));
+    co_await run_transfer(cl, cli, 0, 5, 10);
+    co_await run_transfer(cl, cli, 0, 7, 10);
+  }(c, client, asker, crashed_mid_query));
+  c.sim.run_for(sim::ms(30));
+
+  ASSERT_TRUE(crashed_mid_query);
+  EXPECT_EQ(client.completed(), 4u);
+  EXPECT_EQ(asker.last_executed(), c.sys.replica(0, 0).last_executed());
+  EXPECT_EQ(testapp::stored_balance(asker, 0), 960);
+}
+
+TEST(AddrRings, RestartedHomeAnswersPastItsRingGap) {
+  // Replica (1, 1) misses two address queries from every partition-0
+  // replica while it is down, so after its restart each query cursor sits
+  // before a gap. Partition 0 keeps resolving new accounts until its
+  // queries lap (1, 1)'s rings; then (1, 2) crashes and every new address
+  // needs (1, 1)'s answer.
+  constexpr std::uint64_t kAccounts = 300;  // more remote accounts than slots
+  Cluster c(2, 3, kAccounts);
+  auto& client = c.sys.add_client();
+  std::uint64_t sent = 0;
+  c.sim.spawn([](Cluster& cl, Client& cli, std::uint64_t& n) -> Task<void> {
+    // Transfer n reads account 2n + 1, a partition-1 account no
+    // partition-0 replica has resolved yet.
+    auto transfer_to_new = [&cl, &cli, &n] {
+      return run_transfer(cl, cli, 0, 2 * n++ + 1, 1);
+    };
+    co_await transfer_to_new();
+    cl.sys.replica(1, 1).node().crash();
+    for (int i = 0; i < 2; ++i) co_await transfer_to_new();
+    cl.sys.restart_replica(1, 1);
+    while (cl.sys.replica(1, 1).rejoining()) co_await cl.sim.sleep(us(10));
+    for (int i = 0; i < 260; ++i) co_await transfer_to_new();
+    cl.sys.replica(1, 2).node().crash();
+    for (int i = 0; i < 4; ++i) co_await transfer_to_new();
+  }(c, client, sent));
+  c.sim.run_for(sim::ms(200));
+
+  ASSERT_EQ(sent, 267u);
+  EXPECT_EQ(client.completed(), sent);
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(testapp::stored_balance(c.sys.replica(0, r), 0),
+              1000 - static_cast<std::int64_t>(sent))
+        << "replica " << r;
+  }
+}
+
+TEST(AddrRings, RestartedAskerContinuesAHomesQuerySequence) {
+  // Replica (0, 2) restarts twice. Between the restarts it queries (1, 1)
+  // while (1, 1) is down, so (1, 1) comes back with its cursor for
+  // (0, 2)'s queries one below (0, 2)'s counter. The second rejoin must
+  // take the counter back from (1, 1)'s ring. Then (1, 2) crashes, and
+  // (0, 2), whose restart emptied its address cache, needs (1, 1)'s answer.
+  Cluster c(2, 3);
+  auto& client = c.sys.add_client();
+  Replica& asker = c.sys.replica(0, 2);
+  c.sim.spawn([](Cluster& cl, Client& cli, Replica& v) -> Task<void> {
+    auto restart_asker = [&]() -> Task<void> {
+      v.node().crash();
+      co_await cl.sim.sleep(us(100));
+      cl.sys.restart_replica(0, 2);
+      while (v.rejoining()) co_await cl.sim.sleep(us(10));
+    };
+    co_await run_transfer(cl, cli, 0, 1, 10);
+    co_await run_transfer(cl, cli, 0, 3, 10);
+    cl.sys.replica(1, 1).node().crash();
+    co_await restart_asker();
+    co_await run_transfer(cl, cli, 0, 1, 10);  // only (0, 2) queries
+    cl.sys.restart_replica(1, 1);
+    while (cl.sys.replica(1, 1).rejoining()) co_await cl.sim.sleep(us(10));
+    co_await restart_asker();
+    cl.sys.replica(1, 2).node().crash();
+    co_await run_transfer(cl, cli, 0, 3, 10);
+    co_await run_transfer(cl, cli, 0, 5, 10);
+  }(c, client, asker));
+  c.sim.run_for(sim::ms(50));
+
+  EXPECT_EQ(client.completed(), 5u);
+  EXPECT_EQ(asker.last_executed(), c.sys.replica(0, 0).last_executed());
+  EXPECT_EQ(testapp::stored_balance(asker, 0), 950);
+}
+
 // --- laggers and state transfer -------------------------------------------
 
 TEST(HeronCoreLagger, HoggedReplicaCatchesUpViaStateTransfer) {

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "rdma/fabric.hpp"
+#include "rdma/pod.hpp"
+#include "rdma/seq_ring.hpp"
 #include "sim/simulator.hpp"
 
 namespace heron::rdma {
@@ -899,6 +901,132 @@ TEST(MemoryRegion, SmallAndEmptyRegionsAreZeroedAndUsable) {
   EXPECT_EQ(write_once(sim, fabric, a.id(), RAddr{b.id(), empty, 0},
                        as_bytes(one)),
             Status::kBadAddress);
+}
+
+// --- SeqRing -------------------------------------------------------------
+
+struct RingRec {
+  std::uint64_t tag = 0;
+  std::uint64_t seq = 0;
+};
+
+/// Producer side of one stripe: writes entry `seq` where the ring puts it.
+void post(std::vector<std::byte>& mem, const SeqRing<RingRec>& ring,
+          std::uint32_t stripe, std::uint64_t seq) {
+  store_pod(std::span(mem), ring.offset(stripe, seq), RingRec{100 + seq, seq});
+}
+
+/// Seqs the consumer takes from `stripe` until nothing is ready.
+std::vector<std::uint64_t> drain(SeqRing<RingRec>& ring,
+                                 const std::vector<std::byte>& mem,
+                                 std::uint32_t stripe) {
+  std::vector<std::uint64_t> out;
+  while (const auto e = ring.next(std::span(mem), stripe)) {
+    EXPECT_EQ(e->tag, 100 + e->seq);
+    out.push_back(e->seq);
+  }
+  return out;
+}
+
+TEST(SeqRing, SlotIsSeqModSlotsInsideItsStripe) {
+  const SeqRing<RingRec> ring(3, 4);
+  EXPECT_EQ(ring.stripe_bytes(), 4 * sizeof(RingRec));
+  EXPECT_EQ(ring.bytes(), 3 * ring.stripe_bytes());
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    for (std::uint64_t seq = 0; seq < 12; ++seq) {
+      const std::uint64_t off = ring.offset(s, seq);
+      EXPECT_EQ(off, s * ring.stripe_bytes() + (seq % 4) * sizeof(RingRec));
+      EXPECT_LT(off - s * ring.stripe_bytes(), ring.stripe_bytes());
+    }
+  }
+}
+
+TEST(SeqRing, ConsumesInOrderAndWrapsPastSlots) {
+  SeqRing<RingRec> ring(2, 4);
+  std::vector<std::byte> mem(ring.bytes());
+  std::vector<std::uint64_t> taken;
+  for (std::uint64_t seq = 1; seq <= 10; ++seq) {
+    post(mem, ring, 1, seq);
+    if (seq % 3 == 0) {  // lag behind the producer, never by a full lap
+      const auto got = drain(ring, mem, 1);
+      taken.insert(taken.end(), got.begin(), got.end());
+    }
+  }
+  const auto got = drain(ring, mem, 1);
+  taken.insert(taken.end(), got.begin(), got.end());
+  EXPECT_EQ(taken, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(ring.cursor(1), 10u);
+  EXPECT_EQ(ring.cursor(0), 0u);
+  EXPECT_FALSE(ring.any_ready(std::span(mem)));
+}
+
+TEST(SeqRing, SlotFromAnEarlierLapIsNotReady) {
+  SeqRing<RingRec> ring(1, 4);
+  std::vector<std::byte> mem(ring.bytes());
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) post(mem, ring, 0, seq);
+  EXPECT_EQ(drain(ring, mem, 0), (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  // Slot 5 % 4 still holds seq 1.
+  EXPECT_FALSE(ring.ready(std::span(mem), 0));
+  EXPECT_FALSE(ring.next(std::span(mem), 0).has_value());
+  EXPECT_EQ(ring.cursor(0), 4u);
+  post(mem, ring, 0, 5);
+  EXPECT_EQ(drain(ring, mem, 0), (std::vector<std::uint64_t>{5}));
+}
+
+TEST(SeqRing, RebuildResumesPastAGapOnceTheProducerLaps) {
+  // Stripe 0 holds seqs 1 and 2; 3 and 4 were dropped while the consumer
+  // was down. Stripe 1 holds 1..6 wrapped; stripe 2 was never written.
+  SeqRing<RingRec> ring(3, 4);
+  std::vector<std::byte> mem(ring.bytes());
+  post(mem, ring, 0, 1);
+  post(mem, ring, 0, 2);
+  for (std::uint64_t seq = 1; seq <= 6; ++seq) post(mem, ring, 1, seq);
+  ring.rebuild(std::span(mem));
+  EXPECT_EQ(ring.cursor(0), 2u);
+  EXPECT_EQ(ring.cursor(1), 6u);
+  EXPECT_EQ(ring.cursor(2), 0u);
+  EXPECT_FALSE(ring.any_ready(std::span(mem)));
+
+  // The producer continues at 5 and 6, which land around the hole at
+  // slot 3; the consumer waits there until the ring laps it.
+  post(mem, ring, 0, 5);
+  post(mem, ring, 0, 6);
+  EXPECT_TRUE(drain(ring, mem, 0).empty());
+  post(mem, ring, 0, 7);
+  post(mem, ring, 0, 8);
+  EXPECT_EQ(drain(ring, mem, 0), (std::vector<std::uint64_t>{7, 8}));
+
+  // `keep` filters what the rebuild counts.
+  ring.rebuild(std::span(mem), [](std::uint32_t s, const RingRec& e) {
+    return s != 1 || e.seq < 5;
+  });
+  EXPECT_EQ(ring.cursor(0), 8u);
+  EXPECT_EQ(ring.cursor(1), 4u);
+}
+
+TEST(SeqRing, RecoveredCounterContinuesTheReceiversSequence) {
+  // The sender wrote 1..5 toward peer stripe 2, but 4 and 5 were dropped
+  // while the receiver was down, and the receiver rebuilt its cursor to 3.
+  SeqRing<RingRec> sender(4, 4);
+  SeqRing<RingRec> receiver(4, 4);
+  std::vector<std::byte> mem(receiver.bytes());
+  const std::uint32_t me = 1;
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    const std::uint64_t seq = sender.next_seq(2);
+    EXPECT_EQ(seq, i);
+    if (seq <= 3) post(mem, receiver, me, seq);
+  }
+  receiver.rebuild(std::span(mem));
+  ASSERT_EQ(receiver.cursor(me), 3u);
+
+  // The restarted sender READs its stripe of the receiver's ring.
+  sender.recover_sent(
+      2, std::span(mem).subspan(receiver.offset(me, 0), receiver.stripe_bytes()));
+  EXPECT_EQ(sender.sent(2), 3u);
+  EXPECT_EQ(sender.sent(0), 0u);
+  const std::uint64_t seq = sender.next_seq(2);
+  post(mem, receiver, me, seq);
+  EXPECT_EQ(drain(receiver, mem, me), (std::vector<std::uint64_t>{4}));
 }
 
 }  // namespace
