@@ -112,17 +112,6 @@ bool Fabric::crosses_partition(std::int32_t a, std::int32_t b) const {
   return a_in != b_in;
 }
 
-sim::Nanos Fabric::depart(std::int32_t initiator) {
-  const sim::Nanos now = sim_->now();
-  sim::Nanos& free_at = nic_free_at(initiator);
-  const sim::Nanos at = std::max(now + model_.post_overhead, free_at);
-  // Send-side serialization wait: how long the verb sat behind earlier
-  // posts before the NIC picked it up.
-  hist_queue_wait_->observe(at - (now + model_.post_overhead));
-  free_at = at;
-  return at;
-}
-
 Fabric::RackLink& Fabric::rack_link(int rack) {
   if (racks_.size() <= static_cast<std::size_t>(rack)) {
     racks_.resize(static_cast<std::size_t>(rack) + 1);
@@ -178,6 +167,25 @@ sim::Nanos Fabric::arrival_on_channel(std::int32_t initiator,
   const sim::Nanos at = std::max(proposed, qp.last_arrival);
   qp.last_arrival = at;
   return at;
+}
+
+inline Fabric::Leg Fabric::request_leg(std::int32_t initiator,
+                                       std::int32_t target, Lane lane,
+                                       sim::Nanos base,
+                                       std::uint64_t nic_bytes,
+                                       std::uint64_t wire_bytes) {
+  const sim::Nanos posted = sim_->now() + model_.post_overhead;
+  sim::Nanos& nic_free_at = nic_free_at_[static_cast<std::size_t>(initiator)];
+  const sim::Nanos departed = std::max(posted, nic_free_at);
+  // Send-side serialization wait: how long the request sat behind earlier
+  // posts before the NIC picked it up.
+  hist_queue_wait_->observe(departed - posted);
+  nic_free_at = departed + xfer_time(nic_bytes);
+  const sim::Nanos ready = departed + jitter(base) + xfer_time(nic_bytes);
+  return {departed,
+          arrival_on_channel(
+              initiator, target, lane,
+              link_transit(initiator, target, wire_bytes, ready, lane))};
 }
 
 sim::Nanos Fabric::uplink_backlog(std::int32_t node_id) const {
@@ -296,13 +304,9 @@ void Fabric::write_async(std::int32_t initiator, RAddr addr,
   // preserves post order, and so RC in-order delivery).
   auto post = [this, addr, initiator, payload, lane, gated] {
     const std::uint64_t bytes = payloads_[payload].size();
-    const sim::Nanos departed = depart(initiator);
-    nic_free_at(initiator) = departed + xfer_time(bytes);
-    const sim::Nanos arrive = arrival_on_channel(
-        initiator, addr.node, lane,
-        link_transit(initiator, addr.node, bytes,
-                     departed + jitter(model_.write_base) + xfer_time(bytes),
-                     lane));
+    const sim::Nanos arrive =
+        request_leg(initiator, addr.node, lane, model_.write_base, bytes, bytes)
+            .arrival;
 
     // The arrival instant is known synchronously, so the span covers
     // the wire flight of the fire-and-forget write.
@@ -339,13 +343,9 @@ void Fabric::inject_flow(std::int32_t initiator, std::int32_t target,
 
 void Fabric::post_flow(std::int32_t initiator, std::int32_t target,
                        std::uint64_t bytes, Lane lane, bool gated) {
-  const sim::Nanos departed = depart(initiator);
-  nic_free_at(initiator) = departed + xfer_time(bytes);
-  const sim::Nanos arrive = arrival_on_channel(
-      initiator, target, lane,
-      link_transit(initiator, target, bytes,
-                   departed + jitter(model_.write_base) + xfer_time(bytes),
-                   lane));
+  const sim::Nanos arrive =
+      request_leg(initiator, target, lane, model_.write_base, bytes, bytes)
+          .arrival;
   sim_->schedule_at(arrive, [this, initiator, target, lane, gated] {
     release_credit(qp_for(initiator, target, lane), gated);
   });
@@ -383,31 +383,16 @@ void Verb<K>::start() {
 template <VerbKind K>
 void Verb<K>::post() {
   Fabric& f = *fabric_;
-  departed_ = f.depart(initiator_);
-  if constexpr (K == VerbKind::kWrite) {
-    // Large payloads occupy the send NIC for their transfer duration.
-    f.nic_free_at(initiator_) = departed_ + f.xfer_time(bytes());
-  } else {
-    f.nic_free_at(initiator_) = departed_;  // the request itself is tiny
-  }
-  at<&Verb::leave>(departed_);
-}
-
-template <VerbKind K>
-void Verb<K>::leave() {
-  Fabric& f = *fabric_;
-  sim::Nanos ready;
-  std::uint64_t wire;
-  if constexpr (K == VerbKind::kWrite) {
-    ready = departed_ + f.jitter(f.model_.write_base) + f.xfer_time(bytes());
-    wire = bytes();
-  } else {
-    ready = departed_ + f.jitter(f.model_.read_base / 2);
-    wire = kVerbHeaderBytes;
-  }
-  at<&Verb::land>(f.arrival_on_channel(
-      initiator_, addr_.node, lane_,
-      f.link_transit(initiator_, addr_.node, wire, ready, lane_)));
+  // A READ or CAS request is header-sized and leaves the send NIC free at
+  // once; a WRITE holds it for its payload.
+  const Fabric::Leg leg =
+      K == VerbKind::kWrite
+          ? f.request_leg(initiator_, addr_.node, lane_, f.model_.write_base,
+                          bytes(), bytes())
+          : f.request_leg(initiator_, addr_.node, lane_,
+                          f.model_.read_base / 2, 0, kVerbHeaderBytes);
+  departed_ = leg.departed;
+  at<&Verb::land>(leg.arrival);
 }
 
 template <VerbKind K>

@@ -313,9 +313,6 @@ class Fabric {
   }
   /// Slow path of qp_for: creates the QP on first use.
   Qp& open_qp(std::vector<std::unique_ptr<Qp>>& row, std::size_t i);
-  sim::Nanos& nic_free_at(std::int32_t node) {
-    return nic_free_at_[static_cast<std::size_t>(node)];
-  }
   void note_credit_stall(std::int32_t initiator);
   /// Runs `post` when a credit is available on the QP: at once when
   /// uncontended, otherwise as an event when a completion hands the
@@ -339,7 +336,6 @@ class Fabric {
   sim::Nanos jitter(sim::Nanos base);
   sim::Nanos xfer_time(std::uint64_t bytes) const;
   sim::Nanos uplink_time(std::uint64_t bytes) const;
-  sim::Nanos depart(std::int32_t initiator);
   /// Routes a transfer through the two-level topology: when initiator and
   /// target sit in different racks, the transfer serializes through both
   /// racks' shared uplink FIFOs (control-lane traffic bypasses the queue
@@ -349,6 +345,20 @@ class Fabric {
                           std::uint64_t bytes, sim::Nanos ready, Lane lane);
   sim::Nanos arrival_on_channel(std::int32_t initiator, std::int32_t target,
                                 Lane lane, sim::Nanos proposed);
+  struct Leg {
+    sim::Nanos departed;  // the initiator NIC takes the request
+    sim::Nanos arrival;   // it reaches the target NIC
+  };
+  /// The request leg of every verb, computed when the verb is posted: the
+  /// send NIC departs it and stays busy for `nic_bytes`; it crosses the
+  /// fabric in `base` (jittered) plus that transfer, moves `wire_bytes`
+  /// through the ToR and takes its slot on the RC channel. One rule for
+  /// all verbs keeps each channel in post order. Always inlined into its
+  /// callers in fabric.cpp: out of line, tpcc ran measurably slower
+  /// (EXPERIMENTS, "one request leg per verb").
+  [[gnu::always_inline]] inline Leg request_leg(
+      std::int32_t initiator, std::int32_t target, Lane lane,
+      sim::Nanos base, std::uint64_t nic_bytes, std::uint64_t wire_bytes);
   [[nodiscard]] bool crosses_partition(std::int32_t a, std::int32_t b) const;
   RackLink& rack_link(int rack);
   void post_flow(std::int32_t initiator, std::int32_t target,
@@ -425,12 +435,13 @@ struct VerbOperand<VerbKind::kWrite> {
 
 /// A blocking verb in flight: what `co_await fabric.read(...)` (or cas,
 /// write) awaits. It lives in the awaiting coroutine's frame and holds the
-/// op's state, so a verb allocates nothing. Each wait is an event holding
-/// `this` that runs the op's next step at the instant a coroutine sleeping
-/// between the same steps would have resumed, and pushed in the same
-/// order; a step whose instant is now runs at once. The last step resumes
-/// the caller. An op that needs no wait (a bad address, or zero latency)
-/// completes without suspending the caller.
+/// op's state, so a verb allocates nothing. Its steps are the start, the
+/// post (the whole request leg, `Fabric::request_leg`, computed when the
+/// credit is held, as for `write_async`), the arrival at the target, and
+/// the response or the failure detection. Each wait is an event holding
+/// `this` that runs the op's next step; a step whose instant is now runs
+/// at once. The last step resumes the caller. An op that needs no wait (a
+/// bad address, or zero latency) completes without suspending the caller.
 template <VerbKind K>
 class [[nodiscard]] Verb {
  public:
@@ -471,8 +482,7 @@ class [[nodiscard]] Verb {
 
   // The steps, in order; each runs at its own instant.
   void start();    // counters, trace span, bounds check, credit
-  void post();     // credit held: the NIC takes the request
-  void leave();    // departed: the request crosses the fabric
+  void post();     // credit held: the whole request leg
   void land();     // at the target NIC: sample, swap or store
   void respond();  // READ/CAS: the response is back
   void fail();     // the dead target is detected

@@ -653,8 +653,8 @@ TEST(VerbSchedule, ContendedCreditWindowHandsOffInPostOrder) {
   spawn_read(env, addr, buf, log);
   spawn_cas(env, addr, 0, 7, &observed, log);
   spawn_write(env, addr, as_bytes(payload), log);
-  // The read holds the one credit and sleeps until it departs; the other
-  // two wait in the QP's software queue without an event.
+  // The read holds the one credit and is posted: its arrival is the one
+  // event. The other two wait in the QP's software queue without one.
   EXPECT_EQ(env.sim.pending_events(), 1u);
   EXPECT_EQ(env.fabric.credit_queue_depth(env.a->id()), 2u);
   EXPECT_EQ(env.fabric.stats().credit_stalls, 2u);
@@ -663,8 +663,8 @@ TEST(VerbSchedule, ContendedCreditWindowHandsOffInPostOrder) {
   // over as a zero-delay event: the cas departs 150 ns later and completes
   // at 1753 + 1753; the write departs at 3506 + 150 and lands 921 ns on.
   env.sim.run_until(1753);
-  EXPECT_EQ(env.sim.events_executed(), 4u);  // 3 for the read + hand-off
-  EXPECT_EQ(env.sim.pending_events(), 1u);   // the cas's departure
+  EXPECT_EQ(env.sim.events_executed(), 3u);  // 2 for the read + hand-off
+  EXPECT_EQ(env.sim.pending_events(), 1u);   // the cas's arrival
   EXPECT_EQ(env.fabric.credit_queue_depth(env.a->id()), 1u);
   env.sim.run();
 
@@ -672,7 +672,7 @@ TEST(VerbSchedule, ContendedCreditWindowHandsOffInPostOrder) {
                                {"cas", 3506, Status::kOk},
                                {"write", 4577, Status::kOk}};
   EXPECT_EQ(log, want);
-  EXPECT_EQ(env.sim.events_executed(), 10u);
+  EXPECT_EQ(env.sim.events_executed(), 7u);
   EXPECT_EQ(env.sim.pending_events(), 0u);
   EXPECT_EQ(env.fabric.credit_queue_depth(env.a->id()), 0u);
   EXPECT_EQ(observed, 0u);  // the read went first, the cas swapped 0 -> 7
@@ -690,13 +690,14 @@ TEST(VerbSchedule, SameInstantReadCasWriteToOneTarget) {
   spawn_read(env, addr, buf, log);
   spawn_cas(env, addr, 0, 7, &observed, log);
   spawn_write(env, addr, as_bytes(payload), log);
-  // All three depart at 150 (tiny READ/CAS requests leave the NIC free).
+  // All three depart at 150 (tiny READ/CAS requests leave the NIC free);
+  // each is posted with its arrival as its one pending event.
   EXPECT_EQ(env.sim.pending_events(), 3u);
 
   // READ and CAS reach the target at 950, in post order on the channel;
   // the WRITE lands at 150 + 900 + 21 = 1071, after both sampled.
   env.sim.run_until(1000);
-  EXPECT_EQ(env.sim.events_executed(), 5u);
+  EXPECT_EQ(env.sim.events_executed(), 2u);
   EXPECT_EQ(env.sim.pending_events(), 3u);
   EXPECT_EQ(observed, 0u);
   EXPECT_EQ(env.b->region(env.mr_b).bytes()[0], std::byte{7});
@@ -706,11 +707,37 @@ TEST(VerbSchedule, SameInstantReadCasWriteToOneTarget) {
                                {"read", 1753, Status::kOk},
                                {"cas", 1753, Status::kOk}};
   EXPECT_EQ(log, want);
-  EXPECT_EQ(env.sim.events_executed(), 8u);
+  EXPECT_EQ(env.sim.events_executed(), 5u);
   EXPECT_EQ(env.sim.pending_events(), 0u);
   EXPECT_TRUE(std::all_of(buf.begin(), buf.end(),
                           [](std::byte x) { return x == std::byte{0}; }));
   EXPECT_EQ(env.b->region(env.mr_b).bytes()[0], std::byte{0x5A});
+}
+
+TEST(VerbSchedule, ReadPostedBeforeAnAsyncWriteArrivesFirst) {
+  Env env;
+  const RAddr addr{env.b->id(), env.mr_b, 0};
+  std::vector<std::byte> buf(8, std::byte{0xFF});
+  const std::vector<std::uint8_t> payload(64, 0x5A);
+  std::vector<Done> log;
+
+  // Both posted at 0 on one QP, and both depart at 150 (the READ request
+  // leaves the NIC free). A channel delivers in post order whatever the
+  // verb: the READ reaches the target at 950 and samples the zeros there,
+  // before the write lands at 150 + 900 + 21 = 1071.
+  spawn_read(env, addr, buf, log);
+  env.fabric.write_async(env.a->id(), addr, as_bytes(payload));
+  env.sim.run_until(1070);
+  EXPECT_EQ(env.b->region(env.mr_b).bytes()[0], std::byte{0});
+  env.sim.run_until(1071);
+  EXPECT_EQ(env.b->region(env.mr_b).bytes()[0], std::byte{0x5A});
+  env.sim.run();
+
+  // The read response is back at 950 + 800 + 3 = 1753.
+  const std::vector<Done> want{{"read", 1753, Status::kOk}};
+  EXPECT_EQ(log, want);
+  EXPECT_TRUE(std::all_of(buf.begin(), buf.end(),
+                          [](std::byte x) { return x == std::byte{0}; }));
 }
 
 TEST(VerbSchedule, DeadTargetFailsAfterDetectionAndReturnsItsCredit) {
@@ -736,7 +763,7 @@ TEST(VerbSchedule, DeadTargetFailsAfterDetectionAndReturnsItsCredit) {
                                {"cas", 800300, Status::kRemoteFailure},
                                {"write", 1200450, Status::kRemoteFailure}};
   EXPECT_EQ(log, want);
-  EXPECT_EQ(env.sim.events_executed(), 11u);
+  EXPECT_EQ(env.sim.events_executed(), 8u);
   EXPECT_EQ(env.sim.pending_events(), 0u);
   EXPECT_EQ(observed, 99u);
   EXPECT_EQ(env.fabric.stats().failures, 3u);
@@ -751,7 +778,7 @@ TEST(VerbSchedule, DeadTargetFailsAfterDetectionAndReturnsItsCredit) {
   const std::vector<Done> after{{"read", 1200450 + 1753, Status::kOk}};
   EXPECT_EQ(log, after);
   EXPECT_EQ(env.fabric.stats().credit_stalls, 2u);
-  EXPECT_EQ(env.sim.events_executed(), 14u);
+  EXPECT_EQ(env.sim.events_executed(), 10u);
 }
 
 TEST(VerbSchedule, BadAddressCompletesWithoutSuspending) {
